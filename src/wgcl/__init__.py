@@ -16,7 +16,6 @@ from .algebra import (
 from .syntax import (
     ExprWeighting, FnWeighting, State, TableWeighting, Weighting,
     eval_arith, eval_bool, eval_weight, eval_weighting, fib, print_program,
-    state_update,
 )
 from .parser import (
     ParseError, ParsedProgram, parse_grid, parse_program, parse_state,

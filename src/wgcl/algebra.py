@@ -338,32 +338,12 @@ class Algebra:
     def format_value(self, u: ModuleValue) -> str:
         return self.format_raw(self._need(u, ModuleValue))
 
-    def big_add(self, values, *, layered: bool = False,
-                window: int = 3) -> tuple[ModuleValue, bool]:
-        """Fold mod_add over `values`.
-
-        A plain finite iterable is summed exactly.  With ``layered=True``
-        the input is an iterable of layers (a truncated enumeration of a
-        countable family); the result is the partial sum, flagged exact only
-        if the last `window` layer boundaries left it unchanged.
-        """
-        if not layered:
-            total = self.mod_zero()
-            for v in values:
-                total = self.mod_add(total, v)
-            return total, True
+    def big_add(self, values) -> ModuleValue:
+        """Fold mod_add over a finite iterable of module values."""
         total = self.mod_zero()
-        tail: list[ModuleValue] = []
-        layer_count = 0
-        for layer in values:
-            for v in layer:
-                total = self.mod_add(total, v)
-            layer_count += 1
-            tail.append(total)
-            if len(tail) > window:
-                tail.pop(0)
-        stabilized = layer_count >= window and len(set(tail)) == 1
-        return total, stabilized
+        for v in values:
+            total = self.mod_add(total, v)
+        return total
 
     def __repr__(self) -> str:
         return f"Algebra({self.name})"

@@ -3,12 +3,14 @@
 Subcommands:
     wp / wlp    preweighting tables over a state or grid
     check       invariant checks (super / sub / fixed) against a loop
-    compare     transformer vs. brute-force path oracle, or wp ratios
+    compare     wp vs. the op path oracle (wlp vs. olp with --liberal),
+                or wp ratios
     paths       raw computation-path traces
+    print       parse and pretty-print a program
 
 Exit codes: 0 ok, 2 usage or parse error, 3 some result was not certified
-exact, 4 a comparison or check failed.  WGCL_FUEL overrides the default
-fuel.
+exact, 4 a comparison or check failed, 5 a node budget was exhausted.
+WGCL_FUEL overrides the default fuel.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .transformer import (
     check_subinvariant, check_superinvariant, wlp_eval,
 )
 
-OK, USAGE, INEXACT, MISMATCH = 0, 2, 3, 4
+OK, USAGE, INEXACT, MISMATCH, BUDGET = 0, 2, 3, 4, 5
 
 
 class CliError(Exception):
@@ -204,16 +206,16 @@ def cmd_compare(args) -> int:
         print(f"max ratio on grid: {worst if worst is not None else 'undefined'}")
         return code
     post = ExprWeighting(alg, parse_weighting(args.post, alg))
-    engine = Engine(alg, "wlp" if args.liberal else "wp", args.fuel, args.budget)
+    engine = None if args.liberal else Engine(alg, "wp", args.fuel, args.budget)
+    oracle_fn = olp_oracle if args.liberal else op_oracle
     mismatch = False
     any_inexact = False
     for sigma in states:
         if args.liberal:
             res = wlp_eval(parsed.program, post, sigma, alg, args.fuel, args.budget)
-            oracle = olp_oracle(parsed.program, sigma, alg, args.fuel, args.budget)
         else:
             res = engine.run(parsed.program, post, sigma)
-            oracle = op_oracle(parsed.program, sigma, post, alg, args.fuel, args.budget)
+        oracle = oracle_fn(parsed.program, sigma, post, alg, args.fuel, args.budget)
         equal = res.value == oracle.value
         if res.exact and oracle.exact and not equal:
             mismatch = True
@@ -290,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sp.add_parser("compare", help="transformer vs. path oracle, or --ratio")
     _add_common(comp)
-    comp.add_argument("--liberal", action="store_true", help="compare wlp against the liberal oracle")
+    comp.add_argument("--liberal", action="store_true",
+                      help="compare wlp(post) against the liberal oracle")
     comp.add_argument("--ratio", metavar="OTHER",
                       help="second program; report wp(program)/wp(OTHER) per state")
 
@@ -326,8 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"wgcl: {exc}", file=sys.stderr)
         return exc.code
+    except BudgetError as exc:
+        print(f"wgcl: {exc}", file=sys.stderr)
+        return BUDGET
     except (ParseError, AlgebraError, EvalError, NotALoopError,
-            CertificationError, DivergenceError, BudgetError) as exc:
+            CertificationError, DivergenceError) as exc:
         print(f"wgcl: {exc}", file=sys.stderr)
         return USAGE
 

@@ -7,9 +7,10 @@ are in bijection with nondeterministic resolutions.  The exposed analyses:
 
 * `successors` - the one-step transition relation,
 * `enumerate_paths` - depth-bounded path listing,
-* `op_oracle` - brute-force sum over terminating paths of weight (x) post,
-* `olp_oracle` - the descending chain over all length-n paths of
-  weight (x) top, whose limit captures nonterminating behavior,
+* `op_oracle` / `olp_oracle` - one walk over the forest cut at depth n:
+  terminated paths add weight (x) post(final state), paths still running
+  add weight (x) zero (op) or weight (x) top (olp, whose limit captures
+  nonterminating behavior),
 * `uct_check` - certain-termination check with lasso counterexamples,
 * `diverging_weights` - exact limit of the olp chain from the finite
   (program, state) quotient graph, where the instance allows it.
@@ -29,7 +30,7 @@ from .algebra import (
     Algebra, INF, ModuleValue, NEG_INF, OmegaLangAlgebra, Weight, make_omega,
 )
 from .syntax import (
-    Assign, Branch, Ite, Program, Seq, State, Weigh, Weighting, While,
+    Assign, Branch, FnWeighting, Ite, Program, Seq, State, Weigh, Weighting, While,
     eval_arith, eval_bool, eval_weight,
 )
 
@@ -146,26 +147,24 @@ def enumerate_paths(start: Configuration, depth: int, algebra: Algebra,
     Paths come out in L-before-R order, i.e. sorted by branch history.
     """
     report = PathReport(paths=[], truncated=False)
-    budget = [node_budget]
-
-    def walk(trace: list[Configuration], weight: Weight):
-        budget[0] -= 1
-        if budget[0] < 0:
+    trace: list[Configuration] = []
+    stack = [(start, algebra.mon_one())]
+    visited = 0
+    while stack:
+        conf, weight = stack.pop()
+        visited += 1
+        if visited > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded")
-        conf = trace[-1]
+        del trace[conf.steps - start.steps:]  # steps is the position on the path
+        trace.append(conf)
         if conf.final:
             report.paths.append(Path(tuple(trace), weight, True))
-            return
-        if len(trace) - 1 >= depth:
+        elif len(trace) - 1 >= depth:
             report.paths.append(Path(tuple(trace), weight, False))
             report.truncated = True
-            return
-        for tr in successors(conf, algebra):
-            trace.append(tr.target)
-            walk(trace, algebra.mon_mul(weight, tr.weight))
-            trace.pop()
-
-    walk([start], algebra.mon_one())
+        else:
+            for tr in reversed(successors(conf, algebra)):
+                stack.append((tr.target, algebra.mon_mul(weight, tr.weight)))
     report.paths.sort(key=lambda p: p.history)
     return report
 
@@ -221,16 +220,16 @@ class _Stabilization:
     Tier 1 is sound: once a layer frontier repeats exactly (program, state,
     and accumulated weight, as a multiset), the process is periodic, so a
     sum that did not move over the repetition never moves again.  Tier 2 is
-    the configurable-window heuristic: the sum sat still for at least
-    `window` layers spanning a full repetition of the frontier's
-    (program, state) structure.  Tier 2 can in principle be fooled by
-    weight-dependent behavior; tier 1 cannot.
+    a window heuristic: the sum sat still for at least `WINDOW` layers
+    spanning a full repetition of the frontier's (program, state)
+    structure.  Tier 2 can in principle be fooled by weight-dependent
+    behavior; tier 1 cannot.
     """
 
     MAX_FRONTIER = 512  # repetition needs a small frontier; skip huge ones
+    WINDOW = 3
 
-    def __init__(self, window: int):
-        self.window = window
+    def __init__(self):
         self.layer = -1
         self.full_seen: dict[frozenset, int] = {}
         self.node_seen: dict[frozenset, int] = {}
@@ -262,84 +261,83 @@ class _Stabilization:
         if full_prev is not None and full_prev >= self.constant_since:
             self.certified = True
         elif (node_prev is not None and node_prev >= self.constant_since
-              and stretch >= self.window):
+              and stretch >= self.WINDOW):
             self.certified = True
 
 
-def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
-              fuel: int = 64, node_budget: int = 10 ** 6,
-              window: int = 3) -> OracleResult:
-    """Sum weight (x) post(final state) over terminating paths, within fuel.
+def _layer_sums(program: Program, state: State, post: Weighting, seed: ModuleValue,
+                algebra: Algebra, fuel: int, node_budget: int):
+    """Yield (live frontier, s_n) for the computation forest cut at depth n.
 
-    Exact when the computation forest was exhausted (no paths remain beyond
-    the horizon) or the layer partial sums stabilized (see _Stabilization).
+    s_n sums weight (x) post(final state) over the paths that terminated
+    within n steps, plus weight (x) seed over the paths still running after
+    n steps.  Seed zero gives the op chain, which ascends (and skips the
+    running paths, as w (x) zero is zero); seed top gives the olp chain,
+    which descends.
     """
-    total = algebra.mod_zero()
-    exhausted = True
-    layers = 0
-    stab = _Stabilization(window)
+    zero = algebra.mod_zero()
+    done = zero
     for frontier in _frontier_layers(program, state, algebra, fuel, node_budget):
-        layers += 1
+        live = []
         for conf, w in frontier:
             if conf.final:
-                total = algebra.mod_add(total, algebra.scalar_mul(w, post.at(conf.state)))
-        live = [(c, w) for c, w in frontier if not c.final]
-        stab.feed(live, total)
-        if layers == fuel + 1 and live:
-            exhausted = False
-    return OracleResult(total, exhausted or stab.certified, layers)
+                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(conf.state)))
+            else:
+                live.append((conf, w))
+        if seed == zero:
+            yield live, done
+        else:
+            yield live, algebra.big_add([done] + [algebra.scalar_mul(w, seed) for _, w in live])
 
 
-def olp_oracle(program: Program, state: State, algebra: Algebra,
-               fuel: int = 64, node_budget: int = 10 ** 6, window: int = 3,
-               top: ModuleValue | None = None,
-               lasso_fallback: bool = True) -> OracleResult:
-    """Evaluate the descending chain s_n = sum over length-n paths of
-    weight (x) top, and report its limit when certified.
+def _limit(program: Program, state: State, post: Weighting, seed: ModuleValue,
+           algebra: Algebra, fuel: int, node_budget: int) -> OracleResult:
+    """The last s_n, exact when no path outlived the horizon (the forest is
+    exhausted) or the sums stabilized (see _Stabilization)."""
+    stab = _Stabilization()
+    layers = 0
+    for live, value in _layer_sums(program, state, post, seed, algebra, fuel, node_budget):
+        layers += 1
+        stab.feed(live, value)
+    return OracleResult(value, not live or stab.certified, layers)
 
-    Once no paths of some length remain the chain has hit the module zero
-    for good (certain termination).  Otherwise the last value is an upper
-    bound in the natural order; it is exact if the chain stabilized (see
-    _Stabilization), or, for omega-language instances, the lasso analysis
-    supplies the exact limit.
+
+def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
+              fuel: int = 64, node_budget: int = 10 ** 6) -> OracleResult:
+    """Sum weight (x) post(final state) over terminating paths, within fuel."""
+    return _limit(program, state, post, algebra.mod_zero(), algebra, fuel, node_budget)
+
+
+def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
+               fuel: int = 64, node_budget: int = 10 ** 6) -> OracleResult:
+    """Limit of the descending chain that also charges top to every path
+    still running at depth n.
+
+    An uncertified last value is an upper bound in the natural order.  For
+    omega-language instances the lasso analysis then supplies the
+    nonterminating part exactly, and the result is exact when the
+    terminating part (op_oracle) is.
     """
-    if top is None:
-        top = algebra.top()
-    last = None
-    count = 0
-    extendable = False
-    stab = _Stabilization(window)
-    for frontier in _frontier_layers(program, state, algebra, fuel, node_budget):
-        s_n, _ = algebra.big_add([algebra.scalar_mul(w, top) for _, w in frontier])
-        last = s_n
-        count += 1
-        extendable = any(not c.final for c, _ in frontier)
-        stab.feed(frontier, s_n)
-    if not extendable:
-        # the next chain element is the empty sum, and stays there
-        return OracleResult(algebra.mod_zero(), True, count)
-    if stab.certified:
-        return OracleResult(last, True, count)
-    if lasso_fallback and isinstance(algebra, OmegaLangAlgebra):
-        try:
-            report = diverging_weights(program, state, algebra, node_budget)
-            return OracleResult(report.value, True, count)
-        except (DivergenceError, BudgetError):
-            pass
-    return OracleResult(last, False, count)
+    result = _limit(program, state, post, algebra.top(), algebra, fuel, node_budget)
+    if result.exact or not isinstance(algebra, OmegaLangAlgebra):
+        return result
+    try:
+        diverging = diverging_weights(program, state, algebra, node_budget)
+    except (DivergenceError, BudgetError):
+        return result
+    op = op_oracle(program, state, post, algebra, fuel, node_budget)
+    if not op.exact:
+        return result
+    return OracleResult(algebra.mod_add(op.value, diverging.value), True, result.layers)
 
 
 def olp_chain(program: Program, state: State, algebra: Algebra,
-              fuel: int = 64, node_budget: int = 10 ** 6,
-              top: ModuleValue | None = None) -> list[ModuleValue]:
-    """The raw s_n values for n = 0..fuel (shorter if paths run out)."""
-    if top is None:
-        top = algebra.top()
-    out = []
-    for frontier in _frontier_layers(program, state, algebra, fuel, node_budget):
-        s_n, _ = algebra.big_add([algebra.scalar_mul(w, top) for _, w in frontier])
-        out.append(s_n)
-    return out
+              fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
+    """The raw olp chain s_n for post zero, n = 0..fuel (shorter if paths
+    run out)."""
+    zero = FnWeighting(algebra, lambda _s: algebra.mod_zero())
+    return [value for _, value in _layer_sums(program, state, zero, algebra.top(),
+                                              algebra, fuel, node_budget)]
 
 
 # ---------------------------------------------------------------------------

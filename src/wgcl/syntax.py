@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .algebra import Algebra, EmbedError, ModuleValue, Weight
 
@@ -93,11 +93,10 @@ BoolExpr = Union[BBool, BCmp, BNot, BAnd, BOr]
 @lru_cache(maxsize=None)
 def fib(n: int) -> int:
     """Fibonacci numbers with fib(0) = 0, fib(1) = 1; 0 below that."""
-    if n <= 0:
-        return 0
-    if n == 1:
-        return 1
-    return fib(n - 1) + fib(n - 2)
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +170,6 @@ def seq_of(stmts: list["Program"]) -> "Program":
     return out
 
 
-def iter_loops(node: "Program") -> Iterator[While]:
-    """All while-loops in the AST, outermost first."""
-    if isinstance(node, While):
-        yield node
-        yield from iter_loops(node.body)
-    elif isinstance(node, Seq):
-        yield from iter_loops(node.first)
-        yield from iter_loops(node.second)
-    elif isinstance(node, Ite):
-        yield from iter_loops(node.then)
-        yield from iter_loops(node.orelse)
-    elif isinstance(node, Branch):
-        yield from iter_loops(node.left)
-        yield from iter_loops(node.right)
-
-
 # ---------------------------------------------------------------------------
 # Program states
 # ---------------------------------------------------------------------------
@@ -229,10 +212,6 @@ class State:
         if variables is None:
             return ",".join(f"{k}={v}" for k, v in self._items) or "-"
         return ",".join(f"{k}={self.get(k)}" for k in variables)
-
-
-def state_update(sigma: State, var: str, value: int) -> State:
-    return sigma.set(var, value)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +399,6 @@ class FnWeighting(Weighting):
 
     def at(self, sigma: State) -> ModuleValue:
         return self.fn(sigma)
-
-
-def constant_weighting(algebra: Algebra, value: ModuleValue) -> Weighting:
-    return FnWeighting(algebra, lambda _s: value)
 
 
 # ---------------------------------------------------------------------------

@@ -198,13 +198,12 @@ class _Memo:
     depend on the pass snapshot; the top-level memo persists on the engine
     so grid sweeps share converged loop tables.  Keys pair the program node
     (structural equality; equal subprograms compute the same transformer)
-    with the identity of the continuation, which is kept alive here.
+    with the continuation, which hashes by identity.
     """
 
     def __init__(self):
-        self.conts: dict[tuple[Program, int], _NodeCont] = {}
-        self.tables: dict[tuple[Program, int], _LoopTable] = {}
-        self.keepalive: list[object] = []
+        self.conts: dict[tuple[Program, _Cont], _NodeCont] = {}
+        self.tables: dict[tuple[Program, _Cont], _LoopTable] = {}
 
 
 class Engine:
@@ -221,17 +220,16 @@ class Engine:
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._memo = _Memo()
-        self._top_conts: dict[int, _ExactCont] = {}
+        self._top_conts: dict[Weighting, _ExactCont] = {}
         self._passes = 0
         self._touched = 0
 
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         w = as_weighting(self.algebra, f)
-        cont = self._top_conts.get(id(w))
+        cont = self._top_conts.get(w)
         if cont is None:
-            cont = _ExactCont(w)
-            self._top_conts[id(w)] = cont  # also pins w, keeping its id stable
+            cont = self._top_conts[w] = _ExactCont(w)
         self._passes = 0
         self._touched = 0
         value, exact = self._eval(program, cont, sigma, self._memo)
@@ -239,14 +237,11 @@ class Engine:
 
     # -- structural recursion -------------------------------------------------
     def _cont(self, node: Program, cont: _Cont, memo: _Memo) -> _NodeCont:
-        key = (node, id(cont))
+        key = (node, cont)
         found = memo.conts.get(key)
-        if found is not None:
-            return found
-        made = _NodeCont(self, node, cont, memo)
-        memo.conts[key] = made
-        memo.keepalive.append(cont)
-        return made
+        if found is None:
+            found = memo.conts[key] = _NodeCont(self, node, cont, memo)
+        return found
 
     def _eval(self, node: Program, cont: _Cont, sigma: State,
               memo: _Memo) -> tuple[ModuleValue, bool]:
@@ -280,12 +275,10 @@ class Engine:
 
     def _loop(self, node: While, cont: _Cont, sigma: State,
               memo: _Memo) -> tuple[ModuleValue, bool]:
-        key = (node, id(cont))
+        key = (node, cont)
         table = memo.tables.get(key)
         if table is None:
-            table = _LoopTable(self._seed())
-            memo.tables[key] = table
-            memo.keepalive.append(cont)
+            table = memo.tables[key] = _LoopTable(self._seed())
         if sigma in table.vals and table.stable:
             return table.vals[sigma], table.exact_at(sigma)
         table.add_state(sigma, 0)
@@ -493,8 +486,7 @@ class FixedPointReport:
 
 def check_fixed_point(loop: Program, f, invariant, states: Iterable[State],
                       algebra: Algebra, fuel: int = 64,
-                      node_budget: int = 10 ** 6,
-                      uct_bound: int = 10 ** 4) -> FixedPointReport:
+                      node_budget: int = 10 ** 6) -> FixedPointReport:
     """Check `phi(I) = I` per state, plus certain termination from it.
 
     At states where both hold, the loop's fixed point is unique, so
@@ -507,7 +499,7 @@ def check_fixed_point(loop: Program, f, invariant, states: Iterable[State],
     for sigma in states:
         applied = apply_char_fn(phi, inv, sigma, algebra, fuel, node_budget)
         fixed = applied == inv.at(sigma)
-        uct = uct_check(loop, sigma, algebra, uct_bound, node_budget)
+        uct = uct_check(loop, sigma, algebra, node_budget=node_budget)
         verdicts.append(FixedPointVerdict(sigma, fixed, uct.certain))
     return FixedPointReport(verdicts)
 
@@ -523,7 +515,7 @@ def check_decomposition(program: Program, f, states: Iterable[State],
                         node_budget: int = 10 ** 6,
                         mode: Literal["gfp", "gfp_leq_one"] = "gfp",
                         method: Literal["auto", "chain", "lasso"] = "auto",
-                        require_exact: bool = True) -> list[DecompositionVerdict]:
+                        ) -> list[DecompositionVerdict]:
     """Per state: wlp(f) = wp(f) (+) wlp(zero), skipped unless both sides
     certify exact (reported `untested`)."""
     out = []
@@ -532,7 +524,7 @@ def check_decomposition(program: Program, f, states: Iterable[State],
         left = wlp_eval(program, f, sigma, algebra, fuel, node_budget, mode, method)
         wp_part = wp_eval(program, f, sigma, algebra, fuel, node_budget)
         div_part = wlp_eval(program, zero, sigma, algebra, fuel, node_budget, mode, method)
-        if require_exact and not (left.exact and wp_part.exact and div_part.exact):
+        if not (left.exact and wp_part.exact and div_part.exact):
             out.append(DecompositionVerdict(sigma, "untested"))
             continue
         rhs = algebra.mod_add(wp_part.value, div_part.value)

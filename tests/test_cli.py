@@ -143,6 +143,15 @@ def test_compare_liberal(capsys):
     assert "agree" in out
 
 
+def test_compare_liberal_reads_post(capsys):
+    for name, grid, rows in (("ex410", "x=0..4", 5), ("ski_nd", "n=0..3,y=0..3", 16)):
+        code, out, _ = run(capsys, "compare", name, "--liberal", "--post", "one", "--grid", grid)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == rows
+        assert all(line.endswith("agree") for line in lines)
+
+
 def test_compare_ratio_never_exceeds_two(capsys):
     code, out, _ = run(capsys, "compare", "ski_onl", "--ratio", "ski_nd",
                        "--post", "one", "--grid", "n=1..8,y=1..8")
@@ -160,6 +169,36 @@ def test_paths_open_runs_marked(capsys):
     code, out, _ = run(capsys, "paths", "ex411", "--state", "x=1", "--depth", "3")
     assert code == 0
     assert any(line.endswith("open") for line in out.splitlines())
+
+
+def test_paths_deep_does_not_recurse(capsys):
+    code, out, err = run(capsys, "paths", "ex411", "--state", "x=1", "--depth", "1500")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "L | a | - | terminal"
+    history, weight, state, status = lines[-1].split(" | ")
+    assert set(history) == {"R"} and weight == "b" * len(history)
+    assert (state, status) == ("x=1", "open")
+
+
+def test_large_fib_argument(capsys, tmp_path):
+    f = tmp_path / "fib.wgcl"
+    f.write_text("@instance tropical\nx := fib(5000); y := x - fib(4999) - fib(4998)\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "int(y)", "--state", "y=1")
+    assert code == 0 and err == ""
+    assert out.strip() == "y=1 | 0 | exact"
+
+
+def test_budget_exhaustion_has_its_own_exit_code(capsys):
+    code, out, err = run(capsys, "paths", "ex411", "--state", "x=1",
+                         "--depth", "100", "--budget", "10")
+    assert code == 5
+    assert err == "wgcl: node budget 10 exceeded\n"
+    code, out, err = run(capsys, "wp", "ski_nd", "--post", "one",
+                         "--grid", "n=0..5,y=0..5", "--budget", "3")
+    assert code == 5
+    assert err == "wgcl: loop touched more than 3 states\n"
 
 
 def test_fuel_env_override(capsys, monkeypatch):

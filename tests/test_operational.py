@@ -194,7 +194,7 @@ def test_op_composition_through_tabulation():
 # ---------------------------------------------------------------------------
 
 def test_olp_tropical_divergence():
-    res = olp_oracle(EX410.program, State({"x": 2}), TROP, fuel=20)
+    res = olp_oracle(EX410.program, State({"x": 2}), weighting("zero", TROP), TROP, fuel=20)
     assert res.value == TROP.value(0) and res.exact
 
 
@@ -206,14 +206,14 @@ def test_olp_uct_is_zero():
             p = rand_uct_program(rng, alg)
             sigma = rand_state(rng)
             assert uct_check(p, sigma, alg).certain
-            res = olp_oracle(p, sigma, alg, fuel=64)
+            res = olp_oracle(p, sigma, weighting("zero", alg), alg, fuel=64)
             assert res.value == alg.mod_zero() and res.exact
 
 
 def test_olp_omega_lasso():
     ol = algebra("omegalang:ab")
     loop = prog("@instance omegalang:ab\nwhile(true){weigh b}").program
-    res = olp_oracle(loop, State({}), ol, fuel=12)
+    res = olp_oracle(loop, State({}), weighting("zero", ol), ol, fuel=12)
     assert res.value == ol.value({("", "b")}) and res.exact
 
 
@@ -330,7 +330,7 @@ def test_quotient_matches_olp_on_examples():
     # chain mode and lasso mode agree wherever both are exact
     for parsed, sigma in ((EX410, State({"x": 2})), (EX411, State({"x": 1}))):
         alg = parsed.algebra
-        chain = olp_oracle(parsed.program, sigma, alg, fuel=20)
+        chain = olp_oracle(parsed.program, sigma, weighting("zero", alg), alg, fuel=20)
         lasso = diverging_weights(parsed.program, sigma, alg)
         assert chain.exact
         assert chain.value == lasso.value

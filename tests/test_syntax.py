@@ -12,7 +12,7 @@ from wgcl.parser import ParseError, parse_grid, parse_program, parse_state, pars
 from wgcl.syntax import (
     ABin, AInt, AVar, Assign, BCmp, Branch, EvalError, ExprWeighting, Ite,
     Seq, State, Weigh, While, WLit, eval_bool, eval_weighting, fib,
-    print_program, state_update,
+    print_program,
 )
 from wgcl.transformer import wp_eval
 
@@ -98,10 +98,10 @@ def test_roundtrip_examples_and_random_programs():
 # ---------------------------------------------------------------------------
 
 def test_state_update_examples():
-    assert state_update(State({"x": 2}), "x", 3) == State({"x": 3})
-    assert state_update(State({}), "y", 0) == State({})
-    assert state_update(State({}), "y", 0).items() == ()
-    assert state_update(State({"x": 1}), "y", 7) == State({"x": 1, "y": 7})
+    assert State({"x": 2}).set("x", 3) == State({"x": 3})
+    assert State({}).set("y", 0) == State({})
+    assert State({}).set("y", 0).items() == ()
+    assert State({"x": 1}).set("y", 7) == State({"x": 1, "y": 7})
 
 
 def test_state_lookup_total():

@@ -169,9 +169,30 @@ def test_wlp_zero_matches_liberal_oracle_on_examples():
     for parsed, sigma in ((EX410, State({"x": 2})), (EX411, State({"x": 1}))):
         alg = parsed.algebra
         res = wlp_eval(parsed.program, alg.mod_zero(), sigma, alg)
-        oracle = olp_oracle(parsed.program, sigma, alg, fuel=24)
+        oracle = olp_oracle(parsed.program, sigma, weighting("zero", alg), alg, fuel=24)
         assert res.exact and oracle.exact
         assert res.value == oracle.value
+
+
+def test_wlp_matches_liberal_oracle_on_random_looping_programs():
+    # the oracle reads the postweighting: exact olp(f) and wlp(f) coincide
+    rng = random.Random(211)
+    names = HEALTHY_INSTANCES + ("omegalang:ab",)
+    compared = 0
+    for i in range(120):
+        alg = algebra(names[i % len(names)])
+        p = rand_looping_program(rng, alg)
+        sigma = rand_state(rng)
+        f = ExprWeighting(alg, rand_weighting_expr(rng, alg))
+        try:
+            oracle = olp_oracle(p, sigma, f, alg, fuel=8, node_budget=5000)
+            res = wlp_eval(p, f, sigma, alg, fuel=8, node_budget=5000)
+        except BudgetError:
+            continue
+        if oracle.exact and res.exact:
+            compared += 1
+            assert oracle.value == res.value, (alg.name, p, sigma)
+    assert compared >= 80
 
 
 # ---------------------------------------------------------------------------
