@@ -15,7 +15,8 @@ from .algebra import (
 )
 from .syntax import (
     ExprWeighting, FnWeighting, State, TableWeighting, Weighting,
-    eval_arith, eval_bool, eval_weight, eval_weighting, fib, print_program,
+    compile_program, eval_arith, eval_bool, eval_weight, eval_weighting, fib,
+    print_program,
 )
 from .parser import (
     ParseError, ParsedProgram, parse_grid, parse_program, parse_state,

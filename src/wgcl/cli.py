@@ -8,8 +8,9 @@ Subcommands:
     paths       raw computation-path traces
     print       parse and pretty-print a program
 
-Exit codes: 0 ok, 2 usage or parse error, 3 some result was not certified
-exact, 4 a comparison or check failed, 5 a node budget was exhausted.
+Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
+deeply), 3 some result was not certified exact, 4 a comparison or check
+failed, 5 a node budget was exhausted.
 WGCL_FUEL overrides the default fuel.
 """
 
@@ -28,7 +29,7 @@ from .operational import (
     op_oracle,
 )
 from .parser import ParseError, parse_grid, parse_program, parse_state, parse_weighting
-from .syntax import EvalError, ExprWeighting, Seq, While, print_program
+from .syntax import EvalError, ExprWeighting, While, flatten_seq, print_program
 from .transformer import (
     CertificationError, Engine, NotALoopError, check_fixed_point,
     check_subinvariant, check_superinvariant, wlp_eval,
@@ -102,29 +103,19 @@ def cmd_transform(args, liberal: bool) -> int:
     return INEXACT if any_inexact else OK
 
 
-def _flatten_seq(prog):
-    while isinstance(prog, Seq):
-        yield from _flatten_seq(prog.first)
-        prog = prog.second
-    yield prog
+_PATH_STEPS = {"body": "body", "then": "then", "else": "orelse", "orelse": "orelse",
+               "left": "left", "right": "right"}
 
 
 def _select_loop(program, path: str | None) -> While:
     if path:
         node = program
         for step in path.split("."):
-            if step == "body":
-                node = node.body
-            elif step == "then":
-                node = node.then
-            elif step in ("else", "orelse"):
-                node = node.orelse
-            elif step == "left":
-                node = node.left
-            elif step == "right":
-                node = node.right
+            field = _PATH_STEPS.get(step)
+            if field is not None and hasattr(node, field):
+                node = getattr(node, field)
             elif step.isdigit():
-                stmts = list(_flatten_seq(node))
+                stmts = flatten_seq(node)
                 idx = int(step)
                 if idx >= len(stmts):
                     raise CliError(f"loop path index {idx} out of range")
@@ -136,7 +127,7 @@ def _select_loop(program, path: str | None) -> While:
         return node
     if isinstance(program, While):
         return program
-    loops = [s for s in _flatten_seq(program) if isinstance(s, While)]
+    loops = [s for s in flatten_seq(program) if isinstance(s, While)]
     if len(loops) == 1:
         return loops[0]
     raise CliError("not a loop; use --loop-path to select one")
@@ -335,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, AlgebraError, EvalError, NotALoopError,
             CertificationError, DivergenceError) as exc:
         print(f"wgcl: {exc}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        print("wgcl: the program nests too deeply", file=sys.stderr)
         return USAGE
 
 

@@ -1,7 +1,8 @@
 """Small-step execution: the weighted computation forest and its analyses.
 
-Configurations are `(program-or-terminated, state, step count, branch
-history)`.  Step counts and L/R histories make the transition structure a
+Configurations are `(position, state, step count, branch history)`, where
+a position is a node of the compiled program (`syntax.compile_program`) or
+TERMINATED.  Step counts and L/R histories make the transition structure a
 forest (each tree rooted at an initial configuration), so paths from a root
 are in bijection with nondeterministic resolutions.  The exposed analyses:
 
@@ -13,16 +14,17 @@ are in bijection with nondeterministic resolutions.  The exposed analyses:
   nonterminating behavior),
 * `uct_check` - certain-termination check with lasso counterexamples,
 * `diverging_weights` - exact limit of the olp chain from the finite
-  (program, state) quotient graph, where the instance allows it.
+  (position, state) quotient graph, where the instance allows it.
 
-The quotient graph drops step counts and histories; its cycles are exactly
-the shapes of infinite paths, which drives both the termination check and
-the divergence analysis.
+The quotient graph drops step counts and histories, keeping (position,
+state) pairs; its cycles are exactly the shapes of infinite paths, which
+drives both the termination check and the divergence analysis.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,8 +32,8 @@ from .algebra import (
     Algebra, INF, ModuleValue, NEG_INF, OmegaLangAlgebra, Weight, make_omega,
 )
 from .syntax import (
-    Assign, Branch, FnWeighting, Ite, Program, Seq, State, Weigh, Weighting, While,
-    eval_arith, eval_bool, eval_weight,
+    TERMINATED, Assign, Branch, FnWeighting, Ite, Program, State, Weigh, Weighting,
+    While, compile_program, eval_arith, eval_bool, eval_weight,
 )
 
 
@@ -43,19 +45,9 @@ class DivergenceError(Exception):
     """The divergence analysis does not apply (instance or cycle structure)."""
 
 
-class _Terminated:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "TERMINATED"
-
-
-TERMINATED = _Terminated()
-
-
 @dataclass(frozen=True)
 class Configuration:
-    program: object  # Program | TERMINATED
+    program: object  # a position: Node | TERMINATED
     state: State
     steps: int = 0
     history: tuple[str, ...] = ()
@@ -72,47 +64,36 @@ class Transition:
 
 
 def initial(program: Program, state: State) -> Configuration:
-    return Configuration(program, state, 0, ())
+    return Configuration(compile_program(program), state, 0, ())
 
 
 def successors(conf: Configuration, algebra: Algebra) -> tuple[Transition, ...]:
     """All transitions licensed by the step rules; empty for final configs."""
-    prog = conf.program
+    node = conf.program
+    if node is TERMINATED:
+        return ()
+    stmt = node.stmt
     sigma = conf.state
     n1 = conf.steps + 1
     one = algebra.mon_one()
-
-    if prog is TERMINATED:
-        return ()
-    if isinstance(prog, Assign):
-        sigma2 = sigma.set(prog.var, eval_arith(prog.expr, sigma))
-        return (Transition(one, Configuration(TERMINATED, sigma2, n1, conf.history)),)
-    if isinstance(prog, Weigh):
-        w = eval_weight(prog.weight, sigma, algebra)
-        return (Transition(w, Configuration(TERMINATED, sigma, n1, conf.history)),)
-    if isinstance(prog, Seq):
-        inner = successors(Configuration(prog.first, sigma, conf.steps, conf.history), algebra)
-        out = []
-        for tr in inner:
-            follow = prog.second if tr.target.program is TERMINATED \
-                else Seq(tr.target.program, prog.second)
-            out.append(Transition(tr.weight, Configuration(
-                follow, tr.target.state, n1, tr.target.history)))
-        return tuple(out)
-    if isinstance(prog, Ite):
-        chosen = prog.then if eval_bool(prog.guard, sigma) else prog.orelse
+    if isinstance(stmt, Assign):
+        sigma2 = sigma.set(stmt.var, eval_arith(stmt.expr, sigma))
+        return (Transition(one, Configuration(node.next, sigma2, n1, conf.history)),)
+    if isinstance(stmt, Weigh):
+        w = eval_weight(stmt.weight, sigma, algebra)
+        return (Transition(w, Configuration(node.next, sigma, n1, conf.history)),)
+    if isinstance(stmt, Ite):
+        chosen = node.then if eval_bool(stmt.guard, sigma) else node.orelse
         return (Transition(one, Configuration(chosen, sigma, n1, conf.history)),)
-    if isinstance(prog, Branch):
+    if isinstance(stmt, Branch):
         return (
-            Transition(one, Configuration(prog.left, sigma, n1, conf.history + ("L",))),
-            Transition(one, Configuration(prog.right, sigma, n1, conf.history + ("R",))),
+            Transition(one, Configuration(node.then, sigma, n1, conf.history + ("L",))),
+            Transition(one, Configuration(node.orelse, sigma, n1, conf.history + ("R",))),
         )
-    if isinstance(prog, While):
-        if eval_bool(prog.guard, sigma):
-            return (Transition(one, Configuration(
-                Seq(prog.body, prog), sigma, n1, conf.history)),)
-        return (Transition(one, Configuration(TERMINATED, sigma, n1, conf.history)),)
-    raise TypeError(f"not a program node: {prog!r}")
+    if isinstance(stmt, While):
+        follow = node.then if eval_bool(stmt.guard, sigma) else node.next
+        return (Transition(one, Configuration(follow, sigma, n1, conf.history)),)
+    raise TypeError(f"not a program node: {stmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +176,16 @@ def _frontier_layers(program: Program, state: State, algebra: Algebra,
 class OracleResult:
     value: ModuleValue
     exact: bool
-    layers: int = 0
-
-
-def _node_fingerprint(frontier) -> frozenset:
-    counts: dict = {}
-    for conf, _ in frontier:
-        key = (conf.program, conf.state)
-        counts[key] = counts.get(key, 0) + 1
-    return frozenset(counts.items())
-
-
-def _full_fingerprint(frontier) -> frozenset:
-    counts: dict = {}
-    for conf, w in frontier:
-        key = (conf.program, conf.state, w.value)
-        counts[key] = counts.get(key, 0) + 1
-    return frozenset(counts.items())
 
 
 class _Stabilization:
     """Convergence certificates for layered sums.
 
-    Tier 1 is sound: once a layer frontier repeats exactly (program, state,
+    Tier 1 is sound: once a layer frontier repeats exactly (position, state,
     and accumulated weight, as a multiset), the process is periodic, so a
     sum that did not move over the repetition never moves again.  Tier 2 is
     a window heuristic: the sum sat still for at least `WINDOW` layers
-    spanning a full repetition of the frontier's (program, state)
+    spanning a full repetition of the frontier's (position, state)
     structure.  Tier 2 can in principle be fooled by weight-dependent
     behavior; tier 1 cannot.
     """
@@ -246,8 +210,9 @@ class _Stabilization:
             self.full_seen.clear()
             self.node_seen.clear()
             return
-        full_fp = _full_fingerprint(frontier)
-        node_fp = _node_fingerprint(frontier)
+        # the frontier as a multiset, with and without accumulated weights
+        full_fp = frozenset(Counter((c.program, c.state, w.value) for c, w in frontier).items())
+        node_fp = frozenset(Counter((c.program, c.state) for c, _ in frontier).items())
         if self.layer == self.constant_since:
             # the sum just moved: only this layer can anchor a repetition
             self.full_seen = {full_fp: self.layer}
@@ -295,11 +260,9 @@ def _limit(program: Program, state: State, post: Weighting, seed: ModuleValue,
     """The last s_n, exact when no path outlived the horizon (the forest is
     exhausted) or the sums stabilized (see _Stabilization)."""
     stab = _Stabilization()
-    layers = 0
     for live, value in _layer_sums(program, state, post, seed, algebra, fuel, node_budget):
-        layers += 1
         stab.feed(live, value)
-    return OracleResult(value, not live or stab.certified, layers)
+    return OracleResult(value, not live or stab.certified)
 
 
 def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
@@ -328,7 +291,7 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     op = op_oracle(program, state, post, algebra, fuel, node_budget)
     if not op.exact:
         return result
-    return OracleResult(algebra.mod_add(op.value, diverging.value), True, result.layers)
+    return OracleResult(algebra.mod_add(op.value, diverging.value), True)
 
 
 def olp_chain(program: Program, state: State, algebra: Algebra,
@@ -344,18 +307,19 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 # Quotient graph, termination, divergence
 # ---------------------------------------------------------------------------
 
-QNode = tuple  # (program-or-TERMINATED, State)
+QNode = tuple  # (position, State)
 
 
 def build_quotient(program: Program, state: State, algebra: Algebra,
                    node_budget: int = 10 ** 6) -> dict[QNode, list[tuple[object, QNode]]]:
-    """Reachable (program, state) graph with raw edge weights.
+    """Reachable (position, state) graph with raw edge weights; the root
+    is its first key.
 
     Paths in the computation forest project onto walks in this graph, and
     every walk lifts back, so cycles here are exactly the shapes of
     infinite paths.
     """
-    root = (program, state)
+    root = (compile_program(program), state)
     graph: dict[QNode, list[tuple[object, QNode]]] = {}
     stack = [root]
     while stack:
@@ -364,18 +328,11 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
             continue
         if len(graph) >= node_budget:
             raise BudgetError(f"quotient node budget {node_budget} exceeded")
-        prog, sigma = node
         edges = []
-        if prog is not TERMINATED:
-            conf = Configuration(prog, sigma, 0, ())
-            seen = set()
-            for tr in successors(conf, algebra):
-                succ = (tr.target.program, tr.target.state)
-                key = (tr.weight.value, succ)
-                if key in seen:
-                    continue  # duplicate branch arms collapse in the quotient
-                seen.add(key)
-                edges.append((tr.weight.value, succ))
+        for tr in successors(Configuration(*node), algebra):
+            edge = (tr.weight.value, (tr.target.program, tr.target.state))
+            if edge not in edges:  # equal branch arms collapse in the quotient
+                edges.append(edge)
         graph[node] = edges
         for _, succ in edges:
             if succ not in graph:
@@ -399,7 +356,7 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     """Decide certain termination from one initial state.
 
     `certain(maxlen)` if exhaustive exploration bounds every path; `refuted`
-    with a lasso witness if a (program, state) pair repeats along a path;
+    with a lasso witness if a (position, state) pair repeats along a path;
     `unknown` if a budget ran out or the bound was exceeded.
     """
     try:
@@ -407,7 +364,7 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     except BudgetError:
         return UctResult("unknown")
 
-    root = (program, state)
+    root = next(iter(graph))
     GRAY, BLACK = 1, 2
     color: dict[QNode, int] = {root: GRAY}
     longest: dict[QNode, int] = {}
@@ -419,7 +376,7 @@ def uct_check(program: Program, state: State, algebra: Algebra,
         for _, succ in edges:
             c = color.get(succ)
             if c == GRAY:
-                # a (program, state) pair repeats: lasso witnessing divergence
+                # a (position, state) pair repeats: lasso witnessing divergence
                 cycle = [node]
                 cur = node
                 while cur != succ:
@@ -521,7 +478,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
     is reachable at all.  Other instances are rejected.
     """
     graph = build_quotient(program, state, algebra, node_budget)
-    root = (program, state)
+    root = next(iter(graph))
     name = algebra.name
 
     if isinstance(algebra, OmegaLangAlgebra):
@@ -529,7 +486,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
     if name == "tropical":
         dist = _shortest_distances(graph, root)
         zero_graph = {v: [(w, s) for (w, s) in es if w == 0] for v, es in graph.items()}
-        cyc = set().union(*_nontrivial_sccs(zero_graph)) if _nontrivial_sccs(zero_graph) else set()
+        cyc = set().union(*_nontrivial_sccs(zero_graph))
         best = INF
         lassos = set()
         for v in cyc:

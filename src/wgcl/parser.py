@@ -41,7 +41,7 @@ from itertools import product
 
 from .algebra import Algebra, AlgebraError, INF, algebra as algebra_by_name
 from .syntax import (
-    ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr, BoolExpr,
+    ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr,
     Branch, Ite, Program, Seq, State, TEmbed, TLit, TOne, TScale, TTop, TZero,
     WEmbedInt, WGuarded, WLit, WSum, Weigh, WeightExpr, WeightingExpr, While,
     seq_of,
@@ -524,13 +524,6 @@ def parse_program(text: str, instance: str | None = None) -> ParsedProgram:
 def parse_weighting(text: str, algebra: Algebra) -> WeightingExpr:
     parser = _Parser(text, algebra)
     expr = parser.weighting()
-    parser.expect("eof")
-    return expr
-
-
-def parse_bool(text: str) -> BoolExpr:
-    parser = _Parser(text, None)
-    expr = parser.bool_expr()
     parser.expect("eof")
     return expr
 

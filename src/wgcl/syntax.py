@@ -170,6 +170,76 @@ def seq_of(stmts: list["Program"]) -> "Program":
     return out
 
 
+def flatten_seq(prog: Program) -> list[Program]:
+    """The non-`Seq` statements of a program, left to right, however the
+    `Seq`s nest."""
+    out, stack = [], [prog]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Seq):
+            stack += (p.second, p.first)
+        else:
+            out.append(p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs: a graph of positions
+# ---------------------------------------------------------------------------
+
+class _Terminated:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "TERMINATED"
+
+
+TERMINATED = _Terminated()  # the position after the last statement
+
+
+class Node:
+    """A program position: one non-`Seq` statement with its continuation.
+
+    `next` is where control goes after the statement (another node or
+    TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
+    a loop's `then` is its body, which runs back to the loop's own node.
+    Nodes compare by identity.
+    """
+
+    __slots__ = ("stmt", "next", "then", "orelse")
+
+    def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
+        self.stmt = stmt
+        self.next = nxt
+        self.then = self.orelse = None
+
+
+def compile_program(program: Program) -> Node:
+    """Lower a program once into its graph of positions; returns the entry.
+
+    Equal (statement, continuation) pairs share one node, so equal branch
+    arms lead to the same position.  The table lives for one call only:
+    literals of different instances compare equal (`WLit(True) == WLit(1)`).
+    """
+    shared: dict[tuple[Program, object], Node] = {}
+
+    def lower(prog: Program, nxt) -> Node:
+        for stmt in reversed(flatten_seq(prog)):
+            node = shared.get((stmt, nxt))
+            if node is None:
+                node = shared[(stmt, nxt)] = Node(stmt, nxt)
+                if isinstance(stmt, While):
+                    node.then = lower(stmt.body, node)
+                elif isinstance(stmt, Ite):
+                    node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
+                elif isinstance(stmt, Branch):
+                    node.then, node.orelse = lower(stmt.left, nxt), lower(stmt.right, nxt)
+            nxt = node
+        return nxt
+
+    return lower(program, TERMINATED)
+
+
 # ---------------------------------------------------------------------------
 # Program states
 # ---------------------------------------------------------------------------
@@ -450,11 +520,15 @@ def print_program(prog: Program, algebra: Algebra, indent: int = 0) -> str:
     if isinstance(prog, Assign):
         return f"{pad}{prog.var} := {print_arith(prog.expr)}"
     if isinstance(prog, Seq):
-        if isinstance(prog.first, Seq):  # brace to keep the grouping
-            left = f"{pad}{{\n{print_program(prog.first, algebra, indent + 1)}\n{pad}}}"
-        else:
-            left = print_program(prog.first, algebra, indent)
-        return f"{left};\n{print_program(prog.second, algebra, indent)}"
+        parts = []
+        while isinstance(prog, Seq):  # the right spine, without recursion
+            if isinstance(prog.first, Seq):  # brace to keep the grouping
+                parts.append(f"{pad}{{\n{print_program(prog.first, algebra, indent + 1)}\n{pad}}}")
+            else:
+                parts.append(print_program(prog.first, algebra, indent))
+            prog = prog.second
+        parts.append(print_program(prog, algebra, indent))
+        return ";\n".join(parts)
     if isinstance(prog, Ite):
         return (f"{pad}if ({print_bool(prog.guard)}) {{\n"
                 f"{print_program(prog.then, algebra, indent + 1)}\n{pad}}} else {{\n"

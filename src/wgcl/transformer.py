@@ -13,6 +13,11 @@ top weighting (or from the constant one in `leq_one` mode, for probability
 programs); the difference wlp(zero) is exactly the weight of the
 nonterminating behavior, and wlp(f) = wp(f) (+) wlp(zero).
 
+The recursion runs over the compiled program (`syntax.compile_program`):
+a position's continuation is its `next` link, which ends in f at
+TERMINATED, and inside a loop's iteration pass the loop's own node stands
+for the current iterate.
+
 Fixed points over an infinite state space are evaluated lazily: each loop
 keeps a table of the states its iteration has touched, and one iteration
 pass recomputes the characteristic map at every touched state against a
@@ -35,8 +40,9 @@ from typing import Iterable, Literal
 
 from .algebra import Algebra, ModuleValue, NoTopError
 from .syntax import (
-    Assign, Branch, ExprWeighting, FnWeighting, Ite, Program, Seq, State,
-    Weigh, Weighting, While, eval_arith, eval_bool, eval_weight,
+    TERMINATED, Assign, Branch, ExprWeighting, FnWeighting, Ite, Node, Program,
+    State, Weigh, Weighting, While, compile_program, eval_arith, eval_bool,
+    eval_weight,
 )
 from .operational import BudgetError, DivergenceError, diverging_weights
 
@@ -73,41 +79,10 @@ def as_weighting(algebra: Algebra, f) -> Weighting:
 
 
 # ---------------------------------------------------------------------------
-# Continuations: weightings that remember whether they are exact
+# Evaluation over the compiled program
 # ---------------------------------------------------------------------------
 
-class _Cont:
-    def at_ex(self, sigma: State) -> tuple[ModuleValue, bool]:
-        raise NotImplementedError
-
-
-class _ExactCont(_Cont):
-    def __init__(self, weighting: Weighting):
-        self.weighting = weighting
-
-    def at_ex(self, sigma):
-        return self.weighting.at(sigma), True
-
-
-class _NodeCont(_Cont):
-    """wp/wlp of a program node with a fixed continuation, memoized."""
-
-    def __init__(self, engine: "Engine", node: Program, cont: _Cont, memo: "_Memo"):
-        self.engine = engine
-        self.node = node
-        self.cont = cont
-        self.memo = memo
-        self.cache: dict[State, tuple[ModuleValue, bool]] = {}
-
-    def at_ex(self, sigma):
-        hit = self.cache.get(sigma)
-        if hit is None:
-            hit = self.engine._eval(self.node, self.cont, sigma, self.memo)
-            self.cache[sigma] = hit
-        return hit
-
-
-class _IterateCont(_Cont):
+class _Iterate:
     """One Kleene iterate of a loop, read from a pass snapshot.
 
     Reading a state the table has not seen yet seeds it with the iteration's
@@ -121,24 +96,19 @@ class _IterateCont(_Cont):
     def __init__(self, table: "_LoopTable", horizon: int):
         self.table = table
         self.horizon = horizon
-        self.snapshot: dict[State, ModuleValue] = {}
+        self.snapshot: dict[State, ModuleValue] = dict(table.vals)
         self.current_depth = 0
         self.deps: set[State] = set()
         self.far: set[State] = set()
         self.current: State | None = None
         self.discovered = False
 
-    def begin_pass(self):
-        self.snapshot = dict(self.table.vals)
-        self.discovered = False
-        self.far = set()
-
     def begin_state(self, sigma: State):
         self.current = sigma
         self.current_depth = self.table.depth.get(sigma, 0)
         self.deps = set()
 
-    def at_ex(self, sigma):
+    def read(self, sigma: State) -> tuple[ModuleValue, bool]:
         if sigma not in self.snapshot:
             if self.current_depth + 1 > self.horizon:
                 # beyond the horizon: an unrolling leaf, never certified
@@ -192,18 +162,22 @@ class _LoopTable:
 
 
 class _Memo:
-    """Evaluation context: continuation cache and loop tables.
+    """Evaluation context: what reaching TERMINATED or the running loop
+    means, the values of positions entered through a `next` link, and loop
+    tables keyed on the loop's node.
 
-    Loop-pass evaluation gets a fresh memo because everything in it may
-    depend on the pass snapshot; the top-level memo persists on the engine
-    so grid sweeps share converged loop tables.  Keys pair the program node
-    (structural equality; equal subprograms compute the same transformer)
-    with the continuation, which hashes by identity.
+    Loop-pass evaluation gets a fresh memo whose `loop` reads the pass's
+    iterate, because everything in it may depend on the pass snapshot; the
+    top-level memo of a postweighting persists on the engine so grid sweeps
+    share converged loop tables.
     """
 
-    def __init__(self):
-        self.conts: dict[tuple[Program, _Cont], _NodeCont] = {}
-        self.tables: dict[tuple[Program, _Cont], _LoopTable] = {}
+    def __init__(self, post: Weighting, loop: Node | None, iterate: _Iterate | None):
+        self.post = post
+        self.loop = loop
+        self.iterate = iterate
+        self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
+        self.tables: dict[Node, _LoopTable] = {}
 
 
 class Engine:
@@ -219,51 +193,58 @@ class Engine:
         self.fuel = fuel
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
-        self._memo = _Memo()
-        self._top_conts: dict[Weighting, _ExactCont] = {}
+        self._roots: dict[Program, Node] = {}
+        self._memos: dict[Weighting, _Memo] = {}
         self._passes = 0
         self._touched = 0
 
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         w = as_weighting(self.algebra, f)
-        cont = self._top_conts.get(w)
-        if cont is None:
-            cont = self._top_conts[w] = _ExactCont(w)
+        root = self._roots.get(program)
+        if root is None:
+            root = self._roots[program] = compile_program(program)
+        memo = self._memos.get(w)
+        if memo is None:
+            memo = self._memos[w] = _Memo(w, None, None)
         self._passes = 0
         self._touched = 0
-        value, exact = self._eval(program, cont, sigma, self._memo)
+        value, exact = self._eval(root, sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched)
 
-    # -- structural recursion -------------------------------------------------
-    def _cont(self, node: Program, cont: _Cont, memo: _Memo) -> _NodeCont:
-        key = (node, cont)
-        found = memo.conts.get(key)
-        if found is None:
-            found = memo.conts[key] = _NodeCont(self, node, cont, memo)
-        return found
+    # -- recursion over positions -----------------------------------------------
+    def _next(self, node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
+        """The value at a position entered through a `next` link: the
+        postweighting after the last statement, the iterate at the loop
+        whose pass is running, memoized everywhere else."""
+        if node is TERMINATED:
+            return memo.post.at(sigma), True
+        if node is memo.loop:
+            return memo.iterate.read(sigma)
+        hit = memo.values.get((node, sigma))
+        if hit is None:
+            hit = memo.values[(node, sigma)] = self._eval(node, sigma, memo)
+        return hit
 
-    def _eval(self, node: Program, cont: _Cont, sigma: State,
-              memo: _Memo) -> tuple[ModuleValue, bool]:
+    def _eval(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
         alg = self.algebra
-        if isinstance(node, Assign):
-            return cont.at_ex(sigma.set(node.var, eval_arith(node.expr, sigma)))
-        if isinstance(node, Weigh):
-            w = eval_weight(node.weight, sigma, alg)
-            value, exact = cont.at_ex(sigma)
+        stmt = node.stmt
+        if isinstance(stmt, Assign):
+            return self._next(node.next, sigma.set(stmt.var, eval_arith(stmt.expr, sigma)), memo)
+        if isinstance(stmt, Weigh):
+            w = eval_weight(stmt.weight, sigma, alg)
+            value, exact = self._next(node.next, sigma, memo)
             return alg.scalar_mul(w, value), exact
-        if isinstance(node, Seq):
-            return self._eval(node.first, self._cont(node.second, cont, memo), sigma, memo)
-        if isinstance(node, Ite):
-            chosen = node.then if eval_bool(node.guard, sigma) else node.orelse
-            return self._eval(chosen, cont, sigma, memo)
-        if isinstance(node, Branch):
-            lv, le = self._eval(node.left, cont, sigma, memo)
-            rv, re_ = self._eval(node.right, cont, sigma, memo)
+        if isinstance(stmt, Ite):
+            chosen = node.then if eval_bool(stmt.guard, sigma) else node.orelse
+            return self._eval(chosen, sigma, memo)
+        if isinstance(stmt, Branch):
+            lv, le = self._eval(node.then, sigma, memo)
+            rv, re_ = self._eval(node.orelse, sigma, memo)
             return alg.mod_add(lv, rv), le and re_
-        if isinstance(node, While):
-            return self._loop(node, cont, sigma, memo)
-        raise TypeError(f"not a program node: {node!r}")
+        if isinstance(stmt, While):
+            return self._loop(node, sigma, memo)
+        raise TypeError(f"not a program node: {stmt!r}")
 
     # -- loops ---------------------------------------------------------------
     def _seed(self) -> ModuleValue:
@@ -273,24 +254,21 @@ class Engine:
             return self.algebra.module_one()
         return self.algebra.top()  # may raise NoTopError; that is the contract
 
-    def _loop(self, node: While, cont: _Cont, sigma: State,
-              memo: _Memo) -> tuple[ModuleValue, bool]:
-        key = (node, cont)
-        table = memo.tables.get(key)
+    def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
+        table = memo.tables.get(node)
         if table is None:
-            table = memo.tables[key] = _LoopTable(self._seed())
+            table = memo.tables[node] = _LoopTable(self._seed())
         if sigma in table.vals and table.stable:
             return table.vals[sigma], table.exact_at(sigma)
         table.add_state(sigma, 0)
-        self._solve(node, cont, table)
+        self._solve(node, table, memo)
         return table.vals[sigma], table.exact_at(sigma)
 
-    def _solve(self, node: While, cont: _Cont, table: _LoopTable):
+    def _solve(self, node: Node, table: _LoopTable, memo: _Memo):
         table.stable = False
         for _ in range(self.fuel + 1):
-            pass_memo = _Memo()
-            iterate = _IterateCont(table, self.fuel + 1)
-            iterate.begin_pass()
+            iterate = _Iterate(table, self.fuel + 1)
+            pass_memo = _Memo(memo.post, node, iterate)
             newvals: dict[State, ModuleValue] = {}
             deps: dict[State, frozenset[State]] = {}
             inner_exact: dict[State, bool] = {}
@@ -301,10 +279,10 @@ class Engine:
                 if len(table.order) > self.node_budget:
                     raise BudgetError(f"loop touched more than {self.node_budget} states")
                 iterate.begin_state(tau)
-                if eval_bool(node.guard, tau):
-                    v, ex = self._eval(node.body, iterate, tau, pass_memo)
+                if eval_bool(node.stmt.guard, tau):
+                    v, ex = self._eval(node.then, tau, pass_memo)
                 else:
-                    v, ex = cont.at_ex(tau)
+                    v, ex = self._next(node.next, tau, memo)
                 newvals[tau] = v
                 deps[tau] = frozenset(iterate.deps)
                 inner_exact[tau] = ex

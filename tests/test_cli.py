@@ -224,3 +224,37 @@ def test_print_roundtrip(capsys, tmp_path):
     code2, out2, _ = run(capsys, "wp", str(f), "--post", "one", "--state", "n=3,y=2")
     assert code2 == 0
     assert out2.strip() == "n=3,y=2 | 3 | exact"
+
+def test_bad_loop_path_step_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check", "ex410", "--invariant", "one", "--mode", "super",
+                         "--loop-path", "body.body", "--state", "x=1")
+    assert (code, out, err) == (2, "", "wgcl: bad loop path step 'body'\n")
+
+
+def _exits_cleanly(code, out, err, expected_out):
+    """Exit 0 with exactly the expected output, or exit 2 with one line."""
+    if code == 0:
+        assert (out, err) == (expected_out, "")
+    else:
+        assert (code, out, err) == (2, "", "wgcl: the program nests too deeply\n")
+
+
+def test_long_sequence_without_traceback(capsys, tmp_path):
+    f = tmp_path / "long.wgcl"
+    f.write_text("@instance tropical\n" + ";\n".join(["x := x + 1"] * 3000) + "\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "print", str(f))
+    assert code == 0 and err == ""
+    assert out == "@instance tropical\n" + ";\n".join(["x := (x + 1)"] * 3000) + "\n"
+    again = tmp_path / "again.wgcl"
+    again.write_text(out, encoding="utf-8")
+    assert run(capsys, "print", str(again)) == (0, out, "")
+    _exits_cleanly(*run(capsys, "wp", str(f), "--post", "int(x)", "--state", "x=0"),
+                   "x=0 | 3000 | exact\n")
+
+
+def test_deep_parentheses_without_traceback(capsys, tmp_path):
+    f = tmp_path / "deep.wgcl"
+    f.write_text("@instance tropical\nx := " + "(" * 400 + "1" + ")" * 400 + "\n",
+                 encoding="utf-8")
+    _exits_cleanly(*run(capsys, "print", str(f)), "@instance tropical\nx := 1\n")

@@ -1,5 +1,6 @@
 """Small-step semantics, path enumeration, oracles, termination, lassos."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -56,7 +57,7 @@ def test_branch_steps_extend_history_with_unit_weight():
 
 
 def test_loop_break_step():
-    conf = Configuration(EX410.program, State({"x": 3}), 4, ("L",))
+    conf = dataclasses.replace(initial(EX410.program, State({"x": 3})), steps=4, history=("L",))
     (tr,) = successors(conf, TROP)
     assert tr.target == Configuration(TERMINATED, State({"x": 3}), 5, ("L",))
     assert tr.weight == TROP.mon_one()
@@ -303,6 +304,16 @@ def test_diverging_omega_two_reachable_cycles():
     two = prog("@instance omegalang:ab\n{while(true){weigh a}} [] {while(true){weigh b}}")
     res = diverging_weights(two.program, State({}), two.algebra)
     assert res.value == two.algebra.value({("", "a"), ("", "b")})
+
+
+def test_quotient_collapses_equal_branch_arms():
+    # both arms weigh b: one edge out of the branch, one lasso (b)^omega
+    twin = prog("@instance omegalang:ab\nwhile(x=1){ {weigh b} [] {weigh b} }")
+    graph = build_quotient(twin.program, State({"x": 1}), twin.algebra)
+    assert len(graph) == 3
+    assert all(len(edges) == 1 for edges in graph.values())
+    res = diverging_weights(twin.program, State({"x": 1}), twin.algebra)
+    assert res.value == twin.algebra.value({("", "b")})
 
 
 def test_diverging_rejects_branching_cycles():
