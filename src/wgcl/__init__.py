@@ -28,8 +28,8 @@ from .operational import (
     olp_oracle, op_oracle, successors, uct_check,
 )
 from .transformer import (
-    CertificationError, Engine, NotALoopError, TransformResult, apply_char_fn,
-    as_weighting, char_fn, check_decomposition, check_fixed_point,
+    CertificationError, Engine, LiberalEngine, NotALoopError, TransformResult,
+    apply_char_fn, as_weighting, char_fn, check_decomposition, check_fixed_point,
     check_subinvariant, check_superinvariant, wlp_eval, wp_eval,
 )
 

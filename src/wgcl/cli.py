@@ -31,8 +31,8 @@ from .operational import (
 from .parser import ParseError, parse_grid, parse_program, parse_state, parse_weighting
 from .syntax import EvalError, ExprWeighting, While, flatten_seq, print_program
 from .transformer import (
-    CertificationError, Engine, NotALoopError, check_fixed_point,
-    check_subinvariant, check_superinvariant, wlp_eval,
+    CertificationError, Engine, LiberalEngine, NotALoopError, check_fixed_point,
+    check_subinvariant, check_superinvariant,
 )
 
 OK, USAGE, INEXACT, MISMATCH, BUDGET = 0, 2, 3, 4, 5
@@ -88,15 +88,11 @@ def cmd_transform(args, liberal: bool) -> int:
     names, states = _states(args)
     any_inexact = False
     if liberal:
-        engine = None
+        engine = LiberalEngine(alg, args.fuel, args.budget, args.mode, args.method)
     else:
         engine = Engine(alg, "wp", args.fuel, args.budget)
     for sigma in states:
-        if liberal:
-            res = wlp_eval(parsed.program, post, sigma, alg, args.fuel, args.budget,
-                           mode=args.mode, method=args.method)
-        else:
-            res = engine.run(parsed.program, post, sigma)
+        res = engine.run(parsed.program, post, sigma)
         any_inexact |= not res.exact
         _emit(args, [sigma.format(names), alg.format_value(res.value),
                      "exact" if res.exact else "inexact"])
@@ -197,15 +193,15 @@ def cmd_compare(args) -> int:
         print(f"max ratio on grid: {worst if worst is not None else 'undefined'}")
         return code
     post = ExprWeighting(alg, parse_weighting(args.post, alg))
-    engine = None if args.liberal else Engine(alg, "wp", args.fuel, args.budget)
+    if args.liberal:
+        engine = LiberalEngine(alg, args.fuel, args.budget)
+    else:
+        engine = Engine(alg, "wp", args.fuel, args.budget)
     oracle_fn = olp_oracle if args.liberal else op_oracle
     mismatch = False
     any_inexact = False
     for sigma in states:
-        if args.liberal:
-            res = wlp_eval(parsed.program, post, sigma, alg, args.fuel, args.budget)
-        else:
-            res = engine.run(parsed.program, post, sigma)
+        res = engine.run(parsed.program, post, sigma)
         oracle = oracle_fn(parsed.program, sigma, post, alg, args.fuel, args.budget)
         equal = res.value == oracle.value
         if res.exact and oracle.exact and not equal:

@@ -15,18 +15,25 @@ nonterminating behavior, and wlp(f) = wp(f) (+) wlp(zero).
 
 The recursion runs over the compiled program (`syntax.compile_program`):
 a position's continuation is its `next` link, which ends in f at
-TERMINATED, and inside a loop's iteration pass the loop's own node stands
-for the current iterate.
+TERMINATED, and inside the evaluation of a loop state the loop's own node
+stands for the current iterate.
 
-Fixed points over an infinite state space are evaluated lazily: each loop
-keeps a table of the states its iteration has touched, and one iteration
-pass recomputes the characteristic map at every touched state against a
-snapshot of the previous pass (discovering new states as the body reaches
-them).  A result is reported `exact` only under a certificate:
+Fixed points over an infinite state space are evaluated lazily, one solve
+per queried loop state (`_Solve`).  A breadth-first sweep discovers the
+states the body reaches, at most fuel + 1 body-hops from the queried one,
+and records which states each one reads.  The strongly connected
+components of that dependency graph are then solved dependencies first
+(chaotic iteration over a topological order, Bourdoncle 1993): a state
+outside any cycle is evaluated once, and only a cyclic component is
+iterated, for at most `fuel` passes.  A result is reported `exact` only
+under a certificate:
 
-* the dependency closure of the queried state sat still for a full pass,
-  so the table is a genuine fixed point of the restricted system (for UCT
-  loops this always happens within the fuel), or
+* the state's component reached a fixed point (a full pass changed
+  nothing), no state in it read past the horizon, and every inner result
+  and every dependency outside it was certified, so its values are
+  genuine fixed-point values (for UCT loops every component is acyclic);
+  such states are final and later queries on the same engine reuse them,
+  or
 * for wlp, the lasso route: wlp(f) = wp(f) (+) wlp(zero) with the
   divergence part taken exactly from the quotient-graph analysis.
 
@@ -60,6 +67,18 @@ Direction = Literal["wp", "wlp"]
 
 @dataclass
 class TransformResult:
+    """A transformer value at one state.
+
+    `iterations` counts the loop solver's sweeps during the run, summed
+    over every loop solve it made (nested loops included): one discovery
+    sweep per solve, plus the passes of that solve's most-iterated
+    component (a state outside any cycle takes one pass, or none when
+    discovery already settled it).  It does not grow with the number of
+    states.  `touched_states` counts the states
+    those solves discovered; states certified by earlier queries on the
+    same engine are read, not touched again.
+    """
+
     value: ModuleValue
     exact: bool
     iterations: int = 0
@@ -82,102 +101,180 @@ def as_weighting(algebra: Algebra, f) -> Weighting:
 # Evaluation over the compiled program
 # ---------------------------------------------------------------------------
 
-class _Iterate:
-    """One Kleene iterate of a loop, read from a pass snapshot.
+class _Solve:
+    """One solve of a loop from a queried state.
 
-    Reading a state the table has not seen yet seeds it with the iteration's
-    start value and schedules it, unless it lies beyond the unrolling
-    horizon (more body-hops away than the fuel allows): such a read keeps
-    the seed, like the leaf of a bounded unrolling, and poisons the reading
-    state's certificate.  Every read is recorded as a dependency of the
-    state currently being re-evaluated.
+    1. Discovery: a breadth-first sweep from the queried state evaluates
+       the characteristic map once at each state and records every read of
+       the iterate as a dependency.  A read of a state more body-hops away
+       than the horizon keeps the seed, like the leaf of a bounded
+       unrolling, and is never certified.
+    2. Component order: Tarjan's algorithm orders the strongly connected
+       components of the dependency graph, dependencies first.
+    3. Solving: a state outside any cycle is evaluated once against its
+       solved dependencies; a cyclic component is iterated from the seed,
+       Gauss-Seidel, for at most `fuel` passes.  A component is certified
+       when a full pass changes nothing and every evaluation in it was
+       exact: no inner result was inexact, no read crossed the horizon and
+       every dependency outside the component was itself certified.
     """
 
-    def __init__(self, table: "_LoopTable", horizon: int):
-        self.table = table
-        self.horizon = horizon
-        self.snapshot: dict[State, ModuleValue] = dict(table.vals)
+    def __init__(self, engine: "Engine", node: Node, memo: "_Memo"):
+        self.engine = engine
+        self.node = node
+        self.memo = memo
+        self.final = memo.tables[node]
+        self.seed = engine._seed()
+        self.horizon = engine.fuel + 1
+        self.vals: dict[State, ModuleValue] = {}
+        self.exact: dict[State, bool] = {}
+        self.depth: dict[State, int] = {}
+        # reads in the order they happen (a dict, not a set), so that the
+        # order of solving, and so an inexact bound, is the same every run
+        self.deps: dict[State, dict[State, None]] = {}
+        self.queue: list[State] = []
+        self.discovering = True
+        self.reads: dict[State, None] = {}
         self.current_depth = 0
-        self.deps: set[State] = set()
-        self.far: set[State] = set()
-        self.current: State | None = None
-        self.discovered = False
-
-    def begin_state(self, sigma: State):
-        self.current = sigma
-        self.current_depth = self.table.depth.get(sigma, 0)
-        self.deps = set()
 
     def read(self, sigma: State) -> tuple[ModuleValue, bool]:
-        if sigma not in self.snapshot:
-            if self.current_depth + 1 > self.horizon:
-                # beyond the horizon: an unrolling leaf, never certified
-                self.far.add(self.current)
-                self.discovered = True
-                return self.table.seed, True
-            self.table.add_state(sigma, self.current_depth + 1)
-            self.snapshot[sigma] = self.table.seed
-            self.discovered = True
-        self.deps.add(sigma)
-        return self.snapshot[sigma], True
+        """The iterate at `sigma`, as the state being evaluated sees it."""
+        final = self.final.get(sigma)
+        if final is not None:
+            return final, True
+        value = self.vals.get(sigma)
+        if value is None:
+            if not self.discovering or self.current_depth + 1 > self.horizon:
+                return self.seed, False  # beyond the horizon
+            value = self._discover(sigma, self.current_depth + 1)
+        self.reads[sigma] = None
+        return value, self.exact.get(sigma, True)
+
+    def _discover(self, sigma: State, depth: int) -> ModuleValue:
+        budget = self.engine.node_budget
+        if len(self.final) + len(self.vals) >= budget:
+            raise BudgetError(f"loop touched more than {budget} states")
+        self.vals[sigma] = self.seed
+        self.depth[sigma] = depth
+        self.queue.append(sigma)
+        return self.seed
+
+    def _evaluate(self, sigma: State) -> tuple[ModuleValue, bool]:
+        """The characteristic map at `sigma`, in a fresh memo, so that
+        every read it makes is recorded as its own dependency."""
+        node = self.node
+        self.current_depth = self.depth[sigma]
+        self.reads = {}
+        if eval_bool(node.stmt.guard, sigma):
+            memo = _Memo(self.memo.post, node, self)
+            return self.engine._eval(node.then, sigma, memo)
+        return self.engine._next(node.next, sigma, self.memo)
+
+    def run(self, root: State) -> tuple[ModuleValue, bool]:
+        self._discover(root, 0)
+        for sigma in self.queue:  # grows while it is walked
+            value, exact = self._evaluate(sigma)
+            self.deps[sigma] = self.reads
+            if not self.reads:  # read no state of this solve: solved already
+                self.vals[sigma], self.exact[sigma] = value, exact
+        self.discovering = False
+        longest = 0
+        for component in _components(root, self.deps):
+            sigma = component[0]
+            if len(component) == 1 and sigma not in self.deps[sigma]:
+                if sigma not in self.exact:
+                    self.vals[sigma], self.exact[sigma] = self._evaluate(sigma)
+                    longest = max(longest, 1)
+                continue
+            passes, certified = self._iterate(component)
+            longest = max(longest, passes)
+            for sigma in component:
+                self.exact[sigma] = certified
+        self.engine._passes += 1 + longest
+        self.engine._touched += len(self.vals)
+        for sigma, exact in self.exact.items():
+            if exact:
+                self.final[sigma] = self.vals[sigma]
+        return self.vals[root], self.exact[root]
+
+    def _iterate(self, component: list[State]) -> tuple[int, bool]:
+        """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
+        pass count, and whether the last pass changed nothing with every
+        evaluation exact."""
+        vals = self.vals
+        passes = 0
+        while passes < self.engine.fuel:
+            passes += 1
+            changed = False
+            exact = True
+            for sigma in component:
+                value, ex = self._evaluate(sigma)
+                exact = exact and ex
+                if value != vals[sigma]:
+                    vals[sigma] = value
+                    changed = True
+            if not changed:
+                return passes, exact
+        return passes, False
 
 
-class _LoopTable:
-    def __init__(self, seed: ModuleValue):
-        self.seed = seed
-        self.order: list[State] = []
-        self.vals: dict[State, ModuleValue] = {}
-        self.depth: dict[State, int] = {}
-        self.deps: dict[State, frozenset[State]] = {}
-        self.inner_exact: dict[State, bool] = {}
-        self.changed_last: set[State] = set()
-        self.far_last: set[State] = set()
-        self.stable = False
-        self.iterations = 0
-
-    def add_state(self, sigma: State, depth: int):
-        if sigma not in self.vals:
-            self.order.append(sigma)
-            self.vals[sigma] = self.seed
-            self.depth[sigma] = depth
-        elif depth < self.depth.get(sigma, depth):
-            self.depth[sigma] = depth
-
-    def closure(self, sigma: State) -> set[State]:
-        seen = {sigma}
-        stack = [sigma]
-        while stack:
-            for dep in self.deps.get(stack.pop(), ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-        return seen
-
-    def exact_at(self, sigma: State) -> bool:
-        closure = self.closure(sigma)
-        return all(tau not in self.changed_last
-                   and tau not in self.far_last
-                   and tau in self.inner_exact and self.inner_exact[tau]
-                   for tau in closure)
+def _components(root: State, deps: dict[State, dict[State, None]]) -> list[list[State]]:
+    """The strongly connected components reachable from `root`,
+    dependencies first (Tarjan's algorithm, with an explicit stack).  Each
+    component lists its deepest states first."""
+    index: dict[State, int] = {root: 0}
+    low: dict[State, int] = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    work = [(root, iter(deps[root]))]
+    out: list[list[State]] = []
+    while work:
+        sigma, successors = work[-1]
+        for tau in successors:
+            if tau not in index:
+                index[tau] = low[tau] = len(index)
+                stack.append(tau)
+                on_stack.add(tau)
+                work.append((tau, iter(deps[tau])))
+                break
+            if tau in on_stack:
+                low[sigma] = min(low[sigma], index[tau])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[sigma])
+            if low[sigma] == index[sigma]:
+                component = []
+                while True:
+                    tau = stack.pop()
+                    on_stack.discard(tau)
+                    component.append(tau)
+                    if tau == sigma:
+                        break
+                out.append(component)
+    return out
 
 
 class _Memo:
     """Evaluation context: what reaching TERMINATED or the running loop
-    means, the values of positions entered through a `next` link, and loop
-    tables keyed on the loop's node.
+    means, the values of positions entered through a `next` link, and each
+    loop's certified states, keyed on the loop's node.
 
-    Loop-pass evaluation gets a fresh memo whose `loop` reads the pass's
-    iterate, because everything in it may depend on the pass snapshot; the
-    top-level memo of a postweighting persists on the engine so grid sweeps
-    share converged loop tables.
+    Each evaluation of a loop state gets a fresh memo whose `loop` reads
+    the solve's iterate, because everything in it may depend on the
+    iterate and every read must be recorded.  The top-level memo of a
+    postweighting persists on the engine: a certified value is a
+    fixed-point value whatever state its query started from, so later
+    queries read it instead of solving it again.
     """
 
-    def __init__(self, post: Weighting, loop: Node | None, iterate: _Iterate | None):
+    def __init__(self, post: Weighting, loop: Node | None, solve: _Solve | None):
         self.post = post
         self.loop = loop
-        self.iterate = iterate
+        self.solve = solve
         self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
-        self.tables: dict[Node, _LoopTable] = {}
+        self.tables: dict[Node, dict[State, ModuleValue]] = {}
 
 
 class Engine:
@@ -220,7 +317,7 @@ class Engine:
         if node is TERMINATED:
             return memo.post.at(sigma), True
         if node is memo.loop:
-            return memo.iterate.read(sigma)
+            return memo.solve.read(sigma)
         hit = memo.values.get((node, sigma))
         if hit is None:
             hit = memo.values[(node, sigma)] = self._eval(node, sigma, memo)
@@ -255,49 +352,10 @@ class Engine:
         return self.algebra.top()  # may raise NoTopError; that is the contract
 
     def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        table = memo.tables.get(node)
-        if table is None:
-            table = memo.tables[node] = _LoopTable(self._seed())
-        if sigma in table.vals and table.stable:
-            return table.vals[sigma], table.exact_at(sigma)
-        table.add_state(sigma, 0)
-        self._solve(node, table, memo)
-        return table.vals[sigma], table.exact_at(sigma)
-
-    def _solve(self, node: Node, table: _LoopTable, memo: _Memo):
-        table.stable = False
-        for _ in range(self.fuel + 1):
-            iterate = _Iterate(table, self.fuel + 1)
-            pass_memo = _Memo(memo.post, node, iterate)
-            newvals: dict[State, ModuleValue] = {}
-            deps: dict[State, frozenset[State]] = {}
-            inner_exact: dict[State, bool] = {}
-            i = 0
-            while i < len(table.order):
-                tau = table.order[i]
-                i += 1
-                if len(table.order) > self.node_budget:
-                    raise BudgetError(f"loop touched more than {self.node_budget} states")
-                iterate.begin_state(tau)
-                if eval_bool(node.stmt.guard, tau):
-                    v, ex = self._eval(node.then, tau, pass_memo)
-                else:
-                    v, ex = self._next(node.next, tau, memo)
-                newvals[tau] = v
-                deps[tau] = frozenset(iterate.deps)
-                inner_exact[tau] = ex
-            changed = {tau for tau, v in newvals.items() if table.vals[tau] != v}
-            table.vals.update(newvals)
-            table.deps = deps
-            table.inner_exact = inner_exact
-            table.changed_last = changed
-            table.far_last = iterate.far
-            table.iterations += 1
-            self._passes += 1
-            if not changed and not iterate.discovered:
-                table.stable = True
-                break
-        self._touched += len(table.order)
+        final = memo.tables.setdefault(node, {}).get(sigma)
+        if final is not None:
+            return final, True
+        return _Solve(self, node, memo).run(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -314,39 +372,55 @@ def wlp_eval(program: Program, f, sigma: State, algebra: Algebra,
              fuel: int = 64, node_budget: int = 10 ** 6,
              mode: Literal["gfp", "gfp_leq_one"] = "gfp",
              method: Literal["auto", "chain", "lasso"] = "auto") -> TransformResult:
-    """Weakest liberal preweighting.
+    """Weakest liberal preweighting of `program` at one state (see
+    `LiberalEngine`)."""
+    return LiberalEngine(algebra, fuel, node_budget, mode, method).run(program, f, sigma)
+
+
+class LiberalEngine:
+    """A wlp evaluator over one algebra, reusable across states.
 
     `mode="gfp"` needs a top element and iterates down from it;
     `mode="gfp_leq_one"` starts from the constant one (probability
     programs).  `method` picks between the fixed-point chain, the lasso
-    decomposition wlp(f) = wp(f) (+) wlp(zero), or trying both.
+    decomposition wlp(f) = wp(f) (+) wlp(zero), or trying both.  The chain
+    and the wp part of the lasso each keep one `Engine`, so a grid sweep
+    shares their certified loop states.
     """
-    def chain() -> TransformResult:
-        engine = Engine(algebra, "wlp", fuel, node_budget,
-                        seed_one=(mode == "gfp_leq_one"))
-        return engine.run(program, f, sigma)
 
-    def lasso() -> TransformResult:
-        if mode != "gfp":
+    def __init__(self, algebra: Algebra, fuel: int = 64, node_budget: int = 10 ** 6,
+                 mode: Literal["gfp", "gfp_leq_one"] = "gfp",
+                 method: Literal["auto", "chain", "lasso"] = "auto"):
+        self.algebra = algebra
+        self.node_budget = node_budget
+        self.mode = mode
+        self.method = method
+        self.chain = Engine(algebra, "wlp", fuel, node_budget,
+                            seed_one=(mode == "gfp_leq_one"))
+        self.wp = Engine(algebra, "wp", fuel, node_budget)
+
+    def run(self, program: Program, f, sigma: State) -> TransformResult:
+        if self.method == "chain":
+            return self.chain.run(program, f, sigma)
+        if self.method == "lasso":
+            return self._lasso(program, f, sigma)
+        result = self.chain.run(program, f, sigma)
+        if result.exact:
+            return result
+        try:
+            alt = self._lasso(program, f, sigma)
+        except (DivergenceError, BudgetError, NoTopError):
+            return result
+        return alt if alt.exact else result
+
+    def _lasso(self, program: Program, f, sigma: State) -> TransformResult:
+        if self.mode != "gfp":
             raise DivergenceError("lasso decomposition needs the plain gfp mode")
-        wp_part = wp_eval(program, f, sigma, algebra, fuel, node_budget)
-        div = diverging_weights(program, sigma, algebra, node_budget)
-        value = algebra.mod_add(wp_part.value, div.value)
+        wp_part = self.wp.run(program, f, sigma)
+        div = diverging_weights(program, sigma, self.algebra, self.node_budget)
+        value = self.algebra.mod_add(wp_part.value, div.value)
         return TransformResult(value, wp_part.exact, wp_part.iterations,
                                wp_part.touched_states)
-
-    if method == "chain":
-        return chain()
-    if method == "lasso":
-        return lasso()
-    result = chain()
-    if result.exact:
-        return result
-    try:
-        alt = lasso()
-    except (DivergenceError, BudgetError, NoTopError):
-        return result
-    return alt if alt.exact else result
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +571,13 @@ def check_decomposition(program: Program, f, states: Iterable[State],
     """Per state: wlp(f) = wp(f) (+) wlp(zero), skipped unless both sides
     certify exact (reported `untested`)."""
     out = []
-    zero = algebra.mod_zero()
+    f = as_weighting(algebra, f)
+    zero = as_weighting(algebra, algebra.mod_zero())
+    liberal = LiberalEngine(algebra, fuel, node_budget, mode, method)
     for sigma in states:
-        left = wlp_eval(program, f, sigma, algebra, fuel, node_budget, mode, method)
-        wp_part = wp_eval(program, f, sigma, algebra, fuel, node_budget)
-        div_part = wlp_eval(program, zero, sigma, algebra, fuel, node_budget, mode, method)
+        left = liberal.run(program, f, sigma)
+        wp_part = liberal.wp.run(program, f, sigma)
+        div_part = liberal.run(program, zero, sigma)
         if not (left.exact and wp_part.exact and div_part.exact):
             out.append(DecompositionVerdict(sigma, "untested"))
             continue

@@ -201,6 +201,21 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys):
     assert err == "wgcl: loop touched more than 3 states\n"
 
 
+def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
+    # from x=1 the loop reads the states x=0 left uncertified (its horizon
+    # cut the chain at fuel 2), so the row stays inexact, as it is alone
+    f = tmp_path / "reset.wgcl"
+    f.write_text("@instance tropical\nwhile (y > 0) { x := 0; y := y - 1 }\n",
+                 encoding="utf-8")
+    code, out, _ = run(capsys, "wp", str(f), "--post", "one",
+                       "--grid", "x=0..1,y=5..5", "--fuel", "2")
+    assert code == 3
+    assert out == "x=0,y=5 | inf | inexact\nx=1,y=5 | inf | inexact\n"
+    code, out, _ = run(capsys, "wp", str(f), "--post", "one",
+                       "--state", "x=1,y=5", "--fuel", "2")
+    assert (code, out) == (3, "x=1,y=5 | inf | inexact\n")
+
+
 def test_fuel_env_override(capsys, monkeypatch):
     monkeypatch.setenv("WGCL_FUEL", "10")
     code, out, _ = run(capsys, "wp", "ex411", "--post", "one", "--state", "x=1")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wgcl.algebra import INF, algebra
+from wgcl.algebra import INF, NoTopError, algebra
 from wgcl.operational import BudgetError, olp_oracle, op_oracle, uct_check
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
@@ -547,3 +547,42 @@ def test_engine_shares_loop_tables_across_states():
             assert res.exact
             values[(n, y)] = res.value.value
     assert all(values[(n, y)] == min(n, y) for n in range(9) for y in range(9))
+
+
+def test_ski_nd_solves_in_linear_time():
+    # every state of the chain n, n-1, ..., 0 is solved once, dependencies
+    # first, so the solver's sweeps do not grow with n
+    iterations = set()
+    for n in (100, 300):
+        res = wp_eval(SKI_ND.program, "one", State({"n": n, "y": n}), TROP, fuel=n + 20)
+        assert res.exact and res.value == TROP.value(n)
+        assert res.touched_states == n + 1
+        iterations.add(res.iterations)
+    assert len(iterations) == 1
+
+
+def test_shared_engine_agrees_with_fresh_engines():
+    # a certified value does not depend on which query solved it first;
+    # exactness may differ, since the iteration order inside a component
+    # follows the queried state
+    rng = random.Random(223)
+    names = HEALTHY_INSTANCES + ("lang:ab", "omegalang:ab")
+    grid = [State({"x": x, "y": y, "z": 1}) for x in range(-1, 2) for y in range(-1, 2)]
+    compared = 0
+    for i in range(70):
+        alg = algebra(names[i % len(names)])
+        p = rand_looping_program(rng, alg)
+        f = ExprWeighting(alg, rand_weighting_expr(rng, alg))
+        for direction in ("wp", "wlp"):
+            shared = Engine(alg, direction, fuel=8, node_budget=2000)
+            try:
+                pairs = [(shared.run(p, f, sigma),
+                          Engine(alg, direction, fuel=8, node_budget=2000).run(p, f, sigma))
+                         for sigma in grid]
+            except (BudgetError, NoTopError):
+                continue
+            for sigma, (a, b) in zip(grid, pairs):
+                if a.exact and b.exact:
+                    compared += 1
+                    assert a.value == b.value, (alg.name, direction, p, sigma)
+    assert compared >= 100
