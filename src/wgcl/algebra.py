@@ -406,17 +406,29 @@ class BooleanAlgebra(Algebra):
         return "true" if raw else "false"
 
 
-@dataclass(frozen=True)
-class CountingAlgebra(Algebra):
-    name = "counting"
+class _ExtNatAlgebra(Algebra):
+    """The instances whose weights are the extended naturals (naturals + inf)."""
+
     commutative = True
     has_top = True
     embeddable = True
 
     def _check_weight(self, raw):
-        return _check_extnat(raw, who="counting")
+        return _check_extnat(raw, who=self.name)
 
     _check_value = _check_weight
+
+    def _embed(self, n):
+        if n < 0:
+            raise EmbedError(f"{self.name}: cannot embed negative integer {n}")
+        return n
+
+    format_raw = staticmethod(format_extnat)
+
+
+@dataclass(frozen=True)
+class CountingAlgebra(_ExtNatAlgebra):
+    name = "counting"
 
     def _mul(self, a, b):
         return _xmul(a, b)
@@ -440,27 +452,12 @@ class CountingAlgebra(Algebra):
 
     _module_one = _one
 
-    def _embed(self, n):
-        if n < 0:
-            raise EmbedError(f"counting: cannot embed negative integer {n}")
-        return n
-
-    format_raw = staticmethod(format_extnat)
-
 
 @dataclass(frozen=True)
-class TropicalAlgebra(Algebra):
+class TropicalAlgebra(_ExtNatAlgebra):
     """Min-plus costs: adding paths keeps the cheaper one."""
 
     name = "tropical"
-    commutative = True
-    has_top = True
-    embeddable = True
-
-    def _check_weight(self, raw):
-        return _check_extnat(raw, who="tropical")
-
-    _check_value = _check_weight
 
     def _mul(self, a, b):
         return _xadd(a, b)
@@ -485,25 +482,12 @@ class TropicalAlgebra(Algebra):
 
     _module_one = _one
 
-    def _embed(self, n):
-        if n < 0:
-            raise EmbedError(f"tropical: cannot embed negative integer {n}")
-        return n
-
-    format_raw = staticmethod(format_extnat)
-
 
 @dataclass(frozen=True)
-class ArcticAlgebra(Algebra):
+class ArcticAlgebra(_ExtNatAlgebra):
     """Max-plus: adding paths keeps the more expensive one; -inf is the zero."""
 
     name = "arctic"
-    commutative = True
-    has_top = True
-    embeddable = True
-
-    def _check_weight(self, raw):
-        return _check_extnat(raw, who="arctic")
 
     def _check_value(self, raw):
         return _check_extnat(raw, allow_neg_inf=True, who="arctic")
@@ -530,13 +514,6 @@ class ArcticAlgebra(Algebra):
         return INF
 
     _module_one = _one
-
-    def _embed(self, n):
-        if n < 0:
-            raise EmbedError(f"arctic: cannot embed negative integer {n}")
-        return n
-
-    format_raw = staticmethod(format_extnat)
 
 
 @dataclass(frozen=True)
@@ -612,17 +589,17 @@ def _check_alphabet(alphabet: str) -> str:
 
 
 @dataclass(frozen=True)
-class LangAlgebra(Algebra):
-    """Single words as weights acting on finite languages by prepending."""
+class _WordAlgebra(Algebra):
+    """The instances whose weights are single words over `alphabet`; each
+    subclass sets `kind`, its name's prefix."""
 
     alphabet: str
     commutative = False
-    has_top = False
     embeddable = False
 
     @property
     def name(self) -> str:
-        return f"lang:{self.alphabet}"
+        return f"{self.kind}:{self.alphabet}"
 
     def _check_word(self, raw):
         if not isinstance(raw, str) or any(c not in self.alphabet for c in raw):
@@ -631,18 +608,29 @@ class LangAlgebra(Algebra):
 
     _check_weight = _check_word
 
+    def _mul(self, a, b):
+        return a + b
+
+    def _one(self):
+        return ""
+
+    def format_weight(self, raw):
+        return raw if raw else "ε"
+
+
+@dataclass(frozen=True)
+class LangAlgebra(_WordAlgebra):
+    """Single words as weights acting on finite languages by prepending."""
+
+    kind = "lang"
+    has_top = False
+
     def _check_value(self, raw):
         if not isinstance(raw, frozenset):
             raw = frozenset(raw)
         for w in raw:
             self._check_word(w)
         return raw
-
-    def _mul(self, a, b):
-        return a + b
-
-    def _one(self):
-        return ""
 
     def _add(self, u, v):
         return u | v
@@ -659,15 +647,12 @@ class LangAlgebra(Algebra):
     def _module_one(self):
         return frozenset({""})
 
-    def format_weight(self, raw):
-        return raw if raw else "ε"
-
     def format_raw(self, raw):
         return "{" + ",".join(w if w else "ε" for w in sorted(raw)) + "}"
 
 
 @dataclass(frozen=True)
-class OmegaLangAlgebra(Algebra):
+class OmegaLangAlgebra(_WordAlgebra):
     """Words acting on languages that may contain omega-words.
 
     Module values bundle finite words, lassos for ultimately periodic
@@ -677,21 +662,8 @@ class OmegaLangAlgebra(Algebra):
     would not be (see the algebra test suite for the counterexample).
     """
 
-    alphabet: str
-    commutative = False
+    kind = "omegalang"
     has_top = True
-    embeddable = False
-
-    @property
-    def name(self) -> str:
-        return f"omegalang:{self.alphabet}"
-
-    def _check_word(self, raw):
-        if not isinstance(raw, str) or any(c not in self.alphabet for c in raw):
-            raise AlgebraError(f"{self.name}: not a word over the alphabet: {raw!r}")
-        return raw
-
-    _check_weight = _check_word
 
     def _check_value(self, raw):
         if isinstance(raw, OmegaValue):
@@ -715,12 +687,6 @@ class OmegaLangAlgebra(Algebra):
                 self._check_word(q)
             return make_omega(words, lassos, (), self.alphabet)
         raise AlgebraError(f"{self.name}: not a language value: {raw!r}")
-
-    def _mul(self, a, b):
-        return a + b
-
-    def _one(self):
-        return ""
 
     def _add(self, u, v):
         return make_omega(u.words | v.words, u.lassos | v.lassos,
@@ -751,9 +717,6 @@ class OmegaLangAlgebra(Algebra):
 
     def _module_one(self):
         return make_omega(words=("",))
-
-    def format_weight(self, raw):
-        return raw if raw else "ε"
 
     def format_raw(self, raw):
         parts = [w if w else "ε" for w in sorted(raw.words)]

@@ -136,20 +136,16 @@ def cmd_check(args) -> int:
     post = ExprWeighting(alg, parse_weighting(args.post, alg))
     inv = ExprWeighting(alg, parse_weighting(args.invariant, alg))
     names, states = _states(args)
-    failed = False
-    if args.mode == "super":
-        report = check_superinvariant(loop, post, inv, states, alg, args.fuel, args.budget)
+    if args.mode != "fixed":
+        check, conclusion = {
+            "super": (check_superinvariant, "wp of the loop <= invariant"),
+            "sub": (check_subinvariant, "invariant <= wlp of the loop"),
+        }[args.mode]
+        report = check(loop, post, inv, states, alg, args.fuel, args.budget)
         for v in report.verdicts:
             _emit(args, [v.state.format(names), "holds" if v.holds else "FAILS"])
         if report.all_hold:
-            print("conclusion: wp of the loop <= invariant on all checked states")
-        failed = not report.all_hold
-    elif args.mode == "sub":
-        report = check_subinvariant(loop, post, inv, states, alg, args.fuel, args.budget)
-        for v in report.verdicts:
-            _emit(args, [v.state.format(names), "holds" if v.holds else "FAILS"])
-        if report.all_hold:
-            print("conclusion: invariant <= wlp of the loop on all checked states")
+            print(f"conclusion: {conclusion} on all checked states")
         failed = not report.all_hold
     else:
         report = check_fixed_point(loop, post, inv, states, alg, args.fuel, args.budget)

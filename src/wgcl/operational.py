@@ -19,11 +19,15 @@ are in bijection with nondeterministic resolutions.  The exposed analyses:
 The quotient graph drops step counts and histories, keeping (position,
 state) pairs; its cycles are exactly the shapes of infinite paths, which
 drives both the termination check and the divergence analysis.
+`components` is the package's one strongly-connected-components routine
+(Tarjan, dependencies first): the divergence analysis reads the quotient's
+cycles off it, and the transformer's loop solver orders its work by it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -340,6 +344,51 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
     return graph
 
 
+def components(roots, successors) -> list[list]:
+    """The strongly connected components reachable from `roots`, each after
+    every component it reaches (Tarjan 1972, with an explicit stack), and
+    each listing its deepest vertex first.  `successors` maps every vertex
+    to its successors."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    out: list[list] = []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                # a vertex whose component is out has index inf: only
+                # vertices still on the stack lower low[v]
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        index[component[-1]] = math.inf
+                    out.append(component)
+    return out
+
+
+def cyclic(component: list, successors) -> bool:
+    """The component has two or more vertices, or a self-loop."""
+    return len(component) > 1 or component[0] in successors[component[0]]
+
+
 @dataclass
 class UctResult:
     kind: str  # 'certain' | 'refuted' | 'unknown'
@@ -364,6 +413,8 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     except BudgetError:
         return UctResult("unknown")
 
+    # a colour DFS, not `components`: it stops at the first back edge, and
+    # its lasso is the DFS parent chain
     root = next(iter(graph))
     GRAY, BLACK = 1, 2
     color: dict[QNode, int] = {root: GRAY}
@@ -406,57 +457,6 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     return UctResult("certain", maxlen=maxlen)
 
 
-def _nontrivial_sccs(graph: dict[QNode, list[tuple[object, QNode]]]) -> list[set[QNode]]:
-    """Tarjan SCCs that contain a cycle (size > 1 or a self-loop)."""
-    index: dict[QNode, int] = {}
-    low: dict[QNode, int] = {}
-    on_stack: set[QNode] = set()
-    stack: list[QNode] = []
-    sccs: list[set[QNode]] = []
-    counter = [0]
-
-    def strong(v: QNode):
-        work = [(v, iter(graph[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for _, succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                if len(comp) > 1 or any(s == node for _, s in graph[node]):
-                    sccs.append(comp)
-
-    for v in graph:
-        if v not in index:
-            strong(v)
-    return sccs
-
-
 @dataclass
 class DivergenceReport:
     """Exact limit of the olp chain, plus the witnessing lassos."""
@@ -483,32 +483,24 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
 
     if isinstance(algebra, OmegaLangAlgebra):
         return _diverge_omega(graph, root, algebra, node_budget)
+    keep = {"tropical": lambda w: w == 0, "arctic": lambda w: True, "boolean": bool}.get(name)
+    if keep is None:
+        raise DivergenceError(f"{name}: no exact divergence analysis")
+    # the edges a divergent run may take forever without changing the limit
+    succ = {v: [s for (w, s) in es if keep(w)] for v, es in graph.items()}
     if name == "tropical":
+        # zero-weight cycles anywhere, entered by the cheapest route
         dist = _shortest_distances(graph, root)
-        zero_graph = {v: [(w, s) for (w, s) in es if w == 0] for v, es in graph.items()}
-        cyc = set().union(*_nontrivial_sccs(zero_graph))
-        best = INF
-        lassos = set()
-        for v in cyc:
-            d = dist.get(v)
-            if d is not None and (best is INF or d < best):
-                best = d
-        if best is not INF:
-            lassos.add((best, 0))
-        return DivergenceReport(algebra.value(best), frozenset(lassos))
+        best = min((dist[v] for comp in components(graph, succ) if cyclic(comp, succ)
+                    for v in comp if v in dist), default=INF)
+        return DivergenceReport(algebra.value(best),
+                                frozenset({(best, 0)} if best is not INF else ()))
+    alive = any(cyclic(comp, succ) for comp in components([root], succ))
     if name == "arctic":
-        reachable_cycle = any(_nontrivial_sccs(graph))
-        if reachable_cycle:
-            return DivergenceReport(algebra.value(INF), frozenset({(0, 0)}))
-        return DivergenceReport(algebra.value(NEG_INF), frozenset())
-    if name == "boolean":
-        live = {v: [(w, s) for (w, s) in es if w] for v, es in graph.items()}
-        sccs = _nontrivial_sccs(live)
-        cyc = set().union(*sccs) if sccs else set()
-        alive = _reachable_through(live, root, cyc)
-        return DivergenceReport(algebra.value(bool(alive)),
-                                frozenset({(True, True)} if alive else ()))
-    raise DivergenceError(f"{name}: no exact divergence analysis")
+        return DivergenceReport(algebra.value(INF if alive else NEG_INF),
+                                frozenset({(0, 0)} if alive else ()))
+    return DivergenceReport(algebra.value(alive),
+                            frozenset({(True, True)} if alive else ()))
 
 
 def _shortest_distances(graph, root):
@@ -530,54 +522,37 @@ def _shortest_distances(graph, root):
     return dist
 
 
-def _reachable_through(graph, root, targets):
-    if root not in graph:
-        return False
-    seen = {root}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in targets:
-            return True
-        for _, succ in graph.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return False
-
-
 def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> DivergenceReport:
-    sccs = _nontrivial_sccs(graph)
-    in_scc: dict[QNode, int] = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            in_scc[v] = i
+    succ = {v: [s for (_, s) in es] for v, es in graph.items()}
+    order = components([root], succ)
 
-    # each component must be one simple cycle: within it, out-degree one
+    # each cyclic component must be one simple cycle: within it, out-degree one
     cycle_next: dict[QNode, tuple[str, QNode]] = {}
-    for i, comp in enumerate(sccs):
+    for comp in order:
+        if not cyclic(comp, succ):
+            continue
+        members = set(comp)
         for v in comp:
-            inside = [(w, s) for (w, s) in graph[v] if s in comp]
+            inside = [(w, s) for (w, s) in graph[v] if s in members]
             if len(inside) != 1:
                 raise DivergenceError(
                     "diverging words are not ultimately periodic "
                     "(a reachable component branches within itself)")
             cycle_next[v] = inside[0]
+    in_scc = set(cycle_next)
 
-    # no component may reach another (else prefixes pump through cycles)
-    for i, comp in enumerate(sccs):
-        seen = set(comp)
-        stack = [s for v in comp for (_, s) in graph[v] if s not in comp]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in in_scc:
-                raise DivergenceError(
-                    "diverging words are not ultimately periodic "
-                    "(a reachable cycle feeds another cycle)")
-            stack.extend(s for (_, s) in graph.get(node, ()))
+    # no cycle may reach another (else prefixes pump through cycles).
+    # Dependencies come first, so when a component is reached every
+    # successor outside it is settled, and none inside it is yet.
+    reaches_cycle: dict[QNode, bool] = {}
+    for comp in order:
+        below = any(reaches_cycle.get(s, False) for v in comp for s in succ[v])
+        if below and comp[0] in in_scc:
+            raise DivergenceError(
+                "diverging words are not ultimately periodic "
+                "(a reachable cycle feeds another cycle)")
+        for v in comp:
+            reaches_cycle[v] = below or v in in_scc
 
     # enumerate label-distinct prefixes: the region outside the cycles is
     # acyclic, and walking past the first cycle vertex only pumps the period
@@ -596,22 +571,21 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
                 return label
 
     budget = node_budget
-    if root in graph and graph[root]:
-        stack: list[tuple[QNode, str]] = [(root, "")]
-        while stack:
-            node, label = stack.pop()
-            budget -= 1
-            if budget < 0:
-                raise BudgetError(f"node budget {node_budget} exceeded")
-            if node in in_scc:
-                period = cycle_label(node)
-                raw_lassos.add((label, period))
-                if period:
-                    lassos.add((label, period))
-                else:
-                    cylinders.add(label)
-                continue
-            for w, succ in graph[node]:
-                stack.append((succ, label + w))
+    stack: list[tuple[QNode, str]] = [(root, "")]
+    while stack:
+        node, label = stack.pop()
+        budget -= 1
+        if budget < 0:
+            raise BudgetError(f"node budget {node_budget} exceeded")
+        if node in in_scc:
+            period = cycle_label(node)
+            raw_lassos.add((label, period))
+            if period:
+                lassos.add((label, period))
+            else:
+                cylinders.add(label)
+            continue
+        for w, nxt in graph[node]:
+            stack.append((nxt, label + w))
     value = algebra.value(make_omega((), lassos, cylinders, algebra.alphabet))
     return DivergenceReport(value, frozenset(raw_lassos))

@@ -22,11 +22,11 @@ Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  A breadth-first sweep discovers the
 states the body reaches, at most fuel + 1 body-hops from the queried one,
 and records which states each one reads.  The strongly connected
-components of that dependency graph are then solved dependencies first
-(chaotic iteration over a topological order, Bourdoncle 1993): a state
-outside any cycle is evaluated once, and only a cyclic component is
-iterated, for at most `fuel` passes.  A result is reported `exact` only
-under a certificate:
+components of that dependency graph (`operational.components`) are then
+solved dependencies first (chaotic iteration over a topological order,
+Bourdoncle 1993): a state outside any cycle is evaluated once, and only a
+cyclic component is iterated, for at most `fuel` passes.  A result is
+reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
   nothing), no state in it read past the horizon, and every inner result
@@ -51,7 +51,9 @@ from .syntax import (
     State, Weigh, Weighting, While, compile_program, eval_arith, eval_bool,
     eval_weight,
 )
-from .operational import BudgetError, DivergenceError, diverging_weights
+from .operational import (
+    BudgetError, DivergenceError, components, cyclic, diverging_weights, uct_check,
+)
 
 
 class CertificationError(Exception):
@@ -109,8 +111,9 @@ class _Solve:
        the iterate as a dependency.  A read of a state more body-hops away
        than the horizon keeps the seed, like the leaf of a bounded
        unrolling, and is never certified.
-    2. Component order: Tarjan's algorithm orders the strongly connected
-       components of the dependency graph, dependencies first.
+    2. Component order: `operational.components` orders the components
+       of the dependency graph, dependencies first and deepest state first
+       within one; that is the Gauss-Seidel order, so it fixes a bound.
     3. Solving: a state outside any cycle is evaluated once against its
        solved dependencies; a cyclic component is iterated from the seed,
        Gauss-Seidel, for at most `fuel` passes.  A component is certified
@@ -179,9 +182,9 @@ class _Solve:
                 self.vals[sigma], self.exact[sigma] = value, exact
         self.discovering = False
         longest = 0
-        for component in _components(root, self.deps):
-            sigma = component[0]
-            if len(component) == 1 and sigma not in self.deps[sigma]:
+        for component in components([root], self.deps):
+            if not cyclic(component, self.deps):
+                sigma = component[0]
                 if sigma not in self.exact:
                     self.vals[sigma], self.exact[sigma] = self._evaluate(sigma)
                     longest = max(longest, 1)
@@ -216,44 +219,6 @@ class _Solve:
             if not changed:
                 return passes, exact
         return passes, False
-
-
-def _components(root: State, deps: dict[State, dict[State, None]]) -> list[list[State]]:
-    """The strongly connected components reachable from `root`,
-    dependencies first (Tarjan's algorithm, with an explicit stack).  Each
-    component lists its deepest states first."""
-    index: dict[State, int] = {root: 0}
-    low: dict[State, int] = {root: 0}
-    stack = [root]
-    on_stack = {root}
-    work = [(root, iter(deps[root]))]
-    out: list[list[State]] = []
-    while work:
-        sigma, successors = work[-1]
-        for tau in successors:
-            if tau not in index:
-                index[tau] = low[tau] = len(index)
-                stack.append(tau)
-                on_stack.add(tau)
-                work.append((tau, iter(deps[tau])))
-                break
-            if tau in on_stack:
-                low[sigma] = min(low[sigma], index[tau])
-        else:
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[sigma])
-            if low[sigma] == index[sigma]:
-                component = []
-                while True:
-                    tau = stack.pop()
-                    on_stack.discard(tau)
-                    component.append(tau)
-                    if tau == sigma:
-                        break
-                out.append(component)
-    return out
 
 
 class _Memo:
@@ -451,16 +416,31 @@ def apply_char_fn(phi: CharacteristicFn, invariant, sigma: State, algebra: Algeb
     The body transform must come back exact; an invariant check may not
     rest on an approximation.
     """
-    inv = as_weighting(algebra, invariant)
+    engine = Engine(algebra, phi.direction, fuel, node_budget)
+    return _apply(phi, as_weighting(algebra, invariant), sigma, engine)
+
+
+def _apply(phi: CharacteristicFn, inv: Weighting, sigma: State,
+           engine: Engine) -> ModuleValue:
     if not eval_bool(phi.guard, sigma):
         return phi.post.at(sigma)
-    engine = Engine(algebra, phi.direction, fuel, node_budget)
     res = engine.run(phi.body, inv, sigma)
     if not res.exact:
         raise CertificationError(
             "cannot certify the characteristic-function application "
             f"(inner {phi.direction} at {sigma!r} is not exact)")
     return res.value
+
+
+def _applied(loop: Program, f, invariant, states: Iterable[State], algebra: Algebra,
+             fuel: int, node_budget: int, direction: Direction):
+    """Per state: (state, phi(I) there, I there), with one engine for the
+    whole grid."""
+    phi = char_fn(loop, f, algebra, direction)
+    inv = as_weighting(algebra, invariant)
+    engine = Engine(algebra, direction, fuel, node_budget)
+    for sigma in states:
+        yield sigma, _apply(phi, inv, sigma, engine), inv.at(sigma)
 
 
 @dataclass
@@ -485,30 +465,21 @@ def check_superinvariant(loop: Program, f, invariant, states: Iterable[State],
                          node_budget: int = 10 ** 6) -> InvariantReport:
     """Pointwise `phi(I) <= I`: where it holds everywhere, induction bounds
     wp of the loop from above by I."""
-    phi = char_fn(loop, f, algebra, "wp")
-    inv = as_weighting(algebra, invariant)
-    verdicts = []
-    for sigma in states:
-        applied = apply_char_fn(phi, inv, sigma, algebra, fuel, node_budget)
-        ok = algebra.nat_leq(applied, inv.at(sigma))
-        verdicts.append(InvariantVerdict(sigma, ok))
-    return InvariantReport("super", verdicts)
+    return InvariantReport("super", [
+        InvariantVerdict(sigma, algebra.nat_leq(applied, here))
+        for sigma, applied, here in _applied(loop, f, invariant, states, algebra,
+                                             fuel, node_budget, "wp")])
 
 
 def check_subinvariant(loop: Program, f, invariant, states: Iterable[State],
                        algebra: Algebra, fuel: int = 64,
-                       node_budget: int = 10 ** 6,
-                       mode: Literal["gfp", "gfp_leq_one"] = "gfp") -> InvariantReport:
+                       node_budget: int = 10 ** 6) -> InvariantReport:
     """Pointwise `I <= phi~(I)` with the liberal characteristic map: where it
     holds everywhere, I bounds wlp of the loop from below."""
-    phi = char_fn(loop, f, algebra, "wlp")
-    inv = as_weighting(algebra, invariant)
-    verdicts = []
-    for sigma in states:
-        applied = apply_char_fn(phi, inv, sigma, algebra, fuel, node_budget)
-        ok = algebra.nat_leq(inv.at(sigma), applied)
-        verdicts.append(InvariantVerdict(sigma, ok))
-    return InvariantReport("sub", verdicts)
+    return InvariantReport("sub", [
+        InvariantVerdict(sigma, algebra.nat_leq(here, applied))
+        for sigma, applied, here in _applied(loop, f, invariant, states, algebra,
+                                             fuel, node_budget, "wlp")])
 
 
 @dataclass
@@ -544,16 +515,11 @@ def check_fixed_point(loop: Program, f, invariant, states: Iterable[State],
     At states where both hold, the loop's fixed point is unique, so
     wp = wlp = I there.
     """
-    from .operational import uct_check
-    phi = char_fn(loop, f, algebra, "wp")
-    inv = as_weighting(algebra, invariant)
-    verdicts = []
-    for sigma in states:
-        applied = apply_char_fn(phi, inv, sigma, algebra, fuel, node_budget)
-        fixed = applied == inv.at(sigma)
-        uct = uct_check(loop, sigma, algebra, node_budget=node_budget)
-        verdicts.append(FixedPointVerdict(sigma, fixed, uct.certain))
-    return FixedPointReport(verdicts)
+    return FixedPointReport([
+        FixedPointVerdict(sigma, applied == here,
+                          uct_check(loop, sigma, algebra, node_budget=node_budget).certain)
+        for sigma, applied, here in _applied(loop, f, invariant, states, algebra,
+                                             fuel, node_budget, "wp")])
 
 
 @dataclass

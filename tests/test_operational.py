@@ -9,13 +9,13 @@ import pytest
 from wgcl.algebra import INF, NEG_INF, algebra, make_omega
 from wgcl.operational import (
     BudgetError, Configuration, DivergenceError, TERMINATED, build_quotient,
-    diverging_weights, enumerate_paths, initial, olp_chain, olp_oracle,
-    op_oracle, successors, uct_check,
+    components, cyclic, diverging_weights, enumerate_paths, initial, olp_chain,
+    olp_oracle, op_oracle, successors, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
-from wgcl.syntax import ExprWeighting, Seq, State, TableWeighting, Weigh
+from wgcl.syntax import ExprWeighting, Seq, State, TableWeighting, Weigh, print_program
 
-from genprog import rand_loopfree, rand_state, rand_uct_program
+from genprog import rand_loopfree, rand_looping_program, rand_state, rand_uct_program
 
 TROP = algebra("tropical")
 
@@ -256,6 +256,64 @@ def test_uct_unknown_on_budget():
 
 
 # ---------------------------------------------------------------------------
+# components
+# ---------------------------------------------------------------------------
+
+def test_components_dependencies_first_deepest_first():
+    succ = {"a": ["b"], "b": ["c"], "c": ["b", "d"], "d": ["d"], "e": ["a"], "f": []}
+    assert components(["a"], succ) == [["d"], ["c", "b"], ["a"]]
+    order = components(["e", "a", "f"], succ)
+    assert order == [["d"], ["c", "b"], ["a"], ["e"], ["f"]]
+    # every successor outside a component lies in an earlier one
+    seen = set()
+    for comp in order:
+        assert all(w in seen or w in comp for v in comp for w in succ[v])
+        seen.update(comp)
+    assert [cyclic(comp, succ) for comp in order] == [True, True, False, False, False]
+
+
+def test_lassos_are_walks_and_divergence_matches_the_exact_chain(monkeypatch):
+    # uct_check's lasso is checked against the quotient that uct_check built,
+    # since positions compare by identity and each build compiles afresh
+    graphs = []
+
+    def recording(*args, **kwargs):
+        graphs.append(build_quotient(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr("wgcl.operational.build_quotient", recording)
+    rng = random.Random(509)
+    lassos = compared = 0
+    for name in ("boolean", "tropical", "arctic", "omegalang:ab"):
+        alg = algebra(name)
+        zero = weighting("zero", alg)
+        for _ in range(100):
+            p = rand_looping_program(rng, alg)
+            sigma = rand_state(rng)
+            if "*" in print_program(p, alg):
+                continue  # a squaring loop: the quotient never closes
+            graphs.clear()
+            res = uct_check(p, sigma, alg, node_budget=3000)
+            if res.kind == "refuted":
+                lassos += 1
+                graph = graphs[-1]
+                prefix, cycle = res.lasso
+                walk = prefix + cycle + [cycle[0]]
+                assert walk[0] == next(iter(graph))
+                for u, v in zip(walk, walk[1:]):
+                    assert v in [s for _, s in graph[u]], (name, p, sigma)
+            try:
+                div = diverging_weights(p, sigma, alg, 3000)
+                chain = olp_oracle(p, sigma, zero, alg, fuel=20, node_budget=3000)
+            except (BudgetError, DivergenceError):
+                continue
+            if chain.exact:
+                compared += 1
+                assert div.value == chain.value, (name, p, sigma)
+    assert lassos >= 70 and compared >= 100
+
+
+# ---------------------------------------------------------------------------
 # diverging_weights
 # ---------------------------------------------------------------------------
 
@@ -321,6 +379,14 @@ def test_diverging_rejects_branching_cycles():
     messy = prog("@instance omegalang:ab\nwhile(true){ {weigh a} [] {weigh b} }")
     with pytest.raises(DivergenceError):
         diverging_weights(messy.program, State({}), messy.algebra)
+
+
+def test_diverging_rejects_a_cycle_feeding_another():
+    # the a-loop can leave for the b-loop after any number of laps
+    fed = prog("@instance omegalang:ab\n"
+               "while(x=1){ {x := 0} [] {weigh a} }; while(true){weigh b}")
+    with pytest.raises(DivergenceError, match="feeds another cycle"):
+        diverging_weights(fed.program, State({"x": 1}), fed.algebra)
 
 
 def test_diverging_rejects_counting():
