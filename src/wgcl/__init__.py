@@ -23,9 +23,9 @@ from .parser import (
     parse_weighting,
 )
 from .operational import (
-    BudgetError, Configuration, DivergenceError, PathReport, TERMINATED,
-    Transition, build_quotient, diverging_weights, enumerate_paths, initial,
-    olp_oracle, op_oracle, successors, uct_check,
+    BudgetError, DivergenceError, PathReport, TERMINATED, build_quotient,
+    diverging_weights, enumerate_paths, olp_oracle, op_oracle, successors,
+    uct_check,
 )
 from .transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, TransformResult,

@@ -25,8 +25,7 @@ from pathlib import Path
 from . import example_path
 from .algebra import AlgebraError, INF
 from .operational import (
-    BudgetError, DivergenceError, enumerate_paths, initial, olp_oracle,
-    op_oracle,
+    BudgetError, DivergenceError, enumerate_paths, olp_oracle, op_oracle,
 )
 from .parser import ParseError, parse_grid, parse_program, parse_state, parse_weighting
 from .syntax import EvalError, ExprWeighting, While, flatten_seq, print_program
@@ -219,7 +218,7 @@ def cmd_paths(args) -> int:
     alg = parsed.algebra
     names, states = _states(args)
     for sigma in states:
-        report = enumerate_paths(initial(parsed.program, sigma), args.depth, alg, args.budget)
+        report = enumerate_paths(parsed.program, sigma, args.depth, alg, args.budget)
         for path in report.paths:
             _emit(args, [
                 "".join(path.history) or "-",

@@ -1,27 +1,30 @@
-"""Small-step execution: the weighted computation forest and its analyses.
+"""Small-step execution: one step relation and the analyses built on it.
 
-Configurations are `(position, state, step count, branch history)`, where
-a position is a node of the compiled program (`syntax.compile_program`) or
-TERMINATED.  Step counts and L/R histories make the transition structure a
-forest (each tree rooted at an initial configuration), so paths from a root
-are in bijection with nondeterministic resolutions.  The exposed analyses:
+The step relation `successors` maps a (position, state) pair, where a
+position is a node of the compiled program (`syntax.compile_program`) or
+TERMINATED, to weighted successor pairs.  In the paper, configurations
+also carry a step count and an L/R branch history, so that paths form a
+forest in bijection with nondeterministic resolutions; only
+`enumerate_paths` records those, as each path's depth and `history`.
+The exposed analyses:
 
-* `successors` - the one-step transition relation,
 * `enumerate_paths` - depth-bounded path listing,
-* `op_oracle` / `olp_oracle` - one walk over the forest cut at depth n:
+* `op_oracle` / `olp_oracle` - one walk over the paths cut at depth n:
   terminated paths add weight (x) post(final state), paths still running
   add weight (x) zero (op) or weight (x) top (olp, whose limit captures
-  nonterminating behavior),
+  nonterminating behavior).  A result is exact when every path ended, the
+  frontier repeated, or the pairs reachable from the last frontier show
+  that no later layer moves the sum,
 * `uct_check` - certain-termination check with lasso counterexamples,
 * `diverging_weights` - exact limit of the olp chain from the finite
   (position, state) quotient graph, where the instance allows it.
 
-The quotient graph drops step counts and histories, keeping (position,
-state) pairs; its cycles are exactly the shapes of infinite paths, which
-drives both the termination check and the divergence analysis.
-`components` is the package's one strongly-connected-components routine
-(Tarjan, dependencies first): the divergence analysis reads the quotient's
-cycles off it, and the transformer's loop solver orders its work by it.
+The quotient graph is the reachable part of the step relation; its cycles
+are exactly the shapes of infinite paths, which drives both the
+termination check and the divergence analysis.  `components` is the
+package's one strongly-connected-components routine (Tarjan, dependencies
+first): the divergence analysis reads the quotient's cycles off it, and
+the transformer's loop solver orders its work by it.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .algebra import (
     Algebra, INF, ModuleValue, NEG_INF, OmegaLangAlgebra, Weight, make_omega,
 )
 from .syntax import (
-    TERMINATED, Assign, Branch, FnWeighting, Ite, Program, State, Weigh, Weighting,
-    While, compile_program, eval_arith, eval_bool, eval_weight,
+    TERMINATED, Assign, Branch, EvalError, FnWeighting, Ite, Program, State, Weigh,
+    Weighting, While, compile_program, eval_arith, eval_bool, eval_weight,
 )
 
 
@@ -49,54 +52,30 @@ class DivergenceError(Exception):
     """The divergence analysis does not apply (instance or cycle structure)."""
 
 
-@dataclass(frozen=True)
-class Configuration:
-    program: object  # a position: Node | TERMINATED
-    state: State
-    steps: int = 0
-    history: tuple[str, ...] = ()
-
-    @property
-    def final(self) -> bool:
-        return self.program is TERMINATED
+QNode = tuple  # (position, State)
 
 
-@dataclass(frozen=True)
-class Transition:
-    weight: Weight
-    target: Configuration
-
-
-def initial(program: Program, state: State) -> Configuration:
-    return Configuration(compile_program(program), state, 0, ())
-
-
-def successors(conf: Configuration, algebra: Algebra) -> tuple[Transition, ...]:
-    """All transitions licensed by the step rules; empty for final configs."""
-    node = conf.program
-    if node is TERMINATED:
+def successors(position, state: State,
+               algebra: Algebra) -> tuple[tuple[Weight, object, State], ...]:
+    """The one-step relation on (position, state) pairs, as (weight,
+    position, state) triples, the left arm of `[]` first; empty at
+    TERMINATED."""
+    if position is TERMINATED:
         return ()
-    stmt = node.stmt
-    sigma = conf.state
-    n1 = conf.steps + 1
+    stmt = position.stmt
     one = algebra.mon_one()
     if isinstance(stmt, Assign):
-        sigma2 = sigma.set(stmt.var, eval_arith(stmt.expr, sigma))
-        return (Transition(one, Configuration(node.next, sigma2, n1, conf.history)),)
+        return ((one, position.next, state.set(stmt.var, eval_arith(stmt.expr, state))),)
     if isinstance(stmt, Weigh):
-        w = eval_weight(stmt.weight, sigma, algebra)
-        return (Transition(w, Configuration(node.next, sigma, n1, conf.history)),)
+        return ((eval_weight(stmt.weight, state, algebra), position.next, state),)
     if isinstance(stmt, Ite):
-        chosen = node.then if eval_bool(stmt.guard, sigma) else node.orelse
-        return (Transition(one, Configuration(chosen, sigma, n1, conf.history)),)
+        chosen = position.then if eval_bool(stmt.guard, state) else position.orelse
+        return ((one, chosen, state),)
     if isinstance(stmt, Branch):
-        return (
-            Transition(one, Configuration(node.then, sigma, n1, conf.history + ("L",))),
-            Transition(one, Configuration(node.orelse, sigma, n1, conf.history + ("R",))),
-        )
+        return ((one, position.then, state), (one, position.orelse, state))
     if isinstance(stmt, While):
-        follow = node.then if eval_bool(stmt.guard, sigma) else node.next
-        return (Transition(one, Configuration(follow, sigma, n1, conf.history)),)
+        follow = position.then if eval_bool(stmt.guard, state) else position.next
+        return ((one, follow, state),)
     raise TypeError(f"not a program node: {stmt!r}")
 
 
@@ -106,17 +85,14 @@ def successors(conf: Configuration, algebra: Algebra) -> tuple[Transition, ...]:
 
 @dataclass(frozen=True)
 class Path:
-    configurations: tuple[Configuration, ...]
+    trace: tuple[QNode, ...]  # the (position, state) pairs, root first
+    history: tuple[str, ...]  # one letter per `[]` step: L or R
     weight: Weight
     terminal: bool
 
     @property
-    def history(self) -> tuple[str, ...]:
-        return self.configurations[-1].history
-
-    @property
     def last_state(self) -> State:
-        return self.configurations[-1].state
+        return self.trace[-1][1]
 
 
 @dataclass
@@ -125,52 +101,57 @@ class PathReport:
     truncated: bool
 
 
-def enumerate_paths(start: Configuration, depth: int, algebra: Algebra,
+def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra,
                     node_budget: int = 10 ** 6) -> PathReport:
     """All maximal paths of length <= depth, plus the depth-cut open ones.
 
-    Paths come out in L-before-R order, i.e. sorted by branch history.
+    The only walk that records step depth and branch history, which make
+    the paths from the root a forest: paths and nondeterministic
+    resolutions correspond one to one.  Paths come out in L-before-R
+    order, i.e. sorted by branch history.
     """
     report = PathReport(paths=[], truncated=False)
-    trace: list[Configuration] = []
-    stack = [(start, algebra.mon_one())]
+    trace: list[QNode] = []
+    stack = [(compile_program(program), state, 0, (), algebra.mon_one())]
     visited = 0
     while stack:
-        conf, weight = stack.pop()
+        position, sigma, steps, history, weight = stack.pop()
         visited += 1
         if visited > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded")
-        del trace[conf.steps - start.steps:]  # steps is the position on the path
-        trace.append(conf)
-        if conf.final:
-            report.paths.append(Path(tuple(trace), weight, True))
-        elif len(trace) - 1 >= depth:
-            report.paths.append(Path(tuple(trace), weight, False))
-            report.truncated = True
-        else:
-            for tr in reversed(successors(conf, algebra)):
-                stack.append((tr.target, algebra.mon_mul(weight, tr.weight)))
-    report.paths.sort(key=lambda p: p.history)
+        del trace[steps:]
+        trace.append((position, sigma))
+        if position is TERMINATED or steps >= depth:
+            report.paths.append(Path(tuple(trace), history, weight, position is TERMINATED))
+            report.truncated |= position is not TERMINATED
+            continue
+        branch = isinstance(position.stmt, Branch)
+        # pushed right to left, so the left arm is walked first
+        succs = zip("LR", successors(position, sigma, algebra))
+        for letter, (w, nxt, sigma2) in reversed(list(succs)):
+            stack.append((nxt, sigma2, steps + 1, history + (letter,) if branch else history,
+                          algebra.mon_mul(weight, w)))
     return report
 
 
 def _frontier_layers(program: Program, state: State, algebra: Algebra,
-                     fuel: int, node_budget: int) -> Iterator[list[tuple[Configuration, Weight]]]:
-    """Yield the length-n path frontier for n = 0..fuel (paths as leaf+weight).
+                     fuel: int, node_budget: int) -> Iterator[list[tuple[object, State, Weight]]]:
+    """Yield the length-n path frontier for n = 0..fuel, each path as its
+    last (position, state) pair and its weight.
 
     Stops early when the frontier empties (every path has terminated).
     """
-    frontier = [(initial(program, state), algebra.mon_one())]
+    frontier = [(compile_program(program), state, algebra.mon_one())]
     nodes = 0
     for _ in range(fuel + 1):
         yield frontier
         nxt = []
-        for conf, w in frontier:
-            for tr in successors(conf, algebra):
+        for position, sigma, w in frontier:
+            for a, position2, sigma2 in successors(position, sigma, algebra):
                 nodes += 1
                 if nodes > node_budget:
                     raise BudgetError(f"node budget {node_budget} exceeded")
-                nxt.append((tr.target, algebra.mon_mul(w, tr.weight)))
+                nxt.append((position2, sigma2, algebra.mon_mul(w, a)))
         if not nxt:
             return
         frontier = nxt
@@ -183,55 +164,67 @@ class OracleResult:
 
 
 class _Stabilization:
-    """Convergence certificates for layered sums.
+    """The frontier-repeat certificate for layered sums.
 
-    Tier 1 is sound: once a layer frontier repeats exactly (position, state,
-    and accumulated weight, as a multiset), the process is periodic, so a
-    sum that did not move over the repetition never moves again.  Tier 2 is
-    a window heuristic: the sum sat still for at least `WINDOW` layers
-    spanning a full repetition of the frontier's (position, state)
-    structure.  Tier 2 can in principle be fooled by weight-dependent
-    behavior; tier 1 cannot.
+    Once a layer frontier repeats exactly (position, state and accumulated
+    weight, as a multiset), the process is periodic, so a sum that did not
+    move over the repetition never moves again.
     """
 
     MAX_FRONTIER = 512  # repetition needs a small frontier; skip huge ones
-    WINDOW = 3
 
     def __init__(self):
-        self.layer = -1
-        self.full_seen: dict[frozenset, int] = {}
-        self.node_seen: dict[frozenset, int] = {}
-        self.constant_since = 0
+        self.seen: set[frozenset] = set()  # frontiers since the sum last moved
         self.last_value = None
         self.certified = False
 
     def feed(self, frontier, value) -> None:
-        self.layer += 1
         if value != self.last_value:
-            self.constant_since = self.layer
+            self.seen.clear()
             self.last_value = value
         if len(frontier) > self.MAX_FRONTIER:
-            self.full_seen.clear()
-            self.node_seen.clear()
+            self.seen.clear()
             return
-        # the frontier as a multiset, with and without accumulated weights
-        full_fp = frozenset(Counter((c.program, c.state, w.value) for c, w in frontier).items())
-        node_fp = frozenset(Counter((c.program, c.state) for c, _ in frontier).items())
-        if self.layer == self.constant_since:
-            # the sum just moved: only this layer can anchor a repetition
-            self.full_seen = {full_fp: self.layer}
-            self.node_seen = {node_fp: self.layer}
-            return
-        full_prev = self.full_seen.get(full_fp)
-        node_prev = self.node_seen.get(node_fp)
-        self.full_seen[full_fp] = self.layer
-        self.node_seen[node_fp] = self.layer
-        stretch = self.layer - self.constant_since + 1
-        if full_prev is not None and full_prev >= self.constant_since:
-            self.certified = True
-        elif (node_prev is not None and node_prev >= self.constant_since
-              and stretch >= self.WINDOW):
-            self.certified = True
+        fingerprint = frozenset(Counter((p, s, w.value) for p, s, w in frontier).items())
+        self.certified |= fingerprint in self.seen
+        self.seen.add(fingerprint)
+
+
+def _settled(live, value: ModuleValue, post: Weighting, seed: ModuleValue,
+             algebra: Algebra, node_budget: int) -> bool:
+    """Whether no later layer can move s_n, read off the (position, state)
+    graph reachable from the live frontier (at most `node_budget` pairs).
+
+    op (seed zero): every reachable terminal state has post zero, so every
+    later layer adds w (x) zero = zero.  olp (seed top): s_n is top, no
+    terminal is reachable, and every reachable edge weight a has
+    a (x) top = top.  A live path of weight w extended by a then adds
+    (w a) (x) top = w (x) (a (x) top) = w (x) top, the term it had; every
+    live path has an extension, so s_{n+1} = s_n (+) x = top (+) x = top.
+    """
+    olp = seed != algebra.mod_zero()
+    if olp and value != seed:
+        return False
+    seen: set[QNode] = set()
+    stack = [(position, sigma) for position, sigma, _ in live]
+    try:
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            if len(seen) >= node_budget:
+                return False
+            seen.add(node)
+            position, sigma = node
+            if position is TERMINATED and (olp or post.at(sigma) != algebra.mod_zero()):
+                return False
+            for a, position2, sigma2 in successors(position, sigma, algebra):
+                if olp and algebra.scalar_mul(a, seed) != seed:
+                    return False
+                stack.append((position2, sigma2))
+    except EvalError:  # a step or the post is undefined beyond the horizon
+        return False
+    return True
 
 
 def _layer_sums(program: Program, state: State, post: Weighting, seed: ModuleValue,
@@ -248,25 +241,27 @@ def _layer_sums(program: Program, state: State, post: Weighting, seed: ModuleVal
     done = zero
     for frontier in _frontier_layers(program, state, algebra, fuel, node_budget):
         live = []
-        for conf, w in frontier:
-            if conf.final:
-                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(conf.state)))
+        for position, sigma, w in frontier:
+            if position is TERMINATED:
+                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(sigma)))
             else:
-                live.append((conf, w))
+                live.append((position, sigma, w))
         if seed == zero:
             yield live, done
         else:
-            yield live, algebra.big_add([done] + [algebra.scalar_mul(w, seed) for _, w in live])
+            yield live, algebra.big_add([done] + [algebra.scalar_mul(w, seed) for *_, w in live])
 
 
 def _limit(program: Program, state: State, post: Weighting, seed: ModuleValue,
            algebra: Algebra, fuel: int, node_budget: int) -> OracleResult:
     """The last s_n, exact when no path outlived the horizon (the forest is
-    exhausted) or the sums stabilized (see _Stabilization)."""
+    exhausted), the frontier repeated (see _Stabilization), or no later
+    layer can move the sum (see _settled)."""
     stab = _Stabilization()
     for live, value in _layer_sums(program, state, post, seed, algebra, fuel, node_budget):
         stab.feed(live, value)
-    return OracleResult(value, not live or stab.certified)
+    return OracleResult(value, not live or stab.certified
+                        or _settled(live, value, post, seed, algebra, node_budget))
 
 
 def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
@@ -311,9 +306,6 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 # Quotient graph, termination, divergence
 # ---------------------------------------------------------------------------
 
-QNode = tuple  # (position, State)
-
-
 def build_quotient(program: Program, state: State, algebra: Algebra,
                    node_budget: int = 10 ** 6) -> dict[QNode, list[tuple[object, QNode]]]:
     """Reachable (position, state) graph with raw edge weights; the root
@@ -333,8 +325,8 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
         if len(graph) >= node_budget:
             raise BudgetError(f"quotient node budget {node_budget} exceeded")
         edges = []
-        for tr in successors(Configuration(*node), algebra):
-            edge = (tr.weight.value, (tr.target.program, tr.target.state))
+        for w, position, sigma in successors(*node, algebra):
+            edge = (w.value, (position, sigma))
             if edge not in edges:  # equal branch arms collapse in the quotient
                 edges.append(edge)
         graph[node] = edges
@@ -401,12 +393,12 @@ class UctResult:
 
 
 def uct_check(program: Program, state: State, algebra: Algebra,
-              bound: int = 10 ** 4, node_budget: int = 10 ** 6) -> UctResult:
-    """Decide certain termination from one initial state.
+              node_budget: int = 10 ** 6) -> UctResult:
+    """Decide certain termination from one start state.
 
-    `certain(maxlen)` if exhaustive exploration bounds every path; `refuted`
-    with a lasso witness if a (position, state) pair repeats along a path;
-    `unknown` if a budget ran out or the bound was exceeded.
+    `certain(maxlen)` if the quotient closes acyclic (maxlen is its longest
+    path); `refuted` with a lasso witness if a (position, state) pair
+    repeats along a path; `unknown` if the node budget ran out.
     """
     try:
         graph = build_quotient(program, state, algebra, node_budget)
@@ -451,10 +443,7 @@ def uct_check(program: Program, state: State, algebra: Algebra,
             stack.pop()
             color[node] = BLACK
             longest[node] = max((1 + longest[s] for _, s in graph[node]), default=0)
-    maxlen = longest[root]
-    if maxlen > bound:
-        return UctResult("unknown")
-    return UctResult("certain", maxlen=maxlen)
+    return UctResult("certain", maxlen=longest[root])
 
 
 @dataclass

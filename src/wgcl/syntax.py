@@ -17,7 +17,6 @@ term would be partial outside its guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
@@ -288,6 +287,12 @@ class State:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# A loop that squares a variable doubles its digits on every pass, and no
+# node budget bounds that time.  So a product of more than MAX_INT_BITS
+# bits, and a fib argument above MAX_INT_BITS, are evaluation errors.
+MAX_INT_BITS = 1 << 16
+
+
 def eval_arith(e: ArithExpr, sigma: State) -> int:
     if isinstance(e, AInt):
         return e.value
@@ -301,6 +306,8 @@ def eval_arith(e: ArithExpr, sigma: State) -> int:
         if e.op == "-":
             return l - r
         if e.op == "*":
+            if l.bit_length() + r.bit_length() > MAX_INT_BITS:
+                raise EvalError(f"a product exceeds {MAX_INT_BITS} bits")
             return l * r
         raise EvalError(f"unknown arithmetic operator {e.op!r}")
     if isinstance(e, ACall):
@@ -310,6 +317,8 @@ def eval_arith(e: ArithExpr, sigma: State) -> int:
         if e.fn == "max":
             return max(args)
         if e.fn == "fib":
+            if args[0] > MAX_INT_BITS:
+                raise EvalError(f"fib argument {args[0]} exceeds {MAX_INT_BITS}")
             return fib(args[0])
         raise EvalError(f"unknown function {e.fn!r}")
     raise EvalError(f"not an arithmetic expression: {e!r}")
@@ -475,9 +484,6 @@ class FnWeighting(Weighting):
 # Printing (parse . print round-trips to a structurally equal AST)
 # ---------------------------------------------------------------------------
 
-_CMP_PRINT = {"=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-
 def print_arith(e: ArithExpr) -> str:
     if isinstance(e, AInt):
         return str(e.value)
@@ -494,7 +500,7 @@ def print_bool(b: BoolExpr) -> str:
     if isinstance(b, BBool):
         return "true" if b.value else "false"
     if isinstance(b, BCmp):
-        return f"{print_arith(b.left)} {_CMP_PRINT[b.op]} {print_arith(b.right)}"
+        return f"{print_arith(b.left)} {b.op} {print_arith(b.right)}"
     if isinstance(b, BNot):
         return f"not ({print_bool(b.arg)})"
     if isinstance(b, BAnd):
@@ -504,14 +510,12 @@ def print_bool(b: BoolExpr) -> str:
     raise EvalError(f"not a Boolean expression: {b!r}")
 
 
-def _print_weight(w: WeightExpr, algebra: Algebra) -> str:
+def _print_weight(w: WeightExpr) -> str:
     if isinstance(w, WEmbedInt):
         return f"int({print_arith(w.expr)})"
     raw = w.raw
     if isinstance(raw, bool):
         return "true" if raw else "false"
-    if isinstance(raw, Fraction):
-        return str(raw)
     return str(raw)
 
 
@@ -543,5 +547,5 @@ def print_program(prog: Program, algebra: Algebra, indent: int = 0) -> str:
         w = prog.weight
         if isinstance(w, WLit) and w.raw == algebra.mon_one().value:
             return f"{pad}skip"
-        return f"{pad}weigh {_print_weight(prog.weight, algebra)}"
+        return f"{pad}weigh {_print_weight(prog.weight)}"
     raise EvalError(f"not a program node: {prog!r}")

@@ -447,7 +447,6 @@ def _applied(loop: Program, f, invariant, states: Iterable[State], algebra: Alge
 class InvariantVerdict:
     state: State
     holds: bool
-    detail: str = ""
 
 
 @dataclass

@@ -1,6 +1,15 @@
 """Exit codes, output formats, and end-to-end command behavior."""
 
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wgcl.algebra import algebra
 from wgcl.cli import main
+from wgcl.syntax import print_program
+
+from genprog import rand_looping_program, rand_loopfree, rand_state, rand_uct_program
 
 
 def run(capsys, *argv):
@@ -165,6 +174,18 @@ def test_paths_trace_format(capsys):
     assert out.splitlines() == ["L | 2 | - | terminal", "R | 3 | - | terminal"]
 
 
+def test_check_fixed_certain_on_a_long_acyclic_loop(capsys, tmp_path):
+    # 6000 laps: an 18001-step run, whose quotient closes acyclic
+    f = tmp_path / "count.wgcl"
+    f.write_text("@instance arctic\nwhile (x < 6000) { x := x + 1; weigh 1 }\n",
+                 encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(f), "--mode", "fixed", "--state", "x=0",
+                       "--post", "int(0)",
+                       "--invariant", "[x < 6000] int(6000 - x) (+) [not (x < 6000)] int(0)")
+    assert code == 0
+    assert out.splitlines()[0] == "x=0 | fixed | uct"
+
+
 def test_paths_open_runs_marked(capsys):
     code, out, _ = run(capsys, "paths", "ex411", "--state", "x=1", "--depth", "3")
     assert code == 0
@@ -188,6 +209,19 @@ def test_large_fib_argument(capsys, tmp_path):
     code, out, err = run(capsys, "wp", str(f), "--post", "int(y)", "--state", "y=1")
     assert code == 0 and err == ""
     assert out.strip() == "y=1 | 0 | exact"
+
+
+def test_squaring_loop_stops_at_the_integer_bound(capsys, tmp_path):
+    # x doubles its digits every lap: the 17th lap's product would exceed
+    # 2^16 bits, which no node budget would have bounded in time
+    f = tmp_path / "square.wgcl"
+    f.write_text("@instance tropical\nwhile (x > 1) { x := x * x }\n", encoding="utf-8")
+    for command in (["wp"], ["wlp"], ["compare"], ["compare", "--liberal"]):
+        code, out, err = run(capsys, *command, str(f), "--state", "x=2")
+        assert (code, out, err) == (2, "", "wgcl: a product exceeds 65536 bits\n")
+    f.write_text("@instance tropical\nx := fib(x)\n", encoding="utf-8")
+    code, _, err = run(capsys, "wp", str(f), "--state", "x=70000")
+    assert (code, err) == (2, "wgcl: fib argument 70000 exceeds 65536\n")
 
 
 def test_budget_exhaustion_has_its_own_exit_code(capsys):
@@ -273,3 +307,27 @@ def test_deep_parentheses_without_traceback(capsys, tmp_path):
     f.write_text("@instance tropical\nx := " + "(" * 400 + "1" + ")" * 400 + "\n",
                  encoding="utf-8")
     _exits_cleanly(*run(capsys, "print", str(f)), "@instance tropical\nx := 1\n")
+
+
+INSTANCES = ("boolean", "counting", "tropical", "arctic", "prob", "lang:ab", "omegalang:ab")
+GENERATORS = (rand_loopfree, rand_uct_program, rand_looping_program)
+COMMANDS = (["wp"], ["wlp"], ["compare"], ["compare", "--liberal"], ["paths"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32), st.sampled_from(INSTANCES), st.sampled_from(GENERATORS),
+       st.sampled_from(("one", "zero", "[x > 0] one")))
+def test_generated_programs_never_crash_and_exact_columns_agree(tmp_path_factory, seed,
+                                                                instance, generate, post):
+    rng = random.Random(seed)
+    alg = algebra(instance)
+    program = generate(rng, alg)
+    state = ",".join(f"{k}={v}" for k, v in rand_state(rng).items()) or "x=0"
+    f = tmp_path_factory.mktemp("gen") / "p.wgcl"
+    f.write_text(f"@instance {instance}\n{print_program(program, alg)}\n", encoding="utf-8")
+    for command in COMMANDS:
+        argv = [*command, str(f), "--state", state, "--fuel", "8", "--budget", "2000"]
+        if command[0] != "paths":
+            argv += ["--post", post]
+        # 4 would mean two exact columns disagree
+        assert main(argv) in (0, 2, 3, 5), argv

@@ -1,6 +1,5 @@
 """Small-step semantics, path enumeration, oracles, termination, lassos."""
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -8,12 +7,15 @@ import pytest
 
 from wgcl.algebra import INF, NEG_INF, algebra, make_omega
 from wgcl.operational import (
-    BudgetError, Configuration, DivergenceError, TERMINATED, build_quotient,
-    components, cyclic, diverging_weights, enumerate_paths, initial, olp_chain,
-    olp_oracle, op_oracle, successors, uct_check,
+    BudgetError, DivergenceError, TERMINATED, build_quotient, components, cyclic,
+    diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle,
+    successors, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
-from wgcl.syntax import ExprWeighting, Seq, State, TableWeighting, Weigh, print_program
+from wgcl.syntax import (
+    Branch, ExprWeighting, Seq, State, TableWeighting, Weigh, compile_program,
+    print_program,
+)
 
 from genprog import rand_loopfree, rand_looping_program, rand_state, rand_uct_program
 
@@ -40,38 +42,38 @@ E55 = prog("@instance arctic\nwhile(x>0 and y>0){ { {x := x-1; y := y+1} [] {y :
 # ---------------------------------------------------------------------------
 
 def test_assign_step():
-    conf = initial(prog("@instance tropical\nx := x+1").program, State({"x": 0}))
-    (tr,) = successors(conf, TROP)
-    assert tr.weight == TROP.mon_one()
-    assert tr.target == Configuration(TERMINATED, State({"x": 1}), 1, ())
+    position = compile_program(prog("@instance tropical\nx := x+1").program)
+    assert successors(position, State({"x": 0}), TROP) == (
+        (TROP.mon_one(), TERMINATED, State({"x": 1})),)
 
 
 def test_branch_steps_extend_history_with_unit_weight():
     branch = prog("@instance tropical\n{weigh 2} [] {weigh 3}").program
-    conf = initial(branch, State({}))
-    left, right = successors(conf, TROP)
-    assert left.weight == right.weight == TROP.mon_one()
-    assert left.target.history == ("L",)
-    assert right.target.history == ("R",)
-    assert left.target.steps == right.target.steps == 1
+    position = compile_program(branch)
+    left, right = successors(position, State({}), TROP)
+    # the left arm comes first, and both steps weigh one
+    assert left == (TROP.mon_one(), position.then, State({}))
+    assert right == (TROP.mon_one(), position.orelse, State({}))
+    # each [] step adds one letter to the history, L before R
+    paths = enumerate_paths(branch, State({}), 5, TROP).paths
+    assert [(p.history, p.weight, len(p.trace)) for p in paths] == [
+        (("L",), TROP.weight(2), 3), (("R",), TROP.weight(3), 3)]
 
 
 def test_loop_break_step():
-    conf = dataclasses.replace(initial(EX410.program, State({"x": 3})), steps=4, history=("L",))
-    (tr,) = successors(conf, TROP)
-    assert tr.target == Configuration(TERMINATED, State({"x": 3}), 5, ("L",))
-    assert tr.weight == TROP.mon_one()
+    position = compile_program(EX410.program)
+    (step,) = successors(position, State({"x": 3}), TROP)
+    assert step == (TROP.mon_one(), TERMINATED, State({"x": 3}))
 
 
 def test_weigh_step_evaluates_per_state():
-    conf = initial(Weigh(parse_program("@instance tropical\nweigh int(y)").program.weight),
-                   State({"y": 7}))
-    (tr,) = successors(conf, TROP)
-    assert tr.weight == TROP.weight(7)
+    weigh = Weigh(parse_program("@instance tropical\nweigh int(y)").program.weight)
+    (step,) = successors(compile_program(weigh), State({"y": 7}), TROP)
+    assert step[0] == TROP.weight(7)
 
 
 def test_terminated_has_no_successors():
-    assert successors(Configuration(TERMINATED, State({}), 3, ()), TROP) == ()
+    assert successors(TERMINATED, State({}), TROP) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +81,7 @@ def test_terminated_has_no_successors():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_tropical_conditional():
-    report = enumerate_paths(initial(EX49.program, State({"x": 1})), 5, TROP)
+    report = enumerate_paths(EX49.program, State({"x": 1}), 5, TROP)
     assert not report.truncated
     assert len(report.paths) == 1
     (path,) = report.paths
@@ -88,45 +90,53 @@ def test_enumerate_tropical_conditional():
 
 def test_enumerate_skip_single_unit_path():
     skip = prog("@instance tropical\nskip").program
-    report = enumerate_paths(initial(skip, State({})), 1, TROP)
+    report = enumerate_paths(skip, State({}), 1, TROP)
     assert [(p.terminal, p.weight) for p in report.paths] == [(True, TROP.mon_one())]
 
 
 def test_enumerate_nonterminating_loop_truncates():
     lang = algebra("lang:ab")
     loop = prog("@instance lang:ab\nwhile(true){weigh a}").program
-    report = enumerate_paths(initial(loop, State({})), 4, lang)
+    report = enumerate_paths(loop, State({}), 4, lang)
     assert report.truncated
     assert all(not p.terminal for p in report.paths)
 
 
 def test_paths_ordered_by_history():
     double = prog("@instance tropical\n{{weigh 1} [] {weigh 2}} ; {weigh 3} [] {weigh 4}").program
-    report = enumerate_paths(initial(double, State({})), 10, TROP)
+    report = enumerate_paths(double, State({}), 10, TROP)
     histories = [p.history for p in report.paths]
     assert histories == sorted(histories)
     assert len(histories) == 4
 
 
 def test_forest_every_configuration_has_one_predecessor():
+    # a configuration is (position, state, depth, history so far): the paths'
+    # configurations form a forest, and histories tell the paths apart
     rng = random.Random(31)
     for _ in range(20):
         p = rand_loopfree(rng, TROP)
         sigma = rand_state(rng)
-        report = enumerate_paths(initial(p, sigma), 12, TROP)
+        report = enumerate_paths(p, sigma, 12, TROP)
         edges = set()
         for path in report.paths:
-            edges.update(zip(path.configurations, path.configurations[1:]))
+            confs, letters = [], 0
+            for depth, (position, state) in enumerate(path.trace):
+                confs.append((position, state, depth, path.history[:letters]))
+                letters += isinstance(getattr(position, "stmt", None), Branch)
+            # one letter per [] step taken (the last pair takes none)
+            taken = letters - isinstance(getattr(path.trace[-1][0], "stmt", None), Branch)
+            assert taken == len(path.history)
+            edges.update(zip(confs, confs[1:]))
         indegree = Counter(b for _, b in edges)
         assert all(count == 1 for count in indegree.values())
-        roots = {p.configurations[0] for p in report.paths}
-        assert all(r.steps == 0 and r.history == () for r in roots)
+        histories = [path.history for path in report.paths]
+        assert len(set(histories)) == len(histories)
 
 
 def test_node_budget_enforced():
     with pytest.raises(BudgetError):
-        enumerate_paths(initial(EX411.program, State({"x": 1})), 40,
-                        EX411.algebra, node_budget=10)
+        enumerate_paths(EX411.program, State({"x": 1}), 40, EX411.algebra, node_budget=10)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +171,7 @@ def test_op_counts_terminal_paths_on_counting():
         p = rand_loopfree(rng, cnt, depth=3)
         # strip weighings: replace by a program with unit weights only
         sigma = rand_state(rng)
-        report = enumerate_paths(initial(p, sigma), 64, cnt)
+        report = enumerate_paths(p, sigma, 64, cnt)
         res = op_oracle(p, sigma, one, cnt, fuel=64)
         assert res.exact
         # with all weights nonzero the oracle counts weighted paths; on
@@ -180,7 +190,7 @@ def test_op_composition_through_tabulation():
         c2 = rand_uct_program(rng, cnt, depth=2)
         sigma = rand_state(rng)
         # tabulate g = op(C2, ., one) on the final states of C1
-        report = enumerate_paths(initial(c1, sigma), 64, cnt)
+        report = enumerate_paths(c1, sigma, 64, cnt)
         finals = {p.last_state for p in report.paths if p.terminal}
         g = TableWeighting(cnt, {tau: op_oracle(c2, tau, one, cnt, fuel=64).value
                                  for tau in finals})
@@ -188,6 +198,63 @@ def test_op_composition_through_tabulation():
         rhs = op_oracle(c1, sigma, g, cnt, fuel=64)
         assert lhs.exact and rhs.exact
         assert lhs.value == rhs.value
+
+
+def test_op_stalled_sum_is_not_exact_while_paths_still_terminate():
+    # the right arm pays 1 per lap and may leave after any lap, so op is inf;
+    # for the first hundreds of layers the sum sits at the left arm's 100
+    stall = prog("@instance arctic\n"
+                 "{ weigh 100 } [] { while (c = 0) { weigh 1; { c := 1 } [] { skip } } }")
+    alg = stall.algebra
+    for fuel in (64, 200):
+        res = op_oracle(stall.program, State({"c": 0}), weighting("one", alg), alg, fuel=fuel)
+        assert res.value == alg.value(100) and not res.exact
+
+
+def test_frontier_doubling_every_lap_is_certified_by_the_reachable_pairs():
+    # the frontier doubles every lap, so it never repeats; no terminal is
+    # reachable and every edge weighs one, so op(one) = 0 and olp(zero) = inf
+    cnt = algebra("counting")
+    flip = prog("@instance counting\nwhile (true) { { x := 1 - x } [] { skip } }").program
+    op = op_oracle(flip, State({"x": 0}), weighting("one", cnt), cnt, fuel=12)
+    assert op.value == cnt.mod_zero() and op.exact
+    olp = olp_oracle(flip, State({"x": 0}), weighting("zero", cnt), cnt, fuel=12)
+    assert olp.value == cnt.value(INF) and olp.exact
+
+
+def test_reachable_pairs_certify_only_within_the_node_budget():
+    # no terminal is reachable, but only past 300 (position, state) pairs
+    lang = algebra("lang:ab")
+    climb = prog("@instance lang:ab\n"
+                 "while (x < 100) { x := x + 1; weigh a }; while (true) { skip }").program
+    for budget, exact in ((100, False), (1000, True)):
+        res = op_oracle(climb, State({}), weighting("one", lang), lang, fuel=8,
+                        node_budget=budget)
+        assert res.value == lang.mod_zero() and res.exact == exact
+
+
+def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
+    cnt = algebra("counting")
+    zero = weighting("zero", cnt)
+    # every run ends after 100 laps: olp(zero) is 0
+    count = prog("@instance counting\nwhile (x < 100) { x := x + 1 }").program
+    res = olp_oracle(count, State({}), zero, cnt, fuel=8)
+    assert res.value == cnt.value(INF) and not res.exact
+    # the only run weighs 0 after 20 laps: olp(zero) is 0
+    later = prog("@instance counting\n"
+                 "while (x < 20) { x := x + 1 }; while (true) { weigh 0 }").program
+    res = olp_oracle(later, State({}), zero, cnt, fuel=8)
+    assert res.value == cnt.value(INF) and not res.exact
+    res = olp_oracle(later, State({}), zero, cnt, fuel=100)
+    assert res.value == cnt.mod_zero() and res.exact
+
+
+def test_op_certificate_gives_up_where_a_later_step_is_undefined():
+    # past the horizon x turns negative and int(x) is not a counting weight
+    cnt = algebra("counting")
+    down = prog("@instance counting\nwhile (x > -5) { x := x - 1; weigh int(x) }").program
+    res = op_oracle(down, State({"x": 20}), weighting("zero", cnt), cnt, fuel=8)
+    assert res.value == cnt.mod_zero() and not res.exact
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +314,13 @@ def test_uct_refuted_with_skip_lasso():
 def test_uct_one_step_program():
     res = uct_check(prog("@instance tropical\nskip").program, State({}), TROP)
     assert res.certain and res.maxlen == 1
+
+
+def test_uct_certain_on_a_long_acyclic_quotient():
+    arctic = algebra("arctic")
+    count = prog("@instance arctic\nwhile (x < 6000) { x := x + 1; weigh 1 }").program
+    res = uct_check(count, State({"x": 0}), arctic)
+    assert res.certain and res.maxlen == 18001
 
 
 def test_uct_unknown_on_budget():
