@@ -24,8 +24,8 @@ from .parser import (
 )
 from .operational import (
     BudgetError, DivergenceError, PathReport, TERMINATED, build_quotient,
-    diverging_weights, enumerate_paths, olp_oracle, op_oracle, successors,
-    uct_check,
+    certainly_terminates, diverging_weights, enumerate_paths, olp_oracle,
+    op_oracle, successors, uct_check,
 )
 from .transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, TransformResult,

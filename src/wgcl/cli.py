@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
 failed, 5 a node budget was exhausted.
-WGCL_FUEL overrides the default fuel.
+WGCL_FUEL overrides the default fuel; like --fuel, --budget, --depth and
+--max-grid it must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import example_path
-from .algebra import AlgebraError, INF
+from .algebra import INF, NEG_INF, AlgebraError, LangAlgebra, OmegaLangAlgebra
 from .operational import (
     BudgetError, DivergenceError, enumerate_paths, olp_oracle, op_oracle,
 )
@@ -43,11 +44,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_fuel() -> int:
+def _count(text: str) -> int:
+    """argparse type of the fuel, budget, depth and grid-size options."""
     try:
-        return int(os.environ.get("WGCL_FUEL", "64"))
+        if int(text) >= 0:
+            return int(text)
     except ValueError:
-        return 64
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 def _load_program(path: str, instance: str | None):
@@ -168,6 +172,8 @@ def cmd_compare(args) -> int:
         other = _load_program(args.ratio, args.instance)
         if other.algebra != alg:
             raise CliError("ratio programs must share one algebra instance")
+        if isinstance(alg, (LangAlgebra, OmegaLangAlgebra)):
+            raise CliError(f"--ratio needs a numeric instance, not {alg.name}")
         post = ExprWeighting(alg, parse_weighting(args.post, alg))
         num_engine = Engine(alg, "wp", args.fuel, args.budget)
         den_engine = Engine(alg, "wp", args.fuel, args.budget)
@@ -179,7 +185,7 @@ def cmd_compare(args) -> int:
             if not (num.exact and den.exact):
                 code = INEXACT
             nv, dv = num.value.value, den.value.value
-            if nv is INF or dv is INF or dv == 0:
+            if nv in (INF, NEG_INF) or dv in (INF, NEG_INF) or dv == 0:
                 _emit(args, [sigma.format(names), str(nv), str(dv), "undefined"])
                 continue
             ratio = Fraction(nv, dv)
@@ -247,9 +253,10 @@ def _add_common(sub, post=True):
         sub.add_argument("--post", default="one", help="postweighting expression")
     sub.add_argument("--state", help="state literal, e.g. x=2,y=3")
     sub.add_argument("--grid", help="state grid, e.g. x=0..8,y=0..8")
-    sub.add_argument("--fuel", type=int, default=_default_fuel())
-    sub.add_argument("--budget", type=int, default=10 ** 6, help="node budget")
-    sub.add_argument("--max-grid", type=int, default=10 ** 5)
+    # a string default goes through `type` too, so a bad WGCL_FUEL is a usage error
+    sub.add_argument("--fuel", type=_count, default=os.environ.get("WGCL_FUEL", "64"))
+    sub.add_argument("--budget", type=_count, default=10 ** 6, help="node budget")
+    sub.add_argument("--max-grid", type=_count, default=10 ** 5)
     sub.add_argument("--format", choices=("text", "tsv"), default="text")
 
 
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     paths = sp.add_parser("paths", help="enumerate computation paths")
     _add_common(paths, post=False)
-    paths.add_argument("--depth", type=int, default=16)
+    paths.add_argument("--depth", type=_count, default=16)
 
     pr = sp.add_parser("print", help="parse and pretty-print a program")
     _add_common(pr, post=False)

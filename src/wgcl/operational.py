@@ -15,23 +15,25 @@ The exposed analyses:
   nonterminating behavior).  A result is exact when every path ended, the
   frontier repeated, or the pairs reachable from the last frontier show
   that no later layer moves the sum,
-* `uct_check` - certain-termination check with lasso counterexamples,
+* `uct_check` / `certainly_terminates` - certain termination from one
+  state (with a lasso counterexample) or from every state of a grid,
 * `diverging_weights` - exact limit of the olp chain from the finite
   (position, state) quotient graph, where the instance allows it.
 
-The quotient graph is the reachable part of the step relation; its cycles
-are exactly the shapes of infinite paths, which drives both the
-termination check and the divergence analysis.  `components` is the
+The quotient graph is the reachable part of the step relation, walked by
+one routine (`_reachable`, which also backs the oracle's certificate);
+its cycles are exactly the shapes of infinite paths.  `components` is the
 package's one strongly-connected-components routine (Tarjan, dependencies
-first): the divergence analysis reads the quotient's cycles off it, and
-the transformer's loop solver orders its work by it.
+first), and `longest_paths` its one cycle summary: every termination and
+divergence question reads whether a cycle is reachable off it, and the
+transformer's loop solver orders its work by `components`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -205,24 +207,15 @@ def _settled(live, value: ModuleValue, post: Weighting, seed: ModuleValue,
     olp = seed != algebra.mod_zero()
     if olp and value != seed:
         return False
-    seen: set[QNode] = set()
-    stack = [(position, sigma) for position, sigma, _ in live]
     try:
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            if len(seen) >= node_budget:
-                return False
-            seen.add(node)
-            position, sigma = node
+        for (position, sigma), edges in _reachable([(p, s) for p, s, _ in live],
+                                                   algebra, node_budget):
             if position is TERMINATED and (olp or post.at(sigma) != algebra.mod_zero()):
                 return False
-            for a, position2, sigma2 in successors(position, sigma, algebra):
-                if olp and algebra.scalar_mul(a, seed) != seed:
+            for a, _ in edges:
+                if olp and algebra.scalar_mul(Weight(algebra, a), seed) != seed:
                     return False
-                stack.append((position2, sigma2))
-    except EvalError:  # a step or the post is undefined beyond the horizon
+    except (BudgetError, EvalError):  # too large, or undefined beyond the horizon
         return False
     return True
 
@@ -306,6 +299,29 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 # Quotient graph, termination, divergence
 # ---------------------------------------------------------------------------
 
+def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNode, list]]:
+    """Each (position, state) pair reachable from `roots`, once, with its
+    edges as (raw weight, pair), equal edges collapsed.  Raises
+    BudgetError when more than `node_budget` pairs are reachable."""
+    seen: set[QNode] = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        if len(seen) >= node_budget:
+            raise BudgetError(f"quotient node budget {node_budget} exceeded")
+        seen.add(node)
+        edges = []
+        for w, position, sigma in successors(*node, algebra):
+            edge = (w.value, (position, sigma))
+            if edge not in edges:  # equal branch arms collapse in the quotient
+                edges.append(edge)
+        yield node, edges
+        for _, succ in edges:
+            stack.append(succ)
+
+
 def build_quotient(program: Program, state: State, algebra: Algebra,
                    node_budget: int = 10 ** 6) -> dict[QNode, list[tuple[object, QNode]]]:
     """Reachable (position, state) graph with raw edge weights; the root
@@ -315,25 +331,7 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
     every walk lifts back, so cycles here are exactly the shapes of
     infinite paths.
     """
-    root = (compile_program(program), state)
-    graph: dict[QNode, list[tuple[object, QNode]]] = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in graph:
-            continue
-        if len(graph) >= node_budget:
-            raise BudgetError(f"quotient node budget {node_budget} exceeded")
-        edges = []
-        for w, position, sigma in successors(*node, algebra):
-            edge = (w.value, (position, sigma))
-            if edge not in edges:  # equal branch arms collapse in the quotient
-                edges.append(edge)
-        graph[node] = edges
-        for _, succ in edges:
-            if succ not in graph:
-                stack.append(succ)
-    return graph
+    return dict(_reachable([(compile_program(program), state)], algebra, node_budget))
 
 
 def components(roots, successors) -> list[list]:
@@ -381,6 +379,39 @@ def cyclic(component: list, successors) -> bool:
     return len(component) > 1 or component[0] in successors[component[0]]
 
 
+def longest_paths(order: list[list], successors) -> dict:
+    """Per vertex of `order` (`components` output, dependencies first), the
+    length of the longest path from it, or inf when a cycle is reachable
+    from it."""
+    longest: dict = {}
+    for component in order:
+        if cyclic(component, successors):
+            longest.update(dict.fromkeys(component, math.inf))
+        else:
+            v = component[0]
+            longest[v] = max((1 + longest[w] for w in successors[v]), default=0)
+    return longest
+
+
+def _shortest_walk(start, successors, goal) -> list:
+    """A shortest walk of one step or more from `start` to a vertex in
+    `goal` (breadth first), start first."""
+    parent: dict = {}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in successors[v]:
+            if w in parent:
+                continue
+            parent[w] = v
+            if w in goal:
+                walk = [w, v]
+                while walk[-1] != start:
+                    walk.append(parent[walk[-1]])
+                return walk[::-1]
+            queue.append(w)
+
+
 @dataclass
 class UctResult:
     kind: str  # 'certain' | 'refuted' | 'unknown'
@@ -397,53 +428,40 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     """Decide certain termination from one start state.
 
     `certain(maxlen)` if the quotient closes acyclic (maxlen is its longest
-    path); `refuted` with a lasso witness if a (position, state) pair
-    repeats along a path; `unknown` if the node budget ran out.
+    path); `refuted` if a cycle is reachable, with a lasso (prefix, cycle):
+    a shortest route onto a cycle, then a shortest way round it, so that
+    prefix + cycle + [cycle[0]] is a walk from the root; `unknown` if the
+    node budget ran out.
     """
     try:
         graph = build_quotient(program, state, algebra, node_budget)
     except BudgetError:
         return UctResult("unknown")
-
-    # a colour DFS, not `components`: it stops at the first back edge, and
-    # its lasso is the DFS parent chain
     root = next(iter(graph))
-    GRAY, BLACK = 1, 2
-    color: dict[QNode, int] = {root: GRAY}
-    longest: dict[QNode, int] = {}
-    parent: dict[QNode, QNode] = {}
-    stack: list[tuple[QNode, Iterator]] = [(root, iter(graph[root]))]
-    while stack:
-        node, edges = stack[-1]
-        pushed = False
-        for _, succ in edges:
-            c = color.get(succ)
-            if c == GRAY:
-                # a (position, state) pair repeats: lasso witnessing divergence
-                cycle = [node]
-                cur = node
-                while cur != succ:
-                    cur = parent[cur]
-                    cycle.append(cur)
-                cycle.reverse()  # [succ, ..., node]
-                prefix = []
-                cur = succ
-                while cur != root:
-                    cur = parent[cur]
-                    prefix.append(cur)
-                prefix.reverse()
-                return UctResult("refuted", lasso=(prefix, cycle))
-            if c is None:
-                color[succ] = GRAY
-                parent[succ] = node
-                stack.append((succ, iter(graph[succ])))
-                pushed = True
-                break
-        if not pushed:
-            stack.pop()
-            color[node] = BLACK
-            longest[node] = max((1 + longest[s] for _, s in graph[node]), default=0)
-    return UctResult("certain", maxlen=longest[root])
+    succ = {v: [s for _, s in es] for v, es in graph.items()}
+    order = components([root], succ)
+    longest = longest_paths(order, succ)
+    if longest[root] < math.inf:
+        return UctResult("certain", maxlen=longest[root])
+    on_cycle = {v for comp in order if cyclic(comp, succ) for v in comp}
+    *prefix, entry = [root] if root in on_cycle else _shortest_walk(root, succ, on_cycle)
+    return UctResult("refuted", lasso=(prefix, _shortest_walk(entry, succ, {entry})[:-1]))
+
+
+def certainly_terminates(program: Program, states, algebra: Algebra,
+                         node_budget: int = 10 ** 6) -> list[bool]:
+    """Per start state, whether every run from it terminates, read off one
+    quotient walked from all of them together; every answer is False if
+    that quotient outgrows `node_budget`.  The program is compiled once,
+    since positions compare by identity."""
+    start = compile_program(program)
+    roots = [(start, sigma) for sigma in states]
+    try:
+        succ = {v: [s for _, s in es] for v, es in _reachable(roots, algebra, node_budget)}
+    except BudgetError:
+        return [False] * len(roots)
+    longest = longest_paths(components(roots, succ), succ)
+    return [longest[root] < math.inf for root in roots]
 
 
 @dataclass
@@ -484,7 +502,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
                     for v in comp if v in dist), default=INF)
         return DivergenceReport(algebra.value(best),
                                 frozenset({(best, 0)} if best is not INF else ()))
-    alive = any(cyclic(comp, succ) for comp in components([root], succ))
+    alive = longest_paths(components([root], succ), succ)[root] == math.inf
     if name == "arctic":
         return DivergenceReport(algebra.value(INF if alive else NEG_INF),
                                 frozenset({(0, 0)} if alive else ()))
@@ -517,9 +535,7 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
 
     # each cyclic component must be one simple cycle: within it, out-degree one
     cycle_next: dict[QNode, tuple[str, QNode]] = {}
-    for comp in order:
-        if not cyclic(comp, succ):
-            continue
+    for comp in (c for c in order if cyclic(c, succ)):
         members = set(comp)
         for v in comp:
             inside = [(w, s) for (w, s) in graph[v] if s in members]
@@ -528,20 +544,15 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
                     "diverging words are not ultimately periodic "
                     "(a reachable component branches within itself)")
             cycle_next[v] = inside[0]
-    in_scc = set(cycle_next)
 
-    # no cycle may reach another (else prefixes pump through cycles).
-    # Dependencies come first, so when a component is reached every
-    # successor outside it is settled, and none inside it is yet.
-    reaches_cycle: dict[QNode, bool] = {}
-    for comp in order:
-        below = any(reaches_cycle.get(s, False) for v in comp for s in succ[v])
-        if below and comp[0] in in_scc:
-            raise DivergenceError(
-                "diverging words are not ultimately periodic "
-                "(a reachable cycle feeds another cycle)")
-        for v in comp:
-            reaches_cycle[v] = below or v in in_scc
+    # no cycle may reach another (else prefixes pump through cycles): no
+    # edge leaving a cycle may lead where a cycle is reachable
+    longest = longest_paths(order, succ)
+    if any(edge != cycle_next[v] and longest[edge[1]] == math.inf
+           for v in cycle_next for edge in graph[v]):
+        raise DivergenceError(
+            "diverging words are not ultimately periodic "
+            "(a reachable cycle feeds another cycle)")
 
     # enumerate label-distinct prefixes: the region outside the cycles is
     # acyclic, and walking past the first cycle vertex only pumps the period
@@ -550,14 +561,11 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
     raw_lassos: set[tuple[str, str]] = set()
 
     def cycle_label(entry: QNode) -> str:
-        label = ""
-        cur = entry
-        while True:
-            w, nxt = cycle_next[cur]
+        label, cur = cycle_next[entry]
+        while cur != entry:
+            w, cur = cycle_next[cur]
             label += w
-            cur = nxt
-            if cur == entry:
-                return label
+        return label
 
     budget = node_budget
     stack: list[tuple[QNode, str]] = [(root, "")]
@@ -566,7 +574,7 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
         budget -= 1
         if budget < 0:
             raise BudgetError(f"node budget {node_budget} exceeded")
-        if node in in_scc:
+        if node in cycle_next:
             period = cycle_label(node)
             raw_lassos.add((label, period))
             if period:

@@ -52,7 +52,7 @@ from .syntax import (
     eval_weight,
 )
 from .operational import (
-    BudgetError, DivergenceError, components, cyclic, diverging_weights, uct_check,
+    BudgetError, DivergenceError, certainly_terminates, components, cyclic, diverging_weights,
 )
 
 
@@ -514,11 +514,11 @@ def check_fixed_point(loop: Program, f, invariant, states: Iterable[State],
     At states where both hold, the loop's fixed point is unique, so
     wp = wlp = I there.
     """
+    applied = list(_applied(loop, f, invariant, states, algebra, fuel, node_budget, "wp"))
+    certain = certainly_terminates(loop, [sigma for sigma, *_ in applied], algebra, node_budget)
     return FixedPointReport([
-        FixedPointVerdict(sigma, applied == here,
-                          uct_check(loop, sigma, algebra, node_budget=node_budget).certain)
-        for sigma, applied, here in _applied(loop, f, invariant, states, algebra,
-                                             fuel, node_budget, "wp")])
+        FixedPointVerdict(sigma, phi_i == here, terminates)
+        for (sigma, phi_i, here), terminates in zip(applied, certain)])
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -256,6 +257,57 @@ def test_fuel_env_override(capsys, monkeypatch):
     assert code == 3
     value = out.split(" | ")[1]
     assert value.count("a") == 10  # words a, ba, ..., b^9 a
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "ex410", "--state", "x=2", "--fuel", "-1"],
+    ["compare", "ex410", "--state", "x=2", "--fuel", "-1", "--liberal"],
+    ["wp", "ski_nd", "--state", "n=3,y=2", "--fuel", "-1"],
+    ["wp", "ski_nd", "--state", "n=3,y=2", "--fuel", "two"],
+    ["wlp", "ski_nd", "--state", "n=3,y=2", "--budget", "-1"],
+    ["paths", "ex49", "--state", "x=0", "--depth", "-1"],
+    ["wp", "ski_nd", "--grid", "n=0..1,y=0..1", "--max-grid", "-1"],
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "expected a non-negative integer" in err
+
+
+def test_fuel_env_goes_through_the_option_type(capsys, monkeypatch):
+    monkeypatch.setenv("WGCL_FUEL", "-5")
+    for liberal in ([], ["--liberal"]):
+        code, out, err = run(capsys, "compare", "ex410", "--state", "x=2", *liberal)
+        assert (code, out) == (2, "")
+        assert "argument --fuel: expected a non-negative integer, got '-5'" in err
+    # an explicit --fuel is taken as given; zero is a count
+    code, out, _ = run(capsys, "wp", "ex410", "--post", "int(0)", "--state", "x=3",
+                       "--fuel", "0")
+    assert (code, out) == (0, "x=3 | 0 | exact\n")
+    monkeypatch.delenv("WGCL_FUEL")
+    code, out, _ = run(capsys, "paths", "ex49", "--state", "x=0", "--depth", "0")
+    assert (code, out) == (0, "- | 0 | - | open\n")
+
+
+def test_compare_ratio_of_minus_infinity_is_undefined(capsys, tmp_path):
+    # arctic wp of a loop that never ends is -inf, on both sides
+    f = tmp_path / "stay.wgcl"
+    f.write_text("@instance arctic\nwhile (x > 0) { skip }\n", encoding="utf-8")
+    code, out, err = run(capsys, "compare", str(f), "--ratio", str(f), "--state", "x=1",
+                         "--post", "int(0)")
+    assert (code, err) == (0, "")
+    assert out == "x=1 | -inf | -inf | undefined\nmax ratio on grid: undefined\n"
+
+
+def test_compare_ratio_rejects_word_instances(capsys, tmp_path):
+    f = tmp_path / "word.wgcl"
+    f.write_text("@instance lang:ab\nweigh a\n", encoding="utf-8")
+    code, out, err = run(capsys, "compare", str(f), "--ratio", str(f), "--state", "x=0")
+    assert (code, out, err) == (2, "", "wgcl: --ratio needs a numeric instance, not lang:ab\n")
+    code, out, err = run(capsys, "compare", "ex411", "--ratio", "ex411", "--state", "x=1",
+                         "--post", "zero")
+    assert (code, out) == (2, "")
+    assert err == "wgcl: --ratio needs a numeric instance, not omegalang:ab\n"
 
 
 def test_instance_override_flag(capsys):

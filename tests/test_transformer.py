@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from wgcl.algebra import INF, NoTopError, algebra
-from wgcl.operational import BudgetError, olp_oracle, op_oracle, uct_check
+from wgcl.operational import (
+    BudgetError, certainly_terminates, olp_oracle, op_oracle, uct_check,
+)
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    ExprWeighting, FnWeighting, State, TableWeighting, While,
+    ExprWeighting, FnWeighting, State, TableWeighting, While, flatten_seq, print_program,
 )
 from wgcl.transformer import (
     CertificationError, Engine, NotALoopError, apply_char_fn, as_weighting,
@@ -383,6 +385,42 @@ def test_fixed_point_ski_online_invariant():
               for n in range(7) for y in range(7) for k in range(3)]
     report = check_fixed_point(SKI_ONL_LOOP, "one", SKI_ONL_INV, states, TROP)
     assert report.all_fixed and report.all_exact
+
+
+def test_fixed_point_termination_on_ex410_grid():
+    # only x = 2 can stay in the loop forever, by choosing skip
+    states = [State({"x": x}) for x in range(5)]
+    report = check_fixed_point(EX410.program, "int(0)", "int(0)", states, TROP)
+    assert report.all_fixed
+    assert [v.certainly_terminates for v in report.verdicts] == [True, True, False, True, True]
+
+
+def test_grid_termination_matches_per_state_uct_check():
+    # one quotient walked from the whole grid answers as one quotient per state
+    rng = random.Random(7)
+    grid = [State({"x": x, "y": y}) for x in range(-2, 3) for y in range(-2, 3)]
+    comparable = mixed = 0
+    for name in ("boolean", "tropical", "arctic", "omegalang:ab"):
+        alg = algebra(name)
+        for i in range(50):
+            p = (rand_looping_program if i % 2 else rand_uct_program)(rng, alg)
+            loops = [s for s in flatten_seq(p) if isinstance(s, While)]
+            if not loops or "*" in print_program(p, alg):
+                continue  # no loop, or a squaring loop whose quotient never closes
+            for program in (loops[0], p):
+                single = [uct_check(program, s, alg, node_budget=2000) for s in grid]
+                if any(r.kind == "unknown" for r in single):
+                    continue
+                # the grid's quotient is at most the per-state ones together
+                together = certainly_terminates(program, grid, alg, node_budget=25 * 2000)
+                assert together == [r.certain for r in single], (name, print_program(p, alg))
+                comparable += 1
+                mixed += len(set(together)) == 2
+                if program is loops[0]:
+                    report = check_fixed_point(program, "zero", "zero", grid, alg,
+                                               node_budget=25 * 2000)
+                    assert [v.certainly_terminates for v in report.verdicts] == together
+    assert comparable >= 120 and mixed >= 25
 
 
 def test_fixed_point_requires_a_loop():
