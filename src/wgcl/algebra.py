@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -286,6 +287,13 @@ class Algebra:
     def _embed(self, n: int):
         raise EmbedError(f"{self.name}: integers cannot be embedded")
 
+    def _times(self, c, u):
+        """The action extended to a sum of weights c, itself a module
+        value (a coefficient of the transformer's linear forms):
+        c (x) u = (+) of a (x) u over the weights a summed in c.  Where
+        weights and module values share one carrier that is the action."""
+        return self._scale(c, u)
+
     def format_raw(self, raw) -> str:
         return str(raw)
 
@@ -308,6 +316,11 @@ class Algebra:
         return Weight(self, self._mul(self._need(a, Weight), self._need(b, Weight)))
 
     def mon_one(self) -> Weight:
+        return self._unit
+
+    @cached_property
+    def _unit(self) -> Weight:
+        # built once per instance: the step relation asks for it on every step
         return Weight(self, self._one())
 
     def mod_add(self, u: ModuleValue, v: ModuleValue) -> ModuleValue:
@@ -641,6 +654,9 @@ class LangAlgebra(_WordAlgebra):
     def _scale(self, a, u):
         return frozenset(a + w for w in u)
 
+    def _times(self, c, u):
+        return frozenset(a + w for a in c for w in u)
+
     def _leq(self, u, v):
         return u <= v
 
@@ -699,6 +715,12 @@ class OmegaLangAlgebra(_WordAlgebra):
         return make_omega((a + w for w in u.words),
                           ((a + p, q) for p, q in u.lassos),
                           (a + c for c in u.cylinders), self.alphabet)
+
+    def _times(self, c, u):
+        # c is a sum of weights: finite words only
+        return make_omega((a + w for a in c.words for w in u.words),
+                          ((a + p, q) for a in c.words for p, q in u.lassos),
+                          (a + y for a in c.words for y in u.cylinders), self.alphabet)
 
     def _leq(self, u, v):
         for c in u.cylinders:

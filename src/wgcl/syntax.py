@@ -186,6 +186,23 @@ def flatten_seq(prog: Program) -> list[Program]:
 # Compiled programs: a graph of positions
 # ---------------------------------------------------------------------------
 
+def _statements(prog: Program):
+    """Every statement of a program, nested ones included, without
+    recursion."""
+    stack = [prog]
+    while stack:
+        p = stack.pop()
+        yield p
+        if isinstance(p, Seq):
+            stack += (p.second, p.first)
+        elif isinstance(p, Ite):
+            stack += (p.orelse, p.then)
+        elif isinstance(p, Branch):
+            stack += (p.right, p.left)
+        elif isinstance(p, While):
+            stack.append(p.body)
+
+
 class _Terminated:
     __slots__ = ()
 
@@ -201,16 +218,18 @@ class Node:
 
     `next` is where control goes after the statement (another node or
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
-    a loop's `then` is its body, which runs back to the loop's own node.
-    Nodes compare by identity.
+    a loop's `then` is its body, which runs back to the loop's own node,
+    and `nested` says whether that body contains a loop.  Nodes compare by
+    identity.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse")
+    __slots__ = ("stmt", "next", "then", "orelse", "nested")
 
     def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
+        self.nested = False
 
 
 def compile_program(program: Program) -> Node:
@@ -229,6 +248,7 @@ def compile_program(program: Program) -> Node:
                 node = shared[(stmt, nxt)] = Node(stmt, nxt)
                 if isinstance(stmt, While):
                     node.then = lower(stmt.body, node)
+                    node.nested = any(isinstance(s, While) for s in _statements(stmt.body))
                 elif isinstance(stmt, Ite):
                     node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
                 elif isinstance(stmt, Branch):
@@ -249,9 +269,8 @@ class State:
     __slots__ = ("_items", "_hash")
 
     def __init__(self, mapping: dict[str, int] | None = None):
-        items = tuple(sorted((k, v) for k, v in (mapping or {}).items() if v != 0))
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", hash(items))
+        self._items = tuple(sorted((k, v) for k, v in (mapping or {}).items() if v != 0))
+        self._hash = hash(self._items)
 
     def get(self, name: str) -> int:
         for k, v in self._items:
@@ -260,9 +279,19 @@ class State:
         return 0
 
     def set(self, name: str, value: int) -> "State":
-        d = dict(self._items)
-        d[name] = value
-        return State(d)
+        # splice into the sorted items rather than sort again
+        items = self._items
+        i = 0
+        for k, _ in items:
+            if k >= name:
+                break
+            i += 1
+        rest = items[i + 1:] if i < len(items) and items[i][0] == name else items[i:]
+        items = items[:i] + ((name, value),) + rest if value != 0 else items[:i] + rest
+        state = object.__new__(State)
+        state._items = items
+        state._hash = hash(items)
+        return state
 
     def items(self) -> tuple[tuple[str, int], ...]:
         return self._items

@@ -19,14 +19,22 @@ TERMINATED, and inside the evaluation of a loop state the loop's own node
 stands for the current iterate.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
-per queried loop state (`_Solve`).  A breadth-first sweep discovers the
-states the body reaches, at most fuel + 1 body-hops from the queried one,
-and records which states each one reads.  The strongly connected
-components of that dependency graph (`operational.components`) are then
-solved dependencies first (chaotic iteration over a topological order,
-Bourdoncle 1993): a state outside any cycle is evaluated once, and only a
-cyclic component is iterated, for at most `fuel` passes.  A result is
-reported `exact` only under a certificate:
+per queried loop state (`_Solve`).  Over a fixed loop and postweighting
+the characteristic map is affine in X: at each state it is a constant plus
+a weighted sum of the iterate at the states the body reaches.  A
+breadth-first sweep discovers those states, at most fuel + 1 body-hops
+from the queried one, running the body once at each and reading off that
+linear form (`_Forms`); its states are the ones this state reads.  The
+strongly connected components of that dependency graph
+(`operational.components`) are then solved dependencies first (chaotic
+iteration over a topological order, Bourdoncle 1993) by substituting
+values into the forms: a state outside any cycle once, and a cyclic
+component for at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve
+path problems from the same per-vertex equations).  The exact form of a
+state left uncertified stays on the engine, so each loop state's body runs
+once per engine and postweighting; a loop whose body contains a loop runs
+it again instead.
+A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
   nothing), no state in it read past the horizon, and every inner result
@@ -45,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .algebra import Algebra, ModuleValue, NoTopError
+from .algebra import Algebra, ModuleValue, NoTopError, Weight
 from .syntax import (
     TERMINATED, Assign, Branch, ExprWeighting, FnWeighting, Ite, Node, Program,
     State, Weigh, Weighting, While, compile_program, eval_arith, eval_bool,
@@ -78,13 +86,18 @@ class TransformResult:
     discovery already settled it).  It does not grow with the number of
     states.  `touched_states` counts the states
     those solves discovered; states certified by earlier queries on the
-    same engine are read, not touched again.
+    same engine are read, not touched again.  `evaluations` counts the
+    loop states whose body (or, where the guard fails, continuation) those
+    solves ran: once per discovered state, and not at all for a state
+    whose form an earlier query on the same engine read off.  A loop whose
+    body contains a loop runs it again at every substitution.
     """
 
     value: ModuleValue
     exact: bool
     iterations: int = 0
     touched_states: int = 0
+    evaluations: int = 0
 
 
 def as_weighting(algebra: Algebra, f) -> Weighting:
@@ -103,23 +116,63 @@ def as_weighting(algebra: Algebra, f) -> Weighting:
 # Evaluation over the compiled program
 # ---------------------------------------------------------------------------
 
+class _Forms:
+    """Module operations on linear forms, while a loop state's body is read
+    off: a form maps each state of the loop that the body reads to its
+    coefficient, a raw module value that sums the weights of the paths
+    reaching that read.  `weigh` scales every coefficient and `[]` adds
+    forms pointwise, so `Engine._eval` computes a form just as it computes
+    a value.  A loop body runs back to the loop's own node on every path,
+    so the form has no constant part."""
+
+    def __init__(self, algebra: Algebra):
+        self._add = algebra._add
+        self._scale = algebra._scale
+        self.unit = algebra._module_one()  # the coefficient of a read
+        self.zero = algebra.mod_zero()  # a body form's constant
+
+    def scalar_mul(self, a: Weight, form: dict) -> dict:
+        out, scale, a = {}, self._scale, a.value
+        for tau, c in form.items():  # a loop: a comprehension costs a frame
+            out[tau] = scale(a, c)
+        return out
+
+    def mod_add(self, f: dict, g: dict) -> dict:
+        out, add = dict(f), self._add
+        for tau, c in g.items():
+            out[tau] = add(out[tau], c) if tau in out else c
+        return out
+
+
 class _Solve:
     """One solve of a loop from a queried state.
 
-    1. Discovery: a breadth-first sweep from the queried state evaluates
-       the characteristic map once at each state and records every read of
-       the iterate as a dependency.  A read of a state more body-hops away
-       than the horizon keeps the seed, like the leaf of a bounded
-       unrolling, and is never certified.
+    1. Discovery: a breadth-first sweep from the queried state reads off
+       each state's form once: the characteristic map there as a constant
+       plus a coefficient for every state of this loop that it reads (see
+       `_Forms`).  A guard that fails gives the constant alone.  The read
+       states it has not met before join the sweep.  A read of a state
+       more body-hops away than the horizon keeps the seed, like the leaf
+       of a bounded unrolling, and is never certified.
     2. Component order: `operational.components` orders the components
        of the dependency graph, dependencies first and deepest state first
        within one; that is the Gauss-Seidel order, so it fixes a bound.
-    3. Solving: a state outside any cycle is evaluated once against its
-       solved dependencies; a cyclic component is iterated from the seed,
+    3. Solving substitutes forms, and never runs a body again: a state
+       outside any cycle gets const (+) sum of c (x) X(tau) over its solved
+       dependencies; a cyclic component is iterated from the seed,
        Gauss-Seidel, for at most `fuel` passes.  A component is certified
-       when a full pass changes nothing and every evaluation in it was
+       when a full pass changes nothing and every substitution in it was
        exact: no inner result was inexact, no read crossed the horizon and
        every dependency outside the component was itself certified.
+
+    A form does not depend on the horizon, the seed or what is certified.
+    So where the solve leaves a state uncertified, its form, if exact,
+    stays on the memo, and a later solve of the same loop reads it instead
+    of running the body again (a certified state is final and is never
+    solved again).  A loop whose body contains a loop (`Node.nested`) is
+    the exception: there the inner solve reads this loop's iterate, so
+    the body runs over values, once in discovery and again at every
+    substitution.
     """
 
     def __init__(self, engine: "Engine", node: Node, memo: "_Memo"):
@@ -127,6 +180,8 @@ class _Solve:
         self.node = node
         self.memo = memo
         self.final = memo.tables[node]
+        self.cache = memo.forms.setdefault(node, {})
+        self.unit = engine._forms.unit
         self.seed = engine._seed()
         self.horizon = engine.fuel + 1
         self.vals: dict[State, ModuleValue] = {}
@@ -137,56 +192,113 @@ class _Solve:
         self.deps: dict[State, dict[State, None]] = {}
         self.queue: list[State] = []
         self.discovering = True
-        self.reads: dict[State, None] = {}
         self.current_depth = 0
+        self.forms: dict[State, tuple[ModuleValue, dict, bool]] = {}
+        self.reads: dict[State, None] = {}  # of a nested loop's body run
 
-    def read(self, sigma: State) -> tuple[ModuleValue, bool]:
-        """The iterate at `sigma`, as the state being evaluated sees it."""
-        final = self.final.get(sigma)
-        if final is not None:
-            return final, True
-        value = self.vals.get(sigma)
-        if value is None:
-            if not self.discovering or self.current_depth + 1 > self.horizon:
-                return self.seed, False  # beyond the horizon
-            value = self._discover(sigma, self.current_depth + 1)
-        self.reads[sigma] = None
-        return value, self.exact.get(sigma, True)
-
-    def _discover(self, sigma: State, depth: int) -> ModuleValue:
+    def _touch(self, sigma: State, depth: int) -> None:
+        """Discover `sigma` unless discovery is over or it is certified,
+        known or beyond the horizon."""
+        if (not self.discovering or sigma in self.final or sigma in self.vals
+                or depth > self.horizon):
+            return
         budget = self.engine.node_budget
         if len(self.final) + len(self.vals) >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
         self.vals[sigma] = self.seed
         self.depth[sigma] = depth
         self.queue.append(sigma)
-        return self.seed
 
-    def _evaluate(self, sigma: State) -> tuple[ModuleValue, bool]:
-        """The characteristic map at `sigma`, in a fresh memo, so that
-        every read it makes is recorded as its own dependency."""
-        node = self.node
+    def _unit(self, sigma: State) -> tuple[dict, bool]:
+        """A read of the iterate while a form is read off: the unit form of
+        `sigma`, discovered in read order as a read of a value would be."""
+        self._touch(sigma, self.current_depth + 1)
+        return {sigma: self.unit}, True
+
+    def read(self, sigma: State) -> tuple[ModuleValue, bool]:
+        """The iterate at `sigma`, as a body run over values sees it."""
+        self._touch(sigma, self.current_depth + 1)
+        if sigma in self.final:
+            return self.final[sigma], True
+        if sigma not in self.vals:
+            return self.seed, False  # beyond the horizon
+        self.reads[sigma] = None
+        return self.vals[sigma], self.exact.get(sigma, True)
+
+    def _run(self, sigma: State, ops, read):
+        """The characteristic map at `sigma`, run once in a fresh memo whose
+        reads of the iterate go to `read`: the continuation's value where
+        the guard fails, else the body's, combined by `ops`."""
+        engine, node = self.engine, self.node
+        engine._evaluations += 1
         self.current_depth = self.depth[sigma]
-        self.reads = {}
         if eval_bool(node.stmt.guard, sigma):
-            memo = _Memo(self.memo.post, node, self)
-            return self.engine._eval(node.then, sigma, memo)
-        return self.engine._next(node.next, sigma, self.memo)
+            return engine._eval(node.then, sigma, _Memo(self.memo.post, ops, node, read))
+        return engine._next(node.next, sigma, self.memo)
+
+    def _form(self, sigma: State) -> tuple[ModuleValue, dict, bool]:
+        """The form at `sigma`, (constant, {state: coefficient}, exact):
+        read off, or left on the memo by an earlier solve."""
+        form = self.cache.get(sigma)
+        if form is None:
+            value, exact = self._run(sigma, self.engine._forms, self._unit)
+            if isinstance(value, ModuleValue):  # the guard failed
+                return value, {}, exact
+            return self.engine._forms.zero, value, exact
+        depth = self.depth[sigma] + 1
+        for tau in form[1]:  # read by an earlier solve's run: discover here
+            self._touch(tau, depth)
+        return form
+
+    def _substitute(self, sigma: State) -> tuple[ModuleValue, bool]:
+        """The characteristic map at `sigma` against the current iterate; a
+        nested loop runs its body again."""
+        if self.node.nested:
+            self.reads = {}
+            return self._run(sigma, self.engine.algebra, self.read)
+        value, coefs, exact = self.forms[sigma]
+        if not coefs:
+            return value, exact
+        alg = self.engine.algebra
+        add, times = alg._add, alg._times
+        total = value.value
+        for tau, c in coefs.items():
+            x = self.final.get(tau)
+            if x is None:
+                x = self.vals.get(tau)
+                if x is None:  # beyond the horizon
+                    x, exact = self.seed, False
+                else:
+                    exact = exact and self.exact.get(tau, True)
+            total = add(total, times(c, x.value))
+        return ModuleValue(alg, total), exact
+
+    def _read_off(self, sigma: State) -> None:
+        """Discovery at `sigma`: its dependencies, and its value if it has
+        none."""
+        if self.node.nested:
+            value, exact = self._substitute(sigma)
+            deps = self.reads
+        else:
+            self.forms[sigma] = form = self._form(sigma)
+            deps = dict.fromkeys(filter(self.vals.__contains__, form[1]))
+            if not deps:
+                value, exact = self._substitute(sigma)
+        self.deps[sigma] = deps
+        if not deps:  # read no state of this solve: solved already
+            self.vals[sigma], self.exact[sigma] = value, exact
 
     def run(self, root: State) -> tuple[ModuleValue, bool]:
-        self._discover(root, 0)
+        self._touch(root, 0)
         for sigma in self.queue:  # grows while it is walked
-            value, exact = self._evaluate(sigma)
-            self.deps[sigma] = self.reads
-            if not self.reads:  # read no state of this solve: solved already
-                self.vals[sigma], self.exact[sigma] = value, exact
+            self._read_off(sigma)
         self.discovering = False
         longest = 0
         for component in components([root], self.deps):
             if not cyclic(component, self.deps):
                 sigma = component[0]
                 if sigma not in self.exact:
-                    self.vals[sigma], self.exact[sigma] = self._evaluate(sigma)
+                    self.vals[sigma], self.exact[sigma] = self._substitute(sigma)
                     longest = max(longest, 1)
                 continue
             passes, certified = self._iterate(component)
@@ -198,12 +310,16 @@ class _Solve:
         for sigma, exact in self.exact.items():
             if exact:
                 self.final[sigma] = self.vals[sigma]
+            else:  # a later solve may meet it again
+                form = self.forms.get(sigma)
+                if form is not None and form[2]:
+                    self.cache[sigma] = form
         return self.vals[root], self.exact[root]
 
     def _iterate(self, component: list[State]) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
         pass count, and whether the last pass changed nothing with every
-        evaluation exact."""
+        substitution exact."""
         vals = self.vals
         passes = 0
         while passes < self.engine.fuel:
@@ -211,7 +327,7 @@ class _Solve:
             changed = False
             exact = True
             for sigma in component:
-                value, ex = self._evaluate(sigma)
+                value, ex = self._substitute(sigma)
                 exact = exact and ex
                 if value != vals[sigma]:
                     vals[sigma] = value
@@ -222,24 +338,30 @@ class _Solve:
 
 
 class _Memo:
-    """Evaluation context: what reaching TERMINATED or the running loop
-    means, the values of positions entered through a `next` link, and each
-    loop's certified states, keyed on the loop's node.
+    """Evaluation context: the module operations (the algebra's, or
+    `_Forms` while a form is read off), what reaching TERMINATED or the
+    running loop means, the values of positions entered through a `next`
+    link, and, keyed on each loop's node, its certified states and the
+    forms read off its states.
 
-    Each evaluation of a loop state gets a fresh memo whose `loop` reads
+    Each run of a loop state's body gets a fresh memo whose `read` reads
     the solve's iterate, because everything in it may depend on the
     iterate and every read must be recorded.  The top-level memo of a
     postweighting persists on the engine: a certified value is a
-    fixed-point value whatever state its query started from, so later
-    queries read it instead of solving it again.
+    fixed-point value whatever state its query started from, and an exact
+    form is the body's one run at its state, so later queries read the
+    values of certified states and the forms of uncertified ones instead
+    of solving or running the body again.
     """
 
-    def __init__(self, post: Weighting, loop: Node | None, solve: _Solve | None):
+    def __init__(self, post: Weighting, ops, loop: Node | None = None, read=None):
         self.post = post
+        self.ops = ops
         self.loop = loop
-        self.solve = solve
+        self.read = read
         self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
         self.tables: dict[Node, dict[State, ModuleValue]] = {}
+        self.forms: dict[Node, dict[State, tuple[ModuleValue, dict, bool]]] = {}
 
 
 class Engine:
@@ -257,8 +379,10 @@ class Engine:
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._roots: dict[Program, Node] = {}
         self._memos: dict[Weighting, _Memo] = {}
+        self._forms = _Forms(algebra)
         self._passes = 0
         self._touched = 0
+        self._evaluations = 0
 
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
@@ -268,11 +392,11 @@ class Engine:
             root = self._roots[program] = compile_program(program)
         memo = self._memos.get(w)
         if memo is None:
-            memo = self._memos[w] = _Memo(w, None, None)
-        self._passes = 0
-        self._touched = 0
+            memo = self._memos[w] = _Memo(w, self.algebra)
+        self._passes = self._touched = self._evaluations = 0
         value, exact = self._eval(root, sigma, memo)
-        return TransformResult(value, exact, self._passes, self._touched)
+        return TransformResult(value, exact, self._passes, self._touched,
+                               self._evaluations)
 
     # -- recursion over positions -----------------------------------------------
     def _next(self, node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
@@ -282,28 +406,27 @@ class Engine:
         if node is TERMINATED:
             return memo.post.at(sigma), True
         if node is memo.loop:
-            return memo.solve.read(sigma)
+            return memo.read(sigma)
         hit = memo.values.get((node, sigma))
         if hit is None:
             hit = memo.values[(node, sigma)] = self._eval(node, sigma, memo)
         return hit
 
     def _eval(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        alg = self.algebra
         stmt = node.stmt
         if isinstance(stmt, Assign):
             return self._next(node.next, sigma.set(stmt.var, eval_arith(stmt.expr, sigma)), memo)
         if isinstance(stmt, Weigh):
-            w = eval_weight(stmt.weight, sigma, alg)
+            w = eval_weight(stmt.weight, sigma, self.algebra)
             value, exact = self._next(node.next, sigma, memo)
-            return alg.scalar_mul(w, value), exact
+            return memo.ops.scalar_mul(w, value), exact
         if isinstance(stmt, Ite):
             chosen = node.then if eval_bool(stmt.guard, sigma) else node.orelse
             return self._eval(chosen, sigma, memo)
         if isinstance(stmt, Branch):
             lv, le = self._eval(node.then, sigma, memo)
             rv, re_ = self._eval(node.orelse, sigma, memo)
-            return alg.mod_add(lv, rv), le and re_
+            return memo.ops.mod_add(lv, rv), le and re_
         if isinstance(stmt, While):
             return self._loop(node, sigma, memo)
         raise TypeError(f"not a program node: {stmt!r}")
@@ -385,7 +508,7 @@ class LiberalEngine:
         div = diverging_weights(program, sigma, self.algebra, self.node_budget)
         value = self.algebra.mod_add(wp_part.value, div.value)
         return TransformResult(value, wp_part.exact, wp_part.iterations,
-                               wp_part.touched_states)
+                               wp_part.touched_states, wp_part.evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Loop-free programs are total and certainly terminating by construction.
 `rand_uct_program` only adds counter loops `zz := k; while (zz > 0) {...;
 zz := zz - 1}` whose bodies never write the counter, so the result is
-certainly terminating from every state.  Integer embeddings are wrapped in
-max(e, 0) to keep them inside the extended naturals.
+certainly terminating from every state; the loops of
+`rand_looping_program` and `rand_nested_program` may not terminate.
+Integer embeddings are wrapped in max(e, 0) to keep them inside the
+extended naturals.
 """
 
 import random
@@ -105,6 +107,21 @@ def rand_looping_program(rng: random.Random, alg: Algebra, depth: int = 2) -> Pr
     guard = rand_bool(rng, 1)
     body = rand_loopfree(rng, alg, depth)
     loop = While(guard, body)
+    if rng.random() < 0.5:
+        return Seq(rand_loopfree(rng, alg, 1), loop)
+    return loop
+
+
+def rand_nested_program(rng: random.Random, alg: Algebra, depth: int = 1) -> Program:
+    """A loop whose body contains a loop, a `rand_looping_program` or a
+    counter loop, next to a loop-free part; may or may not terminate."""
+    if rng.random() < 0.5:
+        inner = rand_looping_program(rng, alg, depth)
+    else:
+        inner = _counter_loop(rng, alg, depth)
+    parts = [inner, rand_loopfree(rng, alg, depth)]
+    rng.shuffle(parts)
+    loop = While(rand_bool(rng, 1), Seq(*parts))
     if rng.random() < 0.5:
         return Seq(rand_loopfree(rng, alg, 1), loop)
     return loop

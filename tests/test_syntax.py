@@ -122,6 +122,17 @@ def test_state_update_reads_back(mapping, var, value):
     assert sigma.get(var) == mapping.get(var, 0)
 
 
+@given(st.dictionaries(st.sampled_from(("b", "d", "f")), st.integers(-2, 2)),
+       st.sampled_from(("a", "b", "c", "d", "e", "f", "g")), st.integers(-2, 2))
+def test_state_update_is_a_fresh_state(mapping, var, value):
+    # the update splices into the sorted items: the same items, zeros
+    # dropped, and the same hash as building the state anew
+    tau = State(mapping).set(var, value)
+    fresh = State({**mapping, var: value})
+    assert tau.items() == fresh.items()
+    assert hash(tau) == hash(fresh) and tau == fresh
+
+
 def test_parse_state_and_grid():
     assert parse_state("x=2,y=-3") == State({"x": 2, "y": -3})
     assert parse_state("") == State({})

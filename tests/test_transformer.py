@@ -20,8 +20,8 @@ from wgcl.transformer import (
 )
 
 from genprog import (
-    rand_loopfree, rand_looping_program, rand_state, rand_uct_program,
-    rand_weight, rand_weighting_expr,
+    rand_loopfree, rand_looping_program, rand_nested_program, rand_state,
+    rand_uct_program, rand_weight, rand_weighting_expr,
 )
 
 TROP = algebra("tropical")
@@ -624,3 +624,79 @@ def test_shared_engine_agrees_with_fresh_engines():
                     compared += 1
                     assert a.value == b.value, (alg.name, direction, p, sigma)
     assert compared >= 100
+
+
+def test_a_solve_runs_each_loop_state_body_once():
+    # discovery reads off each state's form and the solve substitutes it
+    fib = Engine(CNT, "wp").run(FIB.program, weighting(FIB_POST, CNT), State({"n": 23}))
+    assert fib.exact and fib.value == CNT.value(75025)
+    assert fib.evaluations == fib.touched_states
+    ski = wp_eval(SKI_ND.program, "one", State({"n": 150, "y": 150}), TROP, fuel=170)
+    assert ski.exact and ski.value == TROP.value(150)
+    assert ski.evaluations == ski.touched_states
+
+
+def test_a_shared_engine_reads_uncertified_forms_instead_of_running_bodies():
+    # at the default fuel the horizon cuts every chain n, n-1, ..., so no
+    # row is certified; each later row touches the chain again but runs
+    # only its own new root's body, so no state's body runs twice
+    engine = Engine(TROP, "wp")
+    f = weighting("one", TROP)
+    rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100})) for n in range(95, 101)]
+    assert not any(r.exact for r in rows)
+    assert rows[0].evaluations == rows[0].touched_states
+    assert [r.evaluations for r in rows[1:]] == [1] * 5
+    assert all(r.touched_states > 60 for r in rows[1:])
+
+
+def test_nested_loops_match_oracles_and_fresh_engines():
+    # the inner solve reads the outer iterate, so a loop whose body holds
+    # a loop runs that body over values, not over forms
+    rng = random.Random(229)
+    names = HEALTHY_INSTANCES + ("lang:ab", "omegalang:ab")
+    grid = [State({"x": x, "y": y, "z": 1}) for x in range(-1, 2) for y in range(-1, 2)]
+    oracles = {"wp": (wp_eval, op_oracle), "wlp": (wlp_eval, olp_oracle)}
+    with_oracle = with_engines = 0
+    for i in range(70):
+        alg = algebra(names[i % len(names)])
+        p = rand_nested_program(rng, alg)
+        f = ExprWeighting(alg, rand_weighting_expr(rng, alg))
+        sigma = rand_state(rng)
+        for direction, (transform, oracle) in oracles.items():
+            try:
+                res = transform(p, f, sigma, alg, fuel=8, node_budget=2000)
+                ref = oracle(p, sigma, f, alg, fuel=8, node_budget=2000)
+            except (BudgetError, NoTopError):
+                continue
+            if res.exact and ref.exact:
+                with_oracle += 1
+                assert res.value == ref.value, (alg.name, direction, p, sigma)
+            shared = Engine(alg, direction, fuel=8, node_budget=2000)
+            try:
+                pairs = [(shared.run(p, f, tau),
+                          Engine(alg, direction, fuel=8, node_budget=2000).run(p, f, tau))
+                         for tau in grid]
+            except BudgetError:
+                continue
+            for tau, (a, b) in zip(grid, pairs):
+                if a.exact and b.exact:
+                    with_engines += 1
+                    assert a.value == b.value, (alg.name, direction, p, tau)
+    assert with_oracle >= 80 and with_engines >= 800
+
+
+def test_forms_carry_lassos_and_cylinders_through_a_loop():
+    # a form's coefficient is a set of words; applying it prefixes each
+    # word to the words, lassos and cylinders of the value it meets
+    loop = prog("@instance omegalang:ab\nwhile(x>0){ x := x-1; {weigh a} [] {weigh b} }")
+    alg = loop.algebra
+    engine = Engine(alg, "wp")
+    for post in ("{ab, (b)^w}", "[y=1] top (+) {a(ab)^w}"):
+        f = weighting(post, alg)
+        for sigma in (State({"x": x, "y": y}) for x in range(4) for y in range(2)):
+            res = engine.run(loop.program, f, sigma)
+            oracle = op_oracle(loop.program, sigma, f, alg)
+            assert res.exact and oracle.exact and res.value == oracle.value, (post, sigma)
+    res = engine.run(loop.program, weighting("{ab, (b)^w}", alg), State({"x": 2}))
+    assert res.value == alg.value({"aaab", "abab", "baab", "bbab",
+                                   ("aa", "b"), ("ab", "b"), ("ba", "b"), ("bb", "b")})
