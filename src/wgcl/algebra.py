@@ -186,13 +186,24 @@ def _cyl_covers_lasso(cyl: str, lasso: tuple[str, str]) -> bool:
     return lasso_prefix_of(cyl, *lasso)
 
 
+def _prefix_minimal(cylinders: Iterable[str]) -> set[str]:
+    """The cylinders that extend no other one.
+
+    In sorted order the extensions of a word follow it, so one pass keeps a
+    cylinder unless it extends the last one kept.
+    """
+    kept: list[str] = []
+    for c in sorted(set(cylinders)):
+        if not kept or not c.startswith(kept[-1]):
+            kept.append(c)
+    return set(kept)
+
+
 def make_omega(words: Iterable[str] = (), lassos: Iterable[tuple[str, str]] = (),
                cylinders: Iterable[str] = (), alphabet: str | None = None) -> OmegaValue:
     words = set(words)
     lassos = {canonical_lasso(p, q) for (p, q) in lassos}
-    cyls = set(cylinders)
-    # keep only prefix-minimal cylinders
-    cyls = {c for c in cyls if not any(c != d and c.startswith(d) for d in cyls)}
+    cyls = _prefix_minimal(cylinders)
     # Merge complete sibling families: the word u together with the cylinders
     # u.c for every alphabet letter c denote u.Sigma^inf.  Needs the true
     # alphabet; without one the merge is skipped (still a correct value, but
@@ -207,7 +218,7 @@ def make_omega(words: Iterable[str] = (), lassos: Iterable[tuple[str, str]] = ()
                     cyls -= family
                     cyls.add(u)
                     words.discard(u)
-                    cyls = {c for c in cyls if not any(c != d and c.startswith(d) for d in cyls)}
+                    cyls = _prefix_minimal(cyls)
                     changed = True
                     break
     words = {w for w in words if not any(_cyl_covers_word(c, w) for c in cyls)}

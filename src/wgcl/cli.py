@@ -8,6 +8,9 @@ Subcommands:
     paths       raw computation-path traces
     print       parse and pretty-print a program
 
+Each call of `main` builds the argument parser of the invoked subcommand
+only (see `build_parser`).
+
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
 failed, 5 a node budget was exhausted.
@@ -260,61 +263,82 @@ def _add_common(sub, post=True):
     sub.add_argument("--format", choices=("text", "tsv"), default="text")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _wlp_options(sub):
+    _add_common(sub)
+    sub.add_argument("--mode", choices=("gfp", "gfp_leq_one"), default="gfp")
+    sub.add_argument("--method", choices=("auto", "chain", "lasso"), default="auto")
+
+
+def _check_options(sub):
+    _add_common(sub)
+    sub.add_argument("--invariant", required=True)
+    sub.add_argument("--mode", choices=("super", "sub", "fixed"), required=True)
+    sub.add_argument("--loop-path", help="select a nested loop, e.g. 2 or 2.body.0")
+
+
+def _compare_options(sub):
+    _add_common(sub)
+    sub.add_argument("--liberal", action="store_true",
+                     help="compare wlp(post) against the liberal oracle")
+    sub.add_argument("--ratio", metavar="OTHER",
+                     help="second program; report wp(program)/wp(OTHER) per state")
+
+
+def _paths_options(sub):
+    _add_common(sub, post=False)
+    sub.add_argument("--depth", type=_count, default=16)
+
+
+# name -> (help line, options, handler), in the order `wgcl -h` lists them
+COMMANDS = {
+    "wp": ("weakest preweighting", _add_common,
+           lambda args: cmd_transform(args, liberal=False)),
+    "wlp": ("weakest liberal preweighting", _wlp_options,
+            lambda args: cmd_transform(args, liberal=True)),
+    "check": ("invariant checks for a loop", _check_options, cmd_check),
+    "compare": ("transformer vs. path oracle, or --ratio", _compare_options, cmd_compare),
+    "paths": ("enumerate computation paths", _paths_options, cmd_paths),
+    "print": ("parse and pretty-print a program",
+              lambda sub: _add_common(sub, post=False), cmd_print),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only `command`'s subparser when it names one.
+
+    A command line runs one command, so one subparser is built per call:
+    building all six costs more than a small command's own work.  Any other
+    `command` (a missing or unknown one, `-h`) gets all of them, for the help
+    and the choice errors.  The one-command parser spells out every command
+    in its usage line, which its errors print, as the full parser does.
+    """
     ap = argparse.ArgumentParser(prog="wgcl",
                                  description="weighted guarded-command programs")
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    wp = sp.add_parser("wp", help="weakest preweighting")
-    _add_common(wp)
-
-    wlp = sp.add_parser("wlp", help="weakest liberal preweighting")
-    _add_common(wlp)
-    wlp.add_argument("--mode", choices=("gfp", "gfp_leq_one"), default="gfp")
-    wlp.add_argument("--method", choices=("auto", "chain", "lasso"), default="auto")
-
-    check = sp.add_parser("check", help="invariant checks for a loop")
-    _add_common(check)
-    check.add_argument("--invariant", required=True)
-    check.add_argument("--mode", choices=("super", "sub", "fixed"), required=True)
-    check.add_argument("--loop-path", help="select a nested loop, e.g. 2 or 2.body.0")
-
-    comp = sp.add_parser("compare", help="transformer vs. path oracle, or --ratio")
-    _add_common(comp)
-    comp.add_argument("--liberal", action="store_true",
-                      help="compare wlp(post) against the liberal oracle")
-    comp.add_argument("--ratio", metavar="OTHER",
-                      help="second program; report wp(program)/wp(OTHER) per state")
-
-    paths = sp.add_parser("paths", help="enumerate computation paths")
-    _add_common(paths, post=False)
-    paths.add_argument("--depth", type=_count, default=16)
-
-    pr = sp.add_parser("print", help="parse and pretty-print a program")
-    _add_common(pr, post=False)
+    if command in COMMANDS:
+        names = [command]
+        sp = ap.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(COMMANDS) + "}")
+    else:
+        names = list(COMMANDS)
+        # no metavar here: the missing-command and invalid-choice errors
+        # name the argument by its metavar if it has one, else `command`
+        sp = ap.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_line, add_options, _ = COMMANDS[name]
+        add_options(sp.add_parser(name, help=help_line))
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "wp":
-            return cmd_transform(args, liberal=False)
-        if args.command == "wlp":
-            return cmd_transform(args, liberal=True)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "paths":
-            return cmd_paths(args)
-        if args.command == "print":
-            return cmd_print(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][2](args)
     except CliError as exc:
         print(f"wgcl: {exc}", file=sys.stderr)
         return exc.code

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import Algebra, AlgebraError, INF, algebra as algebra_by_name
 from .syntax import (
@@ -71,8 +72,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     typ: str  # 'num', 'id', keyword, symbol, 'eof'
     lexeme: str
     line: int
@@ -80,48 +80,44 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then one `eof` token; columns count characters."""
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:  # the search skipped a character no token starts with
+            break
+        pos = m.end()
         kind = m.lastgroup
-        lexeme = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        elif kind == "num":
-            tokens.append(Token("num", lexeme, line, col))
-            col += len(lexeme)
-        elif kind == "id":
-            typ = lexeme if lexeme in KEYWORDS else "id"
-            tokens.append(Token(typ, lexeme, line, col))
-            col += len(lexeme)
-        else:
-            tokens.append(Token(lexeme, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = pos
+        elif kind != "ws" and kind != "comment":
+            lexeme = m.group()
+            # a symbol or keyword is its own type; numbers are never keywords
+            typ = lexeme if kind == "sym" or lexeme in KEYWORDS else kind
+            tokens.append(Token(typ, lexeme, line, start - line_start + 1))
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, algebra: Algebra | None):
         self.tokens = tokenize(text)
+        # `next` stops at the first eof, so a second one keeps peek(1) in range
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.algebra = algebra
         self._fresh = 0
 
     # --- token plumbing ---------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.typ != "eof":
             self.pos += 1
         return tok

@@ -289,6 +289,14 @@ def test_omega_value_canonicalization():
     assert ol.top() == ol.value(make_omega(words=[""], cylinders=["a", "b"]))
 
 
+@given(st.lists(st.text("abc", max_size=4), max_size=12))
+def test_make_omega_keeps_the_prefix_minimal_cylinders(cylinders):
+    # the pairwise definition; make_omega finds the same set in one sorted pass
+    pairwise = {c for c in cylinders
+                if not any(c != d and c.startswith(d) for d in cylinders)}
+    assert make_omega(cylinders=cylinders).cylinders == pairwise
+
+
 def test_omega_inclusion():
     ol = algebra("omegalang:ab")
     full = ol.top()

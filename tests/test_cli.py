@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wgcl.algebra import algebra
-from wgcl.cli import main
+from wgcl import cli
+from wgcl.cli import build_parser, main
 from wgcl.syntax import print_program
 
 from genprog import rand_looping_program, rand_loopfree, rand_state, rand_uct_program
@@ -287,6 +288,69 @@ def test_fuel_env_goes_through_the_option_type(capsys, monkeypatch):
     monkeypatch.delenv("WGCL_FUEL")
     code, out, _ = run(capsys, "paths", "ex49", "--state", "x=0", "--depth", "0")
     assert (code, out) == (0, "- | 0 | - | open\n")
+
+
+ONE_COMMAND_ARGVS = {
+    "wp": [["ski_nd"], ["ski_nd", "--post", "zero", "--grid", "n=0..2,y=0..2", "--fuel", "3",
+                        "--budget", "7", "--max-grid", "9", "--format", "tsv", "--instance", "arctic"]],
+    "wlp": [["ex410"], ["ex410", "--state", "x=2", "--mode", "gfp_leq_one", "--method", "lasso"]],
+    "check": [["ex55_arctic", "--invariant", "int(0)", "--mode", "fixed"],
+              ["ex410", "--invariant", "one", "--mode", "sub", "--loop-path", "0", "--state", "x=1"]],
+    "compare": [["knapsack"], ["ex410", "--liberal", "--post", "int(0)"],
+                ["ski_nd", "--ratio", "ski_onl", "--grid", "n=1..2,y=1..2"]],
+    "paths": [["ex49"], ["ex49", "--state", "x=0", "--depth", "6", "--format", "tsv"]],
+    "print": [["fib"], ["ex410", "--instance", "tropical", "--fuel", "1"]],
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
+    monkeypatch.delenv("WGCL_FUEL", raising=False)
+    for rest in ONE_COMMAND_ARGVS[command]:
+        argv = [command, *rest]
+        one = build_parser(command).parse_args(argv)
+        assert one == build_parser().parse_args(argv)
+        assert one.command == command
+    # each call builds a new parser, so the fuel default reads WGCL_FUEL anew
+    argv = [command, *ONE_COMMAND_ARGVS[command][0]]
+    assert build_parser(command).parse_args(argv).fuel == 64
+    monkeypatch.setenv("WGCL_FUEL", "5")
+    one = build_parser(command).parse_args(argv)
+    assert one == build_parser().parse_args(argv)
+    assert one.fuel == 5
+
+
+WGCL_USAGE = "usage: wgcl [-h] {wp,wlp,check,compare,paths,print} ...\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], WGCL_USAGE + "wgcl: error: the following arguments are required: command\n"),
+    (["bogus"], WGCL_USAGE + "wgcl: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'wp', 'wlp', 'check', 'compare', 'paths', 'print')\n"),
+    # an error of the one-command parser still lists all six commands
+    (["wp", "ski_nd", "--bogus"], WGCL_USAGE + "wgcl: error: unrecognized arguments: --bogus\n"),
+])
+def test_usage_errors_are_pinned(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_top_level_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "-h") == (0, WGCL_USAGE + """
+weighted guarded-command programs
+
+positional arguments:
+  {wp,wlp,check,compare,paths,print}
+    wp                  weakest preweighting
+    wlp                 weakest liberal preweighting
+    check               invariant checks for a loop
+    compare             transformer vs. path oracle, or --ratio
+    paths               enumerate computation paths
+    print               parse and pretty-print a program
+
+options:
+  -h, --help            show this help message and exit
+""", "")
 
 
 def test_compare_ratio_of_minus_infinity_is_undefined(capsys, tmp_path):

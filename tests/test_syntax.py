@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wgcl.algebra import algebra
-from wgcl.parser import ParseError, parse_grid, parse_program, parse_state, parse_weighting
+from wgcl.parser import (
+    ParseError, parse_grid, parse_program, parse_state, parse_weighting, tokenize,
+)
 from wgcl.syntax import (
     ABin, AInt, AVar, Assign, BCmp, Branch, EvalError, ExprWeighting, Ite,
     Seq, State, Weigh, While, WLit, eval_bool, eval_weighting, fib,
@@ -64,6 +66,45 @@ def test_parse_errors_carry_position():
         parse_program("@instance lang:ab\nweigh abc")
     with pytest.raises(ParseError):
         parse_program("skip")  # no pragma, no override
+
+
+def test_tokens_are_pinned():
+    text = ("x\t:=\r 1; # y := (+)\r\n"
+            "  if (x != 2) {y := x} [] {weigh ab}\n"
+            "[x<=1] 2 (+) [x>=0] one .. @")
+    assert [tuple(t) for t in tokenize(text)] == [
+        ("id", "x", 1, 1), (":=", ":=", 1, 3), ("num", "1", 1, 7), (";", ";", 1, 8),
+        ("if", "if", 2, 3), ("(", "(", 2, 6), ("id", "x", 2, 7), ("!=", "!=", 2, 9),
+        ("num", "2", 2, 12), (")", ")", 2, 13), ("{", "{", 2, 15), ("id", "y", 2, 16),
+        (":=", ":=", 2, 18), ("id", "x", 2, 21), ("}", "}", 2, 22), ("[]", "[]", 2, 24),
+        ("{", "{", 2, 27), ("weigh", "weigh", 2, 28), ("id", "ab", 2, 34), ("}", "}", 2, 36),
+        ("[", "[", 3, 1), ("id", "x", 3, 2), ("<=", "<=", 3, 3), ("num", "1", 3, 5),
+        ("]", "]", 3, 6), ("num", "2", 3, 8), ("(+)", "(+)", 3, 10), ("[", "[", 3, 14),
+        ("id", "x", 3, 15), (">=", ">=", 3, 16), ("num", "0", 3, 18), ("]", "]", 3, 19),
+        ("one", "one", 3, 21), ("..", "..", 3, 25), ("@", "@", 3, 28), ("eof", "", 3, 29),
+    ]
+
+
+_LEXEMES = ["x", "ab", "while", "fib", "0", "42", ":=", "..", "[]", "(+)", "!=", "<=",
+            ">=", "(", "[", "-", "^", "@", "|", " ", "\t", "\r", "\n", "# c\n", "#"]
+
+
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=30).map("".join))
+def test_token_positions_point_at_their_lexemes(text):
+    lines = text.split("\n")
+    tokens = tokenize(text)
+    for tok in tokens:
+        start = tok.col - 1
+        assert lines[tok.line - 1][start:start + len(tok.lexeme)] == tok.lexeme
+    # the eof token sits just past the end of the last line
+    assert tokens[-1][1:] == ("", len(lines), len(lines[-1]) + 1)
+
+
+def test_bad_character_after_a_comment_reports_its_position():
+    with pytest.raises(ParseError) as err:
+        tokenize("x := 1;\n# a $ in a comment\n\ty := 2 $")
+    assert (err.value.line, err.value.col) == (3, 9)
+    assert str(err.value) == "line 3, col 9: unexpected character '$'"
 
 
 def test_instance_override():
