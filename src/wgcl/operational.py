@@ -42,7 +42,7 @@ from .algebra import (
 )
 from .syntax import (
     TERMINATED, Assign, Branch, EvalError, FnWeighting, Ite, Program, State, Weigh,
-    Weighting, While, compile_program, eval_arith, eval_bool, eval_weight,
+    Weighting, While, compile_program,
 )
 
 
@@ -61,22 +61,23 @@ def successors(position, state: State,
                algebra: Algebra) -> tuple[tuple[Weight, object, State], ...]:
     """The one-step relation on (position, state) pairs, as (weight,
     position, state) triples, the left arm of `[]` first; empty at
-    TERMINATED."""
+    TERMINATED.  Expressions run as the position's compiled closures
+    (`Node.guard`, `rhs`, `weight`), which the transformer shares."""
     if position is TERMINATED:
         return ()
     stmt = position.stmt
     one = algebra.mon_one()
     if isinstance(stmt, Assign):
-        return ((one, position.next, state.set(stmt.var, eval_arith(stmt.expr, state))),)
+        return ((one, position.next, state.set(stmt.var, position.rhs(state))),)
     if isinstance(stmt, Weigh):
-        return ((eval_weight(stmt.weight, state, algebra), position.next, state),)
+        return ((position.weight(state, algebra), position.next, state),)
     if isinstance(stmt, Ite):
-        chosen = position.then if eval_bool(stmt.guard, state) else position.orelse
+        chosen = position.then if position.guard(state) else position.orelse
         return ((one, chosen, state),)
     if isinstance(stmt, Branch):
         return ((one, position.then, state), (one, position.orelse, state))
     if isinstance(stmt, While):
-        follow = position.then if eval_bool(stmt.guard, state) else position.next
+        follow = position.then if position.guard(state) else position.next
         return ((one, follow, state),)
     raise TypeError(f"not a program node: {stmt!r}")
 

@@ -5,6 +5,15 @@ sequencing, conditionals, loops, nondeterministic branching `{C} [] {C}`,
 and trace weighting `weigh a`.  `skip` and the weighted choice
 `{C1} [p] (+) [q] {C2}` are parse-time sugar (see parser.py).
 
+`compile_program` lowers a program once into a graph of positions
+(`Node`), which both the small-step semantics and the transformer walk.
+Each node carries its statement's expression compiled to a closure, and an
+`ExprWeighting` compiles its expression when it is built; the interpretive
+`eval_arith`, `eval_bool`, `eval_weight` and `eval_weighting` are the
+one-shot evaluators and the reference the closures are tested against.  A
+`State` is a tuple of sorted (name, value) pairs, so the state-keyed tables
+of every walk hash and compare it in C.
+
 A weighting is the quantitative counterpart of a predicate: a total
 function from program states to module values.  The syntactic fragment
 (`WeightingExpr`) is a guarded sum: a list of `[guard] term` summands,
@@ -16,9 +25,10 @@ term would be partial outside its guard.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
 from .algebra import Algebra, EmbedError, ModuleValue, Weight
 
@@ -221,15 +231,35 @@ class Node:
     a loop's `then` is its body, which runs back to the loop's own node,
     and `nested` says whether that body contains a loop.  Nodes compare by
     identity.
+
+    The statement's expression, compiled to a closure (see
+    `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
+    `rhs` (state -> int) on an assignment and `weight` ((state, algebra)
+    -> Weight) on `weigh`.  Each is built on first use and kept, so every
+    walk over the graph shares it, and a position never evaluated (as in
+    `print`) costs nothing.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse", "nested")
+    __slots__ = ("stmt", "next", "then", "orelse", "nested", "guard", "rhs", "weight")
 
     def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
         self.nested = False
+
+    def __getattr__(self, name: str):
+        # called only while a slot is unset: compile its expression now
+        if name == "guard":
+            fn = compile_bool(self.stmt.guard)
+        elif name == "rhs":
+            fn = compile_arith(self.stmt.expr)
+        elif name == "weight":
+            fn = compile_weight(self.stmt.weight)
+        else:
+            raise AttributeError(name)
+        setattr(self, name, fn)
+        return fn
 
 
 def compile_program(program: Program) -> Node:
@@ -263,52 +293,48 @@ def compile_program(program: Program) -> Node:
 # Program states
 # ---------------------------------------------------------------------------
 
-class State:
-    """Finitely supported variable valuation; absent variables read as 0."""
+class State(tuple):
+    """Finitely supported variable valuation; absent variables read as 0.
 
-    __slots__ = ("_items", "_hash")
+    A state is the tuple of its nonzero (name, value) pairs, sorted by
+    name.  So hashing and equality, which every state-keyed table of the
+    solvers and the quotient walks does, run in C; the hash is that of the
+    sorted pairs.  A state equals the plain tuple of its items, and the
+    empty state is falsy.
+    """
 
-    def __init__(self, mapping: dict[str, int] | None = None):
-        self._items = tuple(sorted((k, v) for k, v in (mapping or {}).items() if v != 0))
-        self._hash = hash(self._items)
+    __slots__ = ()
+
+    def __new__(cls, mapping: dict[str, int] | None = None):
+        return tuple.__new__(cls, sorted((k, v) for k, v in (mapping or {}).items() if v != 0))
 
     def get(self, name: str) -> int:
-        for k, v in self._items:
+        for k, v in self:
             if k == name:
                 return v
         return 0
 
     def set(self, name: str, value: int) -> "State":
         # splice into the sorted items rather than sort again
-        items = self._items
         i = 0
-        for k, _ in items:
+        for k, _ in self:
             if k >= name:
                 break
             i += 1
-        rest = items[i + 1:] if i < len(items) and items[i][0] == name else items[i:]
-        items = items[:i] + ((name, value),) + rest if value != 0 else items[:i] + rest
-        state = object.__new__(State)
-        state._items = items
-        state._hash = hash(items)
-        return state
+        rest = self[i + 1:] if i < len(self) and self[i][0] == name else self[i:]
+        items = self[:i] + ((name, value),) + rest if value != 0 else self[:i] + rest
+        return tuple.__new__(State, items)
 
     def items(self) -> tuple[tuple[str, int], ...]:
-        return self._items
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return self._hash
+        return self
 
     def __repr__(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self._items)
+        inner = ",".join(f"{k}={v}" for k, v in self)
         return "{" + inner + "}"
 
     def format(self, variables: tuple[str, ...] | None = None) -> str:
         if variables is None:
-            return ",".join(f"{k}={v}" for k, v in self._items) or "-"
+            return ",".join(f"{k}={v}" for k, v in self) or "-"
         return ",".join(f"{k}={self.get(k)}" for k in variables)
 
 
@@ -383,6 +409,102 @@ def eval_weight(w: WeightExpr, sigma: State, algebra: Algebra) -> Weight:
         except EmbedError as exc:
             raise EvalError(str(exc)) from exc
     raise EvalError(f"not a weight expression: {w!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled expressions
+# ---------------------------------------------------------------------------
+# Each expression is compiled once into a closure over a state (Feeley and
+# Lapalme 1987, "Using closures for code generation"), so a walk that
+# evaluates it at every state no longer re-dispatches on its AST.  A
+# closure equals the evaluator above: the same values, the same
+# `EvalError`s, operands left to right, and `and`/`or` short-circuit.  A
+# shape the compiler does not know falls back to the evaluator.
+
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compile_arith(e: ArithExpr) -> Callable[[State], int]:
+    if isinstance(e, AInt):
+        value = e.value
+        return lambda sigma: value
+    if isinstance(e, AVar):
+        name = e.name
+
+        def read(sigma):  # State.get, without its call
+            for k, v in sigma:
+                if k == name:
+                    return v
+            return 0
+        return read
+    if isinstance(e, ABin):
+        l, r = compile_arith(e.left), compile_arith(e.right)
+        if e.op == "+":
+            return lambda sigma: l(sigma) + r(sigma)
+        if e.op == "-":
+            return lambda sigma: l(sigma) - r(sigma)
+        if e.op == "*":
+            def times(sigma):
+                a, b = l(sigma), r(sigma)
+                if a.bit_length() + b.bit_length() > MAX_INT_BITS:
+                    raise EvalError(f"a product exceeds {MAX_INT_BITS} bits")
+                return a * b
+            return times
+    if isinstance(e, ACall):
+        args = [compile_arith(a) for a in e.args]
+        if e.fn in ("min", "max"):
+            pick = min if e.fn == "min" else max
+            if len(args) == 2:
+                a, b = args
+                return lambda sigma: pick(a(sigma), b(sigma))
+            return lambda sigma: pick([a(sigma) for a in args])
+        if e.fn == "fib" and len(args) == 1:
+            (a,) = args
+
+            def fib_of(sigma):
+                n = a(sigma)
+                if n > MAX_INT_BITS:
+                    raise EvalError(f"fib argument {n} exceeds {MAX_INT_BITS}")
+                return fib(n)
+            return fib_of
+    return lambda sigma: eval_arith(e, sigma)
+
+
+def compile_bool(b: BoolExpr) -> Callable[[State], bool]:
+    if isinstance(b, BBool):
+        value = b.value
+        return lambda sigma: value
+    if isinstance(b, BCmp) and b.op in _COMPARISONS:
+        op, l, r = _COMPARISONS[b.op], compile_arith(b.left), compile_arith(b.right)
+        return lambda sigma: op(l(sigma), r(sigma))
+    if isinstance(b, BNot):
+        arg = compile_bool(b.arg)
+        return lambda sigma: not arg(sigma)
+    if isinstance(b, BAnd):
+        l, r = compile_bool(b.left), compile_bool(b.right)
+        return lambda sigma: l(sigma) and r(sigma)
+    if isinstance(b, BOr):
+        l, r = compile_bool(b.left), compile_bool(b.right)
+        return lambda sigma: l(sigma) or r(sigma)
+    return lambda sigma: eval_bool(b, sigma)
+
+
+def compile_weight(w: WeightExpr) -> Callable[[State, Algebra], Weight]:
+    if isinstance(w, WLit):
+        raw = w.raw
+        return lambda sigma, algebra: algebra.weight(raw)
+    if isinstance(w, WEmbedInt):
+        arg = compile_arith(w.expr)
+
+        def embed(sigma, algebra):
+            n = arg(sigma)
+            try:
+                return algebra.embed_weight(n)
+            except EmbedError as exc:
+                raise EvalError(str(exc)) from exc
+        return embed
+    return lambda sigma, algebra: eval_weight(w, sigma, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +591,45 @@ def eval_weighting(expr: WeightingExpr, sigma: State, algebra: Algebra) -> Modul
     raise EvalError(f"not a weighting expression: {expr!r}")
 
 
+def compile_weighting(expr: WeightingExpr, algebra: Algebra) -> Callable[[State], ModuleValue]:
+    """`expr` as a closure over a state, equal to `eval_weighting(expr, .,
+    algebra)`: a term behind a failing guard is never evaluated."""
+    if isinstance(expr, TZero):
+        return lambda sigma: algebra.mod_zero()
+    if isinstance(expr, TOne):
+        return lambda sigma: algebra.module_one()
+    if isinstance(expr, TTop):
+        return lambda sigma: algebra.top()
+    if isinstance(expr, TEmbed):
+        arg = compile_arith(expr.expr)
+
+        def embed(sigma):
+            n = arg(sigma)
+            try:
+                return algebra.embed_value(n)
+            except EmbedError as exc:
+                raise EvalError(str(exc)) from exc
+        return embed
+    if isinstance(expr, TLit):
+        raw = expr.raw
+        return lambda sigma: algebra.value(raw)
+    if isinstance(expr, TScale):
+        weight, term = compile_weight(expr.weight), compile_weighting(expr.term, algebra)
+        return lambda sigma: algebra.scalar_mul(weight(sigma, algebra), term(sigma))
+    if isinstance(expr, WSum):
+        items = [(None if item.guard is None else compile_bool(item.guard),
+                  compile_weighting(item.term, algebra)) for item in expr.items]
+
+        def total(sigma):
+            out = algebra.mod_zero()
+            for guard, term in items:
+                if guard is None or guard(sigma):
+                    out = algebra.mod_add(out, term(sigma))
+            return out
+        return total
+    return lambda sigma: eval_weighting(expr, sigma, algebra)
+
+
 class Weighting:
     """Evaluable weighting: a total map from states to module values."""
 
@@ -479,12 +640,13 @@ class Weighting:
 
 
 class ExprWeighting(Weighting):
+    """A weighting expression over one algebra, compiled when built: `at`
+    is the closure itself (see `compile_weighting`)."""
+
     def __init__(self, algebra: Algebra, expr: WeightingExpr):
         self.algebra = algebra
         self.expr = expr
-
-    def at(self, sigma: State) -> ModuleValue:
-        return eval_weighting(self.expr, sigma, self.algebra)
+        self.at = compile_weighting(expr, algebra)
 
 
 class TableWeighting(Weighting):

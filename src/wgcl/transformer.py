@@ -56,8 +56,7 @@ from typing import Iterable, Literal
 from .algebra import Algebra, ModuleValue, NoTopError, Weight
 from .syntax import (
     TERMINATED, Assign, Branch, ExprWeighting, FnWeighting, Ite, Node, Program,
-    State, Weigh, Weighting, While, compile_program, eval_arith, eval_bool,
-    eval_weight,
+    State, Weigh, Weighting, While, compile_program, eval_bool,
 )
 from .operational import (
     BudgetError, DivergenceError, certainly_terminates, components, cyclic, diverging_weights,
@@ -232,7 +231,7 @@ class _Solve:
         engine, node = self.engine, self.node
         engine._evaluations += 1
         self.current_depth = self.depth[sigma]
-        if eval_bool(node.stmt.guard, sigma):
+        if node.guard(sigma):
             return engine._eval(node.then, sigma, _Memo(self.memo.post, ops, node, read))
         return engine._next(node.next, sigma, self.memo)
 
@@ -378,6 +377,9 @@ class Engine:
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._roots: dict[Program, Node] = {}
+        # the last program run and its entry: a grid runs one program at
+        # every state, and the dict lookup hashes its whole AST
+        self._last: tuple[Program | None, Node | None] = (None, None)
         self._memos: dict[Weighting, _Memo] = {}
         self._forms = _Forms(algebra)
         self._passes = 0
@@ -387,9 +389,12 @@ class Engine:
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         w = as_weighting(self.algebra, f)
-        root = self._roots.get(program)
-        if root is None:
-            root = self._roots[program] = compile_program(program)
+        last, root = self._last
+        if program is not last:
+            root = self._roots.get(program)
+            if root is None:
+                root = self._roots[program] = compile_program(program)
+            self._last = program, root
         memo = self._memos.get(w)
         if memo is None:
             memo = self._memos[w] = _Memo(w, self.algebra)
@@ -413,15 +418,17 @@ class Engine:
         return hit
 
     def _eval(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
+        """The value at a position, by its statement: expressions run as
+        the node's compiled closures (`Node.guard`, `rhs`, `weight`)."""
         stmt = node.stmt
         if isinstance(stmt, Assign):
-            return self._next(node.next, sigma.set(stmt.var, eval_arith(stmt.expr, sigma)), memo)
+            return self._next(node.next, sigma.set(stmt.var, node.rhs(sigma)), memo)
         if isinstance(stmt, Weigh):
-            w = eval_weight(stmt.weight, sigma, self.algebra)
+            w = node.weight(sigma, self.algebra)
             value, exact = self._next(node.next, sigma, memo)
             return memo.ops.scalar_mul(w, value), exact
         if isinstance(stmt, Ite):
-            chosen = node.then if eval_bool(stmt.guard, sigma) else node.orelse
+            chosen = node.then if node.guard(sigma) else node.orelse
             return self._eval(chosen, sigma, memo)
         if isinstance(stmt, Branch):
             lv, le = self._eval(node.then, sigma, memo)

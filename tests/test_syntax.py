@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgcl.algebra import algebra
@@ -12,13 +12,17 @@ from wgcl.parser import (
     ParseError, parse_grid, parse_program, parse_state, parse_weighting, tokenize,
 )
 from wgcl.syntax import (
-    ABin, AInt, AVar, Assign, BCmp, Branch, EvalError, ExprWeighting, Ite,
-    Seq, State, Weigh, While, WLit, eval_bool, eval_weighting, fib,
-    print_program,
+    MAX_INT_BITS, ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BOr, Branch,
+    EvalError, ExprWeighting, Ite, Seq, State, Weigh, WEmbedInt, While, WLit,
+    compile_arith, compile_bool, compile_program, eval_arith, eval_bool, eval_weight,
+    eval_weighting, fib, print_program,
 )
 from wgcl.transformer import wp_eval
 
-from genprog import rand_loopfree, rand_state, rand_uct_program
+from genprog import (
+    VARS, rand_arith, rand_bool, rand_loopfree, rand_state, rand_uct_program,
+    rand_weighting_expr,
+)
 
 EX49 = """@instance tropical
 if(x>0){weigh 1; weigh 1} else {{weigh 2} [] {weigh 3}}"""
@@ -172,6 +176,11 @@ def test_state_update_is_a_fresh_state(mapping, var, value):
     fresh = State({**mapping, var: value})
     assert tau.items() == fresh.items()
     assert hash(tau) == hash(fresh) and tau == fresh
+    assert type(tau) is State
+    # a state is a tuple of its sorted pairs: it hashes in C, to the hash
+    # of those pairs
+    assert "__hash__" not in State.__dict__
+    assert hash(State(mapping)) == hash(tuple(sorted((k, v) for k, v in mapping.items() if v)))
 
 
 def test_parse_state_and_grid():
@@ -253,6 +262,81 @@ def test_boolean_precedence_not_over_and_over_or():
     assert eval_bool(guard, State({"x": 0, "y": 0})) is True     # not(x=1) and y=0
     assert eval_bool(guard, State({"x": 1, "y": 0})) is False
     assert eval_bool(guard, State({"x": 1, "z": 2})) is True     # or z=2
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value, or the message of its EvalError (or
+    the type of any other exception)."""
+    try:
+        return "value", fn(*args)
+    except EvalError as exc:
+        return "error", str(exc)
+    except Exception as exc:  # huge values can fail to print in a message
+        return "exception", type(exc).__name__
+
+
+def _rand_big_state(rng: random.Random) -> State:
+    # values of 20001 or 40001 bits: some products of two stay within
+    # MAX_INT_BITS, and every product of two 40001-bit values exceeds it
+    return State({v: rng.choice((-1, 1)) * 2 ** rng.choice((20000, 40000)) for v in VARS})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_compiled_expressions_equal_the_reference_evaluator(seed):
+    # the closures `compile_program` puts on each node, and the one an
+    # `ExprWeighting` builds, give what the interpretive evaluators give:
+    # the same values, and the same EvalErrors
+    rng = random.Random(seed)
+    e, e2, b = rand_arith(rng, 3), rand_arith(rng, 3), rand_bool(rng, 3)
+    ite = compile_program(Seq(Ite(b, Assign("x", e), Weigh(WEmbedInt(e2))),
+                              While(b, Assign("y", e))))
+    assign, weigh, loop = ite.then, ite.orelse, ite.next
+    name = rng.choice(("tropical", "counting", "arctic", "prob", "lang:ab", "boolean"))
+    alg = algebra(name)
+    w = rand_weighting_expr(rng, alg)
+    post = ExprWeighting(alg, w)
+    trop = algebra("tropical")
+    for _ in range(6):
+        sigma = rand_state(rng) if rng.random() < 0.7 else _rand_big_state(rng)
+        assert _outcome(ite.guard, sigma) == _outcome(eval_bool, b, sigma)
+        assert _outcome(loop.guard, sigma) == _outcome(eval_bool, b, sigma)
+        assert _outcome(assign.rhs, sigma) == _outcome(eval_arith, e, sigma)
+        assert (_outcome(weigh.weight, sigma, trop)
+                == _outcome(eval_weight, WEmbedInt(e2), sigma, trop))
+        assert _outcome(post.at, sigma) == _outcome(eval_weighting, w, sigma, alg)
+
+
+def test_compiled_expressions_keep_bounds_and_evaluation_order():
+    half = 2 ** (MAX_INT_BITS // 2 - 1)  # MAX_INT_BITS / 2 bits
+    x, y = AVar("x"), AVar("y")
+    product = ABin("*", x, y)
+    overflows = BCmp(">", product, AInt(0))
+    fib_x = ACall("fib", (x,))
+    at_bound = State({"x": half, "y": half})
+    beyond = State({"x": 2 * half, "y": half})
+    cases = [
+        # a product of exactly MAX_INT_BITS bits is allowed, one more is not
+        (compile_arith, eval_arith, product, at_bound, ("value", half * half)),
+        (compile_arith, eval_arith, product, beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_arith, eval_arith, fib_x, State({"x": MAX_INT_BITS + 1}),
+         ("error", f"fib argument {MAX_INT_BITS + 1} exceeds {MAX_INT_BITS}")),
+        (compile_arith, eval_arith, fib_x, State({"x": 30}), ("value", 832040)),
+        # `and` and `or` short-circuit: the product is never evaluated
+        (compile_bool, eval_bool, BAnd(BBool(False), overflows), beyond, ("value", False)),
+        (compile_bool, eval_bool, BOr(BBool(True), overflows), beyond, ("value", True)),
+        (compile_bool, eval_bool, BAnd(BBool(True), overflows), beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        # a comparison evaluates both sides, the left one first
+        (compile_bool, eval_bool, BCmp("<", AInt(0), product), beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_bool, eval_bool, BCmp("<", ACall("fib", (AInt(MAX_INT_BITS + 1),)), product),
+         beyond, ("error", f"fib argument {MAX_INT_BITS + 1} exceeds {MAX_INT_BITS}")),
+    ]
+    for compile_expr, evaluate, expr, sigma, expected in cases:
+        assert _outcome(evaluate, expr, sigma) == expected, expr
+        assert _outcome(compile_expr(expr), sigma) == expected, expr
 
 
 # ---------------------------------------------------------------------------
