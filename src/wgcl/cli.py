@@ -13,7 +13,7 @@ only (see `build_parser`).
 
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
-failed, 5 a node budget was exhausted.
+failed, 5 a node budget was exhausted.  Integers print in full, at any size.
 WGCL_FUEL overrides the default fuel; like --fuel, --budget, --depth and
 --max-grid it must be a non-negative integer.
 """
@@ -332,6 +332,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if hasattr(sys, "set_int_max_str_digits"):  # no limit: sums are unbounded
+        sys.set_int_max_str_digits(0)
     ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)

@@ -1,8 +1,9 @@
 """Small-step execution: one step relation and the analyses built on it.
 
 The step relation `successors` maps a (position, state) pair, where a
-position is a node of the compiled program (`syntax.compile_program`) or
-TERMINATED, to weighted successor pairs.  In the paper, configurations
+position is a node of the compiled program (`syntax.compile_program`, one
+graph per program object, which the transformer walks too) or TERMINATED,
+to weighted successor pairs.  In the paper, configurations
 also carry a step count and an L/R branch history, so that paths form a
 forest in bijection with nondeterministic resolutions; only
 `enumerate_paths` records those, as each path's depth and `history`.
@@ -453,10 +454,9 @@ def certainly_terminates(program: Program, states, algebra: Algebra,
                          node_budget: int = 10 ** 6) -> list[bool]:
     """Per start state, whether every run from it terminates, read off one
     quotient walked from all of them together; every answer is False if
-    that quotient outgrows `node_budget`.  The program is compiled once,
-    since positions compare by identity."""
-    start = compile_program(program)
-    roots = [(start, sigma) for sigma in states]
+    that quotient outgrows `node_budget`.  The roots share the program's
+    one graph (`compile_program`), so equal positions are one vertex."""
+    roots = [(compile_program(program), sigma) for sigma in states]
     try:
         succ = {v: [s for _, s in es] for v, es in _reachable(roots, algebra, node_budget)}
     except BudgetError:

@@ -5,8 +5,9 @@ sequencing, conditionals, loops, nondeterministic branching `{C} [] {C}`,
 and trace weighting `weigh a`.  `skip` and the weighted choice
 `{C1} [p] (+) [q] {C2}` are parse-time sugar (see parser.py).
 
-`compile_program` lowers a program once into a graph of positions
-(`Node`), which both the small-step semantics and the transformer walk.
+`compile_program` lowers a program object once into a graph of positions
+(`Node`), kept on the object, which the small-step semantics, the oracles
+and the transformer all walk.
 Each node carries its statement's expression compiled to a closure, and an
 `ExprWeighting` compiles its expression when it is built; the interpretive
 `eval_arith`, `eval_bool`, `eval_weight` and `eval_weighting` are the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 from .algebra import Algebra, EmbedError, ModuleValue, Weight
@@ -133,39 +134,72 @@ WeightExpr = Union[WLit, WEmbedInt]
 # Program statements
 # ---------------------------------------------------------------------------
 
+class Statement:
+    """Base of the six statement classes: a statement lowers itself once,
+    on first use, to its graph of positions (see `compile_program`)."""
+
+    @cached_property
+    def _graph(self) -> "Node":
+        # kept in the instance `__dict__`, which `==`, `hash` and `repr` do
+        # not read.  Equal (statement, continuation) pairs share one node,
+        # so equal branch arms lead to the same position.
+        shared: dict[tuple[Program, object], Node] = {}
+        loops = 0  # loop nodes made so far
+
+        def lower(prog: Program, nxt) -> Node:
+            nonlocal loops
+            for stmt in reversed(flatten_seq(prog)):
+                node = shared.get((stmt, nxt))
+                if node is None:
+                    node = shared[(stmt, nxt)] = Node(stmt, nxt)
+                    if isinstance(stmt, While):
+                        before = loops
+                        node.then = lower(stmt.body, node)
+                        node.nested = loops > before
+                        loops += 1
+                    elif isinstance(stmt, Ite):
+                        node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
+                    elif isinstance(stmt, Branch):
+                        node.then, node.orelse = lower(stmt.left, nxt), lower(stmt.right, nxt)
+                nxt = node
+            return nxt
+
+        return lower(self, TERMINATED)
+
+
 @dataclass(frozen=True)
-class Assign:
+class Assign(Statement):
     var: str
     expr: ArithExpr
 
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(Statement):
     first: "Program"
     second: "Program"
 
 
 @dataclass(frozen=True)
-class Ite:
+class Ite(Statement):
     guard: BoolExpr
     then: "Program"
     orelse: "Program"
 
 
 @dataclass(frozen=True)
-class While:
+class While(Statement):
     guard: BoolExpr
     body: "Program"
 
 
 @dataclass(frozen=True)
-class Branch:
+class Branch(Statement):
     left: "Program"
     right: "Program"
 
 
 @dataclass(frozen=True)
-class Weigh:
+class Weigh(Statement):
     weight: WeightExpr
 
 
@@ -196,23 +230,6 @@ def flatten_seq(prog: Program) -> list[Program]:
 # Compiled programs: a graph of positions
 # ---------------------------------------------------------------------------
 
-def _statements(prog: Program):
-    """Every statement of a program, nested ones included, without
-    recursion."""
-    stack = [prog]
-    while stack:
-        p = stack.pop()
-        yield p
-        if isinstance(p, Seq):
-            stack += (p.second, p.first)
-        elif isinstance(p, Ite):
-            stack += (p.orelse, p.then)
-        elif isinstance(p, Branch):
-            stack += (p.right, p.left)
-        elif isinstance(p, While):
-            stack.append(p.body)
-
-
 class _Terminated:
     __slots__ = ()
 
@@ -229,8 +246,8 @@ class Node:
     `next` is where control goes after the statement (another node or
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
     a loop's `then` is its body, which runs back to the loop's own node,
-    and `nested` says whether that body contains a loop.  Nodes compare by
-    identity.
+    and `nested`, set while lowering, says whether that body contains a
+    loop.  Nodes compare by identity.
 
     The statement's expression, compiled to a closure (see
     `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
@@ -263,30 +280,12 @@ class Node:
 
 
 def compile_program(program: Program) -> Node:
-    """Lower a program once into its graph of positions; returns the entry.
-
-    Equal (statement, continuation) pairs share one node, so equal branch
-    arms lead to the same position.  The table lives for one call only:
-    literals of different instances compare equal (`WLit(True) == WLit(1)`).
-    """
-    shared: dict[tuple[Program, object], Node] = {}
-
-    def lower(prog: Program, nxt) -> Node:
-        for stmt in reversed(flatten_seq(prog)):
-            node = shared.get((stmt, nxt))
-            if node is None:
-                node = shared[(stmt, nxt)] = Node(stmt, nxt)
-                if isinstance(stmt, While):
-                    node.then = lower(stmt.body, node)
-                    node.nested = any(isinstance(s, While) for s in _statements(stmt.body))
-                elif isinstance(stmt, Ite):
-                    node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
-                elif isinstance(stmt, Branch):
-                    node.then, node.orelse = lower(stmt.left, nxt), lower(stmt.right, nxt)
-            nxt = node
-        return nxt
-
-    return lower(program, TERMINATED)
+    """The entry of the program's graph of positions.  The first call for a
+    program object lowers it, and every later call returns the same graph,
+    so all walks over one program share its nodes and their closures.
+    Equal but distinct objects get separate graphs: literals of different
+    instances compare equal (`WLit(True) == WLit(1)`)."""
+    return program._graph
 
 
 # ---------------------------------------------------------------------------

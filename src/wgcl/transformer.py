@@ -364,7 +364,9 @@ class _Memo:
 
 
 class Engine:
-    """A wp or wlp evaluator over one algebra, reusable across states."""
+    """A wp or wlp evaluator over one algebra, reusable across states.  It
+    walks each program object's one graph (`compile_program`) and keys what
+    it keeps between runs on that graph's nodes."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -376,10 +378,6 @@ class Engine:
         self.fuel = fuel
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
-        self._roots: dict[Program, Node] = {}
-        # the last program run and its entry: a grid runs one program at
-        # every state, and the dict lookup hashes its whole AST
-        self._last: tuple[Program | None, Node | None] = (None, None)
         self._memos: dict[Weighting, _Memo] = {}
         self._forms = _Forms(algebra)
         self._passes = 0
@@ -389,17 +387,11 @@ class Engine:
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         w = as_weighting(self.algebra, f)
-        last, root = self._last
-        if program is not last:
-            root = self._roots.get(program)
-            if root is None:
-                root = self._roots[program] = compile_program(program)
-            self._last = program, root
         memo = self._memos.get(w)
         if memo is None:
             memo = self._memos[w] = _Memo(w, self.algebra)
         self._passes = self._touched = self._evaluations = 0
-        value, exact = self._eval(root, sigma, memo)
+        value, exact = self._eval(compile_program(program), sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched,
                                self._evaluations)
 

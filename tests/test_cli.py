@@ -1,5 +1,6 @@
 """Exit codes, output formats, and end-to-end command behavior."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wgcl.algebra import algebra
-from wgcl import cli
+from wgcl import cli, syntax
 from wgcl.cli import build_parser, main
-from wgcl.syntax import print_program
+from wgcl.parser import parse_program
+from wgcl.syntax import compile_program, print_program
 
 from genprog import rand_looping_program, rand_loopfree, rand_state, rand_uct_program
 
@@ -224,6 +226,22 @@ def test_squaring_loop_stops_at_the_integer_bound(capsys, tmp_path):
     f.write_text("@instance tropical\nx := fib(x)\n", encoding="utf-8")
     code, _, err = run(capsys, "wp", str(f), "--state", "x=70000")
     assert (code, err) == (2, "wgcl: fib argument 70000 exceeds 65536\n")
+    # below the bound, integers of any length read and print in full: 14
+    # laps make 2^(2^14), 4933 digits, past Python's default str limit
+    squares = "n := 0; x := 2; while (n < 14) { x := x * x; n := n + 1 }"
+    f.write_text(f"@instance tropical\n{squares}; weigh int(0 - x)\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "one", "--state", "n=0")
+    assert (code, out, err) == (2, "", f"wgcl: tropical: cannot embed negative integer {-2 ** 2 ** 14}\n")
+    f.write_text(f"@instance counting\n{squares}\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "int(x)", "--state", "n=0")
+    assert (code, out, err) == (0, f"n=0 | {2 ** 2 ** 14} | exact\n", "")
+    big = "7" * 5000
+    f.write_text(f"@instance counting\nx := {big}\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "int(x)", "--state", "x=0")
+    assert (code, out, err) == (0, f"x=0 | {big} | exact\n", "")
+    ones = "1" * 5000
+    code, out, err = run(capsys, "wp", str(f), "--post", "int(x)", "--state", f"n=0,x={ones}")
+    assert (code, out, err) == (0, f"n=0,x={ones} | {big} | exact\n", "")
 
 
 def test_budget_exhaustion_has_its_own_exit_code(capsys):
@@ -250,6 +268,29 @@ def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
     code, out, _ = run(capsys, "wp", str(f), "--post", "one",
                        "--state", "x=1,y=5", "--fuel", "2")
     assert (code, out) == (3, "x=1,y=5 | inf | inexact\n")
+
+
+def test_one_graph_per_program_object(capsys, monkeypatch):
+    text = "@instance tropical\nwhile (x > 0) { { x := x - 1 } [] { weigh 2; x := 0 } }"
+    program = parse_program(text).program
+    before = hash(program), dataclasses.fields(program)
+    entry = compile_program(program)
+    assert compile_program(program) is entry
+    fresh = parse_program(text).program
+    assert program == fresh and repr(program) == repr(fresh)
+    assert (hash(program), dataclasses.fields(program)) == before
+    assert compile_program(fresh) is not entry
+    # the engine and the oracle, at every grid state, walk one graph
+    built = []
+    init = syntax.Node.__init__
+    monkeypatch.setattr(syntax.Node, "__init__",
+                        lambda node, *args: built.append(init(node, *args)))
+    for argv, nodes in ((["compare", "ski_nd", "--post", "one", "--grid", "n=0..2,y=0..2"], 6),
+                        (["compare", "ex411", "--liberal", "--post", "zero",
+                          "--grid", "x=0..3"], 5)):
+        built.clear()
+        run(capsys, *argv)
+        assert len(built) == nodes, argv
 
 
 def test_fuel_env_override(capsys, monkeypatch):
