@@ -8,8 +8,9 @@ Subcommands:
     paths       raw computation-path traces
     print       parse and pretty-print a program
 
-Each call of `main` builds the argument parser of the invoked subcommand
-only (see `build_parser`).
+Each call of `main` builds one argument parser, the invoked command's
+(see `build_parser`); the full parser, with all six commands, only for
+`-h`, a missing or unknown command, or arguments the command leaves over.
 
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
@@ -21,7 +22,9 @@ WGCL_FUEL overrides the default fuel; like --fuel, --budget, --depth and
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -304,28 +307,31 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only `command`'s subparser when it names one.
+    """The parser of `command`'s arguments, or the full parser.
 
-    A command line runs one command, so one subparser is built per call:
-    building all six costs more than a small command's own work.  Any other
-    `command` (a missing or unknown one, `-h`) gets all of them, for the help
-    and the choice errors.  The one-command parser spells out every command
-    in its usage line, which its errors print, as the full parser does.
+    A command line runs one command, so for a command in `COMMANDS` this
+    builds that command's parser alone: one `ArgumentParser` for the
+    arguments after the command's name, named `wgcl <command>` as the full
+    parser's subparser is, so its help and its errors read the same, and
+    setting `command` as the subparsers action does.  Any other `command`
+    (none, `-h`, an unknown one) gets the full parser, every command a
+    subparser, for the top-level help and the choice errors; `main` also
+    gives it a command line whose command leaves arguments over, so that it
+    reports them.  Each build reads the terminal width once for all its help
+    formatters (argparse makes one per `add_argument`, each reading it).
     """
-    ap = argparse.ArgumentParser(prog="wgcl",
-                                 description="weighted guarded-command programs")
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     if command in COMMANDS:
-        names = [command]
-        sp = ap.add_subparsers(dest="command", required=True,
-                               metavar="{" + ",".join(COMMANDS) + "}")
-    else:
-        names = list(COMMANDS)
-        # no metavar here: the missing-command and invalid-choice errors
-        # name the argument by its metavar if it has one, else `command`
-        sp = ap.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, add_options, _ = COMMANDS[name]
-        add_options(sp.add_parser(name, help=help_line))
+        ap = argparse.ArgumentParser(prog=f"wgcl {command}", formatter_class=formatter)
+        COMMANDS[command][1](ap)
+        ap.set_defaults(command=command)
+        return ap
+    ap = argparse.ArgumentParser(prog="wgcl", description="weighted guarded-command programs",
+                                 formatter_class=formatter)
+    sp = ap.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_options, _) in COMMANDS.items():
+        add_options(sp.add_parser(name, help=help_line, formatter_class=formatter))
     return ap
 
 
@@ -334,9 +340,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if hasattr(sys, "set_int_max_str_digits"):  # no limit: sums are unbounded
         sys.set_int_max_str_digits(0)
-    ap = build_parser(argv[0] if argv else None)
+    command = argv[0] if argv else None
     try:
-        args = ap.parse_args(argv)
+        args, rest = (build_parser(command).parse_known_args(argv[1:])
+                      if command in COMMANDS else (None, argv))
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:

@@ -473,6 +473,19 @@ class DivergenceReport:
     lassos: frozenset  # (prefix weight, cycle weight) pairs, raw carriers
 
 
+# per idempotent numeric instance, the edge weights a divergent run may take
+# forever without changing the limit
+_DIVERGENT_EDGES = {"tropical": lambda w: w == 0, "arctic": lambda w: True, "boolean": bool}
+
+
+def check_divergence_analysis(algebra: Algebra) -> None:
+    """Raise DivergenceError unless `diverging_weights` handles `algebra`:
+    counting, prob and lang have no exact divergence analysis, and this
+    says so before any walk."""
+    if not isinstance(algebra, OmegaLangAlgebra) and algebra.name not in _DIVERGENT_EDGES:
+        raise DivergenceError(f"{algebra.name}: no exact divergence analysis")
+
+
 def diverging_weights(program: Program, state: State, algebra: Algebra,
                       node_budget: int = 10 ** 6) -> DivergenceReport:
     """Evaluate nonterminating behavior exactly on the finite quotient.
@@ -483,18 +496,16 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
     For the idempotent numeric instances the limit is characterized by
     cycle reachability: tropical takes the cheapest route to a zero-weight
     cycle, arctic and boolean only ask whether a (weight-preserving) cycle
-    is reachable at all.  Other instances are rejected.
+    is reachable at all.  Other instances are rejected before any walk.
     """
+    check_divergence_analysis(algebra)
     graph = build_quotient(program, state, algebra, node_budget)
     root = next(iter(graph))
     name = algebra.name
 
     if isinstance(algebra, OmegaLangAlgebra):
         return _diverge_omega(graph, root, algebra, node_budget)
-    keep = {"tropical": lambda w: w == 0, "arctic": lambda w: True, "boolean": bool}.get(name)
-    if keep is None:
-        raise DivergenceError(f"{name}: no exact divergence analysis")
-    # the edges a divergent run may take forever without changing the limit
+    keep = _DIVERGENT_EDGES[name]
     succ = {v: [s for (w, s) in es if keep(w)] for v, es in graph.items()}
     if name == "tropical":
         # zero-weight cycles anywhere, entered by the cheapest route

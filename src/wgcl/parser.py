@@ -19,6 +19,14 @@ word instances `weigh a^x` is sugar for a fresh-variable loop weighing `a`
 x times.  Boolean operators bind `not` over `and` over `or`; comparisons
 are = != < <= > >=.  `#` starts a line comment.
 
+Expressions parse in one pass, by precedence over one operator table with
+an explicit stack (`_Parser.expression`), so nothing is parsed twice and
+nested parentheses cost no recursion.  A parenthesis opened where an
+arithmetic operand is due (after `+ - *`, a comparison or unary minus)
+opens an arithmetic group; any other takes the type its contents turn out
+to have when it closes: `((x + 1)) > 2` compares a sum and `((x > 1))` is
+a comparison.
+
 Weighting expressions are guarded sums, e.g.
 
     [x>0 and y>0] 2*(x-1)+y (+) [not(x>0 and y>0)] int(0)
@@ -26,7 +34,10 @@ Weighting expressions are guarded sums, e.g.
 with summands separated by `(+)`; an omitted guard means "always".  Terms:
 `zero`/`one`/`top`, `int(e)`, bare arithmetic (embed sugar), `{a,ba,(b)^w}`
 language literals (lassos `p(q)^w` denote p·q^omega), rationals for prob,
-and `w * term` scalar products.
+and `w * term` scalar products.  Over an embeddable instance, a term that
+is all arithmetic is an embedding (`2*(x-1)+y`, `2 * (x)`), and `2 * one`
+and `2 * (one)` are products: a parenthesized group is a nested sum when it
+holds anything but arithmetic tokens (`_Parser.arithmetic_groups`).
 
 Reserved words: if else while skip weigh int true false and or not min max
 fib zero one top inf eps.
@@ -62,14 +73,13 @@ KEYWORDS = {
     "inf", "eps",
 }
 
-_TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<num>\d+)
-    | (?P<id>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<sym>:=|\.\.|\[\]|\(\+\)|!=|<=|>=|[;{}()\[\]+\-*/^,=<>@|])
-""", re.VERBOSE)
+_MULTI = (":=", "..", "[]", "(+)", "!=", "<=", ">=")  # symbols of more than one character
+_SINGLE = ";{}()[]+-*/^,=<>@|"
+# each match is the blanks before a token, then the token
+_TOKEN_RE = re.compile(r"([ \t\r]*)(\d+|[A-Za-z_][A-Za-z_0-9]*|%s|[%s])" % (
+    "|".join(map(re.escape, _MULTI)), re.escape(_SINGLE)))
+_OWN_TYPE = frozenset((*KEYWORDS, *_MULTI, *_SINGLE))  # a keyword or symbol is its own type
+_ID_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 
 
 class Token(NamedTuple):
@@ -80,37 +90,77 @@ class Token(NamedTuple):
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, then one `eof` token; columns count characters."""
+    """The tokens of `text`, then one `eof` token; columns count characters.
+
+    Line by line, with the comment cut off first: one `findall` yields the
+    blanks and the lexeme of each token, and the columns follow from their
+    lengths.  The search skips a character no token starts with, so a line
+    whose tokens and blanks fall short of its length holds one.
+    """
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:  # the search skipped a character no token starts with
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = pos
-        elif kind != "ws" and kind != "comment":
-            lexeme = m.group()
-            # a symbol or keyword is its own type; numbers are never keywords
-            typ = lexeme if kind == "sym" or lexeme in KEYWORDS else kind
-            tokens.append(Token(typ, lexeme, line, start - line_start + 1))
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    findall = _TOKEN_RE.findall
+    line = 0
+    for row in text.split("\n"):
+        line += 1
+        code = row.partition("#")[0]
+        col = 1
+        for blanks, lexeme in findall(code):
+            col += len(blanks)
+            typ = (lexeme if lexeme in _OWN_TYPE
+                   else "id" if lexeme[0] in _ID_START else "num")
+            append(new(Token, (typ, lexeme, line, col)))
+            col += len(lexeme)
+        if col <= len(code.rstrip(" \t\r")):
+            bad = 0
+            while m := _TOKEN_RE.match(code, bad):
+                bad = m.end()
+            bad += len(code[bad:]) - len(code[bad:].lstrip(" \t\r"))
+            raise ParseError(f"unexpected character {code[bad]!r}", line, bad + 1)
+    append(new(Token, ("eof", "", line, len(row) + 1)))
     return tokens
+
+
+# Binding powers.  `or` < `and` < `not` < comparisons < `+ -` < `*` < unary
+# minus.  Below the comparisons (power 4) operands are Boolean, from them up
+# arithmetic, so the table also types the operands.
+_CMP = ("=", "!=", "<", "<=", ">", ">=")
+_BINARY = {"or": 1, "and": 2, **dict.fromkeys(_CMP, 4), "+": 5, "-": 5, "*": 6}
+_NOT, _NEG = 3, 7
+_CALLS = ("min", "max", "fib")
+_PREFIXES = frozenset(("(", "not", "-"))
+# the tokens an arithmetic expression may hold, and may start with
+_ARITH_TOKENS = frozenset(("num", "id", *_CALLS, "(", ")", ",", "+", "-", "*"))
+_ARITH_START = frozenset(("num", "id", *_CALLS, "(", "-"))
+
+
+def _reduce(frame: tuple, node, is_bool: bool, tok: Token):
+    """Apply a pending operator to its right operand `node`; `tok` ends it."""
+    power, op, left = frame
+    if power <= _NOT:
+        if not is_bool:
+            raise ParseError("expected a comparison operator", tok.line, tok.col)
+        if op == "not":
+            return BNot(node), True
+        return (BAnd if op == "and" else BOr)(left, node), True
+    if left is None:
+        return ABin("-", AInt(0), node), False
+    if power == 4:
+        return BCmp(op, left, node), True
+    return ABin(op, left, node), False
 
 
 class _Parser:
     def __init__(self, text: str, algebra: Algebra | None):
         self.tokens = tokenize(text)
-        # `next` stops at the first eof, so a second one keeps peek(1) in range
+        # `next` stops at the first eof, so a second one keeps peek(2) from
+        # any other token in range
         self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.algebra = algebra
         self._fresh = 0
+        self._arith_groups: set[int] | None = None
 
     # --- token plumbing ---------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -123,111 +173,119 @@ class _Parser:
         return tok
 
     def accept(self, typ: str) -> Token | None:
-        if self.peek().typ == typ:
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.typ != typ:
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, typ: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.typ != typ:
             raise ParseError(f"expected {typ!r}, found {tok.lexeme or 'end of input'!r}",
                              tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    # --- arithmetic -------------------------------------------------------
-    def arith(self):
-        node = self.a_prod()
-        while self.peek().typ in ("+", "-"):
-            op = self.next().typ
-            node = ABin(op, node, self.a_prod())
-        return node
-
-    def a_prod(self):
-        node = self.a_unary()
-        while self.peek().typ == "*":
-            self.next()
-            node = ABin("*", node, self.a_unary())
-        return node
-
-    def a_unary(self):
-        if self.accept("-"):
-            tok = self.peek()
-            if tok.typ == "num":  # negative literal, not a subtraction
-                self.next()
-                return AInt(-int(tok.lexeme))
-            return ABin("-", AInt(0), self.a_unary())
-        return self.a_atom()
-
-    def a_atom(self):
-        tok = self.peek()
-        if tok.typ == "num":
-            self.next()
-            return AInt(int(tok.lexeme))
-        if tok.typ == "id":
-            self.next()
-            return AVar(tok.lexeme)
-        if tok.typ in ("min", "max", "fib"):
-            self.next()
-            self.expect("(")
-            args = [self.arith()]
-            while self.accept(","):
-                args.append(self.arith())
+    # --- expressions --------------------------------------------------------
+    def expression(self, boolean: bool):
+        """A Boolean (`boolean`) or an arithmetic expression, in one pass
+        (see the module docstring).  A connective or a comparison ends an
+        arithmetic group, an arithmetic operator or a comparison ends a
+        Boolean operand, and outside every group either ends the
+        expression, for the caller to reject.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        # (power, operator, left operand) per pending operator, `left` None
+        # for a prefix one; (0, "(", enclosing level) per open parenthesis
+        stack: list[tuple] = []
+        level = not boolean  # whether the innermost group is arithmetic only
+        depth = 0
+        while True:
+            # operand position: opening parentheses and prefixes, then an atom
+            tok = tokens[pos]
+            typ = tok.typ
+            while typ in _PREFIXES:
+                arith = level or bool(stack) and stack[-1][0] >= 4
+                if typ == "(":
+                    stack.append((0, "(", level))
+                    level = arith
+                    depth += 1
+                elif typ == "not":
+                    if arith:  # rejected as an atom below
+                        break
+                    stack.append((_NOT, "not", None))
+                elif tokens[pos + 1].typ == "num":
+                    break
+                else:
+                    stack.append((_NEG, "-", None))
+                pos += 1
+                tok = tokens[pos]
+                typ = tok.typ
+            pos += 1
+            is_bool = False
+            if typ == "num":
+                node = AInt(int(tok.lexeme))
+            elif typ == "-":  # a negative literal
+                node = AInt(-int(tokens[pos].lexeme))
+                pos += 1
+            elif typ == "id":
+                node = AVar(tok.lexeme)
+            elif typ in _CALLS:
+                self.pos = pos
+                node = self.call(tok)
+                pos = self.pos
+            elif (typ == "true" or typ == "false") and not (
+                    level or bool(stack) and stack[-1][0] >= 4):
+                node, is_bool = BBool(typ == "true"), True
+            else:
+                raise ParseError(f"expected an arithmetic expression, found {tok.lexeme!r}",
+                                 tok.line, tok.col)
+            # operator position: close groups, then reduce and push an operator
+            tok = tokens[pos]
+            while tok.typ == ")" and depth:
+                while stack[-1][1] != "(":
+                    node, is_bool = _reduce(stack.pop(), node, is_bool, tok)
+                level = stack.pop()[2]
+                depth -= 1
+                pos += 1
+                tok = tokens[pos]
+            power = _BINARY.get(tok.typ)
+            if power is None or power < 5 and level:  # a comparison or connective
+                break
+            while stack and stack[-1][0] >= power:
+                node, is_bool = _reduce(stack.pop(), node, is_bool, tok)
+            if power < 4 and not is_bool:
+                raise ParseError("expected a comparison operator", tok.line, tok.col)
+            if power >= 4 and is_bool:  # a Boolean operand ends here
+                break
+            stack.append((power, tok.typ, node))
+            pos += 1
+        self.pos = pos
+        if depth:
             self.expect(")")
-            if tok.typ == "fib" and len(args) != 1:
-                raise ParseError("fib takes one argument", tok.line, tok.col)
-            if tok.typ in ("min", "max") and len(args) < 2:
-                raise ParseError(f"{tok.typ} takes at least two arguments", tok.line, tok.col)
-            return ACall(tok.typ, tuple(args))
-        if tok.typ == "(":
-            self.next()
-            node = self.arith()
-            self.expect(")")
-            return node
-        self.fail(f"expected an arithmetic expression, found {tok.lexeme!r}")
-
-    # --- Boolean ----------------------------------------------------------
-    def bool_expr(self):
-        node = self.b_and()
-        while self.accept("or"):
-            node = BOr(node, self.b_and())
+        while stack:
+            node, is_bool = _reduce(stack.pop(), node, is_bool, tok)
+        if boolean and not is_bool:
+            raise ParseError("expected a comparison operator", tok.line, tok.col)
         return node
 
-    def b_and(self):
-        node = self.b_not()
-        while self.accept("and"):
-            node = BAnd(node, self.b_not())
-        return node
-
-    def b_not(self):
-        if self.accept("not"):
-            return BNot(self.b_not())
-        if self.accept("true"):
-            return BBool(True)
-        if self.accept("false"):
-            return BBool(False)
-        if self.peek().typ == "(":
-            saved = self.pos
-            self.next()
-            try:
-                inner = self.bool_expr()
-                self.expect(")")
-                return inner
-            except ParseError:
-                self.pos = saved
-        return self.b_cmp()
-
-    def b_cmp(self):
-        left = self.arith()
-        tok = self.peek()
-        if tok.typ not in ("=", "!=", "<", "<=", ">", ">="):
-            self.fail("expected a comparison operator")
-        self.next()
-        right = self.arith()
-        return BCmp(tok.typ, left, right)
+    def call(self, tok: Token):
+        self.expect("(")
+        args = [self.expression(False)]
+        while self.accept(","):
+            args.append(self.expression(False))
+        self.expect(")")
+        if tok.typ == "fib" and len(args) != 1:
+            raise ParseError("fib takes one argument", tok.line, tok.col)
+        if tok.typ in ("min", "max") and len(args) < 2:
+            raise ParseError(f"{tok.typ} takes at least two arguments", tok.line, tok.col)
+        return ACall(tok.typ, tuple(args))
 
     # --- weight literals ----------------------------------------------------
     def weight_literal(self) -> WeightExpr:
@@ -237,7 +295,7 @@ class _Parser:
         if tok.typ == "int":
             self.next()
             self.expect("(")
-            expr = self.arith()
+            expr = self.expression(False)
             self.expect(")")
             if not alg.embeddable:
                 raise ParseError(f"{alg.name}: integers cannot be embedded", tok.line, tok.col)
@@ -295,7 +353,7 @@ class _Parser:
         if tok.typ == "if":
             self.next()
             self.expect("(")
-            guard = self.bool_expr()
+            guard = self.expression(True)
             self.expect(")")
             then = self.block()
             self.expect("else")
@@ -304,7 +362,7 @@ class _Parser:
         if tok.typ == "while":
             self.next()
             self.expect("(")
-            guard = self.bool_expr()
+            guard = self.expression(True)
             self.expect(")")
             return While(guard, self.block())
         if tok.typ == "{":
@@ -325,7 +383,7 @@ class _Parser:
         if tok.typ == "id":
             self.next()
             self.expect(":=")
-            return Assign(tok.lexeme, self.arith())
+            return Assign(tok.lexeme, self.expression(False))
         self.fail(f"expected a statement, found {tok.lexeme or 'end of input'!r}")
 
     def weigh_statement(self) -> Program:
@@ -361,7 +419,7 @@ class _Parser:
         guard = None
         if self.peek().typ == "[":
             self.next()
-            guard = self.bool_expr()
+            guard = self.expression(True)
             self.expect("]")
         return WGuarded(guard, self.w_factor())
 
@@ -380,7 +438,7 @@ class _Parser:
         if tok.typ == "int":
             self.next()
             self.expect("(")
-            expr = self.arith()
+            expr = self.expression(False)
             self.expect(")")
             if not alg.embeddable:
                 raise ParseError(f"{alg.name}: integers cannot be embedded", tok.line, tok.col)
@@ -393,21 +451,25 @@ class _Parser:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         if tok.typ == "{":
             return self.w_set_literal()
-        # greedy arithmetic first: `2*(x-1)+y` is an embedding, not a scalar
+        # a scalar product `w * term`, or over an embeddable instance bare
+        # arithmetic: `2*(x-1)+y` is an embedding and `2 * one` a product.
+        # The term after the leading `n *` factors decides which.
+        tokens, pos = self.tokens, self.pos
         if alg.embeddable:
-            saved = self.pos
-            try:
-                return TEmbed(self.arith())
-            except ParseError:
-                self.pos = saved
-        # scalar product `w * term`
-        saved = self.pos
-        try:
+            head = pos
+            while tokens[head].typ == "num" and tokens[head + 1].typ == "*":
+                head += 2
+            typ = tokens[head].typ
+            if typ in _ARITH_START and (typ != "(" or head in self.arithmetic_groups()):
+                return TEmbed(self.expression(False))
+            scalar = head > pos
+        else:
+            width = self.literal_width()
+            scalar = width > 0 and tokens[pos + width].typ == "*"
+        if scalar:
             w = self.weight_literal()
-            self.expect("*")
+            self.next()  # the `*`
             return TScale(w, self.w_factor())
-        except ParseError:
-            self.pos = saved
         if alg.name == "prob" and tok.typ == "num":
             num = int(self.next().lexeme)
             if self.accept("/"):
@@ -420,6 +482,45 @@ class _Parser:
             self.expect(")")
             return inner
         self.fail(f"expected a weighting term, found {tok.lexeme or 'end of input'!r}")
+
+    def literal_width(self) -> int:
+        """How many tokens a weight literal of a non-embeddable instance
+        takes here, 0 if none starts here."""
+        typ = self.peek().typ
+        name = self.algebra.name
+        if name == "boolean":
+            return int(typ in ("true", "false", "num"))
+        if name == "prob":
+            if typ != "num":
+                return 0
+            return 3 if self.peek(1).typ == "/" and self.peek(2).typ == "num" else 1
+        return int(typ in ("eps", "id"))  # the word instances
+
+    def arithmetic_groups(self) -> set[int]:
+        """The positions of the `(` tokens whose group, up to the matching
+        `)`, holds arithmetic tokens only.
+
+        A group with any other token never reads as arithmetic, and one of
+        arithmetic tokens reads as a nested sum only where it also reads as
+        arithmetic, so `w_factor` takes its reading from this set without
+        trying either.  One pass over the tokens, on first use.
+        """
+        if self._arith_groups is None:
+            groups: set[int] = set()
+            open_groups: list[list] = []  # [position, arithmetic only so far]
+            for i, tok in enumerate(self.tokens):
+                if tok.typ == "(":
+                    open_groups.append([i, True])
+                elif tok.typ == ")" and open_groups:
+                    start, only = open_groups.pop()
+                    if only:
+                        groups.add(start)
+                    elif open_groups:
+                        open_groups[-1][1] = False
+                elif open_groups and tok.typ not in _ARITH_TOKENS:
+                    open_groups[-1][1] = False
+            self._arith_groups = groups
+        return self._arith_groups
 
     def w_set_literal(self) -> WeightingExpr:
         tok = self.expect("{")

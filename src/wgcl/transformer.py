@@ -59,7 +59,8 @@ from .syntax import (
     State, Weigh, Weighting, While, compile_program, eval_bool,
 )
 from .operational import (
-    BudgetError, DivergenceError, certainly_terminates, components, cyclic, diverging_weights,
+    BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis, components,
+    cyclic, diverging_weights,
 )
 
 
@@ -472,7 +473,9 @@ class LiberalEngine:
     programs).  `method` picks between the fixed-point chain, the lasso
     decomposition wlp(f) = wp(f) (+) wlp(zero), or trying both.  The chain
     and the wp part of the lasso each keep one `Engine`, so a grid sweep
-    shares their certified loop states.
+    shares their certified loop states.  The lasso needs an exact
+    divergence analysis; on counting, prob and lang it raises
+    `DivergenceError` before it runs anything, and `auto` keeps the chain.
     """
 
     def __init__(self, algebra: Algebra, fuel: int = 64, node_budget: int = 10 ** 6,
@@ -503,6 +506,7 @@ class LiberalEngine:
     def _lasso(self, program: Program, f, sigma: State) -> TransformResult:
         if self.mode != "gfp":
             raise DivergenceError("lasso decomposition needs the plain gfp mode")
+        check_divergence_analysis(self.algebra)  # before the wp part runs
         wp_part = self.wp.run(program, f, sigma)
         div = diverging_weights(program, sigma, self.algebra, self.node_budget)
         value = self.algebra.mod_add(wp_part.value, div.value)

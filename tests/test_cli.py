@@ -349,14 +349,14 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     monkeypatch.delenv("WGCL_FUEL", raising=False)
     for rest in ONE_COMMAND_ARGVS[command]:
         argv = [command, *rest]
-        one = build_parser(command).parse_args(argv)
+        one = build_parser(command).parse_args(argv[1:])
         assert one == build_parser().parse_args(argv)
         assert one.command == command
     # each call builds a new parser, so the fuel default reads WGCL_FUEL anew
     argv = [command, *ONE_COMMAND_ARGVS[command][0]]
-    assert build_parser(command).parse_args(argv).fuel == 64
+    assert build_parser(command).parse_args(argv[1:]).fuel == 64
     monkeypatch.setenv("WGCL_FUEL", "5")
-    one = build_parser(command).parse_args(argv)
+    one = build_parser(command).parse_args(argv[1:])
     assert one == build_parser().parse_args(argv)
     assert one.fuel == 5
 
@@ -464,6 +464,21 @@ def test_deep_parentheses_without_traceback(capsys, tmp_path):
     f.write_text("@instance tropical\nx := " + "(" * 400 + "1" + ")" * 400 + "\n",
                  encoding="utf-8")
     _exits_cleanly(*run(capsys, "print", str(f)), "@instance tropical\nx := 1\n")
+
+
+@pytest.mark.parametrize("body, printed, row", [
+    ("x := " + "(" * 400 + "x + 1" + ")" * 400, "x := (x + 1)", "x=1 | 2 | exact\n"),
+    ("if (" + "(" * 400 + "x > 0" + ")" * 400 + ") { x := 5 } else { skip }",
+     "if (x > 0) {\n  x := 5\n} else {\n  skip\n}", "x=1 | 5 | exact\n"),
+], ids=["assignment", "guard"])
+def test_deep_parentheses_print_and_run(capsys, tmp_path, body, printed, row):
+    # the parser keeps open parentheses on a stack, so their depth costs no recursion
+    f = tmp_path / "deep.wgcl"
+    f.write_text(f"@instance tropical\n{body}\n", encoding="utf-8")
+    out = f"@instance tropical\n{printed}\n"
+    assert run(capsys, "print", str(f)) == (0, out, "")
+    assert parse_program(out).program == parse_program(f.read_text(encoding="utf-8")).program
+    assert run(capsys, "wp", str(f), "--post", "int(x)", "--state", "x=1") == (0, row, "")
 
 
 INSTANCES = ("boolean", "counting", "tropical", "arctic", "prob", "lang:ab", "omegalang:ab")

@@ -12,8 +12,9 @@ from wgcl.parser import (
     ParseError, parse_grid, parse_program, parse_state, parse_weighting, tokenize,
 )
 from wgcl.syntax import (
-    MAX_INT_BITS, ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BOr, Branch,
-    EvalError, ExprWeighting, Ite, Seq, State, Weigh, WEmbedInt, While, WLit,
+    MAX_INT_BITS, ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr, Branch,
+    EvalError, ExprWeighting, Ite, Seq, State, TEmbed, TOne, TScale, Weigh, WEmbedInt,
+    WGuarded, While, WLit, WSum,
     compile_arith, compile_bool, compile_program, eval_arith, eval_bool, eval_weight,
     eval_weighting, fib, print_program,
 )
@@ -87,6 +88,45 @@ def test_tokens_are_pinned():
         ("id", "x", 3, 15), (">=", ">=", 3, 16), ("num", "0", 3, 18), ("]", "]", 3, 19),
         ("one", "one", 3, 21), ("..", "..", 3, 25), ("@", "@", 3, 28), ("eof", "", 3, 29),
     ]
+
+
+@pytest.mark.parametrize("guard, expected", [
+    # a group that reads as a comparison only once it closes
+    ("((x + 1)) > 2", BCmp(">", ABin("+", AVar("x"), AInt(1)), AInt(2))),
+    ("((x > 1))", BCmp(">", AVar("x"), AInt(1))),
+    ("(x) = (y)", BCmp("=", AVar("x"), AVar("y"))),
+    # `not` binds over `and` over `or`, a comparison under `not`
+    ("not x > 1 and y = 2 or true",
+     BOr(BAnd(BNot(BCmp(">", AVar("x"), AInt(1))), BCmp("=", AVar("y"), AInt(2))),
+         BBool(True))),
+])
+def test_parenthesized_guards_are_pinned(guard, expected):
+    parsed = parse_program(f"@instance tropical\nwhile ({guard}) {{ skip }}")
+    assert parsed.program.guard == expected
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("- 3", AInt(-3)),  # a negative literal
+    ("-(3)", ABin("-", AInt(0), AInt(3))),  # a negation
+    ("x - -3", ABin("-", AVar("x"), AInt(-3))),
+    ("-x * 2", ABin("*", ABin("-", AInt(0), AVar("x")), AInt(2))),  # minus binds over *
+    ("min(x, (y))", ACall("min", (AVar("x"), AVar("y")))),
+])
+def test_unary_minus_and_groups_are_pinned(expr, expected):
+    assert parse_program(f"@instance tropical\nx := {expr}").program == Assign("x", expected)
+
+
+def test_embedding_and_scalar_weightings_are_pinned():
+    trop = algebra("tropical")
+    embed = ABin("+", ABin("*", AInt(2), ABin("-", AVar("x"), AInt(1))), AVar("y"))
+    assert parse_weighting("2*(x-1)+y", trop) == WSum((WGuarded(None, TEmbed(embed)),))
+    assert parse_weighting("2 * one", trop) == WSum((WGuarded(None, TScale(WLit(2), TOne())),))
+
+
+def test_arithmetic_guard_names_the_missing_comparison():
+    with pytest.raises(ParseError) as err:
+        parse_program("@instance tropical\nif (x + 1) { skip } else { skip }")
+    assert str(err.value) == "line 2, col 10: expected a comparison operator"
 
 
 _LEXEMES = ["x", "ab", "while", "fib", "0", "42", ":=", "..", "[]", "(+)", "!=", "<=",

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from wgcl import operational
 from wgcl.algebra import INF, NoTopError, algebra
 from wgcl.operational import (
-    BudgetError, certainly_terminates, olp_oracle, op_oracle, uct_check,
+    BudgetError, DivergenceError, certainly_terminates, olp_oracle, op_oracle, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
     ExprWeighting, FnWeighting, State, TableWeighting, While, flatten_seq, print_program,
 )
 from wgcl.transformer import (
-    CertificationError, Engine, NotALoopError, apply_char_fn, as_weighting,
+    CertificationError, Engine, LiberalEngine, NotALoopError, apply_char_fn, as_weighting,
     char_fn, check_decomposition, check_fixed_point, check_subinvariant,
     check_superinvariant, wlp_eval, wp_eval,
 )
@@ -99,6 +100,26 @@ def test_wlp_divergence_beats_paid_exit():
 def test_wlp_language_lasso():
     res = wlp_eval(EX411.program, "zero", State({"x": 1}), EX411.algebra)
     assert res.value == EX411.algebra.value({("", "b")}) and res.exact
+
+
+@pytest.mark.parametrize("name", ["counting", "prob", "lang:ab"])
+def test_lasso_without_a_divergence_analysis_fails_before_any_walk(name, monkeypatch):
+    # these instances have no exact divergence analysis: the lasso says so
+    # before its wp part or a quotient walk runs, and `auto` keeps the chain
+    alg = algebra(name)
+    loop = prog("@instance tropical\nwhile(x>0){ {x := x-1} [] {x := x+1} }", name).program
+    f, sigma = weighting("zero", alg), State({"x": 1})
+    chain = LiberalEngine(alg, method="chain").run(loop, f, sigma) if alg.has_top else None
+
+    def walk(*_args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(operational, "build_quotient", walk)
+    if chain is not None:
+        assert LiberalEngine(alg).run(loop, f, sigma) == chain
+    monkeypatch.setattr(Engine, "run", walk)
+    with pytest.raises(DivergenceError, match=f"{name}: no exact divergence analysis"):
+        LiberalEngine(alg, method="lasso").run(loop, f, sigma)
 
 
 def test_wlp_equals_wp_on_uct_programs():
