@@ -650,8 +650,9 @@ class LangAlgebra(_WordAlgebra):
     has_top = False
 
     def _check_value(self, raw):
-        if not isinstance(raw, frozenset):
-            raw = frozenset(raw)
+        if not isinstance(raw, (set, frozenset, list, tuple)):
+            raise AlgebraError(f"{self.name}: not a language value: {raw!r}")
+        raw = frozenset(raw)
         for w in raw:
             self._check_word(w)
         return raw

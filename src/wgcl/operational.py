@@ -209,14 +209,19 @@ def _settled(live, value: ModuleValue, post: Weighting, seed: ModuleValue,
     olp = seed != algebra.mod_zero()
     if olp and value != seed:
         return False
+    absorbed = set()  # the edge weights a already seen to have a (x) top = top
     try:
         for (position, sigma), edges in _reachable([(p, s) for p, s, _ in live],
                                                    algebra, node_budget):
             if position is TERMINATED and (olp or post.at(sigma) != algebra.mod_zero()):
                 return False
+            if not olp:
+                continue
             for a, _ in edges:
-                if olp and algebra.scalar_mul(Weight(algebra, a), seed) != seed:
-                    return False
+                if a not in absorbed:
+                    if algebra.scalar_mul(Weight(algebra, a), seed) != seed:
+                        return False
+                    absorbed.add(a)
     except (BudgetError, EvalError):  # too large, or undefined beyond the horizon
         return False
     return True

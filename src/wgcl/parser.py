@@ -309,11 +309,7 @@ class _Parser:
                 n = int(self.expect("num").lexeme)
                 return WLit(alg.weight(n).value)
             if alg.name == "prob":
-                num = int(self.expect("num").lexeme)
-                if self.accept("/"):
-                    den = int(self.expect("num").lexeme)
-                    return WLit(alg.weight(Fraction(num, den)).value)
-                return WLit(alg.weight(Fraction(num)).value)
+                return WLit(alg.weight(self.rational()).value)
             if alg.name.startswith(("lang:", "omegalang:")):
                 if self.accept("eps"):
                     return WLit("")
@@ -326,6 +322,17 @@ class _Parser:
             return WLit(alg.weight(n).value)
         except AlgebraError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
+
+    def rational(self) -> Fraction:
+        """A `num` or `num/num` literal."""
+        num = int(self.expect("num").lexeme)
+        if not self.accept("/"):
+            return Fraction(num)
+        tok = self.expect("num")
+        den = int(tok.lexeme)
+        if den == 0:
+            raise ParseError("a fraction's denominator is 0", tok.line, tok.col)
+        return Fraction(num, den)
 
     # --- statements ---------------------------------------------------------
     def program(self) -> Program:
@@ -471,11 +478,7 @@ class _Parser:
             self.next()  # the `*`
             return TScale(w, self.w_factor())
         if alg.name == "prob" and tok.typ == "num":
-            num = int(self.next().lexeme)
-            if self.accept("/"):
-                den = int(self.expect("num").lexeme)
-                return TLit(Fraction(num, den))
-            return TLit(Fraction(num))
+            return TLit(self.rational())
         if tok.typ == "(":
             self.next()
             inner = self.weighting()

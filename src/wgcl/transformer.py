@@ -22,7 +22,7 @@ Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
 the characteristic map is affine in X: at each state it is a constant plus
 a weighted sum of the iterate at the states the body reaches.  A
-breadth-first sweep discovers those states, at most fuel + 1 body-hops
+breadth-first sweep discovers those states, at most a horizon of body-hops
 from the queried one, running the body once at each and reading off that
 linear form (`_Forms`); its states are the ones this state reads.  The
 strongly connected components of that dependency graph
@@ -30,10 +30,15 @@ strongly connected components of that dependency graph
 iteration over a topological order, Bourdoncle 1993) by substituting
 values into the forms: a state outside any cycle once, and a cyclic
 component for at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve
-path problems from the same per-vertex equations).  The exact form of a
-state left uncertified stays on the engine, so each loop state's body runs
-once per engine and postweighting; a loop whose body contains a loop runs
-it again instead.
+path problems from the same per-vertex equations).  The horizon starts at
+fuel + 1 hops; while the queried state is uncertified and a read crossed
+the horizon, it doubles and the solve goes on from the states it cut
+(iterative deepening, Korf 1985), up to `Engine.state_cap` loop states, a
+thousandth of the node budget.  So a loop that certainly terminates within
+the cap is solved in time linear in the states it touches, whatever the
+fuel.  The exact form of a state left uncertified stays on the engine, so
+each loop state's body runs once per engine and postweighting; a loop
+whose body contains a loop runs it again instead.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -53,10 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .algebra import Algebra, ModuleValue, NoTopError, Weight
+from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError, Weight
 from .syntax import (
-    TERMINATED, Assign, Branch, ExprWeighting, FnWeighting, Ite, Node, Program,
-    State, Weigh, Weighting, While, compile_program, eval_bool,
+    TERMINATED, Assign, Branch, EvalError, ExprWeighting, FnWeighting, Ite, Node,
+    Program, State, Weigh, Weighting, While, compile_program, eval_bool,
 )
 from .operational import (
     BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis, components,
@@ -80,17 +85,18 @@ class TransformResult:
     """A transformer value at one state.
 
     `iterations` counts the loop solver's sweeps during the run, summed
-    over every loop solve it made (nested loops included): one discovery
-    sweep per solve, plus the passes of that solve's most-iterated
-    component (a state outside any cycle takes one pass, or none when
-    discovery already settled it).  It does not grow with the number of
-    states.  `touched_states` counts the states
-    those solves discovered; states certified by earlier queries on the
-    same engine are read, not touched again.  `evaluations` counts the
-    loop states whose body (or, where the guard fails, continuation) those
-    solves ran: once per discovered state, and not at all for a state
-    whose form an earlier query on the same engine read off.  A loop whose
-    body contains a loop runs it again at every substitution.
+    over every loop solve it made (nested loops included) and over each
+    solve's rounds of deepening: one discovery sweep per round, plus the
+    passes of that round's most-iterated component (a state outside any
+    cycle takes one pass, or none when discovery already settled it).  It
+    does not grow with the number of states.  `touched_states` counts the
+    states those solves discovered, each once over all rounds; states
+    certified by earlier queries on the same engine are read, not touched
+    again.  `evaluations` counts the loop states whose body (or, where the
+    guard fails, continuation) those solves ran: once per discovered
+    state, in whichever round, and not at all for a state whose form an
+    earlier query on the same engine read off.  A loop whose body contains
+    a loop runs it again at every substitution.
     """
 
     value: ModuleValue
@@ -145,7 +151,8 @@ class _Forms:
 
 
 class _Solve:
-    """One solve of a loop from a queried state.
+    """One solve of a loop from a queried state, in rounds of deepening
+    horizon.
 
     1. Discovery: a breadth-first sweep from the queried state reads off
        each state's form once: the characteristic map there as a constant
@@ -153,7 +160,7 @@ class _Solve:
        `_Forms`).  A guard that fails gives the constant alone.  The read
        states it has not met before join the sweep.  A read of a state
        more body-hops away than the horizon keeps the seed, like the leaf
-       of a bounded unrolling, and is never certified.
+       of a bounded unrolling, and is never certified; the state is cut.
     2. Component order: `operational.components` orders the components
        of the dependency graph, dependencies first and deepest state first
        within one; that is the Gauss-Seidel order, so it fixes a bound.
@@ -164,6 +171,18 @@ class _Solve:
        when a full pass changes nothing and every substitution in it was
        exact: no inner result was inexact, no read crossed the horizon and
        every dependency outside the component was itself certified.
+       Certified states are final.
+    4. Deepening (Korf 1985): if the queried state is left uncertified and
+       some state was cut, the horizon doubles and the same solve goes on.
+       Discovery resumes from the cut states, and steps 2 and 3 run again
+       over the states not yet certified, from the seed.  So each round
+       costs about as much as a fresh solve at its horizon, minus the body
+       runs, and all rounds together about twice the last.  A deepening
+       round is dropped if it would touch more than `Engine.state_cap`
+       states or outgrow the node budget, or if a state beyond the last
+       horizon fails to evaluate: the solve keeps the last round's bound,
+       which is sound, and later solves of this loop on the engine do not
+       deepen.
 
     A form does not depend on the horizon, the seed or what is certified.
     So where the solve leaves a state uncertified, its form, if exact,
@@ -184,12 +203,17 @@ class _Solve:
         self.unit = engine._forms.unit
         self.seed = engine._seed()
         self.horizon = engine.fuel + 1
+        self.cap: int | None = None  # on the states touched, once deepening
         self.vals: dict[State, ModuleValue] = {}
         self.exact: dict[State, bool] = {}
         self.depth: dict[State, int] = {}
-        # reads in the order they happen (a dict, not a set), so that the
-        # order of solving, and so an inexact bound, is the same every run
+        # the states each state reads (`reads_of`), and of those the ones
+        # this solve discovered and has not certified (`deps`), in the order
+        # of reading (a dict, not a set), so that the order of solving, and
+        # so an inexact bound, is the same every run
+        self.reads_of: dict[State, Iterable[State]] = {}
         self.deps: dict[State, dict[State, None]] = {}
+        self.cut: dict[State, int] = {}  # read beyond the horizon: its depth
         self.queue: list[State] = []
         self.discovering = True
         self.current_depth = 0
@@ -197,14 +221,18 @@ class _Solve:
         self.reads: dict[State, None] = {}  # of a nested loop's body run
 
     def _touch(self, sigma: State, depth: int) -> None:
-        """Discover `sigma` unless discovery is over or it is certified,
-        known or beyond the horizon."""
-        if (not self.discovering or sigma in self.final or sigma in self.vals
-                or depth > self.horizon):
+        """Discover `sigma` unless discovery is over or it is certified or
+        known; cut it if it is beyond the horizon."""
+        if not self.discovering or sigma in self.final or sigma in self.vals:
+            return
+        if depth > self.horizon:
+            self.cut.setdefault(sigma, depth)
             return
         budget = self.engine.node_budget
         if len(self.final) + len(self.vals) >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
+        if self.cap is not None and len(self.depth) >= self.cap:
+            raise BudgetError(f"deepening touched more than {self.cap} states")
         self.vals[sigma] = self.seed
         self.depth[sigma] = depth
         self.queue.append(sigma)
@@ -220,9 +248,9 @@ class _Solve:
         self._touch(sigma, self.current_depth + 1)
         if sigma in self.final:
             return self.final[sigma], True
+        self.reads[sigma] = None
         if sigma not in self.vals:
             return self.seed, False  # beyond the horizon
-        self.reads[sigma] = None
         return self.vals[sigma], self.exact.get(sigma, True)
 
     def _run(self, sigma: State, ops, read):
@@ -274,25 +302,51 @@ class _Solve:
         return ModuleValue(alg, total), exact
 
     def _read_off(self, sigma: State) -> None:
-        """Discovery at `sigma`: its dependencies, and its value if it has
-        none."""
-        if self.node.nested:
+        """Discovery at `sigma`: the states it reads, and its value if it
+        reads none of this solve's."""
+        nested = self.node.nested
+        if nested:
             value, exact = self._substitute(sigma)
-            deps = self.reads
+            reads = self.reads
         else:
             self.forms[sigma] = form = self._form(sigma)
-            deps = dict.fromkeys(filter(self.vals.__contains__, form[1]))
-            if not deps:
+            reads = form[1]
+        self.reads_of[sigma] = reads
+        self.deps[sigma] = deps = dict.fromkeys(filter(self.vals.__contains__, reads))
+        if not deps:  # solved already
+            if not nested:
                 value, exact = self._substitute(sigma)
-        self.deps[sigma] = deps
-        if not deps:  # read no state of this solve: solved already
             self.vals[sigma], self.exact[sigma] = value, exact
 
-    def run(self, root: State) -> tuple[ModuleValue, bool]:
-        self._touch(root, 0)
+    def _discover(self) -> None:
+        """Step 1, from the states touched so far."""
+        self.engine._passes += 1
         for sigma in self.queue:  # grows while it is walked
             self._read_off(sigma)
+        self.queue = []
         self.discovering = False
+
+    def _deepen(self) -> None:
+        """Step 4: double the horizon, discover from the cut states, and
+        leave every state not yet certified to be solved again."""
+        self.horizon *= 2
+        self.cap = self.engine.state_cap
+        self.vals = dict.fromkeys([sigma for sigma in self.vals if sigma not in self.final],
+                                  self.seed)
+        self.exact.clear()
+        cut, self.cut = self.cut, {}
+        self.discovering = True
+        for sigma, depth in cut.items():
+            self._touch(sigma, depth)
+        self._discover()
+        contains = self.vals.__contains__
+        self.deps = {sigma: dict.fromkeys(filter(contains, self.reads_of[sigma]))
+                     for sigma in self.vals}
+
+    def _round(self, root: State) -> tuple[ModuleValue, bool]:
+        """Steps 2 and 3 over the states discovered so far: the value at
+        `root` and whether it is certified.  Certified states become
+        final."""
         longest = 0
         for component in components([root], self.deps):
             if not cyclic(component, self.deps):
@@ -305,16 +359,31 @@ class _Solve:
             longest = max(longest, passes)
             for sigma in component:
                 self.exact[sigma] = certified
-        self.engine._passes += 1 + longest
-        self.engine._touched += len(self.vals)
-        for sigma, exact in self.exact.items():
-            if exact:
+        self.engine._passes += longest
+        for sigma, certified in self.exact.items():
+            if certified:
                 self.final[sigma] = self.vals[sigma]
-            else:  # a later solve may meet it again
+        return self.vals[root], self.exact[root]
+
+    def run(self, root: State) -> tuple[ModuleValue, bool]:
+        engine = self.engine
+        self._touch(root, 0)
+        self._discover()
+        value, exact = self._round(root)
+        try:
+            while (not exact and self.cut and len(self.depth) < engine.state_cap
+                   and self.node not in engine._capped):
+                self._deepen()
+                value, exact = self._round(root)
+        except (BudgetError, EvalError, AlgebraError):  # the last bound stands
+            engine._capped.add(self.node)
+        engine._touched += len(self.depth)
+        for sigma in self.vals:
+            if sigma not in self.final:  # a later solve may meet it again
                 form = self.forms.get(sigma)
                 if form is not None and form[2]:
                     self.cache[sigma] = form
-        return self.vals[root], self.exact[root]
+        return value, exact
 
     def _iterate(self, component: list[State]) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
@@ -381,6 +450,8 @@ class Engine:
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._memos: dict[Weighting, _Memo] = {}
         self._forms = _Forms(algebra)
+        self.state_cap = node_budget // 1000  # of a deepening solve
+        self._capped: set[Node] = set()  # loops whose deepening was dropped
         self._passes = 0
         self._touched = 0
         self._evaluations = 0

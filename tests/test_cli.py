@@ -257,17 +257,34 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys):
 
 def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
     # from x=1 the loop reads the states x=0 left uncertified (its horizon
-    # cut the chain at fuel 2), so the row stays inexact, as it is alone
+    # cut the chain at fuel 2, and budget 1000 allows no deepening), so the
+    # row stays inexact, as it is alone
     f = tmp_path / "reset.wgcl"
     f.write_text("@instance tropical\nwhile (y > 0) { x := 0; y := y - 1 }\n",
                  encoding="utf-8")
     code, out, _ = run(capsys, "wp", str(f), "--post", "one",
-                       "--grid", "x=0..1,y=5..5", "--fuel", "2")
+                       "--grid", "x=0..1,y=5..5", "--fuel", "2", "--budget", "1000")
     assert code == 3
     assert out == "x=0,y=5 | inf | inexact\nx=1,y=5 | inf | inexact\n"
     code, out, _ = run(capsys, "wp", str(f), "--post", "one",
-                       "--state", "x=1,y=5", "--fuel", "2")
+                       "--state", "x=1,y=5", "--fuel", "2", "--budget", "1000")
     assert (code, out) == (3, "x=1,y=5 | inf | inexact\n")
+
+
+def test_a_zero_denominator_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "half.wgcl"
+    f.write_text("@instance prob\nx := 1;\nweigh 1/0\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "one", "--state", "x=1")
+    assert (code, out, err) == (2, "", "wgcl: line 3, col 9: a fraction's denominator is 0\n")
+    f.write_text("@instance prob\nweigh 1/2\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "[x > 0] 3/0", "--state", "x=1")
+    assert (code, out, err) == (2, "", "wgcl: line 1, col 11: a fraction's denominator is 0\n")
+
+
+def test_inf_over_a_word_instance_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "wp", "ex411", "--instance", "lang:ab",
+                         "--post", "inf", "--state", "x=1")
+    assert (code, out, err) == (2, "", "wgcl: line 1, col 1: lang:ab: not a language value: inf\n")
 
 
 def test_one_graph_per_program_object(capsys, monkeypatch):

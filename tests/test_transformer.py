@@ -12,7 +12,8 @@ from wgcl.operational import (
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    ExprWeighting, FnWeighting, State, TableWeighting, While, flatten_seq, print_program,
+    EvalError, ExprWeighting, FnWeighting, State, TableWeighting, While, flatten_seq,
+    print_program,
 )
 from wgcl.transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, apply_char_fn, as_weighting,
@@ -658,16 +659,75 @@ def test_a_solve_runs_each_loop_state_body_once():
 
 
 def test_a_shared_engine_reads_uncertified_forms_instead_of_running_bodies():
-    # at the default fuel the horizon cuts every chain n, n-1, ..., so no
-    # row is certified; each later row touches the chain again but runs
-    # only its own new root's body, so no state's body runs twice
+    # a chain n, n-1, ... of 2000 states outgrows the deepening cap (1000
+    # states at the default budget), so no row is certified; each later row
+    # touches the chain again but runs only its own new root's body, so no
+    # state's body runs twice
     engine = Engine(TROP, "wp")
     f = weighting("one", TROP)
-    rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100})) for n in range(95, 101)]
+    rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100}))
+            for n in range(2000, 2006)]
     assert not any(r.exact for r in rows)
     assert rows[0].evaluations == rows[0].touched_states
     assert [r.evaluations for r in rows[1:]] == [1] * 5
     assert all(r.touched_states > 60 for r in rows[1:])
+
+
+def test_deepening_certifies_a_chain_longer_than_the_horizon():
+    # the horizon doubles from fuel + 1 until the chain n, n-1, ..., 0 fits,
+    # so the near grid is exact at the default fuel; the later rows read
+    # the states the first one certified and run only their own root
+    engine = Engine(TROP, "wp")
+    f = weighting("one", TROP)
+    rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100})) for n in range(95, 101)]
+    assert [(r.value, r.exact) for r in rows] == [(TROP.value(n), True) for n in range(95, 101)]
+    assert [r.evaluations for r in rows[1:]] == [1] * 5
+    res = wlp_eval(SKI_ND.program, "one", State({"n": 100, "y": 100}), TROP)
+    assert res.exact and res.value == TROP.value(100)
+
+
+def test_deepening_runs_each_loop_state_body_once_across_rounds():
+    # fuel 8: horizons 9, 18, ..., 288, 576; each round resumes from the
+    # states the last one cut and reads the forms it read off
+    sigma = State({"n": 300, "y": 300})
+    deep = wp_eval(SKI_ND.program, "one", sigma, TROP, fuel=8)
+    wide = wp_eval(SKI_ND.program, "one", sigma, TROP, fuel=320)
+    assert deep.exact and deep.value == wide.value == TROP.value(300)
+    assert deep.evaluations == deep.touched_states == wide.touched_states == 301
+    assert deep.iterations == 7 * wide.iterations  # a sweep and a pass per round
+
+
+def test_a_divergent_loop_stays_a_sound_inexact_bound():
+    grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
+    engine, f = Engine(TROP, "wp"), weighting("one", TROP)
+    first = engine.run(grower, f, State({"x": 1}))
+    assert not first.exact and first.value == TROP.mod_zero()
+    assert first.evaluations == first.touched_states == engine.state_cap == 1000
+    # the loop hit the cap, so a later query reads the forms at fuel + 1
+    # hops and does not deepen again
+    later = engine.run(grower, f, State({"x": 2}))
+    assert not later.exact and later.value == TROP.mod_zero()
+    assert (later.touched_states, later.evaluations) == (66, 0)
+
+
+def test_a_deepening_round_never_turns_an_answer_into_an_error():
+    # a round that outgrows the node budget, or meets a state that fails to
+    # evaluate, is dropped, and the last round's bound stands; where the
+    # first round does so, the query fails as it always did
+    grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
+    engine = Engine(TROP, "wp", node_budget=300)
+    engine.state_cap = 10 ** 6  # so that the node budget stops the deepening
+    res = engine.run(grower, "one", State({"x": 1}))
+    assert not res.exact and res.value == TROP.mod_zero()
+    assert res.touched_states == 300
+    with pytest.raises(BudgetError):
+        wp_eval(grower, "one", State({"x": 1}), TROP, fuel=300, node_budget=300)
+    squarer = prog("@instance tropical\nwhile(x>0){x := x+1; y := y*y}").program
+    sigma = State({"x": 1, "y": 2})  # y has 2^k + 1 bits after k passes
+    res = wp_eval(squarer, "one", sigma, TROP, fuel=8)
+    assert not res.exact and res.value == TROP.mod_zero()
+    with pytest.raises(EvalError, match="a product exceeds 65536 bits"):
+        wp_eval(squarer, "one", sigma, TROP, fuel=20)
 
 
 def test_nested_loops_match_oracles_and_fresh_engines():
