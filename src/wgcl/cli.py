@@ -35,7 +35,7 @@ from .operational import (
     BudgetError, DivergenceError, enumerate_paths, olp_oracle, op_oracle,
 )
 from .parser import ParseError, parse_grid, parse_program, parse_state, parse_weighting
-from .syntax import EvalError, ExprWeighting, While, flatten_seq, print_program
+from .syntax import EvalError, ExprWeighting, State, While, flatten_seq, print_program
 from .transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, check_fixed_point,
     check_subinvariant, check_superinvariant,

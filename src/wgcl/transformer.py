@@ -21,30 +21,29 @@ stands for the current iterate.
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
 the characteristic map is affine in X: at each state it is a constant plus
-a weighted sum of the iterate at the states the body reaches.  A
-breadth-first sweep discovers those states, at most a horizon of body-hops
-from the queried one, running the body once at each and reading off that
-linear form (`_Forms`); its states are the ones this state reads.  The
-strongly connected components of that dependency graph
-(`operational.components`) are then solved dependencies first (chaotic
-iteration over a topological order, Bourdoncle 1993) by substituting
-values into the forms: a state outside any cycle once, and a cyclic
-component for at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve
-path problems from the same per-vertex equations).  The horizon starts at
-fuel + 1 hops; while the queried state is uncertified and a read crossed
-the horizon, it doubles and the solve goes on from the states it cut
-(iterative deepening, Korf 1985), up to `Engine.state_cap` loop states, a
-thousandth of the node budget.  So a loop that certainly terminates within
-the cap is solved in time linear in the states it touches, whatever the
-fuel.  The exact form of a state left uncertified stays on the engine, so
-each loop state's body runs once per engine and postweighting; a loop
-whose body contains a loop runs it again instead.
+a weighted sum of the iterate at the states the body reaches.  One
+breadth-first sweep discovers those states from the queried one, running
+the body once at each and reading off that linear form (`_Forms`); its
+states are the ones this state reads.  The sweep goes on past the horizon,
+fuel + 1 body-hops, while it has touched fewer than `Engine.state_cap`
+loop states, a thousandth of the node budget.  The strongly connected
+components of that dependency graph (`operational.components`) are then
+solved dependencies first (chaotic iteration over a topological order,
+Bourdoncle 1993) by substituting values into the forms: a state outside
+any cycle once, and a cyclic component for at most `fuel` passes (Tarjan
+1981 and Mohri 2002 solve path problems from the same per-vertex
+equations).  So a loop that certainly terminates within the cap is solved
+in time linear in the states it touches, whatever the fuel.  The exact
+form of a state left uncertified stays on the engine, so each loop state's
+body runs once per engine and postweighting; a loop whose body contains a
+loop runs it again instead.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
-  nothing), no state in it read past the horizon, and every inner result
-  and every dependency outside it was certified, so its values are
-  genuine fixed-point values (for UCT loops every component is acyclic);
+  nothing), no state in it read a state the sweep did not follow, and
+  every inner result and every dependency outside it was certified, so
+  its values are genuine fixed-point values (for UCT loops every
+  component is acyclic);
   such states are final and later queries on the same engine reuse them,
   or
 * for wlp, the lasso route: wlp(f) = wp(f) (+) wlp(zero) with the
@@ -85,18 +84,17 @@ class TransformResult:
     """A transformer value at one state.
 
     `iterations` counts the loop solver's sweeps during the run, summed
-    over every loop solve it made (nested loops included) and over each
-    solve's rounds of deepening: one discovery sweep per round, plus the
-    passes of that round's most-iterated component (a state outside any
-    cycle takes one pass, or none when discovery already settled it).  It
-    does not grow with the number of states.  `touched_states` counts the
-    states those solves discovered, each once over all rounds; states
-    certified by earlier queries on the same engine are read, not touched
-    again.  `evaluations` counts the loop states whose body (or, where the
-    guard fails, continuation) those solves ran: once per discovered
-    state, in whichever round, and not at all for a state whose form an
-    earlier query on the same engine read off.  A loop whose body contains
-    a loop runs it again at every substitution.
+    over every loop solve it made (nested loops included): one discovery
+    sweep per solve, plus the passes of its most-iterated component (a
+    state outside any cycle takes one pass, or none when discovery already
+    settled it).  It grows neither with the number of states nor with the
+    fuel.  `touched_states` counts the states those solves discovered;
+    states certified by earlier queries on the same engine are read, not
+    touched again.  `evaluations` counts the loop states whose body (or,
+    where the guard fails, continuation) those solves ran: once per
+    discovered state, and not at all for a state whose form an earlier
+    query on the same engine read off.  A loop whose body contains a loop
+    runs it again at every substitution.
     """
 
     value: ModuleValue
@@ -151,16 +149,20 @@ class _Forms:
 
 
 class _Solve:
-    """One solve of a loop from a queried state, in rounds of deepening
-    horizon.
+    """One solve of a loop from a queried state.
 
     1. Discovery: a breadth-first sweep from the queried state reads off
        each state's form once: the characteristic map there as a constant
        plus a coefficient for every state of this loop that it reads (see
        `_Forms`).  A guard that fails gives the constant alone.  The read
-       states it has not met before join the sweep.  A read of a state
-       more body-hops away than the horizon keeps the seed, like the leaf
-       of a bounded unrolling, and is never certified; the state is cut.
+       states it has not met before join the sweep.  Past the horizon,
+       fuel + 1 body-hops from the queried state, the sweep goes on while
+       the solve has touched fewer than `Engine.state_cap` states, the
+       node budget has room and the loop is not in `Engine._capped`.  A
+       read the sweep does not follow keeps the seed, like the leaf of a
+       bounded unrolling, and is never certified; so does a state past the
+       horizon whose read-off fails, with the states queued behind it.
+       Within the horizon the node budget and a failed read-off raise.
     2. Component order: `operational.components` orders the components
        of the dependency graph, dependencies first and deepest state first
        within one; that is the Gauss-Seidel order, so it fixes a bound.
@@ -169,20 +171,15 @@ class _Solve:
        dependencies; a cyclic component is iterated from the seed,
        Gauss-Seidel, for at most `fuel` passes.  A component is certified
        when a full pass changes nothing and every substitution in it was
-       exact: no inner result was inexact, no read crossed the horizon and
-       every dependency outside the component was itself certified.
+       exact: no inner result was inexact, no read was left at the seed
+       and every dependency outside the component was itself certified.
        Certified states are final.
-    4. Deepening (Korf 1985): if the queried state is left uncertified and
-       some state was cut, the horizon doubles and the same solve goes on.
-       Discovery resumes from the cut states, and steps 2 and 3 run again
-       over the states not yet certified, from the seed.  So each round
-       costs about as much as a fresh solve at its horizon, minus the body
-       runs, and all rounds together about twice the last.  A deepening
-       round is dropped if it would touch more than `Engine.state_cap`
-       states or outgrow the node budget, or if a state beyond the last
-       horizon fails to evaluate: the solve keeps the last round's bound,
-       which is sound, and later solves of this loop on the engine do not
-       deepen.
+
+    A state is certified only once its whole reachable set is discovered,
+    which is what the one sweep discovers, each state once.  A loop whose
+    sweep went past the horizon and was stopped there (by the cap, the
+    budget or an error) joins `Engine._capped`, so later solves of it on
+    the engine stop at the horizon.
 
     A form does not depend on the horizon, the seed or what is certified.
     So where the solve leaves a state uncertified, its form, if exact,
@@ -203,17 +200,15 @@ class _Solve:
         self.unit = engine._forms.unit
         self.seed = engine._seed()
         self.horizon = engine.fuel + 1
-        self.cap: int | None = None  # on the states touched, once deepening
+        self.beyond = False  # whether the sweep went past the horizon
         self.vals: dict[State, ModuleValue] = {}
         self.exact: dict[State, bool] = {}
         self.depth: dict[State, int] = {}
-        # the states each state reads (`reads_of`), and of those the ones
-        # this solve discovered and has not certified (`deps`), in the order
-        # of reading (a dict, not a set), so that the order of solving, and
-        # so an inexact bound, is the same every run
-        self.reads_of: dict[State, Iterable[State]] = {}
+        # the states each state reads that this solve discovered and has
+        # not certified, in the order of reading (a dict, not a set), so
+        # that the order of solving, and so an inexact bound, is the same
+        # every run
         self.deps: dict[State, dict[State, None]] = {}
-        self.cut: dict[State, int] = {}  # read beyond the horizon: its depth
         self.queue: list[State] = []
         self.discovering = True
         self.current_depth = 0
@@ -221,21 +216,31 @@ class _Solve:
         self.reads: dict[State, None] = {}  # of a nested loop's body run
 
     def _touch(self, sigma: State, depth: int) -> None:
-        """Discover `sigma` unless discovery is over or it is certified or
-        known; cut it if it is beyond the horizon."""
+        """Discover `sigma` unless discovery is over, it is certified or
+        known, or it is past the horizon where the sweep stops."""
         if not self.discovering or sigma in self.final or sigma in self.vals:
             return
-        if depth > self.horizon:
-            self.cut.setdefault(sigma, depth)
+        if depth > self.horizon and not self._go_on():
             return
         budget = self.engine.node_budget
         if len(self.final) + len(self.vals) >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
-        if self.cap is not None and len(self.depth) >= self.cap:
-            raise BudgetError(f"deepening touched more than {self.cap} states")
         self.vals[sigma] = self.seed
         self.depth[sigma] = depth
         self.queue.append(sigma)
+
+    def _go_on(self) -> bool:
+        """Whether the sweep discovers one more state past the horizon."""
+        engine = self.engine
+        if self.node in engine._capped:
+            return False
+        if (len(self.depth) < engine.state_cap
+                and len(self.final) + len(self.vals) < engine.node_budget):
+            self.beyond = True
+            return True
+        if self.beyond:
+            engine._capped.add(self.node)
+        return False
 
     def _unit(self, sigma: State) -> tuple[dict, bool]:
         """A read of the iterate while a form is read off: the unit form of
@@ -250,7 +255,7 @@ class _Solve:
             return self.final[sigma], True
         self.reads[sigma] = None
         if sigma not in self.vals:
-            return self.seed, False  # beyond the horizon
+            return self.seed, False  # not followed by the sweep
         return self.vals[sigma], self.exact.get(sigma, True)
 
     def _run(self, sigma: State, ops, read):
@@ -294,7 +299,7 @@ class _Solve:
             x = self.final.get(tau)
             if x is None:
                 x = self.vals.get(tau)
-                if x is None:  # beyond the horizon
+                if x is None:  # not followed by the sweep
                     x, exact = self.seed, False
                 else:
                     exact = exact and self.exact.get(tau, True)
@@ -311,7 +316,6 @@ class _Solve:
         else:
             self.forms[sigma] = form = self._form(sigma)
             reads = form[1]
-        self.reads_of[sigma] = reads
         self.deps[sigma] = deps = dict.fromkeys(filter(self.vals.__contains__, reads))
         if not deps:  # solved already
             if not nested:
@@ -319,34 +323,26 @@ class _Solve:
             self.vals[sigma], self.exact[sigma] = value, exact
 
     def _discover(self) -> None:
-        """Step 1, from the states touched so far."""
+        """Step 1."""
         self.engine._passes += 1
-        for sigma in self.queue:  # grows while it is walked
-            self._read_off(sigma)
-        self.queue = []
+        queue = self.queue
+        for i, sigma in enumerate(queue):  # grows while it is walked
+            try:
+                self._read_off(sigma)
+            except (BudgetError, EvalError, AlgebraError):
+                if self.depth[sigma] <= self.horizon:
+                    raise
+                self.engine._capped.add(self.node)
+                for tau in queue[i:]:  # the sweep stops; they keep the seed
+                    self.exact[tau], self.deps[tau] = False, {}
+                break
         self.discovering = False
 
-    def _deepen(self) -> None:
-        """Step 4: double the horizon, discover from the cut states, and
-        leave every state not yet certified to be solved again."""
-        self.horizon *= 2
-        self.cap = self.engine.state_cap
-        self.vals = dict.fromkeys([sigma for sigma in self.vals if sigma not in self.final],
-                                  self.seed)
-        self.exact.clear()
-        cut, self.cut = self.cut, {}
-        self.discovering = True
-        for sigma, depth in cut.items():
-            self._touch(sigma, depth)
+    def run(self, root: State) -> tuple[ModuleValue, bool]:
+        """The value at `root` and whether it is certified (steps 1 to 3).
+        Certified states become final."""
+        self._touch(root, 0)
         self._discover()
-        contains = self.vals.__contains__
-        self.deps = {sigma: dict.fromkeys(filter(contains, self.reads_of[sigma]))
-                     for sigma in self.vals}
-
-    def _round(self, root: State) -> tuple[ModuleValue, bool]:
-        """Steps 2 and 3 over the states discovered so far: the value at
-        `root` and whether it is certified.  Certified states become
-        final."""
         longest = 0
         for component in components([root], self.deps):
             if not cyclic(component, self.deps):
@@ -359,31 +355,17 @@ class _Solve:
             longest = max(longest, passes)
             for sigma in component:
                 self.exact[sigma] = certified
-        self.engine._passes += longest
+        engine = self.engine
+        engine._passes += longest
+        engine._touched += len(self.depth)
         for sigma, certified in self.exact.items():
             if certified:
                 self.final[sigma] = self.vals[sigma]
-        return self.vals[root], self.exact[root]
-
-    def run(self, root: State) -> tuple[ModuleValue, bool]:
-        engine = self.engine
-        self._touch(root, 0)
-        self._discover()
-        value, exact = self._round(root)
-        try:
-            while (not exact and self.cut and len(self.depth) < engine.state_cap
-                   and self.node not in engine._capped):
-                self._deepen()
-                value, exact = self._round(root)
-        except (BudgetError, EvalError, AlgebraError):  # the last bound stands
-            engine._capped.add(self.node)
-        engine._touched += len(self.depth)
-        for sigma in self.vals:
-            if sigma not in self.final:  # a later solve may meet it again
+            else:  # a later solve may meet it again
                 form = self.forms.get(sigma)
                 if form is not None and form[2]:
                     self.cache[sigma] = form
-        return value, exact
+        return self.vals[root], self.exact[root]
 
     def _iterate(self, component: list[State]) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
@@ -448,20 +430,19 @@ class Engine:
         self.fuel = fuel
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
-        self._memos: dict[Weighting, _Memo] = {}
+        self._memos: dict[object, _Memo] = {}  # keyed on the postweighting as passed
         self._forms = _Forms(algebra)
-        self.state_cap = node_budget // 1000  # of a deepening solve
-        self._capped: set[Node] = set()  # loops whose deepening was dropped
+        self.state_cap = node_budget // 1000  # states a sweep past the horizon may reach
+        self._capped: set[Node] = set()  # loops whose sweep was stopped past the horizon
         self._passes = 0
         self._touched = 0
         self._evaluations = 0
 
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
-        w = as_weighting(self.algebra, f)
-        memo = self._memos.get(w)
+        memo = self._memos.get(f)
         if memo is None:
-            memo = self._memos[w] = _Memo(w, self.algebra)
+            memo = self._memos[f] = _Memo(as_weighting(self.algebra, f), self.algebra)
         self._passes = self._touched = self._evaluations = 0
         value, exact = self._eval(compile_program(program), sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched,
@@ -569,16 +550,22 @@ class LiberalEngine:
         if result.exact:
             return result
         try:
-            alt = self._lasso(program, f, sigma)
+            alt = self._lasso(program, f, sigma, exact_only=True)
         except (DivergenceError, BudgetError, NoTopError):
             return result
         return alt if alt.exact else result
 
-    def _lasso(self, program: Program, f, sigma: State) -> TransformResult:
+    def _lasso(self, program: Program, f, sigma: State,
+               exact_only: bool = False) -> TransformResult:
+        """wp(f) (+) wlp(zero); with `exact_only`, an inexact wp part is
+        returned as it is, without the divergence part, since the sum
+        would be inexact too."""
         if self.mode != "gfp":
             raise DivergenceError("lasso decomposition needs the plain gfp mode")
         check_divergence_analysis(self.algebra)  # before the wp part runs
         wp_part = self.wp.run(program, f, sigma)
+        if exact_only and not wp_part.exact:
+            return wp_part
         div = diverging_weights(program, sigma, self.algebra, self.node_budget)
         value = self.algebra.mod_add(wp_part.value, div.value)
         return TransformResult(value, wp_part.exact, wp_part.iterations,

@@ -244,6 +244,17 @@ def test_squaring_loop_stops_at_the_integer_bound(capsys, tmp_path):
     assert (code, out, err) == (0, f"n=0,x={ones} | {big} | exact\n", "")
 
 
+def test_wlp_keeps_the_chain_bound_when_the_lasso_wp_part_is_inexact(capsys, tmp_path):
+    # the lasso's sum would be inexact too, so wlp builds no quotient, whose
+    # walk would square y past the integer bound; the chain's bound stands
+    f = tmp_path / "grow.wgcl"
+    f.write_text("@instance tropical\nwhile (x > 0) { x := x + 1; y := y * y }\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "wlp", str(f), "--post", "one", "--state", "x=1,y=2",
+                         "--fuel", "8")
+    assert (code, out, err) == (3, "x=1,y=2 | 0 | inexact\n", "")
+
+
 def test_budget_exhaustion_has_its_own_exit_code(capsys):
     code, out, err = run(capsys, "paths", "ex411", "--state", "x=1",
                          "--depth", "100", "--budget", "10")
@@ -257,7 +268,7 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys):
 
 def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
     # from x=1 the loop reads the states x=0 left uncertified (its horizon
-    # cut the chain at fuel 2, and budget 1000 allows no deepening), so the
+    # cut the chain at fuel 2, and at budget 1000 the sweep stops there), so the
     # row stays inexact, as it is alone
     f = tmp_path / "reset.wgcl"
     f.write_text("@instance tropical\nwhile (y > 0) { x := 0; y := y - 1 }\n",

@@ -659,7 +659,7 @@ def test_a_solve_runs_each_loop_state_body_once():
 
 
 def test_a_shared_engine_reads_uncertified_forms_instead_of_running_bodies():
-    # a chain n, n-1, ... of 2000 states outgrows the deepening cap (1000
+    # a chain n, n-1, ... of 2000 states outgrows the sweep's cap (1000
     # states at the default budget), so no row is certified; each later row
     # touches the chain again but runs only its own new root's body, so no
     # state's body runs twice
@@ -674,9 +674,10 @@ def test_a_shared_engine_reads_uncertified_forms_instead_of_running_bodies():
 
 
 def test_deepening_certifies_a_chain_longer_than_the_horizon():
-    # the horizon doubles from fuel + 1 until the chain n, n-1, ..., 0 fits,
-    # so the near grid is exact at the default fuel; the later rows read
-    # the states the first one certified and run only their own root
+    # the sweep goes past fuel + 1 hops until the chain n, n-1, ..., 0 is
+    # discovered, so the near grid is exact at the default fuel; the later
+    # rows read the states the first one certified and run only their own
+    # root
     engine = Engine(TROP, "wp")
     f = weighting("one", TROP)
     rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100})) for n in range(95, 101)]
@@ -687,14 +688,14 @@ def test_deepening_certifies_a_chain_longer_than_the_horizon():
 
 
 def test_deepening_runs_each_loop_state_body_once_across_rounds():
-    # fuel 8: horizons 9, 18, ..., 288, 576; each round resumes from the
-    # states the last one cut and reads the forms it read off
+    # one sweep past the horizon of 9 hops discovers the whole chain, each
+    # state once, as one within a horizon of 321 hops does
     sigma = State({"n": 300, "y": 300})
     deep = wp_eval(SKI_ND.program, "one", sigma, TROP, fuel=8)
     wide = wp_eval(SKI_ND.program, "one", sigma, TROP, fuel=320)
     assert deep.exact and deep.value == wide.value == TROP.value(300)
     assert deep.evaluations == deep.touched_states == wide.touched_states == 301
-    assert deep.iterations == 7 * wide.iterations  # a sweep and a pass per round
+    assert deep.iterations == wide.iterations  # a sweep and a pass, whatever the fuel
 
 
 def test_a_divergent_loop_stays_a_sound_inexact_bound():
@@ -703,20 +704,21 @@ def test_a_divergent_loop_stays_a_sound_inexact_bound():
     first = engine.run(grower, f, State({"x": 1}))
     assert not first.exact and first.value == TROP.mod_zero()
     assert first.evaluations == first.touched_states == engine.state_cap == 1000
-    # the loop hit the cap, so a later query reads the forms at fuel + 1
-    # hops and does not deepen again
+    # the sweep went past the horizon and hit the cap, so a later query
+    # reads the forms within fuel + 1 hops and goes no further
     later = engine.run(grower, f, State({"x": 2}))
     assert not later.exact and later.value == TROP.mod_zero()
     assert (later.touched_states, later.evaluations) == (66, 0)
 
 
 def test_a_deepening_round_never_turns_an_answer_into_an_error():
-    # a round that outgrows the node budget, or meets a state that fails to
-    # evaluate, is dropped, and the last round's bound stands; where the
-    # first round does so, the query fails as it always did
+    # a sweep past the horizon stops where it would outgrow the node budget
+    # or meets a state that fails to evaluate, and the states it did not
+    # read keep the seed, so the bound stands; within the horizon, the
+    # query fails as it always did
     grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
     engine = Engine(TROP, "wp", node_budget=300)
-    engine.state_cap = 10 ** 6  # so that the node budget stops the deepening
+    engine.state_cap = 10 ** 6  # so that the node budget stops the sweep
     res = engine.run(grower, "one", State({"x": 1}))
     assert not res.exact and res.value == TROP.mod_zero()
     assert res.touched_states == 300
@@ -728,6 +730,47 @@ def test_a_deepening_round_never_turns_an_answer_into_an_error():
     assert not res.exact and res.value == TROP.mod_zero()
     with pytest.raises(EvalError, match="a product exceeds 65536 bits"):
         wp_eval(squarer, "one", sigma, TROP, fuel=20)
+    # each state before the failing one (x=16, y = 2^(2^15)) has a path
+    # out; the answer is infinitely many paths, and the 15 read are a bound
+    brancher = prog("@instance counting\nwhile(x>0){ {x := 0} [] {x := x+1; y := y*y} }")
+    res = wp_eval(brancher.program, "one", sigma, CNT, fuel=8)
+    assert not res.exact and res.value == CNT.value(15)
+    with pytest.raises(EvalError, match="a product exceeds 65536 bits"):
+        wp_eval(brancher.program, "one", sigma, CNT, fuel=14)
+
+
+def test_a_loop_whose_horizon_fills_the_cap_still_sweeps_later_queries():
+    # from y>0 the loop fans out: its 9 hops reach 55 states, more than the
+    # cap, so the sweep never goes past the horizon and the loop is not
+    # capped; from y=0 it is a chain, which a later query follows past the
+    # horizon up to the cap
+    fan = prog("@instance tropical\n"
+               "while(x>0){ if(y>0){ {x := x+1} [] {y := y+1} } else {x := x+1} }").program
+    engine, f = Engine(TROP, "wp", fuel=8), weighting("one", TROP)
+    engine.state_cap = 50
+    wide = engine.run(fan, f, State({"x": 1, "y": 1}))
+    assert not wide.exact and wide.touched_states == 55
+    assert not engine._capped
+    narrow = engine.run(fan, f, State({"x": 1, "y": 0}))
+    assert not narrow.exact and narrow.touched_states == engine.state_cap
+    assert engine._capped
+
+
+def test_auto_wlp_skips_the_divergence_part_when_the_wp_part_is_inexact(monkeypatch):
+    grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
+    monkeypatch.setattr("wgcl.transformer.diverging_weights", None)  # must not be called
+    res = LiberalEngine(TROP).run(grower, "one", State({"x": 1}))
+    assert not res.exact and res.value == TROP.value(0)
+
+
+def test_a_text_postweighting_is_shared_between_queries():
+    # the engine keys what it keeps on the postweighting as passed, so a
+    # second query with the same text reads the forms the first read off
+    grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
+    engine = Engine(TROP, "wp")
+    engine.run(grower, "one", State({"x": 1}))
+    later = engine.run(grower, "one", State({"x": 2}))
+    assert (later.touched_states, later.evaluations) == (66, 0)
 
 
 def test_nested_loops_match_oracles_and_fresh_engines():
