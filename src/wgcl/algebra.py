@@ -174,9 +174,6 @@ class OmegaValue:
     lassos: frozenset[tuple[str, str]]
     cylinders: frozenset[str]
 
-    def is_zero(self) -> bool:
-        return not (self.words or self.lassos or self.cylinders)
-
 
 def _cyl_covers_word(cyl: str, word: str) -> bool:
     return word.startswith(cyl)

@@ -181,13 +181,12 @@ def cmd_compare(args) -> int:
         if isinstance(alg, (LangAlgebra, OmegaLangAlgebra)):
             raise CliError(f"--ratio needs a numeric instance, not {alg.name}")
         post = ExprWeighting(alg, parse_weighting(args.post, alg))
-        num_engine = Engine(alg, "wp", args.fuel, args.budget)
-        den_engine = Engine(alg, "wp", args.fuel, args.budget)
+        engine = Engine(alg, "wp", args.fuel, args.budget)  # its tables are per loop node
         worst: Fraction | None = None
         code = OK
         for sigma in states:
-            num = num_engine.run(parsed.program, post, sigma)
-            den = den_engine.run(other.program, post, sigma)
+            num = engine.run(parsed.program, post, sigma)
+            den = engine.run(other.program, post, sigma)
             if not (num.exact and den.exact):
                 code = INEXACT
             nv, dv = num.value.value, den.value.value

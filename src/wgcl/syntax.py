@@ -144,19 +144,14 @@ class Statement:
         # not read.  Equal (statement, continuation) pairs share one node,
         # so equal branch arms lead to the same position.
         shared: dict[tuple[Program, object], Node] = {}
-        loops = 0  # loop nodes made so far
 
         def lower(prog: Program, nxt) -> Node:
-            nonlocal loops
             for stmt in reversed(flatten_seq(prog)):
                 node = shared.get((stmt, nxt))
                 if node is None:
                     node = shared[(stmt, nxt)] = Node(stmt, nxt)
                     if isinstance(stmt, While):
-                        before = loops
                         node.then = lower(stmt.body, node)
-                        node.nested = loops > before
-                        loops += 1
                     elif isinstance(stmt, Ite):
                         node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
                     elif isinstance(stmt, Branch):
@@ -245,9 +240,8 @@ class Node:
 
     `next` is where control goes after the statement (another node or
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
-    a loop's `then` is its body, which runs back to the loop's own node,
-    and `nested`, set while lowering, says whether that body contains a
-    loop.  Nodes compare by identity.
+    a loop's `then` is its body, which runs back to the loop's own node.
+    Nodes compare by identity.
 
     The statement's expression, compiled to a closure (see
     `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
@@ -257,13 +251,12 @@ class Node:
     `print`) costs nothing.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse", "nested", "guard", "rhs", "weight")
+    __slots__ = ("stmt", "next", "then", "orelse", "guard", "rhs", "weight")
 
     def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
-        self.nested = False
 
     def __getattr__(self, name: str):
         # called only while a slot is unset: compile its expression now

@@ -15,37 +15,38 @@ nonterminating behavior, and wlp(f) = wp(f) (+) wlp(zero).
 
 The recursion runs over the compiled program (`syntax.compile_program`):
 a position's continuation is its `next` link, which ends in f at
-TERMINATED, and inside the evaluation of a loop state the loop's own node
-stands for the current iterate.
+TERMINATED, and inside the evaluation of a loop state every loop head
+stands for the current iterate there.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
 the characteristic map is affine in X: at each state it is a constant plus
-a weighted sum of the iterate at the states the body reaches.  One
-breadth-first sweep discovers those states from the queried one, running
-the body once at each and reading off that linear form (`_Forms`); its
-states are the ones this state reads.  The sweep goes on past the horizon,
+a weighted sum of the iterate at the loop heads the body reaches.  A loop
+in the body only adds unknowns, one per (inner loop, state), to that one
+system.  A breadth-first sweep discovers the unknowns from the queried
+state, running the body once at each and reading off that linear form
+(`_Forms`); its unknowns are the ones this one reads.  An inner loop gets
+a sweep of its own where it is entered.  A sweep goes on past its horizon,
 fuel + 1 body-hops, while it has touched fewer than `Engine.state_cap`
-loop states, a thousandth of the node budget.  The strongly connected
+unknowns, a thousandth of the node budget.  The strongly connected
 components of that dependency graph (`operational.components`) are then
 solved dependencies first (chaotic iteration over a topological order,
-Bourdoncle 1993) by substituting values into the forms: a state outside
-any cycle once, and a cyclic component for at most `fuel` passes (Tarjan
-1981 and Mohri 2002 solve path problems from the same per-vertex
-equations).  So a loop that certainly terminates within the cap is solved
-in time linear in the states it touches, whatever the fuel.  The exact
-form of a state left uncertified stays on the engine, so each loop state's
-body runs once per engine and postweighting; a loop whose body contains a
-loop runs it again instead.
+Bourdoncle 1993, where nested loops are nested components of one system)
+by substituting values into the forms: an unknown outside any cycle once,
+and a cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri
+2002 solve path problems from the same per-vertex equations).  So a loop
+that certainly terminates within the cap is solved in time linear in the
+unknowns it touches, whatever the fuel.  The exact form of an unknown
+left uncertified stays on the engine, so each loop state's body runs once
+per engine and postweighting, nested loops included.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
-  nothing), no state in it read a state the sweep did not follow, and
-  every inner result and every dependency outside it was certified, so
-  its values are genuine fixed-point values (for UCT loops every
-  component is acyclic);
-  such states are final and later queries on the same engine reuse them,
-  or
+  nothing), no unknown in it read one the sweeps did not follow, and
+  every exit value and every dependency outside it was certified, so its
+  values are genuine fixed-point values (for UCT loops every component is
+  acyclic); such unknowns are final and later queries on the same engine
+  reuse them, or
 * for wlp, the lasso route: wlp(f) = wp(f) (+) wlp(zero) with the
   divergence part taken exactly from the quotient-graph analysis.
 
@@ -84,17 +85,17 @@ class TransformResult:
     """A transformer value at one state.
 
     `iterations` counts the loop solver's sweeps during the run, summed
-    over every loop solve it made (nested loops included): one discovery
-    sweep per solve, plus the passes of its most-iterated component (a
-    state outside any cycle takes one pass, or none when discovery already
+    over every loop solve it made: one discovery sweep per loop entry (the
+    queried state, and each entry of an inner loop that discovery met),
+    plus the passes of the solve's most-iterated component (an unknown
+    outside any cycle takes one pass, or none when discovery already
     settled it).  It grows neither with the number of states nor with the
-    fuel.  `touched_states` counts the states those solves discovered;
-    states certified by earlier queries on the same engine are read, not
-    touched again.  `evaluations` counts the loop states whose body (or,
-    where the guard fails, continuation) those solves ran: once per
-    discovered state, and not at all for a state whose form an earlier
-    query on the same engine read off.  A loop whose body contains a loop
-    runs it again at every substitution.
+    fuel.  `touched_states` counts the unknowns those solves discovered,
+    inner loop states included; unknowns certified by earlier queries on
+    the same engine are read, not touched again.  `evaluations` counts the
+    unknowns whose body (or, where the guard fails, continuation) those
+    solves ran: once per discovered unknown, and not at all for one whose
+    form an earlier query on the same engine read off.
     """
 
     value: ModuleValue
@@ -121,13 +122,13 @@ def as_weighting(algebra: Algebra, f) -> Weighting:
 # ---------------------------------------------------------------------------
 
 class _Forms:
-    """Module operations on linear forms, while a loop state's body is read
-    off: a form maps each state of the loop that the body reads to its
+    """Module operations on linear forms, while an unknown is read off (see
+    `_Solve`): a form maps each unknown that the read-off reads to its
     coefficient, a raw module value that sums the weights of the paths
     reaching that read.  `weigh` scales every coefficient and `[]` adds
     forms pointwise, so `Engine._eval` computes a form just as it computes
-    a value.  A loop body runs back to the loop's own node on every path,
-    so the form has no constant part."""
+    a value.  Every path of a read-off ends at a loop head, so the form has
+    no constant part."""
 
     def __init__(self, algebra: Algebra):
         self._add = algebra._add
@@ -149,88 +150,91 @@ class _Forms:
 
 
 class _Solve:
-    """One solve of a loop from a queried state.
+    """One sweep of a loop; for the queried loop, also the solve.
 
-    1. Discovery: a breadth-first sweep from the queried state reads off
-       each state's form once: the characteristic map there as a constant
-       plus a coefficient for every state of this loop that it reads (see
-       `_Forms`).  A guard that fails gives the constant alone.  The read
-       states it has not met before join the sweep.  Past the horizon,
-       fuel + 1 body-hops from the queried state, the sweep goes on while
-       the solve has touched fewer than `Engine.state_cap` states, the
-       node budget has room and the loop is not in `Engine._capped`.  A
-       read the sweep does not follow keeps the seed, like the leaf of a
-       bounded unrolling, and is never certified; so does a state past the
-       horizon whose read-off fails, with the states queued behind it.
-       Within the horizon the node budget and a failed read-off raise.
+    The unknowns of the solve are the loop heads its read-offs meet: a
+    state of the queried loop, or `(node, state)` for a loop in its body.
+
+    1. Discovery: a breadth-first sweep reads off each unknown's form once
+       (see `_Forms`).  Where the guard holds, the body runs over forms.
+       Where it fails, the queried loop runs its continuation over values,
+       which gives the form's constant, and an inner loop runs the rest of
+       the enclosing body over forms.  A read of this loop's head, or of
+       one around it, joins that loop's sweep; an inner loop is entered,
+       and there an inner `_Solve`, sharing this one's tables, sweeps it
+       at once.  Past its horizon, fuel + 1 body-hops from its entry, a
+       sweep goes on while it has touched fewer than `Engine.state_cap`
+       unknowns, the node budget has room and its loop is not in
+       `Engine._capped`.  A read the sweep does not follow keeps the seed,
+       like the leaf of a bounded unrolling, and is never certified; so
+       does an unknown past the horizon whose read-off fails, with those
+       queued behind it.  Within the horizon the node budget and a failed
+       read-off raise.
     2. Component order: `operational.components` orders the components
-       of the dependency graph, dependencies first and deepest state first
-       within one; that is the Gauss-Seidel order, so it fixes a bound.
-    3. Solving substitutes forms, and never runs a body again: a state
+       of the dependency graph, dependencies first and deepest unknown
+       first within one; that is the Gauss-Seidel order, so it fixes a
+       bound.
+    3. Solving substitutes forms, and never runs a body again: an unknown
        outside any cycle gets const (+) sum of c (x) X(tau) over its solved
        dependencies; a cyclic component is iterated from the seed,
        Gauss-Seidel, for at most `fuel` passes.  A component is certified
        when a full pass changes nothing and every substitution in it was
-       exact: no inner result was inexact, no read was left at the seed
-       and every dependency outside the component was itself certified.
-       Certified states are final.
+       exact: no constant was inexact, no read was left at the seed and
+       every dependency outside the component was itself certified.
+       Certified unknowns are final.
 
-    A state is certified only once its whole reachable set is discovered,
-    which is what the one sweep discovers, each state once.  A loop whose
-    sweep went past the horizon and was stopped there (by the cap, the
-    budget or an error) joins `Engine._capped`, so later solves of it on
-    the engine stop at the horizon.
-
-    A form does not depend on the horizon, the seed or what is certified.
-    So where the solve leaves a state uncertified, its form, if exact,
-    stays on the memo, and a later solve of the same loop reads it instead
-    of running the body again (a certified state is final and is never
-    solved again).  A loop whose body contains a loop (`Node.nested`) is
-    the exception: there the inner solve reads this loop's iterate, so
-    the body runs over values, once in discovery and again at every
-    substitution.
+    An unknown is certified only once its whole reachable set is
+    discovered, which is what the sweeps discover, each unknown once.  A
+    loop whose sweep went past the horizon and was stopped there (by the
+    cap, the budget or an error) joins `Engine._capped`, so later sweeps
+    of it on the engine stop at the horizon.  A form does not depend on
+    the horizon, the seed or what is certified, so the exact form of an
+    unknown left uncertified stays on the memo, and a later solve reads it
+    instead of running the body again.
     """
 
-    def __init__(self, engine: "Engine", node: Node, memo: "_Memo"):
+    def __init__(self, engine: "Engine", node: Node, memo: "_Memo",
+                 outer: "_Solve | None" = None):
         self.engine = engine
         self.node = node
         self.memo = memo
-        self.final = memo.tables[node]
-        self.cache = memo.forms.setdefault(node, {})
+        self.outer = outer  # the sweep whose read-off entered this loop
         self.unit = engine._forms.unit
         self.seed = engine._seed()
         self.horizon = engine.fuel + 1
         self.beyond = False  # whether the sweep went past the horizon
-        self.vals: dict[State, ModuleValue] = {}
-        self.exact: dict[State, bool] = {}
-        self.depth: dict[State, int] = {}
-        # the states each state reads that this solve discovered and has
-        # not certified, in the order of reading (a dict, not a set), so
-        # that the order of solving, and so an inexact bound, is the same
-        # every run
-        self.deps: dict[State, dict[State, None]] = {}
-        self.queue: list[State] = []
-        self.discovering = True
+        self.depth: dict = {}  # of this sweep's unknowns
+        self.queue: list = []
         self.current_depth = 0
-        self.forms: dict[State, tuple[ModuleValue, dict, bool]] = {}
-        self.reads: dict[State, None] = {}  # of a nested loop's body run
+        if outer is None:
+            # keyed on unknowns; `deps` holds those each reads that the
+            # solve discovered and has not certified, in the order of
+            # reading (a dict, not a set), so that the order of solving,
+            # and so an inexact bound, is the same every run
+            self.queried, self.vals, self.exact, self.deps, self.forms = node, {}, {}, {}, {}
+            self.final = memo.tables.setdefault(node, {})
+            self.cache = memo.forms.setdefault(node, {})
+        else:  # one system: an inner sweep fills the solve's tables
+            self.queried, self.vals, self.exact = outer.queried, outer.vals, outer.exact
+            self.deps, self.forms = outer.deps, outer.forms
+            self.final, self.cache = outer.final, outer.cache
 
-    def _touch(self, sigma: State, depth: int) -> None:
-        """Discover `sigma` unless discovery is over, it is certified or
-        known, or it is past the horizon where the sweep stops."""
-        if not self.discovering or sigma in self.final or sigma in self.vals:
+    def _touch(self, key, depth: int) -> None:
+        """Discover `key` unless it is certified or known, or it is past the
+        horizon where the sweep stops."""
+        if key in self.final or key in self.vals:
             return
         if depth > self.horizon and not self._go_on():
             return
         budget = self.engine.node_budget
         if len(self.final) + len(self.vals) >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
-        self.vals[sigma] = self.seed
-        self.depth[sigma] = depth
-        self.queue.append(sigma)
+        self.vals[key] = self.seed
+        self.depth[key] = depth
+        self.queue.append(key)
 
     def _go_on(self) -> bool:
-        """Whether the sweep discovers one more state past the horizon."""
+        """Whether the sweep discovers one more unknown past the horizon."""
         engine = self.engine
         if self.node in engine._capped:
             return False
@@ -242,54 +246,58 @@ class _Solve:
             engine._capped.add(self.node)
         return False
 
-    def _unit(self, sigma: State) -> tuple[dict, bool]:
-        """A read of the iterate while a form is read off: the unit form of
-        `sigma`, discovered in read order as a read of a value would be."""
-        self._touch(sigma, self.current_depth + 1)
-        return {sigma: self.unit}, True
+    def _meet(self, node: Node, sigma: State):
+        """The unknown of the head of `node` at `sigma`, met by a read-off of
+        this sweep: discovered in the sweep of that loop if it is this one
+        or one around it, else entered, with a sweep of its own."""
+        solve = self
+        while solve.node is not node:
+            solve = solve.outer
+            if solve is None:  # an inner loop is entered
+                key = (node, sigma)
+                if key not in self.vals and key not in self.final:
+                    _Solve(self.engine, node, self.memo, self)._discover(key)
+                return key
+        key = sigma if solve.outer is None else (node, sigma)
+        solve._touch(key, solve.current_depth + 1)
+        return key
 
-    def read(self, sigma: State) -> tuple[ModuleValue, bool]:
-        """The iterate at `sigma`, as a body run over values sees it."""
-        self._touch(sigma, self.current_depth + 1)
-        if sigma in self.final:
-            return self.final[sigma], True
-        self.reads[sigma] = None
-        if sigma not in self.vals:
-            return self.seed, False  # not followed by the sweep
-        return self.vals[sigma], self.exact.get(sigma, True)
+    def _read(self, node: Node, sigma: State) -> tuple[dict, bool]:
+        """A loop head met while a form is read off: its unknown's unit form."""
+        return {self._meet(node, sigma): self.unit}, True
 
-    def _run(self, sigma: State, ops, read):
-        """The characteristic map at `sigma`, run once in a fresh memo whose
-        reads of the iterate go to `read`: the continuation's value where
-        the guard fails, else the body's, combined by `ops`."""
+    def _run(self, key):
+        """The characteristic map at `key`, run once in a fresh memo whose
+        loop heads are unknowns: the body's form where the guard holds,
+        else the continuation's, over values for the queried loop."""
         engine, node = self.engine, self.node
         engine._evaluations += 1
-        self.current_depth = self.depth[sigma]
+        sigma = key if self.outer is None else key[1]
+        memo = _Memo(self.memo.post, engine._forms, self._read)
         if node.guard(sigma):
-            return engine._eval(node.then, sigma, _Memo(self.memo.post, ops, node, read))
-        return engine._next(node.next, sigma, self.memo)
+            return engine._eval(node.then, sigma, memo)
+        return engine._next(node.next, sigma, self.memo if self.outer is None else memo)
 
-    def _form(self, sigma: State) -> tuple[ModuleValue, dict, bool]:
-        """The form at `sigma`, (constant, {state: coefficient}, exact):
+    def _form(self, key) -> tuple[ModuleValue, dict, bool]:
+        """The form at `key`, (constant, {unknown: coefficient}, exact):
         read off, or left on the memo by an earlier solve."""
-        form = self.cache.get(sigma)
+        self.current_depth = self.depth[key]
+        form = self.cache.get(key)
         if form is None:
-            value, exact = self._run(sigma, self.engine._forms, self._unit)
-            if isinstance(value, ModuleValue):  # the guard failed
+            value, exact = self._run(key)
+            if isinstance(value, ModuleValue):  # the queried loop exits
                 return value, {}, exact
             return self.engine._forms.zero, value, exact
-        depth = self.depth[sigma] + 1
         for tau in form[1]:  # read by an earlier solve's run: discover here
-            self._touch(tau, depth)
+            if type(tau) is tuple:
+                self._meet(*tau)
+            else:
+                self._meet(self.queried, tau)
         return form
 
-    def _substitute(self, sigma: State) -> tuple[ModuleValue, bool]:
-        """The characteristic map at `sigma` against the current iterate; a
-        nested loop runs its body again."""
-        if self.node.nested:
-            self.reads = {}
-            return self._run(sigma, self.engine.algebra, self.read)
-        value, coefs, exact = self.forms[sigma]
+    def _substitute(self, key) -> tuple[ModuleValue, bool]:
+        """The characteristic map at `key` against the current iterate."""
+        value, coefs, exact = self.forms[key]
         if not coefs:
             return value, exact
         alg = self.engine.algebra
@@ -306,68 +314,59 @@ class _Solve:
             total = add(total, times(c, x.value))
         return ModuleValue(alg, total), exact
 
-    def _read_off(self, sigma: State) -> None:
-        """Discovery at `sigma`: the states it reads, and its value if it
+    def _read_off(self, key) -> None:
+        """Discovery at `key`: the unknowns it reads, and its value if it
         reads none of this solve's."""
-        nested = self.node.nested
-        if nested:
-            value, exact = self._substitute(sigma)
-            reads = self.reads
-        else:
-            self.forms[sigma] = form = self._form(sigma)
-            reads = form[1]
-        self.deps[sigma] = deps = dict.fromkeys(filter(self.vals.__contains__, reads))
+        self.forms[key] = form = self._form(key)
+        self.deps[key] = deps = dict.fromkeys(filter(self.vals.__contains__, form[1]))
         if not deps:  # solved already
-            if not nested:
-                value, exact = self._substitute(sigma)
-            self.vals[sigma], self.exact[sigma] = value, exact
+            self.vals[key], self.exact[key] = self._substitute(key)
 
-    def _discover(self) -> None:
-        """Step 1."""
+    def _discover(self, entry) -> None:
+        """Step 1, for this sweep from `entry`."""
+        self._touch(entry, 0)
         self.engine._passes += 1
         queue = self.queue
-        for i, sigma in enumerate(queue):  # grows while it is walked
+        for i, key in enumerate(queue):  # grows while it is walked
             try:
-                self._read_off(sigma)
+                self._read_off(key)
             except (BudgetError, EvalError, AlgebraError):
-                if self.depth[sigma] <= self.horizon:
-                    raise
-                self.engine._capped.add(self.node)
                 for tau in queue[i:]:  # the sweep stops; they keep the seed
                     self.exact[tau], self.deps[tau] = False, {}
+                if self.depth[key] <= self.horizon:
+                    raise
+                self.engine._capped.add(self.node)
                 break
-        self.discovering = False
 
     def run(self, root: State) -> tuple[ModuleValue, bool]:
         """The value at `root` and whether it is certified (steps 1 to 3).
-        Certified states become final."""
-        self._touch(root, 0)
-        self._discover()
+        Certified unknowns become final."""
+        self._discover(root)
         longest = 0
         for component in components([root], self.deps):
             if not cyclic(component, self.deps):
-                sigma = component[0]
-                if sigma not in self.exact:
-                    self.vals[sigma], self.exact[sigma] = self._substitute(sigma)
+                key = component[0]
+                if key not in self.exact:
+                    self.vals[key], self.exact[key] = self._substitute(key)
                     longest = max(longest, 1)
                 continue
             passes, certified = self._iterate(component)
             longest = max(longest, passes)
-            for sigma in component:
-                self.exact[sigma] = certified
+            for key in component:
+                self.exact[key] = certified
         engine = self.engine
         engine._passes += longest
-        engine._touched += len(self.depth)
-        for sigma, certified in self.exact.items():
+        engine._touched += len(self.vals)
+        for key, certified in self.exact.items():
             if certified:
-                self.final[sigma] = self.vals[sigma]
+                self.final[key] = self.vals[key]
             else:  # a later solve may meet it again
-                form = self.forms.get(sigma)
+                form = self.forms.get(key)
                 if form is not None and form[2]:
-                    self.cache[sigma] = form
+                    self.cache[key] = form
         return self.vals[root], self.exact[root]
 
-    def _iterate(self, component: list[State]) -> tuple[int, bool]:
+    def _iterate(self, component: list) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
         pass count, and whether the last pass changed nothing with every
         substitution exact."""
@@ -377,11 +376,11 @@ class _Solve:
             passes += 1
             changed = False
             exact = True
-            for sigma in component:
-                value, ex = self._substitute(sigma)
+            for key in component:
+                value, ex = self._substitute(key)
                 exact = exact and ex
-                if value != vals[sigma]:
-                    vals[sigma] = value
+                if value != vals[key]:
+                    vals[key] = value
                     changed = True
             if not changed:
                 return passes, exact
@@ -390,29 +389,26 @@ class _Solve:
 
 class _Memo:
     """Evaluation context: the module operations (the algebra's, or
-    `_Forms` while a form is read off), what reaching TERMINATED or the
-    running loop means, the values of positions entered through a `next`
-    link, and, keyed on each loop's node, its certified states and the
-    forms read off its states.
+    `_Forms` while a form is read off), what a loop head reads while a form
+    is read off (`read`, else None), the values of positions entered
+    through a `next` link, and, keyed on each queried loop's node, its
+    certified unknowns and the forms read off its unknowns.
 
-    Each run of a loop state's body gets a fresh memo whose `read` reads
-    the solve's iterate, because everything in it may depend on the
-    iterate and every read must be recorded.  The top-level memo of a
-    postweighting persists on the engine: a certified value is a
-    fixed-point value whatever state its query started from, and an exact
-    form is the body's one run at its state, so later queries read the
-    values of certified states and the forms of uncertified ones instead
-    of solving or running the body again.
+    Each read-off gets a fresh memo, because every read of a loop head
+    must be recorded.  The top-level memo of a postweighting persists on
+    the engine: a certified value is a fixed-point value whatever state
+    its query started from, and an exact form is the body's one run at its
+    unknown, so later queries read those instead of solving or running the
+    body again.
     """
 
-    def __init__(self, post: Weighting, ops, loop: Node | None = None, read=None):
+    def __init__(self, post: Weighting, ops, read=None):
         self.post = post
         self.ops = ops
-        self.loop = loop
         self.read = read
         self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
-        self.tables: dict[Node, dict[State, ModuleValue]] = {}
-        self.forms: dict[Node, dict[State, tuple[ModuleValue, dict, bool]]] = {}
+        self.tables: dict[Node, dict] = {}
+        self.forms: dict[Node, dict] = {}
 
 
 class Engine:
@@ -451,12 +447,12 @@ class Engine:
     # -- recursion over positions -----------------------------------------------
     def _next(self, node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
         """The value at a position entered through a `next` link: the
-        postweighting after the last statement, the iterate at the loop
-        whose pass is running, memoized everywhere else."""
+        postweighting after the last statement, the unit form of a loop
+        head's unknown while a form is read off, memoized everywhere else."""
         if node is TERMINATED:
             return memo.post.at(sigma), True
-        if node is memo.loop:
-            return memo.read(sigma)
+        if memo.read is not None and node.stmt.__class__ is While:
+            return memo.read(node, sigma)
         hit = memo.values.get((node, sigma))
         if hit is None:
             hit = memo.values[(node, sigma)] = self._eval(node, sigma, memo)
@@ -492,6 +488,8 @@ class Engine:
         return self.algebra.top()  # may raise NoTopError; that is the contract
 
     def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
+        if memo.read is not None:  # a form is read off: the head is an unknown
+            return memo.read(node, sigma)
         final = memo.tables.setdefault(node, {}).get(sigma)
         if final is not None:
             return final, True

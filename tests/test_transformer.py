@@ -774,8 +774,9 @@ def test_a_text_postweighting_is_shared_between_queries():
 
 
 def test_nested_loops_match_oracles_and_fresh_engines():
-    # the inner solve reads the outer iterate, so a loop whose body holds
-    # a loop runs that body over values, not over forms
+    # each inner loop state is an unknown of the outer loop's one system,
+    # read off over forms like the outer states, so the values must agree
+    # with the path oracles and with a fresh engine per state
     rng = random.Random(229)
     names = HEALTHY_INSTANCES + ("lang:ab", "omegalang:ab")
     grid = [State({"x": x, "y": y, "z": 1}) for x in range(-1, 2) for y in range(-1, 2)]
@@ -807,6 +808,96 @@ def test_nested_loops_match_oracles_and_fresh_engines():
                     with_engines += 1
                     assert a.value == b.value, (alg.name, direction, p, tau)
     assert with_oracle >= 80 and with_engines >= 800
+
+
+TRIANGLE = prog("@instance tropical\nwhile (x > 0) { y := x; "
+                "while (y > 0) { y := y - 1; { weigh 1 } [] { weigh 2 } }; x := x - 1 }")
+INNER_GROWER = prog("@instance tropical\n"
+                    "while (x > 0) { y := 1; while (y > 0) { y := y + 1 }; x := x - 1 }")
+
+
+def test_nested_loops_run_each_unknown_body_once():
+    # an inner loop state is an unknown of the outer solve, read off once
+    # like an outer state, instead of being solved again at every
+    # substitution
+    nest = prog("@instance counting\n"
+                "t := 0; x := 2;\n"
+                "while(x>0){ y := 2; while(y>0){ {t := t+1} [] {skip}; y := y-1 }; x := x-1 }")
+    res = wp_eval(nest.program, "[t>=2] int(1)", State({}), nest.algebra)
+    assert res.exact and res.value.value == 11
+    assert res.evaluations == res.touched_states == 27
+    # 11 outer states x = 10..0 and, for each x > 0, x + 1 inner states
+    tri = wp_eval(TRIANGLE.program, "one", State({"x": 10}), TROP)
+    assert tri.exact and tri.value == TROP.value(55)
+    assert tri.evaluations == tri.touched_states == 11 + sum(x + 1 for x in range(1, 11))
+
+
+def test_each_inner_loop_entry_has_its_own_horizon_and_cap():
+    # the 5150 inner states outgrow the cap of 1000; each entry's sweep
+    # counts only its own x + 1 states, so the chains longer than the
+    # horizon are followed to the end and certified
+    res = wp_eval(TRIANGLE.program, "one", State({"x": 100}), TROP)
+    assert res.exact and res.value == TROP.value(5050)
+
+
+def test_a_divergent_inner_loop_caps_that_loop():
+    # the inner sweep runs past its horizon to the cap and is stopped
+    # there, so later sweeps of that loop stop at the horizon: 66 inner
+    # states and the outer one
+    div = INNER_GROWER.program
+    engine = Engine(TROP, "wp")
+    first = engine.run(div, "one", State({"x": 3}))
+    assert not first.exact and first.value == TROP.mod_zero()
+    assert first.touched_states == 1 + engine.state_cap
+    later = engine.run(div, "one", State({"x": 4}))
+    assert not later.exact and later.value == TROP.mod_zero()
+    assert later.touched_states == 67
+
+
+def test_a_shared_engine_reads_inner_forms_instead_of_running_bodies():
+    # the exact forms of uncertified inner states stay on the engine, so a
+    # repeated query sweeps the same unknowns and runs no body
+    div = INNER_GROWER.program
+    engine = Engine(TROP, "wp")
+    engine.run(div, "one", State({"x": 3}))
+    engine.run(div, "one", State({"x": 4}))
+    again = engine.run(div, "one", State({"x": 4}))
+    assert not again.exact and (again.touched_states, again.evaluations) == (67, 0)
+
+
+def test_a_failed_inner_read_off_keeps_the_seed_past_its_horizon():
+    # the inner loop squares y, which fails at its 16th state; at fuel 8
+    # that state lies past the inner sweep's horizon, so it keeps the seed
+    # and the 15 terminating paths read are a sound bound (the answer is
+    # infinitely many); at fuel 14 it lies within, and the error propagates
+    sigma = State({"x": 1, "y": 2, "z": 1})
+    brancher = prog("@instance counting\n"
+                    "while(x>0){ while(z>0){ {z := 0} [] {z := z+1; y := y*y} }; x := x-1 }")
+    res = wp_eval(brancher.program, "one", sigma, CNT, fuel=8)
+    assert not res.exact and res.value == CNT.value(15)
+    with pytest.raises(EvalError, match="a product exceeds 65536 bits"):
+        wp_eval(brancher.program, "one", sigma, CNT, fuel=14)
+    # an inner error within the inner horizon stops the outer sweep where
+    # the outer state lies past its own horizon: the outer states queued
+    # behind it keep the seed too
+    chain = prog("@instance tropical\n"
+                 "while(x>0){ x := x+1; y := 1; while(y>0){ y := y-1; weigh int(fib(x * 5500)) } }")
+    res = wp_eval(chain.program, "one", State({"x": 1}), TROP, fuel=8)
+    assert not res.exact and res.value == TROP.mod_zero()
+    with pytest.raises(EvalError, match="fib argument 66000 exceeds 65536"):
+        wp_eval(chain.program, "one", State({"x": 1}), TROP, fuel=20)
+    # the innermost state s=1 fails to read off; the first middle sweep (p
+    # from 1) meets it past its horizon and stops, and the second (p from
+    # 8) meets it again within its horizon, where it is known: it keeps the
+    # seed, as the middle states queued behind it do, and every path that
+    # reads it stays a sound bound instead of a missing dependency
+    three = prog("@instance tropical\n"
+                 "while (r > 0) { r := r - 1; p := 1 + 7 * (1 - r); while (p > 0) { "
+                 "if (p > 10) { r := 0; p := 0; s := 1; "
+                 "while (s > 0) { s := 0; weigh int(fib(q)) } } "
+                 "else { { p := p + 1 } [] { p := 0 } } } }")
+    res = wp_eval(three.program, "one", State({"r": 2, "q": 70000}), TROP, fuel=8)
+    assert not res.exact and res.value == TROP.value(0)
 
 
 def test_forms_carry_lassos_and_cylinders_through_a_loop():
