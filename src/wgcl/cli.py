@@ -8,15 +8,19 @@ Subcommands:
     paths       raw computation-path traces
     print       parse and pretty-print a program
 
-Each call of `main` builds one argument parser, the invoked command's
-(see `build_parser`); the full parser, with all six commands, only for
-`-h`, a missing or unknown command, or arguments the command leaves over.
+Each call of `main` parses with one argument parser, the invoked
+command's (see `build_parser`); the full parser, with all six commands, only
+for `-h`, a missing or unknown command, or arguments the command leaves
+over.  Parsers are built on first use and kept for the process, so
+in-process callers of `main` pay for each build once; WGCL_FUEL and the
+terminal width (COLUMNS) are still read on each call.
 
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
 failed, 5 a node budget was exhausted.  Integers print in full, at any size.
 WGCL_FUEL overrides the default fuel; like --fuel, --budget, --depth and
---max-grid it must be a non-negative integer.
+--max-grid it must be a non-negative integer.  --state and --grid exclude
+each other, and neither may name a variable twice.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -251,15 +254,29 @@ def cmd_print(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose `--fuel` default reads WGCL_FUEL on each parse.
+
+    The default stays a string, and a string default goes through `type`
+    too, so a bad WGCL_FUEL is a usage error of `--fuel`.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        fuel = self._option_string_actions.get("--fuel")
+        if fuel is not None:
+            fuel.default = os.environ.get("WGCL_FUEL", "64")
+        return super().parse_known_args(args, namespace)
+
+
 def _add_common(sub, post=True):
     sub.add_argument("program", help="program file, or the name of a bundled example")
     sub.add_argument("--instance", help="override the @instance pragma")
     if post:
         sub.add_argument("--post", default="one", help="postweighting expression")
-    sub.add_argument("--state", help="state literal, e.g. x=2,y=3")
-    sub.add_argument("--grid", help="state grid, e.g. x=0..8,y=0..8")
-    # a string default goes through `type` too, so a bad WGCL_FUEL is a usage error
-    sub.add_argument("--fuel", type=_count, default=os.environ.get("WGCL_FUEL", "64"))
+    states = sub.add_mutually_exclusive_group()
+    states.add_argument("--state", help="state literal, e.g. x=2,y=3")
+    states.add_argument("--grid", help="state grid, e.g. x=0..8,y=0..8")
+    sub.add_argument("--fuel", type=_count)  # its default is set on each parse
     sub.add_argument("--budget", type=_count, default=10 ** 6, help="node budget")
     sub.add_argument("--max-grid", type=_count, default=10 ** 5)
     sub.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -308,29 +325,33 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of `command`'s arguments, or the full parser.
 
-    A command line runs one command, so for a command in `COMMANDS` this
-    builds that command's parser alone: one `ArgumentParser` for the
-    arguments after the command's name, named `wgcl <command>` as the full
-    parser's subparser is, so its help and its errors read the same, and
-    setting `command` as the subparsers action does.  Any other `command`
-    (none, `-h`, an unknown one) gets the full parser, every command a
-    subparser, for the top-level help and the choice errors; `main` also
-    gives it a command line whose command leaves arguments over, so that it
-    reports them.  Each build reads the terminal width once for all its help
-    formatters (argparse makes one per `add_argument`, each reading it).
+    A command line runs one command, so for a command in `COMMANDS` this is
+    that command's parser alone: one `ArgumentParser` for the arguments
+    after the command's name, named `wgcl <command>` as the full parser's
+    subparser is, so its help and its errors read the same, and setting
+    `command` as the subparsers action does.  Any other `command` (none,
+    `-h`, an unknown one) gets the full parser, every command a subparser,
+    for the top-level help and the choice errors; `main` also gives it a
+    command line whose command leaves arguments over, so that it reports
+    them.  Each parser is built on first use and kept for the process (at
+    most seven: one per command, and the full one).  None keeps anything of
+    a command line; WGCL_FUEL (on each parse) and the terminal width (on
+    each help or usage text) are read when used, not when built.
     """
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
-    if command in COMMANDS:
-        ap = argparse.ArgumentParser(prog=f"wgcl {command}", formatter_class=formatter)
+    return _build_parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    if command is not None:
+        ap = _Parser(prog=f"wgcl {command}")
         COMMANDS[command][1](ap)
         ap.set_defaults(command=command)
         return ap
-    ap = argparse.ArgumentParser(prog="wgcl", description="weighted guarded-command programs",
-                                 formatter_class=formatter)
+    ap = _Parser(prog="wgcl", description="weighted guarded-command programs")
     sp = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_options, _) in COMMANDS.items():
-        add_options(sp.add_parser(name, help=help_line, formatter_class=formatter))
+        add_options(sp.add_parser(name, help=help_line))
     return ap
 
 

@@ -641,6 +641,8 @@ def parse_state(text: str) -> State:
             m = _ASSIGN_RE.match(part.strip())
             if not m:
                 raise ParseError(f"bad state entry {part.strip()!r}, expected var=int")
+            if m.group(1) in values:
+                raise ParseError(f"variable {m.group(1)} given twice in state {text!r}")
             values[m.group(1)] = int(m.group(2))
     return State(values)
 
@@ -659,14 +661,14 @@ def parse_grid(text: str, cap: int = 10 ** 5) -> tuple[tuple[str, ...], list[Sta
             lo, hi = int(m.group(2)), int(m.group(3))
             if hi < lo:
                 raise ParseError(f"empty range in {part!r}")
-            ranges[m.group(1)] = range(lo, hi + 1)
-            continue
-        m = _ASSIGN_RE.match(part)
-        if m:
-            v = int(m.group(2))
-            ranges[m.group(1)] = range(v, v + 1)
-            continue
-        raise ParseError(f"bad grid entry {part!r}, expected var=lo..hi or var=int")
+            values = range(lo, hi + 1)
+        elif m := _ASSIGN_RE.match(part):
+            values = range(int(m.group(2)), int(m.group(2)) + 1)
+        else:
+            raise ParseError(f"bad grid entry {part!r}, expected var=lo..hi or var=int")
+        if m.group(1) in ranges:
+            raise ParseError(f"variable {m.group(1)} given twice in grid {text.strip()!r}")
+        ranges[m.group(1)] = values
     names = tuple(sorted(ranges))
     size = 1
     for r in ranges.values():

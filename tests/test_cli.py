@@ -329,6 +329,51 @@ def test_fuel_env_override(capsys, monkeypatch):
     assert value.count("a") == 10  # words a, ba, ..., b^9 a
 
 
+def test_fuel_env_is_read_on_each_call(capsys, monkeypatch):
+    # one process, two calls of `main` with the same kept parser
+    for fuel in (10, 5):
+        monkeypatch.setenv("WGCL_FUEL", str(fuel))
+        code, out, _ = run(capsys, "wp", "ex411", "--post", "one", "--state", "x=1")
+        assert code == 3
+        assert out.split(" | ")[1].count("a") == fuel
+
+
+def test_terminal_width_is_read_on_each_help(capsys, monkeypatch):
+    helps = []
+    for columns in ("200", "50"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run(capsys, "wp", "-h")
+        assert (code, err) == (0, "")
+        helps.append(out.splitlines())
+    wide, narrow = helps
+    assert wide[0].startswith("usage: wgcl wp [-h]") and wide[0].endswith(" program")
+    assert len(narrow) > len(wide)
+    assert max(map(len, narrow)) <= 50 - 2 < max(map(len, wide))
+
+
+def test_each_parser_is_built_once_per_process():
+    assert build_parser("wp") is build_parser("wp")
+    assert build_parser("wp") is not build_parser("wlp")
+    assert build_parser("bogus") is build_parser() is build_parser("-h")
+
+
+def test_state_and_grid_are_exclusive(capsys):
+    code, out, err = run(capsys, "wp", "ski_nd", "--post", "one", "--state", "n=2,y=3",
+                         "--grid", "n=0..1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: wgcl wp ")
+    assert err.endswith("wgcl wp: error: argument --grid: not allowed with argument --state\n")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--state", "n=2,n=3"), ("--grid", "n=0..1,n=0..1"), ("--grid", "n=1,y=2,n=0..1"),
+])
+def test_a_variable_given_twice_is_a_usage_error(capsys, option, value):
+    code, out, err = run(capsys, "wp", "ski_nd", "--post", "one", option, value)
+    where = option.lstrip("-")
+    assert (code, out, err) == (2, "", f"wgcl: variable n given twice in {where} {value!r}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "ex410", "--state", "x=2", "--fuel", "-1"],
     ["compare", "ex410", "--state", "x=2", "--fuel", "-1", "--liberal"],
@@ -380,7 +425,7 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
         one = build_parser(command).parse_args(argv[1:])
         assert one == build_parser().parse_args(argv)
         assert one.command == command
-    # each call builds a new parser, so the fuel default reads WGCL_FUEL anew
+    # each parse reads WGCL_FUEL anew for the fuel default
     argv = [command, *ONE_COMMAND_ARGVS[command][0]]
     assert build_parser(command).parse_args(argv[1:]).fuel == 64
     monkeypatch.setenv("WGCL_FUEL", "5")
