@@ -25,9 +25,10 @@ The quotient graph is the reachable part of the step relation, walked by
 one routine (`_reachable`, which also backs the oracle's certificate);
 its cycles are exactly the shapes of infinite paths.  `components` is the
 package's one strongly-connected-components routine (Tarjan, dependencies
-first), and `longest_paths` its one cycle summary: every termination and
-divergence question reads whether a cycle is reachable off it, and the
-transformer's loop solver orders its work by `components`.
+first, each component yielded as soon as it is complete), and
+`longest_paths` its one cycle summary: every termination and divergence
+question reads whether a cycle is reachable off it, and the transformer's
+loop solver solves each component as `components` yields it.
 """
 
 from __future__ import annotations
@@ -211,17 +212,17 @@ def _settled(live, value: ModuleValue, post: Weighting, seed: ModuleValue,
         return False
     absorbed = set()  # the edge weights a already seen to have a (x) top = top
     try:
-        for (position, sigma), edges in _reachable([(p, s) for p, s, _ in live],
+        for (position, sigma), succs in _reachable([(p, s) for p, s, _ in live],
                                                    algebra, node_budget):
             if position is TERMINATED and (olp or post.at(sigma) != algebra.mod_zero()):
                 return False
             if not olp:
                 continue
-            for a, _ in edges:
-                if a not in absorbed:
-                    if algebra.scalar_mul(Weight(algebra, a), seed) != seed:
+            for a, _, _ in succs:
+                if a.value not in absorbed:
+                    if algebra.scalar_mul(a, seed) != seed:
                         return False
-                    absorbed.add(a)
+                    absorbed.add(a.value)
     except (BudgetError, EvalError):  # too large, or undefined beyond the horizon
         return False
     return True
@@ -306,27 +307,28 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 # Quotient graph, termination, divergence
 # ---------------------------------------------------------------------------
 
-def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNode, list]]:
+def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNode, tuple]]:
     """Each (position, state) pair reachable from `roots`, once, with its
-    edges as (raw weight, pair), equal edges collapsed.  Raises
-    BudgetError when more than `node_budget` pairs are reachable."""
+    `successors` triples: depth first, a pair's successors last to first.
+    A pair is marked when it is entered, and only the successors still to
+    be entered are kept.  Raises BudgetError when more than `node_budget`
+    pairs are reachable."""
     seen: set[QNode] = set()
-    stack = list(reversed(roots))
-    while stack:
-        node = stack.pop()
+    todo = [list(reversed(roots))] if roots else []  # per entered pair, the rest to enter
+    while todo:
+        rest = todo[-1]
+        node = rest.pop()
+        if not rest:
+            todo.pop()
         if node in seen:
             continue
         if len(seen) >= node_budget:
             raise BudgetError(f"quotient node budget {node_budget} exceeded")
         seen.add(node)
-        edges = []
-        for w, position, sigma in successors(*node, algebra):
-            edge = (w.value, (position, sigma))
-            if edge not in edges:  # equal branch arms collapse in the quotient
-                edges.append(edge)
-        yield node, edges
-        for _, succ in edges:
-            stack.append(succ)
+        succs = successors(*node, algebra)
+        yield node, succs
+        if succs:
+            todo.append([(position, sigma) for _, position, sigma in succs])
 
 
 def build_quotient(program: Program, state: State, algebra: Algebra,
@@ -338,55 +340,69 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
     every walk lifts back, so cycles here are exactly the shapes of
     infinite paths.
     """
-    return dict(_reachable([(compile_program(program), state)], algebra, node_budget))
+    graph: dict[QNode, list[tuple[object, QNode]]] = {}
+    for node, succs in _reachable([(compile_program(program), state)], algebra, node_budget):
+        edges = graph[node] = []
+        for w, position, sigma in succs:
+            edge = (w.value, (position, sigma))
+            if edge not in edges:  # equal branch arms collapse in the quotient
+                edges.append(edge)
+    return graph
 
 
-def components(roots, successors) -> list[list]:
-    """The strongly connected components reachable from `roots`, each after
-    every component it reaches (Tarjan 1972, with an explicit stack), and
-    each listing its deepest vertex first.  `successors` maps every vertex
-    to its successors."""
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    out: list[list] = []
+_DONE = object()  # on the work list of `components`: a vertex's successors end here
+
+
+def components(roots, successors) -> Iterator[list]:
+    """The strongly connected components reachable from `roots`, each
+    yielded as soon as it is complete, after every component it reaches
+    (Tarjan 1972, with explicit stacks), and each listing its deepest
+    vertex first.  `successors(v)` is the sequence of v's successors; it
+    is called once per vertex, when the walk enters it, so a caller may
+    drop what it keeps for a vertex once the vertex's component is out."""
+    inf = math.inf
+    low: dict = {}  # the least stack position a vertex reaches; inf once out
+    stack: list = []  # the vertices of components not yet out, entered first
+    path: list = []  # the stack positions of the entered, unfinished vertices
+    todo: list = []  # successors still to try, each vertex's above a _DONE
     for root in roots:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(successors[root]))]
-        while work:
-            v, succs = work[-1]
-            for w in succs:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(successors[w])))
-                    break
-                # a vertex whose component is out has index inf: only
-                # vertices still on the stack lower low[v]
-                low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        index[component[-1]] = math.inf
-                    out.append(component)
-    return out
+        todo.append(root)
+        while todo:
+            w = todo.pop()
+            if w is _DONE:  # the last vertex on the path is finished
+                i = path.pop()
+                w = stack[i]
+                if low[w] == i:  # the first vertex of its component
+                    component = stack[i:]
+                    del stack[i:]
+                    component.reverse()
+                    for v in component:
+                        low[v] = inf
+                    yield component
+                    continue
+            elif w not in low:
+                i = len(stack)
+                low[w] = i
+                stack.append(w)
+                path.append(i)
+                todo.append(_DONE)
+                todo.extend(reversed(successors(w)))
+                continue
+            # w is finished or was entered before: if it is still on the
+            # stack, the vertex that reads it reaches as low as it does
+            v = stack[path[-1]]
+            if low[w] < low[v]:
+                low[v] = low[w]
 
 
 def cyclic(component: list, successors) -> bool:
     """The component has two or more vertices, or a self-loop."""
-    return len(component) > 1 or component[0] in successors[component[0]]
+    return len(component) > 1 or component[0] in successors(component[0])
 
 
-def longest_paths(order: list[list], successors) -> dict:
+def longest_paths(order, successors) -> dict:
     """Per vertex of `order` (`components` output, dependencies first), the
     length of the longest path from it, or inf when a cycle is reachable
     from it."""
@@ -396,7 +412,7 @@ def longest_paths(order: list[list], successors) -> dict:
             longest.update(dict.fromkeys(component, math.inf))
         else:
             v = component[0]
-            longest[v] = max((1 + longest[w] for w in successors[v]), default=0)
+            longest[v] = max((1 + longest[w] for w in successors(v)), default=0)
     return longest
 
 
@@ -407,7 +423,7 @@ def _shortest_walk(start, successors, goal) -> list:
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for w in successors[v]:
+        for w in successors(v):
             if w in parent:
                 continue
             parent[w] = v
@@ -445,8 +461,8 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     except BudgetError:
         return UctResult("unknown")
     root = next(iter(graph))
-    succ = {v: [s for _, s in es] for v, es in graph.items()}
-    order = components([root], succ)
+    succ = {v: [s for _, s in es] for v, es in graph.items()}.__getitem__
+    order = list(components([root], succ))
     longest = longest_paths(order, succ)
     if longest[root] < math.inf:
         return UctResult("certain", maxlen=longest[root])
@@ -463,7 +479,8 @@ def certainly_terminates(program: Program, states, algebra: Algebra,
     one graph (`compile_program`), so equal positions are one vertex."""
     roots = [(compile_program(program), sigma) for sigma in states]
     try:
-        succ = {v: [s for _, s in es] for v, es in _reachable(roots, algebra, node_budget)}
+        succ = {v: [(p, s) for _, p, s in succs]
+                for v, succs in _reachable(roots, algebra, node_budget)}.__getitem__
     except BudgetError:
         return [False] * len(roots)
     longest = longest_paths(components(roots, succ), succ)
@@ -511,7 +528,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
     if isinstance(algebra, OmegaLangAlgebra):
         return _diverge_omega(graph, root, algebra, node_budget)
     keep = _DIVERGENT_EDGES[name]
-    succ = {v: [s for (w, s) in es if keep(w)] for v, es in graph.items()}
+    succ = {v: [s for (w, s) in es if keep(w)] for v, es in graph.items()}.__getitem__
     if name == "tropical":
         # zero-weight cycles anywhere, entered by the cheapest route
         dist = _shortest_distances(graph, root)
@@ -547,8 +564,8 @@ def _shortest_distances(graph, root):
 
 
 def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> DivergenceReport:
-    succ = {v: [s for (_, s) in es] for v, es in graph.items()}
-    order = components([root], succ)
+    succ = {v: [s for (_, s) in es] for v, es in graph.items()}.__getitem__
+    order = list(components([root], succ))
 
     # each cyclic component must be one simple cycle: within it, out-degree one
     cycle_next: dict[QNode, tuple[str, QNode]] = {}

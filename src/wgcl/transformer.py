@@ -36,9 +36,10 @@ by substituting values into the forms: an unknown outside any cycle once,
 and a cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri
 2002 solve path problems from the same per-vertex equations).  So a loop
 that certainly terminates within the cap is solved in time linear in the
-unknowns it touches, whatever the fuel.  The exact form of an unknown
-left uncertified stays on the engine, so each loop state's body runs once
-per engine and postweighting, nested loops included.
+unknowns it touches, whatever the fuel.  An unknown holds its form until
+its component is solved, and only its value after.  The exact form of an
+unknown left uncertified stays on the engine, so each loop state's body
+runs once per engine and postweighting, nested loops included.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -56,6 +57,7 @@ Anything else is a flagged bound: below the answer for wp, above for wlp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Literal
 
 from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError, Weight
@@ -65,7 +67,7 @@ from .syntax import (
 )
 from .operational import (
     BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis, components,
-    cyclic, diverging_weights,
+    diverging_weights,
 )
 
 
@@ -169,11 +171,12 @@ class _Solve:
        like the leaf of a bounded unrolling, and is never certified; so
        does an unknown past the horizon whose read-off fails, with those
        queued behind it.  Within the horizon the node budget and a failed
-       read-off raise.
-    2. Component order: `operational.components` orders the components
-       of the dependency graph, dependencies first and deepest unknown
-       first within one; that is the Gauss-Seidel order, so it fixes a
-       bound.
+       read-off raise.  The queue goes once discovery ends.
+    2. Component order: `operational.components` yields the components
+       of the dependency graph one at a time, dependencies first and
+       deepest unknown first within one; that is the Gauss-Seidel order,
+       so it fixes a bound.  An unknown's dependencies are read from its
+       form when the order reaches it (`_deps`); no table keeps them.
     3. Solving substitutes forms, and never runs a body again: an unknown
        outside any cycle gets const (+) sum of c (x) X(tau) over its solved
        dependencies; a cyclic component is iterated from the seed,
@@ -181,7 +184,8 @@ class _Solve:
        when a full pass changes nothing and every substitution in it was
        exact: no constant was inexact, no read was left at the seed and
        every dependency outside the component was itself certified.
-       Certified unknowns are final.
+       Each component is solved as `components` yields it, and its forms
+       go then; its certified unknowns become final.
 
     An unknown is certified only once its whole reachable set is
     discovered, which is what the sweeps discover, each unknown once.  A
@@ -189,8 +193,8 @@ class _Solve:
     cap, the budget or an error) joins `Engine._capped`, so later sweeps
     of it on the engine stop at the horizon.  A form does not depend on
     the horizon, the seed or what is certified, so the exact form of an
-    unknown left uncertified stays on the memo, and a later solve reads it
-    instead of running the body again.
+    unknown left uncertified moves to the memo when its component is
+    solved, and a later solve reads it instead of running the body again.
     """
 
     def __init__(self, engine: "Engine", node: Node, memo: "_Memo",
@@ -199,25 +203,18 @@ class _Solve:
         self.node = node
         self.memo = memo
         self.outer = outer  # the sweep whose read-off entered this loop
-        self.unit = engine._forms.unit
         self.seed = engine._seed()
         self.horizon = engine.fuel + 1
         self.beyond = False  # whether the sweep went past the horizon
-        self.depth: dict = {}  # of this sweep's unknowns
-        self.queue: list = []
-        self.current_depth = 0
+        self.queue: list = []  # this sweep's unknowns, breadth first
+        self.depth = 0  # in body-hops from the entry, of the unknown read off
         if outer is None:
-            # keyed on unknowns; `deps` holds those each reads that the
-            # solve discovered and has not certified, in the order of
-            # reading (a dict, not a set), so that the order of solving,
-            # and so an inexact bound, is the same every run
-            self.queried, self.vals, self.exact, self.deps, self.forms = node, {}, {}, {}, {}
+            self.queried, self.vals, self.exact, self.forms = node, {}, {}, {}
             self.final = memo.tables.setdefault(node, {})
             self.cache = memo.forms.setdefault(node, {})
         else:  # one system: an inner sweep fills the solve's tables
             self.queried, self.vals, self.exact = outer.queried, outer.vals, outer.exact
-            self.deps, self.forms = outer.deps, outer.forms
-            self.final, self.cache = outer.final, outer.cache
+            self.forms, self.final, self.cache = outer.forms, outer.final, outer.cache
 
     def _touch(self, key, depth: int) -> None:
         """Discover `key` unless it is certified or known, or it is past the
@@ -230,7 +227,6 @@ class _Solve:
         if len(self.final) + len(self.vals) >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
         self.vals[key] = self.seed
-        self.depth[key] = depth
         self.queue.append(key)
 
     def _go_on(self) -> bool:
@@ -238,7 +234,7 @@ class _Solve:
         engine = self.engine
         if self.node in engine._capped:
             return False
-        if (len(self.depth) < engine.state_cap
+        if (len(self.queue) < engine.state_cap
                 and len(self.final) + len(self.vals) < engine.node_budget):
             self.beyond = True
             return True
@@ -259,51 +255,59 @@ class _Solve:
                     _Solve(self.engine, node, self.memo, self)._discover(key)
                 return key
         key = sigma if solve.outer is None else (node, sigma)
-        solve._touch(key, solve.current_depth + 1)
+        solve._touch(key, solve.depth + 1)
         return key
 
     def _read(self, node: Node, sigma: State) -> tuple[dict, bool]:
         """A loop head met while a form is read off: its unknown's unit form."""
-        return {self._meet(node, sigma): self.unit}, True
+        return {self._meet(node, sigma): self.engine._forms.unit}, True
 
-    def _run(self, key):
-        """The characteristic map at `key`, run once in a fresh memo whose
-        loop heads are unknowns: the body's form where the guard holds,
-        else the continuation's, over values for the queried loop."""
+    def _form(self, key) -> tuple:
+        """The form at `key` as one flat tuple (constant, exact, unknown,
+        coefficient, ...), a quarter of a dict's size for one term: left on
+        the memo by an earlier solve, or read off by running the
+        characteristic map once in a fresh memo whose loop heads are
+        unknowns (over values where the queried loop exits)."""
+        form = self.cache.get(key)
+        if form is not None:
+            for tau in form[2::2]:  # read by an earlier solve's run: discover here
+                if type(tau) is tuple:
+                    self._meet(*tau)
+                else:
+                    self._meet(self.queried, tau)
+            return form
         engine, node = self.engine, self.node
         engine._evaluations += 1
         sigma = key if self.outer is None else key[1]
         memo = _Memo(self.memo.post, engine._forms, self._read)
         if node.guard(sigma):
-            return engine._eval(node.then, sigma, memo)
-        return engine._next(node.next, sigma, self.memo if self.outer is None else memo)
+            value, exact = engine._eval(node.then, sigma, memo)
+        else:
+            value, exact = engine._next(node.next, sigma, memo if self.outer else self.memo)
+        if isinstance(value, ModuleValue):  # the queried loop exits
+            return value, exact
+        return (engine._forms.zero, exact, *chain.from_iterable(value.items()))
 
-    def _form(self, key) -> tuple[ModuleValue, dict, bool]:
-        """The form at `key`, (constant, {unknown: coefficient}, exact):
-        read off, or left on the memo by an earlier solve."""
-        self.current_depth = self.depth[key]
-        form = self.cache.get(key)
-        if form is None:
-            value, exact = self._run(key)
-            if isinstance(value, ModuleValue):  # the queried loop exits
-                return value, {}, exact
-            return self.engine._forms.zero, value, exact
-        for tau in form[1]:  # read by an earlier solve's run: discover here
-            if type(tau) is tuple:
-                self._meet(*tau)
-            else:
-                self._meet(self.queried, tau)
-        return form
+    def _deps(self, key) -> list:
+        """The unknowns `key` waits on, none once it is solved: those its
+        form reads that the solve discovered and has not certified, in the
+        order of reading, so that the order of solving, and so an inexact
+        bound, is the same every run."""
+        if key in self.exact:
+            return []
+        return list(filter(self.vals.__contains__, self.forms[key][2::2]))
 
     def _substitute(self, key) -> tuple[ModuleValue, bool]:
         """The characteristic map at `key` against the current iterate."""
-        value, coefs, exact = self.forms[key]
-        if not coefs:
-            return value, exact
+        form = self.forms[key]
+        if len(form) == 2:  # the queried loop exits
+            return form
+        terms = iter(form)
+        value, exact = next(terms), next(terms)
         alg = self.engine.algebra
         add, times = alg._add, alg._times
         total = value.value
-        for tau, c in coefs.items():
+        for tau, c in zip(terms, terms):  # (unknown, coefficient) pairs
             x = self.final.get(tau)
             if x is None:
                 x = self.vals.get(tau)
@@ -314,77 +318,72 @@ class _Solve:
             total = add(total, times(c, x.value))
         return ModuleValue(alg, total), exact
 
-    def _read_off(self, key) -> None:
-        """Discovery at `key`: the unknowns it reads, and its value if it
-        reads none of this solve's."""
-        self.forms[key] = form = self._form(key)
-        self.deps[key] = deps = dict.fromkeys(filter(self.vals.__contains__, form[1]))
-        if not deps:  # solved already
-            self.vals[key], self.exact[key] = self._substitute(key)
-
     def _discover(self, entry) -> None:
-        """Step 1, for this sweep from `entry`."""
+        """Step 1, for this sweep from `entry`: each unknown's form, and its
+        value if it reads none of this solve's unknowns."""
         self._touch(entry, 0)
         self.engine._passes += 1
-        queue = self.queue
+        queue, level_end = self.queue, 1
         for i, key in enumerate(queue):  # grows while it is walked
+            if i == level_end:  # the sweep's next breadth-first level
+                self.depth += 1
+                level_end = len(queue)
             try:
-                self._read_off(key)
+                self.forms[key] = form = self._form(key)
+                if not any(map(self.vals.__contains__, form[2::2])):  # solved already
+                    self.vals[key], self.exact[key] = self._substitute(key)
             except (BudgetError, EvalError, AlgebraError):
                 for tau in queue[i:]:  # the sweep stops; they keep the seed
-                    self.exact[tau], self.deps[tau] = False, {}
-                if self.depth[key] <= self.horizon:
+                    self.exact[tau] = False
+                if self.depth <= self.horizon:
                     raise
                 self.engine._capped.add(self.node)
                 break
+        queue.clear()  # discovery is over
 
     def run(self, root: State) -> tuple[ModuleValue, bool]:
         """The value at `root` and whether it is certified (steps 1 to 3).
         Certified unknowns become final."""
         self._discover(root)
+        vals, exact, forms, final = self.vals, self.exact, self.forms, self.final
+        self.engine._touched += len(vals)
         longest = 0
-        for component in components([root], self.deps):
-            if not cyclic(component, self.deps):
-                key = component[0]
-                if key not in self.exact:
-                    self.vals[key], self.exact[key] = self._substitute(key)
-                    longest = max(longest, 1)
-                continue
-            passes, certified = self._iterate(component)
-            longest = max(longest, passes)
-            for key in component:
-                self.exact[key] = certified
-        engine = self.engine
-        engine._passes += longest
-        engine._touched += len(self.vals)
-        for key, certified in self.exact.items():
-            if certified:
-                self.final[key] = self.vals[key]
-            else:  # a later solve may meet it again
-                form = self.forms.get(key)
-                if form is not None and form[2]:
-                    self.cache[key] = form
-        return self.vals[root], self.exact[root]
+        for component in [[root]] if root in exact else components([root], self._deps):
+            key = component[0]
+            if key in exact:  # solved when read off, or left at the seed
+                certified = exact.pop(key)
+            elif len(component) > 1 or key in forms[key][2::2]:  # cyclic
+                passes, certified = self._iterate(component)
+                longest = max(longest, passes)
+            else:
+                vals[key], certified = self._substitute(key)
+                longest = longest or 1
+            for key in component:  # solved: keep the value, not the form
+                form = forms.pop(key, None)
+                if certified:
+                    final[key] = vals.pop(key)
+                else:  # a later solve may meet it again
+                    exact[key] = False
+                    if form is not None and form[1]:
+                        self.cache[key] = form
+        self.engine._passes += longest
+        return (final[root], True) if root in final else (vals[root], False)
 
     def _iterate(self, component: list) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
         pass count, and whether the last pass changed nothing with every
         substitution exact."""
         vals = self.vals
-        passes = 0
-        while passes < self.engine.fuel:
-            passes += 1
-            changed = False
-            exact = True
+        for passes in range(1, self.engine.fuel + 1):
+            changed, exact = False, True
             for key in component:
                 value, ex = self._substitute(key)
                 exact = exact and ex
                 if value != vals[key]:
-                    vals[key] = value
-                    changed = True
+                    vals[key], changed = value, True
             if not changed:
                 return passes, exact
-        return passes, False
+        return self.engine.fuel, False
 
 
 class _Memo:

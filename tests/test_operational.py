@@ -233,6 +233,28 @@ def test_reachable_pairs_certify_only_within_the_node_budget():
         assert res.value == lang.mod_zero() and res.exact == exact
 
 
+def test_the_quotient_is_walked_depth_first_last_successor_first():
+    # each pair is entered from the last entered pair that reaches it, as a
+    # recursive walk would, also where an earlier pair reached it first
+    cnt = algebra("counting")
+
+    def walk(node, order):
+        order[node] = None
+        for _, position, sigma in reversed(successors(*node, cnt)):
+            if (position, sigma) not in order:
+                walk((position, sigma), order)
+        return list(order)
+
+    # the first: the left arm and the inner right arm's second statement
+    # are one position, so the left arm's pair is reached twice
+    for text in ("{ x := 1 } [] { { skip } [] { skip; x := 1 } }",
+                 "while (x < 4) { { x := x + 1 } [] { x := x + 2 }; { skip } [] { weigh 2 } }",
+                 "while (true) { { x := 1 - x } [] { skip } }"):
+        program = prog("@instance counting\n" + text).program
+        graph = build_quotient(program, State({}), cnt)
+        assert list(graph) == walk((compile_program(program), State({})), {})
+
+
 def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
     cnt = algebra("counting")
     zero = weighting("zero", cnt)
@@ -335,15 +357,15 @@ def test_uct_unknown_on_budget():
 
 def test_components_dependencies_first_deepest_first():
     succ = {"a": ["b"], "b": ["c"], "c": ["b", "d"], "d": ["d"], "e": ["a"], "f": []}
-    assert components(["a"], succ) == [["d"], ["c", "b"], ["a"]]
-    order = components(["e", "a", "f"], succ)
+    assert list(components(["a"], succ.__getitem__)) == [["d"], ["c", "b"], ["a"]]
+    order = list(components(["e", "a", "f"], succ.__getitem__))
     assert order == [["d"], ["c", "b"], ["a"], ["e"], ["f"]]
     # every successor outside a component lies in an earlier one
     seen = set()
     for comp in order:
         assert all(w in seen or w in comp for v in comp for w in succ[v])
         seen.update(comp)
-    assert [cyclic(comp, succ) for comp in order] == [True, True, False, False, False]
+    assert [cyclic(comp, succ.__getitem__) for comp in order] == [True, True, False, False, False]
 
 
 def test_lassos_are_walks_and_divergence_matches_the_exact_chain(monkeypatch):

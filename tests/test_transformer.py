@@ -1,6 +1,7 @@
 """Preweighting transformers: worked examples and healthiness laws."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -838,6 +839,22 @@ def test_each_inner_loop_entry_has_its_own_horizon_and_cap():
     # horizon are followed to the end and certified
     res = wp_eval(TRIANGLE.program, "one", State({"x": 100}), TROP)
     assert res.exact and res.value == TROP.value(5050)
+
+
+def test_a_solve_keeps_one_form_or_one_value_per_unknown():
+    # a component's forms are dropped as soon as it is solved, and a
+    # one-term form is one small tuple, so the 7501 unknowns of one system
+    # peak within 700 bytes each (the keys and states included)
+    engine = Engine(TROP, "wp")
+    tracemalloc.start()
+    try:
+        res = engine.run(TRIANGLE.program, "one", State({"x": 120}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact and res.value == TROP.value(7260)
+    assert res.touched_states == 121 + sum(x + 1 for x in range(1, 121))
+    assert peak <= 700 * res.touched_states
 
 
 def test_a_divergent_inner_loop_caps_that_loop():
