@@ -13,29 +13,29 @@ The exposed analyses:
 * `op_oracle` / `olp_oracle` - one walk over the paths cut at depth n:
   terminated paths add weight (x) post(final state), paths still running
   add weight (x) zero (op) or weight (x) top (olp, whose limit captures
-  nonterminating behavior).  A result is exact when every path ended, the
-  frontier repeated, or the pairs reachable from the last frontier show
-  that no later layer moves the sum,
+  nonterminating behavior).  Past the cut, the pairs the running paths
+  reach are solved dependencies first, which certifies the limit where
+  their iteration stabilizes (olp also takes the lasso below),
 * `uct_check` / `certainly_terminates` - certain termination from one
   state (with a lasso counterexample) or from every state of a grid,
 * `diverging_weights` - exact limit of the olp chain from the finite
   (position, state) quotient graph, where the instance allows it.
 
 The quotient graph is the reachable part of the step relation, walked by
-one routine (`_reachable`, which also backs the oracle's certificate);
+one routine (`_reachable`, which also bounds the oracle's solve);
 its cycles are exactly the shapes of infinite paths.  `components` is the
 package's one strongly-connected-components routine (Tarjan, dependencies
 first, each component yielded as soon as it is complete), and
 `longest_paths` its one cycle summary: every termination and divergence
 question reads whether a cycle is reachable off it, and the transformer's
-loop solver solves each component as `components` yields it.
+loop solver and the oracle solve each component as `components` yields it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -139,27 +139,35 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
     return report
 
 
-def _frontier_layers(program: Program, state: State, algebra: Algebra,
-                     fuel: int, node_budget: int) -> Iterator[list[tuple[object, State, Weight]]]:
-    """Yield the length-n path frontier for n = 0..fuel, each path as its
-    last (position, state) pair and its weight.
-
-    Stops early when the frontier empties (every path has terminated).
-    """
+def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
+            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue]]:
+    """Per depth n = 0..fuel of the forest cut, (live, done): the paths
+    still running, as (position, state, weight), and weight (x) post(final
+    state) summed over those that ended.  Nothing is built past the cut;
+    forest nodes count as in `enumerate_paths`, the root included."""
     frontier = [(compile_program(program), state, algebra.mon_one())]
-    nodes = 0
-    for _ in range(fuel + 1):
-        yield frontier
-        nxt = []
+    done = algebra.mod_zero()
+    nodes = 1
+    for n in range(fuel + 1):
+        live = []
         for position, sigma, w in frontier:
-            for a, position2, sigma2 in successors(position, sigma, algebra):
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetError(f"node budget {node_budget} exceeded")
-                nxt.append((position2, sigma2, algebra.mon_mul(w, a)))
-        if not nxt:
+            if position is TERMINATED:
+                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(sigma)))
+            else:
+                live.append((position, sigma, w))
+        yield live, done
+        if not live or n == fuel:
             return
-        frontier = nxt
+        frontier = [(position2, sigma2, algebra.mon_mul(w, a)) for position, sigma, w in live
+                    for a, position2, sigma2 in successors(position, sigma, algebra)]
+        nodes += len(frontier)
+        if nodes > node_budget:
+            raise BudgetError(f"node budget {node_budget} exceeded")
+
+
+def _cut_sum(done: ModuleValue, live: list, value, algebra: Algebra) -> ModuleValue:
+    """done (+) weight (x) value(position, state) over the live paths."""
+    return algebra.big_add([done] + [algebra.scalar_mul(w, value(p, s)) for p, s, w in live])
 
 
 @dataclass
@@ -168,139 +176,129 @@ class OracleResult:
     exact: bool
 
 
-class _Stabilization:
-    """The frontier-repeat certificate for layered sums.
-
-    Once a layer frontier repeats exactly (position, state and accumulated
-    weight, as a multiset), the process is periodic, so a sum that did not
-    move over the repetition never moves again.
-    """
-
-    MAX_FRONTIER = 512  # repetition needs a small frontier; skip huge ones
-
-    def __init__(self):
-        self.seen: set[frozenset] = set()  # frontiers since the sum last moved
-        self.last_value = None
-        self.certified = False
-
-    def feed(self, frontier, value) -> None:
-        if value != self.last_value:
-            self.seen.clear()
-            self.last_value = value
-        if len(frontier) > self.MAX_FRONTIER:
-            self.seen.clear()
-            return
-        fingerprint = frozenset(Counter((p, s, w.value) for p, s, w in frontier).items())
-        self.certified |= fingerprint in self.seen
-        self.seen.add(fingerprint)
+def _annihilates(a: Weight, algebra: Algebra) -> bool:
+    """a (x) top = zero, so that a (x) x = zero for every x."""
+    return algebra.has_top and algebra.scalar_mul(a, algebra.top()) == algebra.mod_zero()
 
 
-def _settled(live, value: ModuleValue, post: Weighting, seed: ModuleValue,
-             algebra: Algebra, node_budget: int) -> bool:
-    """Whether no later layer can move s_n, read off the (position, state)
-    graph reachable from the live frontier (at most `node_budget` pairs).
+def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
+           fuel: int) -> tuple[dict, set]:
+    """The value of each pair reachable from `roots`, and the pairs whose
+    value is certified, per component as `components` yields it (its edges
+    dropped once solved).  A pair on no cycle takes post(state) at
+    TERMINATED, else (+) a (x) value(p) over its `successors` (a, p), equal
+    arms counted twice; it is certified when each value it reads is, or
+    lies behind an annihilating a.  A cyclic component takes Gauss-Seidel
+    passes from `seed`, at most `fuel`, and is certified when one changes
+    nothing and reads certified values only from outside the component."""
+    value, certified, edges = {}, set(), {}  # per pair; edges until its component is out
 
-    op (seed zero): every reachable terminal state has post zero, so every
-    later layer adds w (x) zero = zero.  olp (seed top): s_n is top, no
-    terminal is reachable, and every reachable edge weight a has
-    a (x) top = top.  A live path of weight w extended by a then adds
-    (w a) (x) top = w (x) (a (x) top) = w (x) top, the term it had; every
-    live path has an extension, so s_{n+1} = s_n (+) x = top (+) x = top.
-    """
-    olp = seed != algebra.mod_zero()
-    if olp and value != seed:
-        return False
-    absorbed = set()  # the edge weights a already seen to have a (x) top = top
-    try:
-        for (position, sigma), succs in _reachable([(p, s) for p, s, _ in live],
-                                                   algebra, node_budget):
-            if position is TERMINATED and (olp or post.at(sigma) != algebra.mod_zero()):
-                return False
-            if not olp:
-                continue
-            for a, _, _ in succs:
-                if a.value not in absorbed:
-                    if algebra.scalar_mul(a, seed) != seed:
-                        return False
-                    absorbed.add(a.value)
-    except (BudgetError, EvalError):  # too large, or undefined beyond the horizon
-        return False
-    return True
+    def step(pair):
+        edges[pair] = successors(*pair, algebra)
+        return [(position, sigma) for _, position, sigma in edges[pair]]
 
+    def read(pair) -> tuple[ModuleValue, bool]:
+        terms, ok = [], True
+        for a, position, sigma in edges[pair]:
+            terms.append(algebra.scalar_mul(a, value[position, sigma]))
+            ok = ok and ((position, sigma) in certified or _annihilates(a, algebra))
+        return algebra.big_add(terms), ok
 
-def _layer_sums(program: Program, state: State, post: Weighting, seed: ModuleValue,
-                algebra: Algebra, fuel: int, node_budget: int):
-    """Yield (live frontier, s_n) for the computation forest cut at depth n.
-
-    s_n sums weight (x) post(final state) over the paths that terminated
-    within n steps, plus weight (x) seed over the paths still running after
-    n steps.  Seed zero gives the op chain, which ascends (and skips the
-    running paths, as w (x) zero is zero); seed top gives the olp chain,
-    which descends.
-    """
-    zero = algebra.mod_zero()
-    done = zero
-    for frontier in _frontier_layers(program, state, algebra, fuel, node_budget):
-        live = []
-        for position, sigma, w in frontier:
-            if position is TERMINATED:
-                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(sigma)))
-            else:
-                live.append((position, sigma, w))
-        if seed == zero:
-            yield live, done
+    for component in components(roots, step):
+        pair = component[0]
+        if len(component) == 1 and all((p, s) != pair for _, p, s in edges[pair]):
+            value[pair], ok = (post.at(pair[1]), True) if pair[0] is TERMINATED else read(pair)
+            if ok:
+                certified.add(pair)
         else:
-            yield live, algebra.big_add([done] + [algebra.scalar_mul(w, seed) for *_, w in live])
+            value.update(dict.fromkeys(component, seed))
+            certified.update(component)
+            changed = True
+            for _ in range(fuel):
+                changed, ok = False, True
+                for pair in component:
+                    new, read_ok = read(pair)
+                    ok, changed = ok and read_ok, changed or new != value[pair]
+                    value[pair] = new
+                if not changed:
+                    break
+            if changed or not ok:
+                certified.difference_update(component)
+        for pair in component:
+            del edges[pair]
+    return value, certified
 
 
-def _limit(program: Program, state: State, post: Weighting, seed: ModuleValue,
+def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
            algebra: Algebra, fuel: int, node_budget: int) -> OracleResult:
-    """The last s_n, exact when no path outlived the horizon (the forest is
-    exhausted), the frontier repeated (see _Stabilization), or no later
-    layer can move the sum (see _settled)."""
-    stab = _Stabilization()
-    for live, value in _layer_sums(program, state, post, seed, algebra, fuel, node_budget):
-        stab.feed(live, value)
-    return OracleResult(value, not live or stab.certified
-                        or _settled(live, value, post, seed, algebra, node_budget))
+    """The limit of the chain s_n that charges `seed` to the paths still
+    running at depth n, from its cut at n = fuel (`live`, `done`): exact
+    when no path is live, or when `_solve` certifies each live pair whose
+    path weight w does not annihilate, as done (+) w (x) value(pair) over
+    the live paths; else s_fuel.  The pairs are first walked keeping only
+    the set seen: BudgetError past `node_budget` of them, EvalError at an
+    undefined step.
+
+    Why that is the limit: from a pair, the forest cut at depth n sums to
+    s_n = F^n(x0), F the right-hand sides of `_solve` and x0 post at
+    TERMINATED and `seed` elsewhere.  For op (seed zero) x0 <= F(x0); one
+    update keeps y <= F(y), so the values g after J of them lie below s_J.
+    Certified values are a fixed point of F (an annihilated read is zero
+    whatever it reads), so s_n <= F^n(g) = g for all n: the chain reaches
+    g at depth J and stays.  For olp (seed top) each inequality turns
+    round.  No continuity is needed, only (+) and (x) monotone in the
+    natural order, zero least and top greatest, as on every instance.
+    """
+    if not live:
+        return OracleResult(done, True)
+    roots = [(position, sigma) for position, sigma, _ in live]
+    deque(_reachable(roots, algebra, node_budget), maxlen=0)  # does the graph fit?
+    value, certified = _solve(roots, post, seed, algebra, fuel)
+    if all((p, s) in certified or _annihilates(w, algebra) for p, s, w in live):
+        return OracleResult(_cut_sum(done, live, lambda *pair: value[pair], algebra), True)
+    return OracleResult(_cut_sum(done, live, lambda *_: seed, algebra), False)
 
 
 def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> OracleResult:
-    """Sum weight (x) post(final state) over terminating paths, within fuel."""
-    return _limit(program, state, post, algebra.mod_zero(), algebra, fuel, node_budget)
+    """op(post): the limit of the ascending chain that sums weight (x)
+    post(final state) over the paths ended within n steps (see `_limit`);
+    uncertified, s_fuel, a lower bound."""
+    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
+    try:
+        return _limit(live, done, post, algebra.mod_zero(), algebra, fuel, node_budget)
+    except (BudgetError, EvalError):  # too large, or undefined past the cut
+        return OracleResult(done, False)
 
 
 def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
                fuel: int = 64, node_budget: int = 10 ** 6) -> OracleResult:
-    """Limit of the descending chain that also charges top to every path
-    still running at depth n.
-
-    An uncertified last value is an upper bound in the natural order.  For
-    omega-language instances the lasso analysis then supplies the
-    nonterminating part exactly, and the result is exact when the
-    terminating part (op_oracle) is.
-    """
-    result = _limit(program, state, post, algebra.top(), algebra, fuel, node_budget)
-    if result.exact or not isinstance(algebra, OmegaLangAlgebra):
-        return result
+    """olp(post): the limit of the descending chain that also charges top
+    to the paths running at depth n (see `_limit`).  Left open there, on
+    the instances `diverging_weights` handles, the lasso completes it as
+    op(post) (+) olp(zero), exact when op is; else s_fuel, an upper bound."""
+    top = algebra.top()
+    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     try:
-        diverging = diverging_weights(program, state, algebra, node_budget)
-    except (DivergenceError, BudgetError):
-        return result
-    op = op_oracle(program, state, post, algebra, fuel, node_budget)
-    if not op.exact:
-        return result
-    return OracleResult(algebra.mod_add(op.value, diverging.value), True)
+        result = _limit(live, done, post, top, algebra, fuel, node_budget)
+        if result.exact:
+            return result
+        check_divergence_analysis(algebra)  # before the op solve
+        op = _limit(live, done, post, algebra.mod_zero(), algebra, fuel, node_budget)
+        if op.exact:
+            diverging = diverging_weights(program, state, algebra, node_budget)
+            return OracleResult(algebra.mod_add(op.value, diverging.value), True)
+    except (BudgetError, EvalError, DivergenceError):
+        pass
+    return OracleResult(_cut_sum(done, live, lambda *_: top, algebra), False)
 
 
 def olp_chain(program: Program, state: State, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
-    """The raw olp chain s_n for post zero, n = 0..fuel (shorter if paths
-    run out)."""
-    zero = FnWeighting(algebra, lambda _s: algebra.mod_zero())
-    return [value for _, value in _layer_sums(program, state, zero, algebra.top(),
-                                              algebra, fuel, node_budget)]
+    """The raw olp chain s_n for post zero, n = 0..fuel (fewer if all paths end)."""
+    zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra.top()
+    return [_cut_sum(done, live, lambda *_: top, algebra)
+            for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
 
 
 # ---------------------------------------------------------------------------

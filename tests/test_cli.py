@@ -165,6 +165,28 @@ def test_compare_liberal_reads_post(capsys):
         assert all(line.endswith("agree") for line in lines)
 
 
+def test_compare_ski_nd_at_n_100_is_exact_on_both_sides(capsys):
+    # 100 laps outrun the fuel; the pairs past the cut form a chain the
+    # oracle solves, for op and for olp alike
+    for liberal in ((), ("--liberal",)):
+        code, out, _ = run(capsys, "compare", "ski_nd", *liberal, "--post", "one",
+                           "--state", "n=100,y=100")
+        assert code == 0
+        assert out.strip() == "n=100,y=100 | 100 | exact | 100 | exact | agree"
+
+
+def test_the_forest_walk_counts_its_nodes_up_to_the_cut(capsys, tmp_path):
+    # to depth 6 the forest has 16 nodes, the root included
+    f = tmp_path / "twin.wgcl"
+    f.write_text("@instance counting\nwhile (true) { { skip } [] { skip } }\n",
+                 encoding="utf-8")
+    for budget, expected in ((16, 0), (15, 5)):
+        for argv in (["paths", str(f), "--depth", "6"],
+                     ["compare", str(f), "--fuel", "6", "--post", "one"]):
+            code, _, _ = run(capsys, *argv, "--state", "x=0", "--budget", str(budget))
+            assert code == expected, (argv, budget)
+
+
 def test_compare_ratio_never_exceeds_two(capsys):
     code, out, _ = run(capsys, "compare", "ski_onl", "--ratio", "ski_nd",
                        "--post", "one", "--grid", "n=1..8,y=1..8")

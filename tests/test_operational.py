@@ -16,6 +16,7 @@ from wgcl.syntax import (
     Branch, ExprWeighting, Seq, State, TableWeighting, Weigh, compile_program,
     print_program,
 )
+from wgcl.transformer import Engine
 
 from genprog import rand_loopfree, rand_looping_program, rand_state, rand_uct_program
 
@@ -261,14 +262,64 @@ def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
     # every run ends after 100 laps: olp(zero) is 0
     count = prog("@instance counting\nwhile (x < 100) { x := x + 1 }").program
     res = olp_oracle(count, State({}), zero, cnt, fuel=8)
-    assert res.value == cnt.value(INF) and not res.exact
+    assert res.value == cnt.mod_zero() and res.exact
     # the only run weighs 0 after 20 laps: olp(zero) is 0
     later = prog("@instance counting\n"
                  "while (x < 20) { x := x + 1 }; while (true) { weigh 0 }").program
     res = olp_oracle(later, State({}), zero, cnt, fuel=8)
-    assert res.value == cnt.value(INF) and not res.exact
+    assert res.value == cnt.mod_zero() and res.exact
     res = olp_oracle(later, State({}), zero, cnt, fuel=100)
     assert res.value == cnt.mod_zero() and res.exact
+
+
+def test_olp_of_a_loop_that_weighs_zero_every_lap_is_exact_zero():
+    # the solve iterates the loop's pairs from top and stops at 0 in two passes
+    cnt = algebra("counting")
+    loop = prog("@instance counting\nwhile (c = 1) { weigh 0 }").program
+    res = olp_oracle(loop, State({"c": 1}), weighting("zero", cnt), cnt, fuel=8)
+    assert res.value == cnt.mod_zero() and res.exact
+
+
+def test_op_needs_no_value_behind_a_path_that_weighs_zero():
+    # the loop's iteration climbs 1, 2, 3, ... and never stabilizes, but
+    # every live path weighs 0, and 0 (x) x = 0 whatever x is
+    cnt = algebra("counting")
+    zeroed = prog("@instance counting\n"
+                  "{ weigh 0 }; while (c = 1) { { c := 0 } [] { skip } }").program
+    for fuel in (8, 64):
+        res = op_oracle(zeroed, State({"c": 1}), weighting("one", cnt), cnt, fuel=fuel)
+        assert res.value == cnt.mod_zero() and res.exact
+
+
+def test_the_solve_counts_equal_arms_twice():
+    # both arms are one position, so the branch steps twice to one pair;
+    # at fuel 1 neither path has ended, and op(one) counts both
+    cnt = algebra("counting")
+    twin = prog("@instance counting\nwhile (c = 1) { { c := 0 } [] { c := 0 } }").program
+    res = op_oracle(twin, State({"c": 1}), weighting("one", cnt), cnt, fuel=1)
+    assert res.value == cnt.value(2) and res.exact
+
+
+def test_a_cycle_that_reads_an_uncertified_value_is_not_certified():
+    # at fuel 5 the one live path sits on the first loop's cycle, which
+    # stands still after two passes; but it reads the second loop, whose
+    # iteration climbs 1, 2, 3, ... (op is inf)
+    cnt = algebra("counting")
+    chain = prog("@instance counting\n"
+                 "while (d = 1) { skip; skip; skip; skip; { d := 0 } [] { weigh 0 } }; "
+                 "while (c = 1) { { c := 0 } [] { skip } }").program
+    res = op_oracle(chain, State({"c": 1, "d": 1}), weighting("one", cnt), cnt, fuel=5)
+    assert res.value == cnt.mod_zero() and not res.exact
+
+
+def test_a_geometric_loop_stays_inexact_on_both_sides():
+    # op is 1, the limit of 1 - 2^-n; no pass of the iteration stands still
+    geo = prog("@instance prob\n"
+               "while (c = 1) { { weigh 1/2; c := 0 } [] { weigh 1/2 } }")
+    alg, one, sigma = geo.algebra, weighting("one", geo.algebra), State({"c": 1})
+    res = op_oracle(geo.program, sigma, one, alg, fuel=20)
+    assert not res.exact and alg.nat_leq(res.value, alg.value(1))
+    assert not Engine(alg, "wp", 20).run(geo.program, one, sigma).exact
 
 
 def test_op_certificate_gives_up_where_a_later_step_is_undefined():
