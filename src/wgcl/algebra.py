@@ -63,18 +63,17 @@ class EmbedError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 class _Extreme:
-    __slots__ = ("_label", "_rank")
+    __slots__ = ("_label",)
 
-    def __init__(self, label: str, rank: int):
+    def __init__(self, label: str):
         self._label = label
-        self._rank = rank
 
     def __repr__(self) -> str:
         return self._label
 
 
-INF = _Extreme("inf", 1)
-NEG_INF = _Extreme("-inf", -1)
+INF = _Extreme("inf")
+NEG_INF = _Extreme("-inf")
 
 
 def _xadd(a, b):

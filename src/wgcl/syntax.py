@@ -6,8 +6,8 @@ and trace weighting `weigh a`.  `skip` and the weighted choice
 `{C1} [p] (+) [q] {C2}` are parse-time sugar (see parser.py).
 
 `compile_program` lowers a program object once into a graph of positions
-(`Node`), kept on the object, which the small-step semantics, the oracles
-and the transformer all walk.
+(`Node`), one per statement occurrence and kept on the object, which the
+small-step semantics, the oracles and the transformer all walk.
 Each node carries its statement's expression compiled to a closure, and an
 `ExprWeighting` compiles its expression when it is built; the interpretive
 `eval_arith`, `eval_bool`, `eval_weight` and `eval_weighting` are the
@@ -141,21 +141,19 @@ class Statement:
     @cached_property
     def _graph(self) -> "Node":
         # kept in the instance `__dict__`, which `==`, `hash` and `repr` do
-        # not read.  Equal (statement, continuation) pairs share one node,
-        # so equal branch arms lead to the same position.
-        shared: dict[tuple[Program, object], Node] = {}
-
+        # not read.  No table keys on statements: only the arms of a `[]`
+        # that are equal statement lists (`flatten_seq`) share one lowering.
         def lower(prog: Program, nxt) -> Node:
             for stmt in reversed(flatten_seq(prog)):
-                node = shared.get((stmt, nxt))
-                if node is None:
-                    node = shared[(stmt, nxt)] = Node(stmt, nxt)
-                    if isinstance(stmt, While):
-                        node.then = lower(stmt.body, node)
-                    elif isinstance(stmt, Ite):
-                        node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
-                    elif isinstance(stmt, Branch):
-                        node.then, node.orelse = lower(stmt.left, nxt), lower(stmt.right, nxt)
+                node = Node(stmt, nxt)
+                if isinstance(stmt, While):
+                    node.then = lower(stmt.body, node)
+                elif isinstance(stmt, Ite):
+                    node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
+                elif isinstance(stmt, Branch):
+                    node.then = lower(stmt.left, nxt)
+                    same = flatten_seq(stmt.left) == flatten_seq(stmt.right)
+                    node.orelse = node.then if same else lower(stmt.right, nxt)
                 nxt = node
             return nxt
 
@@ -276,8 +274,8 @@ def compile_program(program: Program) -> Node:
     """The entry of the program's graph of positions.  The first call for a
     program object lowers it, and every later call returns the same graph,
     so all walks over one program share its nodes and their closures.
-    Equal but distinct objects get separate graphs: literals of different
-    instances compare equal (`WLit(True) == WLit(1)`)."""
+    Equal but distinct objects get separate graphs, and only the equal
+    arms of one `[]` share positions (see `Statement._graph`)."""
     return program._graph
 
 

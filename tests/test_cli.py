@@ -554,6 +554,16 @@ def test_long_sequence_without_traceback(capsys, tmp_path):
                    "x=0 | 3000 | exact\n")
 
 
+def test_a_long_counting_sum_runs(capsys, tmp_path):
+    # the lowering hashes no expression, so the sum's depth costs no recursion there
+    f = tmp_path / "sum.wgcl"
+    f.write_text("@instance counting\nx := " + " + ".join(["1"] * 900) + "\n", encoding="utf-8")
+    for command, row in (("wp", "x=0 | 900 | exact\n"),
+                         ("compare", "x=0 | 900 | exact | 900 | exact | agree\n"),
+                         ("wlp", "x=0 | 900 | exact\n")):
+        assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
+
+
 def test_deep_parentheses_without_traceback(capsys, tmp_path):
     f = tmp_path / "deep.wgcl"
     f.write_text("@instance tropical\nx := " + "(" * 400 + "1" + ")" * 400 + "\n",

@@ -246,11 +246,15 @@ def test_the_quotient_is_walked_depth_first_last_successor_first():
                 walk((position, sigma), order)
         return list(order)
 
-    # the first: the left arm and the inner right arm's second statement
-    # are one position, so the left arm's pair is reached twice
+    # the last: from the loop head at x=1, the right arm runs x := 0 and
+    # re-enters the loop, and the inner loop climbs from x=0 to the pair
+    # (inner loop, x=1) that the left arm reached first, so a walk that
+    # marks a pair when it pushes it enters that pair in another order
     for text in ("{ x := 1 } [] { { skip } [] { skip; x := 1 } }",
                  "while (x < 4) { { x := x + 1 } [] { x := x + 2 }; { skip } [] { weigh 2 } }",
-                 "while (true) { { x := 1 - x } [] { skip } }"):
+                 "while (true) { { x := 1 - x } [] { skip } }",
+                 "x := 1; while (true) { { while (x < 1) { x := x + 1 } } "
+                 "[] { { x := 0 } [] { x := 2 } } }"):
         program = prog("@instance counting\n" + text).program
         graph = build_quotient(program, State({}), cnt)
         assert list(graph) == walk((compile_program(program), State({})), {})
@@ -512,13 +516,16 @@ def test_diverging_omega_two_reachable_cycles():
 
 
 def test_quotient_collapses_equal_branch_arms():
-    # both arms weigh b: one edge out of the branch, one lasso (b)^omega
-    twin = prog("@instance omegalang:ab\nwhile(x=1){ {weigh b} [] {weigh b} }")
-    graph = build_quotient(twin.program, State({"x": 1}), twin.algebra)
-    assert len(graph) == 3
-    assert all(len(edges) == 1 for edges in graph.values())
-    res = diverging_weights(twin.program, State({"x": 1}), twin.algebra)
-    assert res.value == twin.algebra.value({("", "b")})
+    # both arms weigh b: one edge out of the branch, one lasso (b)^omega;
+    # arms are equal as statement lists, however their sequences nest
+    for body, pairs in (("{weigh b} [] {weigh b}", 3),
+                        ("{ {weigh b; skip}; skip } [] { weigh b; skip; skip }", 5)):
+        twin = prog(f"@instance omegalang:ab\nwhile(x=1){{ {body} }}")
+        graph = build_quotient(twin.program, State({"x": 1}), twin.algebra)
+        assert len(graph) == pairs
+        assert all(len(edges) == 1 for edges in graph.values())
+        res = diverging_weights(twin.program, State({"x": 1}), twin.algebra)
+        assert res.value == twin.algebra.value({("", "b")})
 
 
 def test_diverging_rejects_branching_cycles():
