@@ -36,7 +36,7 @@ more is known), set inclusion for languages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -230,23 +230,53 @@ def format_lasso(prefix: str, period: str) -> str:
 # Tagged values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Weight:
+class _Tagged:
+    """A raw carrier element tagged with its algebra.  Immutable, and equal
+    to another exactly when the class, the algebra and the value are; the
+    hash is that of (algebra, value).  The transformer builds one per
+    unknown and operation, so the fields are slots set through their
+    descriptors, without a frozen dataclass's `__init__`."""
+
+    __slots__ = ("algebra", "value")
+
+    def __init__(self, algebra: "Algebra", value: object):
+        _set_algebra(self, algebra)
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.algebra, self.value) == (other.algebra, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.value))
+
+    def __reduce__(self):
+        return self.__class__, (self.algebra, self.value)
+
+
+_set_algebra, _set_value = _Tagged.algebra.__set__, _Tagged.value.__set__
+
+
+class Weight(_Tagged):
     """Carrier element of an instance's weight monoid."""
 
-    algebra: "Algebra"
-    value: object
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<{self.algebra.name} weight {self.algebra.format_weight(self.value)}>"
 
 
-@dataclass(frozen=True)
-class ModuleValue:
+class ModuleValue(_Tagged):
     """Carrier element of an instance's module."""
 
-    algebra: "Algebra"
-    value: object
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<{self.algebra.name} {self.algebra.format_raw(self.value)}>"
@@ -315,7 +345,7 @@ class Algebra:
         return ModuleValue(self, self._check_value(raw))
 
     def _need(self, x, cls):
-        if not isinstance(x, cls) or x.algebra != self:
+        if not isinstance(x, cls) or (x.algebra is not self and x.algebra != self):
             raise MismatchError(f"expected a {self.name} {cls.__name__}, got {x!r}")
         return x.value
 
@@ -450,22 +480,16 @@ class _ExtNatAlgebra(Algebra):
 class CountingAlgebra(_ExtNatAlgebra):
     name = "counting"
 
-    def _mul(self, a, b):
-        return _xmul(a, b)
+    # the kernels themselves, called with no method frame in between
+    _mul = _scale = _times = staticmethod(_xmul)
+    _add = staticmethod(_xadd)
+    _leq = staticmethod(_xle)
 
     def _one(self):
         return 1
 
-    def _add(self, u, v):
-        return _xadd(u, v)
-
     def _zero(self):
         return 0
-
-    _scale = _mul
-
-    def _leq(self, u, v):
-        return _xle(u, v)
 
     def _top(self):
         return INF
@@ -479,19 +503,14 @@ class TropicalAlgebra(_ExtNatAlgebra):
 
     name = "tropical"
 
-    def _mul(self, a, b):
-        return _xadd(a, b)
+    _mul = _scale = _times = staticmethod(_xadd)
+    _add = staticmethod(_xmin)
 
     def _one(self):
         return 0
 
-    def _add(self, u, v):
-        return _xmin(u, v)
-
     def _zero(self):
         return INF
-
-    _scale = _mul
 
     def _leq(self, u, v):
         # u + c = v picks a minimum, so smaller numbers sit higher
@@ -512,23 +531,15 @@ class ArcticAlgebra(_ExtNatAlgebra):
     def _check_value(self, raw):
         return _check_extnat(raw, allow_neg_inf=True, who="arctic")
 
-    def _mul(self, a, b):
-        return _xadd(a, b)
+    _mul = _scale = _times = staticmethod(_xadd)
+    _add = staticmethod(_xmax)
+    _leq = staticmethod(_xle)
 
     def _one(self):
         return 0
 
-    def _add(self, u, v):
-        return _xmax(u, v)
-
     def _zero(self):
         return NEG_INF
-
-    def _scale(self, a, u):
-        return _xadd(a, u)
-
-    def _leq(self, u, v):
-        return _xle(u, v)
 
     def _top(self):
         return INF

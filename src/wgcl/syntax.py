@@ -154,6 +154,8 @@ class Statement:
                     node.then = lower(stmt.left, nxt)
                     same = flatten_seq(stmt.left) == flatten_seq(stmt.right)
                     node.orelse = node.then if same else lower(stmt.right, nxt)
+                if nxt is not TERMINATED and not isinstance(stmt, (Assign, Weigh)):
+                    nxt.join = True  # where the arms, or the loop's exits, meet
                 nxt = node
             return nxt
 
@@ -239,31 +241,39 @@ class Node:
     `next` is where control goes after the statement (another node or
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
     a loop's `then` is its body, which runs back to the loop's own node.
-    Nodes compare by identity.
+    `join` marks a position where two paths meet: lowering sets it on the
+    continuation of an `if`, a `[]` and a `while`.  Nodes compare by
+    identity.
 
     The statement's expression, compiled to a closure (see
     `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
     `rhs` (state -> int) on an assignment and `weight` ((state, algebra)
-    -> Weight) on `weigh`.  Each is built on first use and kept, so every
-    walk over the graph shares it, and a position never evaluated (as in
-    `print`) costs nothing.
+    -> Weight) on `weigh`.  `step` is the transformer's compiled walk from
+    this position (see `transformer.compile_step`); from an assignment or
+    a `weigh` it runs the whole straight-line run that starts here.  Each
+    is built on first use and kept, so every walk over the graph shares
+    it, and a position never evaluated (as in `print`) costs nothing.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse", "guard", "rhs", "weight")
+    __slots__ = ("stmt", "next", "then", "orelse", "join", "guard", "rhs", "weight", "step")
 
     def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
+        self.join = False
 
     def __getattr__(self, name: str):
-        # called only while a slot is unset: compile its expression now
+        # called only while a slot is unset: compile it now
         if name == "guard":
             fn = compile_bool(self.stmt.guard)
         elif name == "rhs":
             fn = compile_arith(self.stmt.expr)
         elif name == "weight":
             fn = compile_weight(self.stmt.weight)
+        elif name == "step":
+            from .transformer import compile_step  # the walk lives there
+            fn = compile_step(self)
         else:
             raise AttributeError(name)
         setattr(self, name, fn)
@@ -482,8 +492,14 @@ def compile_bool(b: BoolExpr) -> Callable[[State], bool]:
 
 def compile_weight(w: WeightExpr) -> Callable[[State, Algebra], Weight]:
     if isinstance(w, WLit):
-        raw = w.raw
-        return lambda sigma, algebra: algebra.weight(raw)
+        raw, built = w.raw, (None, None)
+
+        def literal(sigma, algebra):  # one Weight per position and algebra
+            nonlocal built
+            if built[0] is not algebra:
+                built = (algebra, algebra.weight(raw))
+            return built[1]
+        return literal
     if isinstance(w, WEmbedInt):
         arg = compile_arith(w.expr)
 

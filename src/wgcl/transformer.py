@@ -13,10 +13,21 @@ top weighting (or from the constant one in `leq_one` mode, for probability
 programs); the difference wlp(zero) is exactly the weight of the
 nonterminating behavior, and wlp(f) = wp(f) (+) wlp(zero).
 
-The recursion runs over the compiled program (`syntax.compile_program`):
-a position's continuation is its `next` link, which ends in f at
-TERMINATED, and inside the evaluation of a loop state every loop head
-stands for the current iterate there.
+The recursion runs over the compiled program (`syntax.compile_program`)
+as compiled steps (`compile_step`), one per position, built on first use
+and kept on its `Node`, the way expressions are compiled to closures
+(Feeley and Lapalme 1987).  A step resolves its guard, its arms'
+positions and its continuation when it is compiled; an arm's own step is
+compiled when the arm is first taken, so compiling recurses no deeper
+than running.  A maximal straight-line run
+of assignments and `weigh`s is one step, as in large-block encoding
+(Beyer et al. 2009): it applies the updates in order, evaluates each
+weight at the state where it stands, multiplies the weights in program
+order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
+sequence costs no recursion.  A run ends in f at TERMINATED, and inside
+the evaluation of a loop state every loop head stands for the current
+iterate there.  Values are memoized only where two paths meet: at the
+positions lowering marks as joins, and at loop heads entered over values.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
@@ -128,7 +139,7 @@ class _Forms:
     `_Solve`): a form maps each unknown that the read-off reads to its
     coefficient, a raw module value that sums the weights of the paths
     reaching that read.  `weigh` scales every coefficient and `[]` adds
-    forms pointwise, so `Engine._eval` computes a form just as it computes
+    forms pointwise, so a compiled step computes a form just as it computes
     a value.  Every path of a read-off ends at a loop head, so the form has
     no constant part."""
 
@@ -204,6 +215,7 @@ class _Solve:
         self.memo = memo
         self.outer = outer  # the sweep whose read-off entered this loop
         self.seed = engine._seed()
+        self.exit = _follow(node.next)  # where the loop goes when its guard fails
         self.horizon = engine.fuel + 1
         self.beyond = False  # whether the sweep went past the horizon
         self.queue: list = []  # this sweep's unknowns, breadth first
@@ -258,10 +270,6 @@ class _Solve:
         solve._touch(key, solve.depth + 1)
         return key
 
-    def _read(self, node: Node, sigma: State) -> tuple[dict, bool]:
-        """A loop head met while a form is read off: its unknown's unit form."""
-        return {self._meet(node, sigma): self.engine._forms.unit}, True
-
     def _form(self, key) -> tuple:
         """The form at `key` as one flat tuple (constant, exact, unknown,
         coefficient, ...), a quarter of a dict's size for one term: left on
@@ -279,11 +287,11 @@ class _Solve:
         engine, node = self.engine, self.node
         engine._evaluations += 1
         sigma = key if self.outer is None else key[1]
-        memo = _Memo(self.memo.post, engine._forms, self._read)
+        memo = _Memo(engine, self.memo.post, engine._forms, self._meet)
         if node.guard(sigma):
-            value, exact = engine._eval(node.then, sigma, memo)
+            value, exact = node.then.step(sigma, memo)
         else:
-            value, exact = engine._next(node.next, sigma, memo if self.outer else self.memo)
+            value, exact = self.exit(sigma, memo if self.outer else self.memo)
         if isinstance(value, ModuleValue):  # the queried loop exits
             return value, exact
         return (engine._forms.zero, exact, *chain.from_iterable(value.items()))
@@ -387,11 +395,12 @@ class _Solve:
 
 
 class _Memo:
-    """Evaluation context: the module operations (the algebra's, or
-    `_Forms` while a form is read off), what a loop head reads while a form
-    is read off (`read`, else None), the values of positions entered
-    through a `next` link, and, keyed on each queried loop's node, its
-    certified unknowns and the forms read off its unknowns.
+    """Evaluation context: the engine, the module operations (the
+    algebra's, or `_Forms` while a form is read off), the unknown a loop
+    head stands for while a form is read off (`read`, the sweep's `_meet`,
+    else None), the values at the joins entered (see `compile_step`), and,
+    keyed on each queried loop's node, its certified unknowns and the forms
+    read off its unknowns.
 
     Each read-off gets a fresh memo, because every read of a loop head
     must be recorded.  The top-level memo of a postweighting persists on
@@ -401,7 +410,10 @@ class _Memo:
     body again.
     """
 
-    def __init__(self, post: Weighting, ops, read=None):
+    __slots__ = ("engine", "post", "ops", "read", "values", "tables", "forms")
+
+    def __init__(self, engine: "Engine", post: Weighting, ops, read=None):
+        self.engine = engine
         self.post = post
         self.ops = ops
         self.read = read
@@ -412,8 +424,10 @@ class _Memo:
 
 class Engine:
     """A wp or wlp evaluator over one algebra, reusable across states.  It
-    walks each program object's one graph (`compile_program`) and keys what
-    it keeps between runs on that graph's nodes."""
+    runs the compiled steps of each program object's one graph
+    (`compile_program`, `compile_step`) and keys what it keeps between runs
+    on that graph's nodes: the values at joins and loop heads, and each
+    queried loop's certified unknowns and forms."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -437,46 +451,11 @@ class Engine:
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         memo = self._memos.get(f)
         if memo is None:
-            memo = self._memos[f] = _Memo(as_weighting(self.algebra, f), self.algebra)
+            memo = self._memos[f] = _Memo(self, as_weighting(self.algebra, f), self.algebra)
         self._passes = self._touched = self._evaluations = 0
-        value, exact = self._eval(compile_program(program), sigma, memo)
+        value, exact = compile_program(program).step(sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched,
                                self._evaluations)
-
-    # -- recursion over positions -----------------------------------------------
-    def _next(self, node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        """The value at a position entered through a `next` link: the
-        postweighting after the last statement, the unit form of a loop
-        head's unknown while a form is read off, memoized everywhere else."""
-        if node is TERMINATED:
-            return memo.post.at(sigma), True
-        if memo.read is not None and node.stmt.__class__ is While:
-            return memo.read(node, sigma)
-        hit = memo.values.get((node, sigma))
-        if hit is None:
-            hit = memo.values[(node, sigma)] = self._eval(node, sigma, memo)
-        return hit
-
-    def _eval(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        """The value at a position, by its statement: expressions run as
-        the node's compiled closures (`Node.guard`, `rhs`, `weight`)."""
-        stmt = node.stmt
-        if isinstance(stmt, Assign):
-            return self._next(node.next, sigma.set(stmt.var, node.rhs(sigma)), memo)
-        if isinstance(stmt, Weigh):
-            w = node.weight(sigma, self.algebra)
-            value, exact = self._next(node.next, sigma, memo)
-            return memo.ops.scalar_mul(w, value), exact
-        if isinstance(stmt, Ite):
-            chosen = node.then if node.guard(sigma) else node.orelse
-            return self._eval(chosen, sigma, memo)
-        if isinstance(stmt, Branch):
-            lv, le = self._eval(node.then, sigma, memo)
-            rv, re_ = self._eval(node.orelse, sigma, memo)
-            return memo.ops.mod_add(lv, rv), le and re_
-        if isinstance(stmt, While):
-            return self._loop(node, sigma, memo)
-        raise TypeError(f"not a program node: {stmt!r}")
 
     # -- loops ---------------------------------------------------------------
     def _seed(self) -> ModuleValue:
@@ -487,12 +466,111 @@ class Engine:
         return self.algebra.top()  # may raise NoTopError; that is the contract
 
     def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        if memo.read is not None:  # a form is read off: the head is an unknown
-            return memo.read(node, sigma)
+        """A loop head over values: its certified value, else a solve."""
         final = memo.tables.setdefault(node, {}).get(sigma)
         if final is not None:
             return final, True
         return _Solve(self, node, memo).run(sigma)
+
+
+# ---------------------------------------------------------------------------
+# Compiled steps
+# ---------------------------------------------------------------------------
+
+def compile_step(node: Node):
+    """The step of a position, `(state, memo) -> (value, exact)`: the value
+    there over the memo's operations, with its expressions run as the
+    node's closures (`Node.guard`, `rhs`, `weight`).  `Node.step` builds it
+    on first use.  The step of a join first looks in the memo."""
+    cls = node.stmt.__class__
+    if cls is While:
+        def loop(sigma, memo):
+            if memo.read is not None:  # a form is read off: the unit form of an unknown
+                return {memo.read(node, sigma): memo.ops.unit}, True
+            return memo.engine._loop(node, sigma, memo)
+        return loop
+    if cls is Ite:
+        guard, then, orelse = node.guard, node.then, node.orelse
+
+        def step(sigma, memo):
+            return (then if guard(sigma) else orelse).step(sigma, memo)
+    elif cls is Branch:
+        then, orelse = node.then, node.orelse
+        if then is orelse:  # equal arms share one lowering: run it once
+            def step(sigma, memo):
+                value, exact = then.step(sigma, memo)
+                return memo.ops.mod_add(value, value), exact
+        else:
+            def step(sigma, memo):
+                lv, le = then.step(sigma, memo)
+                rv, re_ = orelse.step(sigma, memo)
+                return memo.ops.mod_add(lv, rv), le and re_
+    elif cls is Assign or cls is Weigh:
+        step = _run(node)
+    else:
+        raise TypeError(f"not a program node: {node.stmt!r}")
+    if not node.join:
+        return step
+
+    def joined(sigma, memo):
+        key = (node, sigma)
+        hit = memo.values.get(key)
+        if hit is None:
+            hit = memo.values[key] = step(sigma, memo)
+        return hit
+    return joined
+
+
+def _run(node: Node):
+    """One step for the maximal run of assignments and `weigh`s from
+    `node`, up to the first join, loop head or branching position."""
+    actions = []  # (variable, rhs) of an assignment, (None, weight) of a weigh
+    while True:
+        stmt = node.stmt
+        actions.append((stmt.var, node.rhs) if stmt.__class__ is Assign else (None, node.weight))
+        node = node.next
+        if node is TERMINATED or node.join or node.stmt.__class__ not in (Assign, Weigh):
+            break
+    follow = _follow(node)
+
+    def run(sigma, memo):
+        algebra, weight = memo.engine.algebra, None
+        for var, fn in actions:
+            if var is not None:
+                sigma = sigma.set(var, fn(sigma))
+            elif weight is None:
+                weight = fn(sigma, algebra)
+            else:  # in program order: (a.b) (x) v = a (x) (b (x) v)
+                weight = algebra.mon_mul(weight, fn(sigma, algebra))
+        value, exact = follow(sigma, memo)
+        if weight is None:
+            return value, exact
+        return memo.ops.scalar_mul(weight, value), exact
+    return run
+
+
+def _post(sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
+    return memo.post.at(sigma), True
+
+
+def _follow(node):
+    """How a `next` link enters `node`: the postweighting after the last
+    statement, the unit form of a loop head's unknown while a form is read
+    off, a loop head memoized over values, else the node's step, compiled
+    now (a step compiles no arm, so this recursion stays shallow)."""
+    if node is TERMINATED:
+        return _post
+    if node.stmt.__class__ is While:
+        def head(sigma, memo):
+            if memo.read is not None:
+                return {memo.read(node, sigma): memo.ops.unit}, True
+            key = (node, sigma)
+            hit = memo.values.get(key)
+            if hit is None:
+                hit = memo.values[key] = memo.engine._loop(node, sigma, memo)
+            return hit
+        return head
+    return node.step
 
 
 # ---------------------------------------------------------------------------

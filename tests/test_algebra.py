@@ -356,3 +356,41 @@ def test_naive_product_breaks_descending_meets():
     assert rhs == (frozenset(), frozenset({("", "a")}))
     assert lhs == (frozenset(), frozenset())
     assert lhs != rhs
+
+
+# ---------------------------------------------------------------------------
+# Tagged values
+# ---------------------------------------------------------------------------
+
+def test_tagged_values_compare_by_class_algebra_and_value():
+    counting, tropical = algebra("counting"), algebra("tropical")
+    lang = algebra("lang:ab")
+    assert counting.value(3) == algebra("counting").value(3)
+    assert counting.weight(2) == algebra("counting").weight(2)
+    assert lang.value({"a"}) == algebra("lang:ab").value({"a"})
+    # a different algebra, a different value, or the other class: unequal
+    assert counting.value(3) != tropical.value(3)
+    assert counting.weight(3) != tropical.weight(3)
+    assert counting.value(3) != counting.value(4)
+    assert lang.value({"a"}) != algebra("lang:b").value({"b"})
+    assert counting.weight(3) != counting.value(3)
+    assert counting.value(3) != counting.weight(3)
+    assert not counting.weight(3) == counting.value(3)
+    assert counting.value(3) != (counting, 3) and counting.value(3) != 3
+    # equal values hash equally, so they key one table entry
+    assert hash(counting.value(3)) == hash(algebra("counting").value(3))
+    assert hash(counting.weight(INF)) == hash(algebra("counting").weight(INF))
+    assert len({counting.value(3), algebra("counting").value(3), counting.weight(3)}) == 2
+
+
+def test_tagged_values_are_immutable_and_print_their_instance():
+    counting = algebra("counting")
+    for tagged in (counting.value(3), counting.weight(2)):
+        for field in ("algebra", "value"):
+            with pytest.raises(AttributeError):
+                setattr(tagged, field, 1)
+        with pytest.raises(AttributeError):
+            tagged.other = 1
+    assert repr(counting.value(3)) == "<counting 3>"
+    assert repr(counting.weight(2)) == "<counting weight 2>"
+    assert repr(algebra("lang:ab").value({"b", ""})) == "<lang:ab {ε,b}>"

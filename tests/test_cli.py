@@ -564,6 +564,17 @@ def test_a_long_counting_sum_runs(capsys, tmp_path):
         assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
 
 
+def test_a_long_straight_line_program_runs(capsys, tmp_path):
+    # a run of assignments is one compiled step, so its length costs no recursion
+    f = tmp_path / "long.wgcl"
+    f.write_text("@instance counting\n" + ";\n".join(["x := x + 1"] * 5000) + "\n",
+                 encoding="utf-8")
+    for command, row in (("wp", "x=0 | 5000 | exact\n"),
+                         ("wlp", "x=0 | 5000 | exact\n"),
+                         ("compare", "x=0 | 5000 | exact | 5000 | exact | agree\n")):
+        assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
+
+
 def test_deep_parentheses_without_traceback(capsys, tmp_path):
     f = tmp_path / "deep.wgcl"
     f.write_text("@instance tropical\nx := " + "(" * 400 + "1" + ")" * 400 + "\n",

@@ -554,6 +554,21 @@ def test_weight_order_is_preserved_backwards():
     assert res.value == lang.value({"ab"})
     oracle = op_oracle(two.program, State({}), weighting("one", lang), lang)
     assert oracle.value == res.value
+    # a straight-line run multiplies its weights in program order, each
+    # evaluated at the state where it stands; the loop body is read off
+    for text, post, sigma, expected in (
+        ("@instance lang:ab\nwhile (x < 2) { weigh a; x := x + 1; weigh b; weigh b }",
+         "one", {"x": 0}, {"abbabb"}),
+        ("@instance lang:ab\nweigh a; x := 1; weigh b; weigh a", "one", {}, {"aba"}),
+        ("@instance counting\nx := 1; weigh int(x); x := 2; weigh int(x)", "one", {}, 2),
+        ("@instance tropical\nx := 1; weigh int(x); x := 2; weigh int(x)", "int(x)", {}, 5),
+    ):
+        parsed = prog(text)
+        alg = parsed.algebra
+        res = wp_eval(parsed.program, post, State(sigma), alg)
+        assert res.exact and res.value == alg.value(expected), text
+        oracle = op_oracle(parsed.program, State(sigma), weighting(post, alg), alg)
+        assert oracle.value == res.value, text
 
 
 def test_divergence_behind_sequencing():
