@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -351,20 +351,23 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
 _DONE = object()  # on the work list of `components`: a vertex's successors end here
 
 
-def components(roots, successors) -> Iterator[list]:
+def components(roots, successors, size: int | None = None) -> Iterator[list]:
     """The strongly connected components reachable from `roots`, each
     yielded as soon as it is complete, after every component it reaches
     (Tarjan 1972, with explicit stacks), and each listing its deepest
     vertex first.  `successors(v)` is the sequence of v's successors; it
     is called once per vertex, when the walk enters it, so a caller may
-    drop what it keeps for a vertex once the vertex's component is out."""
+    drop what it keeps for a vertex once the vertex's component is out.
+    Vertices numbered 0 to `size` - 1 are walked with a list in place of
+    a table keyed on them."""
     inf = math.inf
-    low: dict = {}  # the least stack position a vertex reaches; inf once out
+    # the least stack position a vertex reaches, None before it is entered, inf once out
+    low = defaultdict(type(None)) if size is None else [None] * size
     stack: list = []  # the vertices of components not yet out, entered first
     path: list = []  # the stack positions of the entered, unfinished vertices
     todo: list = []  # successors still to try, each vertex's above a _DONE
     for root in roots:
-        if root in low:
+        if low[root] is not None:
             continue
         todo.append(root)
         while todo:
@@ -380,7 +383,7 @@ def components(roots, successors) -> Iterator[list]:
                         low[v] = inf
                     yield component
                     continue
-            elif w not in low:
+            elif low[w] is None:
                 i = len(stack)
                 low[w] = i
                 stack.append(w)

@@ -143,23 +143,24 @@ class Statement:
         # kept in the instance `__dict__`, which `==`, `hash` and `repr` do
         # not read.  No table keys on statements: only the arms of a `[]`
         # that are equal statement lists (`flatten_seq`) share one lowering.
-        def lower(prog: Program, nxt) -> Node:
+        def lower(prog: Program, nxt, in_body: bool) -> Node:
             for stmt in reversed(flatten_seq(prog)):
-                node = Node(stmt, nxt)
+                node = Node(stmt, nxt, in_body)
                 if isinstance(stmt, While):
-                    node.then = lower(stmt.body, node)
+                    node.then = lower(stmt.body, node, True)
                 elif isinstance(stmt, Ite):
-                    node.then, node.orelse = lower(stmt.then, nxt), lower(stmt.orelse, nxt)
+                    node.then = lower(stmt.then, nxt, in_body)
+                    node.orelse = lower(stmt.orelse, nxt, in_body)
                 elif isinstance(stmt, Branch):
-                    node.then = lower(stmt.left, nxt)
+                    node.then = lower(stmt.left, nxt, in_body)
                     same = flatten_seq(stmt.left) == flatten_seq(stmt.right)
-                    node.orelse = node.then if same else lower(stmt.right, nxt)
+                    node.orelse = node.then if same else lower(stmt.right, nxt, in_body)
                 if nxt is not TERMINATED and not isinstance(stmt, (Assign, Weigh)):
                     nxt.join = True  # where the arms, or the loop's exits, meet
                 nxt = node
             return nxt
 
-        return lower(self, TERMINATED)
+        return lower(self, TERMINATED, False)
 
 
 @dataclass(frozen=True)
@@ -242,26 +243,31 @@ class Node:
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
     a loop's `then` is its body, which runs back to the loop's own node.
     `join` marks a position where two paths meet: lowering sets it on the
-    continuation of an `if`, a `[]` and a `while`.  Nodes compare by
-    identity.
+    continuation of an `if`, a `[]` and a `while`.  `in_body` marks a
+    position inside some loop's body; the loop's own position lies in the
+    region around it.  Nodes compare by identity.
 
     The statement's expression, compiled to a closure (see
     `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
     `rhs` (state -> int) on an assignment and `weight` ((state, algebra)
     -> Weight) on `weigh`.  `step` is the transformer's compiled walk from
-    this position (see `transformer.compile_step`); from an assignment or
-    a `weigh` it runs the whole straight-line run that starts here.  Each
-    is built on first use and kept, so every walk over the graph shares
-    it, and a position never evaluated (as in `print`) costs nothing.
+    this position (see `transformer.compile_step`), one per position, in
+    its region's mode: over values outside any loop body, over linear
+    forms inside one.  From an assignment or a `weigh` it runs the whole
+    straight-line run that starts here.  Each is built on first use and
+    kept, so every walk over the graph shares it, and a position never
+    evaluated (as in `print`) costs nothing.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse", "join", "guard", "rhs", "weight", "step")
+    __slots__ = ("stmt", "next", "then", "orelse", "join", "in_body", "guard", "rhs",
+                 "weight", "step")
 
-    def __init__(self, stmt: Program, nxt: "Node | _Terminated"):
+    def __init__(self, stmt: Program, nxt: "Node | _Terminated", in_body: bool):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
         self.join = False
+        self.in_body = in_body
 
     def __getattr__(self, name: str):
         # called only while a slot is unset: compile it now

@@ -24,10 +24,14 @@ of assignments and `weigh`s is one step, as in large-block encoding
 (Beyer et al. 2009): it applies the updates in order, evaluates each
 weight at the state where it stands, multiplies the weights in program
 order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
-sequence costs no recursion.  A run ends in f at TERMINATED, and inside
-the evaluation of a loop state every loop head stands for the current
-iterate there.  Values are memoized only where two paths meet: at the
-positions lowering marks as joins, and at loop heads entered over values.
+sequence costs no recursion.  A position has one step, in the mode of
+its region.  Outside any loop body it runs over values, ends in f at
+TERMINATED and memoizes values where two paths meet: at the positions
+lowering marks as joins, and at loop heads.  Inside a loop body it is a
+form step: it reads each loop head as an unknown and appends
+(unknown, coefficient) pairs to the form being read off, `[]` its left
+arm's, then its right arm's, and a run with a weight scales those that
+follow it; a join keeps its pairs for the rest of that read-off.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
@@ -35,9 +39,11 @@ the characteristic map is affine in X: at each state it is a constant plus
 a weighted sum of the iterate at the loop heads the body reaches.  A loop
 in the body only adds unknowns, one per (inner loop, state), to that one
 system.  A breadth-first sweep discovers the unknowns from the queried
-state, running the body once at each and reading off that linear form
-(`_Forms`); its unknowns are the ones this one reads.  An inner loop gets
-a sweep of its own where it is entered.  A sweep goes on past its horizon,
+state, running the body's form steps once at each to read off that
+linear form; its unknowns are the ones this one reads.  Each unknown is
+numbered when it is first met, and the solve keeps it in lists indexed
+by that number.  An inner loop gets a sweep of its own where it is
+entered.  A sweep goes on past its horizon,
 fuel + 1 body-hops, while it has touched fewer than `Engine.state_cap`
 unknowns, a thousandth of the node budget.  The strongly connected
 components of that dependency graph (`operational.components`) are then
@@ -68,10 +74,10 @@ Anything else is a flagged bound: below the answer for wp, above for wlp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from typing import Iterable, Literal
 
-from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError, Weight
+from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError
 from .syntax import (
     TERMINATED, Assign, Branch, EvalError, ExprWeighting, FnWeighting, Ite, Node,
     Program, State, Weigh, Weighting, While, compile_program, eval_bool,
@@ -134,60 +140,45 @@ def as_weighting(algebra: Algebra, f) -> Weighting:
 # Evaluation over the compiled program
 # ---------------------------------------------------------------------------
 
-class _Forms:
-    """Module operations on linear forms, while an unknown is read off (see
-    `_Solve`): a form maps each unknown that the read-off reads to its
-    coefficient, a raw module value that sums the weights of the paths
-    reaching that read.  `weigh` scales every coefficient and `[]` adds
-    forms pointwise, so a compiled step computes a form just as it computes
-    a value.  Every path of a read-off ends at a loop head, so the form has
-    no constant part."""
-
-    def __init__(self, algebra: Algebra):
-        self._add = algebra._add
-        self._scale = algebra._scale
-        self.unit = algebra._module_one()  # the coefficient of a read
-        self.zero = algebra.mod_zero()  # a body form's constant
-
-    def scalar_mul(self, a: Weight, form: dict) -> dict:
-        out, scale, a = {}, self._scale, a.value
-        for tau, c in form.items():  # a loop: a comprehension costs a frame
-            out[tau] = scale(a, c)
-        return out
-
-    def mod_add(self, f: dict, g: dict) -> dict:
-        out, add = dict(f), self._add
-        for tau, c in g.items():
-            out[tau] = add(out[tau], c) if tau in out else c
-        return out
-
-
 class _Solve:
     """One sweep of a loop; for the queried loop, also the solve.
 
-    The unknowns of the solve are the loop heads its read-offs meet: a
-    state of the queried loop, or `(node, state)` for a loop in its body.
+    The unknowns of the solve are the loop heads its read-offs meet: the
+    states of the queried loop and of each loop in its body.  Each gets a
+    dense number when a read-off first meets it (`_number`), and the solve
+    keeps one entry per number in lists that its sweeps share: the state
+    (`keys`), the loop's tables (`homes`), the raw value (`vals`, None for
+    a read the sweeps did not follow), whether that value is certain
+    (`exact`, None while it is unsolved), the form (`forms`, until its
+    component is solved) and whether a sweep discovered it (`found`).
+    A form is one flat tuple (constant, exact, unknown, coefficient, ...):
+    the body's form steps (see `compile_step`) append each read of a loop
+    head to the sweep's `out` as a (number, coefficient) pair, in reading
+    order, with duplicates merged in place when the read-off ends.  A read
+    of a state that an earlier query certified is no unknown: the
+    read-off adds its value, times the coefficient, into the constant.
 
-    1. Discovery: a breadth-first sweep reads off each unknown's form once
-       (see `_Forms`).  Where the guard holds, the body runs over forms.
-       Where it fails, the queried loop runs its continuation over values,
-       which gives the form's constant, and an inner loop runs the rest of
-       the enclosing body over forms.  A read of this loop's head, or of
-       one around it, joins that loop's sweep; an inner loop is entered,
-       and there an inner `_Solve`, sharing this one's tables, sweeps it
-       at once.  Past its horizon, fuel + 1 body-hops from its entry, a
-       sweep goes on while it has touched fewer than `Engine.state_cap`
-       unknowns, the node budget has room and its loop is not in
-       `Engine._capped`.  A read the sweep does not follow keeps the seed,
-       like the leaf of a bounded unrolling, and is never certified; so
-       does an unknown past the horizon whose read-off fails, with those
-       queued behind it.  Within the horizon the node budget and a failed
-       read-off raise.  The queue goes once discovery ends.
+    1. Discovery: a breadth-first sweep reads off each unknown's form once.
+       Where the guard holds, the body's form steps run.  Where it fails,
+       the queried loop runs its continuation over values, which gives the
+       form's constant, and an inner loop runs the rest of the enclosing
+       body's form steps.  A read of this loop's head, or of one around
+       it, joins that loop's sweep; an inner loop is entered, and there an
+       inner `_Solve`, sharing this one's lists, sweeps it at once.  Past
+       its horizon, fuel + 1 body-hops from its entry, a sweep goes on
+       while it has touched fewer than `Engine.state_cap` unknowns, the
+       node budget has room and its loop is not in `Engine._capped`.  A
+       read the sweep does not follow keeps the seed, like the leaf of a
+       bounded unrolling, and is never certified; so does an unknown past
+       the horizon whose read-off fails, with those queued behind it.
+       Within the horizon the node budget and a failed read-off raise.
+       The node budget counts the unknowns this solve discovered.
     2. Component order: `operational.components` yields the components
-       of the dependency graph one at a time, dependencies first and
-       deepest unknown first within one; that is the Gauss-Seidel order,
-       so it fixes a bound.  An unknown's dependencies are read from its
-       form when the order reaches it (`_deps`); no table keeps them.
+       of the dependency graph over the numbers one at a time,
+       dependencies first and deepest unknown first within one; that is
+       the Gauss-Seidel order, so it fixes a bound.  An unknown's
+       dependencies are read from its form when the order reaches it
+       (`_deps`); no table keeps them.
     3. Solving substitutes forms, and never runs a body again: an unknown
        outside any cycle gets const (+) sum of c (x) X(tau) over its solved
        dependencies; a cyclic component is iterated from the seed,
@@ -196,17 +187,23 @@ class _Solve:
        exact: no constant was inexact, no read was left at the seed and
        every dependency outside the component was itself certified.
        Each component is solved as `components` yields it, and its forms
-       go then; its certified unknowns become final.
+       go then; its certified unknowns go to their loop's final table.
 
     An unknown is certified only once its whole reachable set is
     discovered, which is what the sweeps discover, each unknown once.  A
     loop whose sweep went past the horizon and was stopped there (by the
     cap, the budget or an error) joins `Engine._capped`, so later sweeps
     of it on the engine stop at the horizon.  A form does not depend on
-    the horizon, the seed or what is certified, so the exact form of an
-    unknown left uncertified moves to the memo when its component is
-    solved, and a later solve reads it instead of running the body again.
+    the horizon or the seed, and the values it adds into its constant are
+    certified for good, so the exact form of an unknown left uncertified
+    moves to the memo, keyed by state, when its component is solved, and
+    a later solve reads it instead of running the body again.
     """
+
+    __slots__ = ("engine", "node", "memo", "outer", "exit", "horizon", "beyond", "queue",
+                 "depth", "out", "joins", "algebra", "top", "seed", "unit", "keys",
+                 "homes", "vals", "exact", "forms", "found", "outside", "loops", "count",
+                 "home", "ids")
 
     def __init__(self, engine: "Engine", node: Node, memo: "_Memo",
                  outer: "_Solve | None" = None):
@@ -214,135 +211,214 @@ class _Solve:
         self.node = node
         self.memo = memo
         self.outer = outer  # the sweep whose read-off entered this loop
-        self.seed = engine._seed()
-        self.exit = _follow(node.next)  # where the loop goes when its guard fails
+        self.exit = _follow(node.next, node.in_body)  # where the loop goes when its guard fails
         self.horizon = engine.fuel + 1
         self.beyond = False  # whether the sweep went past the horizon
         self.queue: list = []  # this sweep's unknowns, breadth first
         self.depth = 0  # in body-hops from the entry, of the unknown read off
+        self.joins: dict = {}  # the read-off's pairs from each join it entered
         if outer is None:
-            self.queried, self.vals, self.exact, self.forms = node, {}, {}, {}
-            self.final = memo.tables.setdefault(node, {})
-            self.cache = memo.forms.setdefault(node, {})
-        else:  # one system: an inner sweep fills the solve's tables
-            self.queried, self.vals, self.exact = outer.queried, outer.vals, outer.exact
-            self.forms, self.final, self.cache = outer.forms, outer.final, outer.cache
+            self.algebra = engine.algebra
+            self.top = self
+            self.seed = engine._seed()
+            self.unit = engine._unit
+            self.keys, self.homes, self.vals, self.exact, self.forms = [], [], [], [], []
+            self.found = bytearray()
+            self.outside: list = []  # the raw values of the certified states read
+            self.loops: dict = {}  # per loop node: (node, numbers, final table, form cache)
+            self.count = 0  # the unknowns discovered
+        else:  # one system: an inner sweep numbers into the solve's lists
+            top = self.top = outer.top
+            self.algebra, self.seed, self.unit = top.algebra, top.seed, top.unit
+            self.keys, self.homes, self.vals, self.exact, self.forms, self.found = (
+                top.keys, top.homes, top.vals, top.exact, top.forms, top.found)
+            self.outside = top.outside
+        self.home = self.top._home(node)
+        self.ids = self.home[1]
 
-    def _touch(self, key, depth: int) -> None:
-        """Discover `key` unless it is certified or known, or it is past the
-        horizon where the sweep stops."""
-        if key in self.final or key in self.vals:
-            return
+    def _home(self, node: Node) -> tuple:
+        """The tables of a loop of the system: its numbers for this solve,
+        and, on the memo, its final values and the forms left there."""
+        home = self.loops.get(node)
+        if home is None:
+            kept = self.memo.loops.get(node)
+            if kept is None:
+                kept = self.memo.loops[node] = ({}, {})
+            home = self.loops[node] = (node, {}, *kept)
+        return home
+
+    def _number(self, home: tuple, sigma: State, value) -> int:
+        """A new number for the unknown of `home`'s loop at `sigma`."""
+        i = home[1][sigma] = len(self.keys)
+        self.keys.append(sigma)
+        self.homes.append(home)
+        self.vals.append(value)
+        self.exact.append(None)
+        self.forms.append(None)
+        self.found.append(0)
+        return i
+
+    def _touch(self, sigma: State, depth: int) -> int:
+        """The number of this loop's unknown at `sigma`, discovered unless it
+        is known or certified (see `_reach`)."""
+        i = self.ids.get(sigma)
+        if i is not None and self.vals[i] is not None:
+            return i
+        return self._reach(sigma, depth, i)
+
+    def _reach(self, sigma: State, depth: int, i: int | None) -> int:
+        """The number of this loop's unknown at `sigma`, not known yet (`i`
+        is None, or the number of a read met before past a horizon): the
+        mark of a certified state, a negative number whose value the
+        read-off adds into its form's constant (`outside`), else the
+        unknown, discovered unless it is past the horizon where the sweep
+        stops."""
+        final = self.home[2]
+        final = final.get(sigma) if final and i is None else None
+        if final is not None:
+            self.outside.append(final)
+            return -len(self.outside)
         if depth > self.horizon and not self._go_on():
-            return
-        budget = self.engine.node_budget
-        if len(self.final) + len(self.vals) >= budget:
+            return self._number(self.home, sigma, None) if i is None else i
+        top, budget = self.top, self.engine.node_budget
+        if top.count >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
-        self.vals[key] = self.seed
-        self.queue.append(key)
+        top.count += 1
+        if i is None:
+            i = self._number(self.home, sigma, self.seed)
+        else:  # met before past a horizon, and followed now
+            self.vals[i] = self.seed
+        self.found[i] = 1
+        self.queue.append(i)
+        return i
 
     def _go_on(self) -> bool:
         """Whether the sweep discovers one more unknown past the horizon."""
         engine = self.engine
         if self.node in engine._capped:
             return False
-        if (len(self.queue) < engine.state_cap
-                and len(self.final) + len(self.vals) < engine.node_budget):
+        if len(self.queue) < engine.state_cap and self.top.count < engine.node_budget:
             self.beyond = True
             return True
         if self.beyond:
             engine._capped.add(self.node)
         return False
 
-    def _meet(self, node: Node, sigma: State):
-        """The unknown of the head of `node` at `sigma`, met by a read-off of
+    def _meet(self, node: Node, sigma: State) -> int:
+        """The number of the head of `node` at `sigma`, met by a read-off of
         this sweep: discovered in the sweep of that loop if it is this one
         or one around it, else entered, with a sweep of its own."""
         solve = self
         while solve.node is not node:
             solve = solve.outer
             if solve is None:  # an inner loop is entered
-                key = (node, sigma)
-                if key not in self.vals and key not in self.final:
-                    _Solve(self.engine, node, self.memo, self)._discover(key)
-                return key
-        key = sigma if solve.outer is None else (node, sigma)
-        solve._touch(key, solve.depth + 1)
-        return key
+                home = self.top._home(node)
+                i = home[1].get(sigma)
+                if i is not None and self.vals[i] is not None:
+                    return i
+                final = home[2].get(sigma) if i is None else None
+                if final is not None:  # certified: its mark (see `_reach`)
+                    self.outside.append(final)
+                    return -len(self.outside)
+                _Solve(self.engine, node, self.memo, self)._discover(sigma)
+                return home[1][sigma]
+        return solve._touch(sigma, solve.depth + 1)
 
-    def _form(self, key) -> tuple:
-        """The form at `key` as one flat tuple (constant, exact, unknown,
-        coefficient, ...), a quarter of a dict's size for one term: left on
-        the memo by an earlier solve, or read off by running the
-        characteristic map once in a fresh memo whose loop heads are
-        unknowns (over values where the queried loop exits)."""
-        form = self.cache.get(key)
-        if form is not None:
-            for tau in form[2::2]:  # read by an earlier solve's run: discover here
-                if type(tau) is tuple:
-                    self._meet(*tau)
-                else:
-                    self._meet(self.queried, tau)
-            return form
-        engine, node = self.engine, self.node
-        engine._evaluations += 1
-        sigma = key if self.outer is None else key[1]
-        memo = _Memo(engine, self.memo.post, engine._forms, self._meet)
-        if node.guard(sigma):
-            value, exact = node.then.step(sigma, memo)
+    def _form(self, i: int) -> tuple:
+        """The form of unknown `i`: left on the memo by an earlier solve, or
+        read off by running the characteristic map once, its loop heads
+        read as unknowns (over values where the queried loop exits)."""
+        sigma = self.keys[i]
+        cache = self.home[3]
+        cached = cache.get(sigma) if cache else None
+        if cached is not None:  # read by an earlier solve's run: discover here
+            terms = iter(cached)
+            const, exact, out = next(terms), next(terms), []
+            for (node, tau), c in zip(terms, terms):
+                out += (self._meet(node, tau), c)
         else:
-            value, exact = self.exit(sigma, memo if self.outer else self.memo)
-        if isinstance(value, ModuleValue):  # the queried loop exits
-            return value, exact
-        return (engine._forms.zero, exact, *chain.from_iterable(value.items()))
+            self.engine._evaluations += 1
+            node = self.node
+            if node.guard(sigma):
+                step = node.then.step
+            elif self.outer is None:  # the queried loop exits
+                value, exact = self.exit(sigma, self.memo)
+                return value.value, exact
+            else:
+                step = self.exit
+            const, exact, out = self.engine._zero, True, []
+            self.out = out  # the read-off's (unknown, coefficient) pairs
+            self.joins.clear()
+            step(sigma, self)
+        reads = out[::2]
+        if reads and (min(reads) < 0 or len(set(reads)) < len(reads)):
+            const, out = self._merged(const, out)
+        return (const, exact, *out)
 
-    def _deps(self, key) -> list:
-        """The unknowns `key` waits on, none once it is solved: those its
-        form reads that the solve discovered and has not certified, in the
-        order of reading, so that the order of solving, and so an inexact
-        bound, is the same every run."""
-        if key in self.exact:
+    def _merged(self, const, pairs: list) -> tuple:
+        """The constant and the (unknown, coefficient) pairs of a read-off,
+        with each certified state read added into the constant, and each
+        unknown's coefficients added up in place of its first read."""
+        add, times, outside = self.algebra._add, self.algebra._times, self.outside
+        merged, where = [], {}
+        for j, c in zip(pairs[::2], pairs[1::2]):
+            if j < 0:
+                const = add(const, times(c, outside[~j]))
+                continue
+            k = where.get(j)
+            if k is None:
+                where[j] = len(merged) + 1
+                merged += (j, c)
+            else:
+                merged[k] = add(merged[k], c)
+        return const, merged
+
+    def _deps(self, i: int) -> list:
+        """The unknowns `i` waits on, none once it is solved: those its form
+        reads that a sweep discovered, in the order of reading, so that the
+        order of solving, and so an inexact bound, is the same every run."""
+        if self.exact[i] is not None:
             return []
-        return list(filter(self.vals.__contains__, self.forms[key][2::2]))
+        terms = self.forms[i][2::2]
+        return list(compress(terms, map(self.found.__getitem__, terms)))
 
-    def _substitute(self, key) -> tuple[ModuleValue, bool]:
-        """The characteristic map at `key` against the current iterate."""
-        form = self.forms[key]
-        if len(form) == 2:  # the queried loop exits
+    def _substitute(self, i: int) -> tuple:
+        """The characteristic map at `i` against the current iterate: a raw
+        value and whether it is exact."""
+        form = self.forms[i]
+        if len(form) == 2:  # a constant: the queried loop exits, or every read was certified
             return form
         terms = iter(form)
-        value, exact = next(terms), next(terms)
-        alg = self.engine.algebra
-        add, times = alg._add, alg._times
-        total = value.value
-        for tau, c in zip(terms, terms):  # (unknown, coefficient) pairs
-            x = self.final.get(tau)
-            if x is None:
-                x = self.vals.get(tau)
-                if x is None:  # not followed by the sweep
-                    x, exact = self.seed, False
-                else:
-                    exact = exact and self.exact.get(tau, True)
-            total = add(total, times(c, x.value))
-        return ModuleValue(alg, total), exact
+        total, exact = next(terms), next(terms)
+        algebra, vals, certain = self.algebra, self.vals, self.exact
+        add, times = algebra._add, algebra._times
+        for j, c in zip(terms, terms):  # (unknown, coefficient) pairs
+            x = vals[j]
+            if x is None:  # not followed by the sweep
+                x, exact = self.seed, False
+            elif certain[j] is False:
+                exact = False
+            total = add(total, times(c, x))
+        return total, exact
 
-    def _discover(self, entry) -> None:
+    def _discover(self, entry: State) -> None:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
         value if it reads none of this solve's unknowns."""
         self._touch(entry, 0)
         self.engine._passes += 1
         queue, level_end = self.queue, 1
-        for i, key in enumerate(queue):  # grows while it is walked
-            if i == level_end:  # the sweep's next breadth-first level
+        forms, found = self.forms, self.found
+        for n, i in enumerate(queue):  # grows while it is walked
+            if n == level_end:  # the sweep's next breadth-first level
                 self.depth += 1
                 level_end = len(queue)
             try:
-                self.forms[key] = form = self._form(key)
-                if not any(map(self.vals.__contains__, form[2::2])):  # solved already
-                    self.vals[key], self.exact[key] = self._substitute(key)
+                forms[i] = form = self._form(i)
+                if not any(map(found.__getitem__, form[2::2])):  # solved already
+                    self.vals[i], self.exact[i] = self._substitute(i)
             except (BudgetError, EvalError, AlgebraError):
-                for tau in queue[i:]:  # the sweep stops; they keep the seed
-                    self.exact[tau] = False
+                for j in queue[n:]:  # the sweep stops; they keep the seed
+                    self.exact[j] = False
                 if self.depth <= self.horizon:
                     raise
                 self.engine._capped.add(self.node)
@@ -353,73 +429,80 @@ class _Solve:
         """The value at `root` and whether it is certified (steps 1 to 3).
         Certified unknowns become final."""
         self._discover(root)
-        vals, exact, forms, final = self.vals, self.exact, self.forms, self.final
-        self.engine._touched += len(vals)
-        longest = 0
-        for component in [[root]] if root in exact else components([root], self._deps):
-            key = component[0]
-            if key in exact:  # solved when read off, or left at the seed
-                certified = exact.pop(key)
-            elif len(component) > 1 or key in forms[key][2::2]:  # cyclic
+        vals, exact, forms = self.vals, self.exact, self.forms
+        self.engine._touched += self.count
+        longest, r = 0, self.ids[root]
+        if exact[r] is not None:  # solved when read off
+            order = [[r]]
+        else:
+            for home in self.loops.values():  # nothing is met any more
+                home[1].clear()
+            order = components([r], self._deps, len(self.keys))
+        for component in order:
+            i = component[0]
+            if exact[i] is not None:  # solved when read off, or left at the seed
+                certified = exact[i]
+            elif len(component) > 1 or i in forms[i][2::2]:  # cyclic
                 passes, certified = self._iterate(component)
                 longest = max(longest, passes)
             else:
-                vals[key], certified = self._substitute(key)
+                vals[i], certified = self._substitute(i)
                 longest = longest or 1
-            for key in component:  # solved: keep the value, not the form
-                form = forms.pop(key, None)
+            for i in component:  # solved: keep the value, not the form
+                form, forms[i], exact[i] = forms[i], None, certified
                 if certified:
-                    final[key] = vals.pop(key)
-                else:  # a later solve may meet it again
-                    exact[key] = False
-                    if form is not None and form[1]:
-                        self.cache[key] = form
+                    self.homes[i][2][self.keys[i]] = vals[i]
+                elif form and form[1]:  # a later solve may meet it again
+                    self.homes[i][3][self.keys[i]] = self._keyed(form)
         self.engine._passes += longest
-        return (final[root], True) if root in final else (vals[root], False)
+        return ModuleValue(self.algebra, vals[r]), exact[r]
+
+    def _keyed(self, form: tuple) -> tuple:
+        """The form with each unknown's number replaced by (loop, state)."""
+        terms = iter(form)
+        keyed = [next(terms), next(terms)]
+        for j, c in zip(terms, terms):
+            keyed += ((self.homes[j][0], self.keys[j]), c)
+        return tuple(keyed)
 
     def _iterate(self, component: list) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
         pass count, and whether the last pass changed nothing with every
         substitution exact."""
-        vals = self.vals
+        vals, substitute = self.vals, self._substitute
         for passes in range(1, self.engine.fuel + 1):
             changed, exact = False, True
-            for key in component:
-                value, ex = self._substitute(key)
+            for i in component:
+                value, ex = substitute(i)
                 exact = exact and ex
-                if value != vals[key]:
-                    vals[key], changed = value, True
+                if value != vals[i]:
+                    vals[i], changed = value, True
             if not changed:
                 return passes, exact
         return self.engine.fuel, False
 
 
 class _Memo:
-    """Evaluation context: the engine, the module operations (the
-    algebra's, or `_Forms` while a form is read off), the unknown a loop
-    head stands for while a form is read off (`read`, the sweep's `_meet`,
-    else None), the values at the joins entered (see `compile_step`), and,
-    keyed on each queried loop's node, its certified unknowns and the forms
-    read off its unknowns.
+    """What an engine keeps for one postweighting: the values at the joins
+    and loop heads that steps over values entered (see `compile_step`),
+    and, keyed on each loop's node (`loops`), its certified states' raw
+    values and the exact forms read off its uncertified states, with each
+    unknown as (loop, state).
 
-    Each read-off gets a fresh memo, because every read of a loop head
-    must be recorded.  The top-level memo of a postweighting persists on
-    the engine: a certified value is a fixed-point value whatever state
-    its query started from, and an exact form is the body's one run at its
-    unknown, so later queries read those instead of solving or running the
-    body again.
+    It persists on the engine: a certified value is a fixed-point value
+    whatever state its query started from, and an exact form is the
+    body's one run at its unknown, so later queries read those instead of
+    solving or running the body again.
     """
 
-    __slots__ = ("engine", "post", "ops", "read", "values", "tables", "forms")
+    __slots__ = ("engine", "algebra", "post", "values", "loops")
 
-    def __init__(self, engine: "Engine", post: Weighting, ops, read=None):
+    def __init__(self, engine: "Engine", post: Weighting):
         self.engine = engine
+        self.algebra = engine.algebra
         self.post = post
-        self.ops = ops
-        self.read = read
         self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
-        self.tables: dict[Node, dict] = {}
-        self.forms: dict[Node, dict] = {}
+        self.loops: dict[Node, tuple[dict, dict]] = {}
 
 
 class Engine:
@@ -427,7 +510,7 @@ class Engine:
     runs the compiled steps of each program object's one graph
     (`compile_program`, `compile_step`) and keys what it keeps between runs
     on that graph's nodes: the values at joins and loop heads, and each
-    queried loop's certified unknowns and forms."""
+    loop's certified states and forms."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -440,7 +523,9 @@ class Engine:
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._memos: dict[object, _Memo] = {}  # keyed on the postweighting as passed
-        self._forms = _Forms(algebra)
+        self._zero = algebra._zero()  # the constant of a form read off a body
+        self._start = None  # the raw seed of a loop's iteration, once known
+        self._unit = algebra._module_one()  # the coefficient of a read loop head
         self.state_cap = node_budget // 1000  # states a sweep past the horizon may reach
         self._capped: set[Node] = set()  # loops whose sweep was stopped past the horizon
         self._passes = 0
@@ -451,25 +536,30 @@ class Engine:
     def run(self, program: Program, f, sigma: State) -> TransformResult:
         memo = self._memos.get(f)
         if memo is None:
-            memo = self._memos[f] = _Memo(self, as_weighting(self.algebra, f), self.algebra)
+            memo = self._memos[f] = _Memo(self, as_weighting(self.algebra, f))
         self._passes = self._touched = self._evaluations = 0
         value, exact = compile_program(program).step(sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched,
                                self._evaluations)
 
     # -- loops ---------------------------------------------------------------
-    def _seed(self) -> ModuleValue:
-        if self.direction == "wp":
-            return self.algebra.mod_zero()
-        if self.seed_one:
-            return self.algebra.module_one()
-        return self.algebra.top()  # may raise NoTopError; that is the contract
+    def _seed(self):
+        """The raw value a loop's iteration starts from, kept once known."""
+        if self._start is None:
+            if self.direction == "wp":
+                self._start = self.algebra._zero()
+            elif self.seed_one:
+                self._start = self.algebra._module_one()
+            else:
+                self._start = self.algebra._top()  # may raise NoTopError; that is the contract
+        return self._start
 
     def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
         """A loop head over values: its certified value, else a solve."""
-        final = memo.tables.setdefault(node, {}).get(sigma)
+        kept = memo.loops.get(node)
+        final = kept[0].get(sigma) if kept else None
         if final is not None:
-            return final, True
+            return ModuleValue(self.algebra, final), True
         return _Solve(self, node, memo).run(sigma)
 
 
@@ -478,39 +568,66 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 def compile_step(node: Node):
-    """The step of a position, `(state, memo) -> (value, exact)`: the value
-    there over the memo's operations, with its expressions run as the
-    node's closures (`Node.guard`, `rhs`, `weight`).  `Node.step` builds it
-    on first use.  The step of a join first looks in the memo."""
-    cls = node.stmt.__class__
+    """The step of a position, in the mode of its region; `Node.step` builds
+    it on first use.  Outside any loop body a step runs over values,
+    `(state, memo) -> (value, exact)`.  In a loop's body it is a form step,
+    `(state, sweep) -> None`: it appends the (unknown, coefficient) pairs
+    of the read-off from here to the sweep's `out`, in reading order, and
+    reads a loop head as the unit coefficient of its unknown.  Expressions
+    run as the node's closures (`Node.guard`, `rhs`, `weight`).  The step
+    of a join first looks in the memo, or in the sweep's `joins` for the
+    read-off under way."""
+    cls, in_body = node.stmt.__class__, node.in_body
     if cls is While:
+        if in_body:
+            return _read(node)
+
         def loop(sigma, memo):
-            if memo.read is not None:  # a form is read off: the unit form of an unknown
-                return {memo.read(node, sigma): memo.ops.unit}, True
             return memo.engine._loop(node, sigma, memo)
         return loop
     if cls is Ite:
         guard, then, orelse = node.guard, node.then, node.orelse
 
-        def step(sigma, memo):
-            return (then if guard(sigma) else orelse).step(sigma, memo)
+        def step(sigma, ctx):
+            return (then if guard(sigma) else orelse).step(sigma, ctx)
     elif cls is Branch:
         then, orelse = node.then, node.orelse
-        if then is orelse:  # equal arms share one lowering: run it once
+        if then is orelse and in_body:  # equal arms share one lowering: run it once
+            def step(sigma, sweep):
+                out = sweep.out
+                start = len(out)
+                then.step(sigma, sweep)
+                out += out[start:]
+        elif then is orelse:
             def step(sigma, memo):
                 value, exact = then.step(sigma, memo)
-                return memo.ops.mod_add(value, value), exact
+                return memo.algebra.mod_add(value, value), exact
+        elif in_body:  # left arm first: that is the reading order
+            def step(sigma, sweep):
+                then.step(sigma, sweep)
+                orelse.step(sigma, sweep)
         else:
             def step(sigma, memo):
                 lv, le = then.step(sigma, memo)
                 rv, re_ = orelse.step(sigma, memo)
-                return memo.ops.mod_add(lv, rv), le and re_
+                return memo.algebra.mod_add(lv, rv), le and re_
     elif cls is Assign or cls is Weigh:
         step = _run(node)
     else:
         raise TypeError(f"not a program node: {node.stmt!r}")
     if not node.join:
         return step
+    if in_body:
+        def joined(sigma, sweep):
+            key, out = (node, sigma), sweep.out
+            hit = sweep.joins.get(key)
+            if hit is None:
+                start = len(out)
+                step(sigma, sweep)
+                sweep.joins[key] = out[start:]
+            else:
+                out += hit
+        return joined
 
     def joined(sigma, memo):
         key = (node, sigma)
@@ -523,7 +640,10 @@ def compile_step(node: Node):
 
 def _run(node: Node):
     """One step for the maximal run of assignments and `weigh`s from
-    `node`, up to the first join, loop head or branching position."""
+    `node`, up to the first join, loop head or branching position.  It
+    scales what follows by the run's weight: the value, or the
+    coefficients that the form steps after it append."""
+    in_body = node.in_body
     actions = []  # (variable, rhs) of an assignment, (None, weight) of a weigh
     while True:
         stmt = node.stmt
@@ -531,10 +651,10 @@ def _run(node: Node):
         node = node.next
         if node is TERMINATED or node.join or node.stmt.__class__ not in (Assign, Weigh):
             break
-    follow = _follow(node)
+    follow = _follow(node, in_body)
 
-    def run(sigma, memo):
-        algebra, weight = memo.engine.algebra, None
+    def run(sigma, ctx):
+        algebra, weight = ctx.algebra, None
         for var, fn in actions:
             if var is not None:
                 sigma = sigma.set(var, fn(sigma))
@@ -542,10 +662,17 @@ def _run(node: Node):
                 weight = fn(sigma, algebra)
             else:  # in program order: (a.b) (x) v = a (x) (b (x) v)
                 weight = algebra.mon_mul(weight, fn(sigma, algebra))
-        value, exact = follow(sigma, memo)
         if weight is None:
-            return value, exact
-        return memo.ops.scalar_mul(weight, value), exact
+            return follow(sigma, ctx)
+        if not in_body:
+            value, exact = follow(sigma, ctx)
+            return algebra.scalar_mul(weight, value), exact
+        out = ctx.out
+        start = len(out)
+        follow(sigma, ctx)
+        scale, a = algebra._scale, weight.value
+        for k in range(start + 1, len(out), 2):
+            out[k] = scale(a, out[k])
     return run
 
 
@@ -553,17 +680,32 @@ def _post(sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
     return memo.post.at(sigma), True
 
 
-def _follow(node):
-    """How a `next` link enters `node`: the postweighting after the last
-    statement, the unit form of a loop head's unknown while a form is read
-    off, a loop head memoized over values, else the node's step, compiled
-    now (a step compiles no arm, so this recursion stays shallow)."""
+def _read(node: Node):
+    """The form step of a read of the head of `node`: the unit coefficient
+    of its unknown at the state."""
+    def read(sigma, sweep):
+        if sweep.node is not node:
+            i = sweep._meet(node, sigma)
+        else:  # the loop's own head: a known unknown needs no call
+            i = sweep.ids.get(sigma)
+            if i is None or sweep.vals[i] is None:
+                i = sweep._reach(sigma, sweep.depth + 1, i)
+        sweep.out += (i, sweep.unit)
+    return read
+
+
+def _follow(node, in_body: bool):
+    """How a `next` link, from a position in a loop body or not, enters
+    `node`: the postweighting after the last statement, a loop head over
+    values memoized, a read of the head of the loop whose body ends here,
+    else the node's step, compiled now (a step compiles no arm, so this
+    recursion stays shallow)."""
     if node is TERMINATED:
         return _post
-    if node.stmt.__class__ is While:
+    if node.stmt.__class__ is While and in_body and not node.in_body:
+        return _read(node)  # the back edge to a loop entered over values
+    if node.stmt.__class__ is While and not in_body:
         def head(sigma, memo):
-            if memo.read is not None:
-                return {memo.read(node, sigma): memo.ops.unit}, True
             key = (node, sigma)
             hit = memo.values.get(key)
             if hit is None:

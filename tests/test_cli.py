@@ -283,9 +283,20 @@ def test_budget_exhaustion_has_its_own_exit_code(capsys):
     assert code == 5
     assert err == "wgcl: node budget 10 exceeded\n"
     code, out, err = run(capsys, "wp", "ski_nd", "--post", "one",
-                         "--grid", "n=0..5,y=0..5", "--budget", "3")
+                         "--state", "n=5,y=5", "--budget", "3")
     assert code == 5
     assert err == "wgcl: loop touched more than 3 states\n"
+
+
+def test_the_loop_budget_counts_one_solve_s_own_states(capsys, tmp_path):
+    # each row touches 2 states; the states that earlier rows certified on
+    # the grid's shared engine are read, not touched, so they do not count
+    f = tmp_path / "down.wgcl"
+    f.write_text("@instance tropical\nwhile (x > 0) { x := x - 1 }\n", encoding="utf-8")
+    code, out, err = run(capsys, "wp", str(f), "--post", "one",
+                         "--grid", "x=1,y=0..40", "--budget", "50")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"x=1,y={y} | 0 | exact" for y in range(41)]
 
 
 def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
@@ -573,6 +584,19 @@ def test_a_long_straight_line_program_runs(capsys, tmp_path):
                          ("wlp", "x=0 | 5000 | exact\n"),
                          ("compare", "x=0 | 5000 | exact | 5000 | exact | agree\n")):
         assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
+
+
+@pytest.mark.parametrize("body", [
+    "if (y > 0) { " * 300 + "x := x - 1" + " } else { skip }" * 300,
+    "; ".join(["while (y > 0) { y := y - 1 }"] * 150) + "; x := x - 1",
+], ids=["300 nested ifs", "150 loops in sequence"])
+def test_a_deep_loop_body_runs(capsys, tmp_path, body):
+    # a body's form steps recurse no deeper than its steps over values did
+    f = tmp_path / "deep.wgcl"
+    f.write_text(f"@instance tropical\nwhile (x > 0) {{ {body} }}\n", encoding="utf-8")
+    for command in ("wp", "wlp"):
+        assert run(capsys, command, str(f), "--post", "one",
+                   "--state", "x=2,y=1") == (0, "x=2,y=1 | 0 | exact\n", "")
 
 
 def test_deep_parentheses_without_traceback(capsys, tmp_path):

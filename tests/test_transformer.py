@@ -826,6 +826,36 @@ def test_nested_loops_match_oracles_and_fresh_engines():
     assert with_oracle >= 80 and with_engines >= 800
 
 
+BODY_POSITIONS = {
+    # a join reached from two differently weighted arms, at one state
+    "join": "{ weigh A } [] { weigh B }; x := x - 1; { weigh C } [] { x := x - 1 }",
+    # equal arms share one lowering, so their form is read once and doubled
+    "equal arms": "{ x := x - 1; weigh A } [] { x := x - 1; weigh A }; weigh B",
+    # the inner loop's exit continues the outer body through a weigh
+    "inner exit": "y := x; while (y > 0) { { weigh A } [] { weigh B; y := y - 1 }; "
+                  "y := y - 1 }; weigh C; x := x - 1",
+}
+
+
+@pytest.mark.parametrize("name", BODY_POSITIONS)
+@pytest.mark.parametrize("instance, weights", [
+    ("lang:ab", ("a", "b", "ab")),  # where the order of the weights matters
+    ("prob", ("1/2", "1/3", "1/5")),
+], ids=["lang:ab", "prob"])
+def test_every_kind_of_body_position_matches_the_path_oracle(name, instance, weights):
+    body = BODY_POSITIONS[name]
+    for letter, weight in zip("ABC", weights):
+        body = body.replace(letter, weight)
+    alg = algebra(instance)
+    loop = prog(f"@instance {instance}\nwhile (x > 0) {{ {body} }}").program
+    for post in ("one", "[x + y < 0] one"):
+        f = weighting(post, alg)
+        for x in range(5):
+            sigma = State({"x": x})
+            res, ref = wp_eval(loop, f, sigma, alg), op_oracle(loop, sigma, f, alg)
+            assert res.exact and ref.exact and res.value == ref.value, (post, sigma)
+
+
 TRIANGLE = prog("@instance tropical\nwhile (x > 0) { y := x; "
                 "while (y > 0) { y := y - 1; { weigh 1 } [] { weigh 2 } }; x := x - 1 }")
 INNER_GROWER = prog("@instance tropical\n"
@@ -857,9 +887,10 @@ def test_each_inner_loop_entry_has_its_own_horizon_and_cap():
 
 
 def test_a_solve_keeps_one_form_or_one_value_per_unknown():
-    # a component's forms are dropped as soon as it is solved, and a
-    # one-term form is one small tuple, so the 7501 unknowns of one system
-    # peak within 700 bytes each (the keys and states included)
+    # a component's forms are dropped as soon as it is solved, a one-term
+    # form is one small tuple, and the solve keys its lists by number, so
+    # the 7501 unknowns of one system peak within 400 bytes each (the
+    # states included)
     engine = Engine(TROP, "wp")
     tracemalloc.start()
     try:
@@ -869,7 +900,7 @@ def test_a_solve_keeps_one_form_or_one_value_per_unknown():
         tracemalloc.stop()
     assert res.exact and res.value == TROP.value(7260)
     assert res.touched_states == 121 + sum(x + 1 for x in range(1, 121))
-    assert peak <= 700 * res.touched_states
+    assert peak <= 400 * res.touched_states
 
 
 def test_a_divergent_inner_loop_caps_that_loop():
