@@ -18,9 +18,11 @@ terminal width (COLUMNS) are still read on each call.
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
 failed, 5 a node budget was exhausted.  Integers print in full, at any size.
-WGCL_FUEL overrides the default fuel; like --fuel, --budget, --depth and
---max-grid it must be a non-negative integer.  --state and --grid exclude
-each other, and neither may name a variable twice.
+WGCL_FUEL overrides the default fuel of the commands that take --fuel (all
+but `paths` and `print`); like --fuel, --budget, --depth and --max-grid it
+must be a non-negative integer.  --state and --grid exclude each other, as
+do --ratio and --liberal, and neither --state nor --grid may name a
+variable twice.  `print` takes only the program and --instance.
 """
 
 from __future__ import annotations
@@ -268,15 +270,22 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _add_common(sub, post=True):
+def _add_program(sub):
     sub.add_argument("program", help="program file, or the name of a bundled example")
     sub.add_argument("--instance", help="override the @instance pragma")
-    if post:
+
+
+def _add_common(sub, transform=True):
+    """The program, its states and the output options; with `transform`, also
+    the postweighting and the fuel, which `paths` does not read."""
+    _add_program(sub)
+    if transform:
         sub.add_argument("--post", default="one", help="postweighting expression")
     states = sub.add_mutually_exclusive_group()
     states.add_argument("--state", help="state literal, e.g. x=2,y=3")
     states.add_argument("--grid", help="state grid, e.g. x=0..8,y=0..8")
-    sub.add_argument("--fuel", type=_count)  # its default is set on each parse
+    if transform:
+        sub.add_argument("--fuel", type=_count)  # its default is set on each parse
     sub.add_argument("--budget", type=_count, default=10 ** 6, help="node budget")
     sub.add_argument("--max-grid", type=_count, default=10 ** 5)
     sub.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -297,14 +306,15 @@ def _check_options(sub):
 
 def _compare_options(sub):
     _add_common(sub)
-    sub.add_argument("--liberal", action="store_true",
-                     help="compare wlp(post) against the liberal oracle")
-    sub.add_argument("--ratio", metavar="OTHER",
-                     help="second program; report wp(program)/wp(OTHER) per state")
+    kind = sub.add_mutually_exclusive_group()
+    kind.add_argument("--liberal", action="store_true",
+                      help="compare wlp(post) against the liberal oracle")
+    kind.add_argument("--ratio", metavar="OTHER",
+                      help="second program; report wp(program)/wp(OTHER) per state")
 
 
 def _paths_options(sub):
-    _add_common(sub, post=False)
+    _add_common(sub, transform=False)
     sub.add_argument("--depth", type=_count, default=16)
 
 
@@ -317,8 +327,7 @@ COMMANDS = {
     "check": ("invariant checks for a loop", _check_options, cmd_check),
     "compare": ("transformer vs. path oracle, or --ratio", _compare_options, cmd_compare),
     "paths": ("enumerate computation paths", _paths_options, cmd_paths),
-    "print": ("parse and pretty-print a program",
-              lambda sub: _add_common(sub, post=False), cmd_print),
+    "print": ("parse and pretty-print a program", _add_program, cmd_print),
 }
 
 

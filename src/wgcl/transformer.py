@@ -54,9 +54,8 @@ and a cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri
 2002 solve path problems from the same per-vertex equations).  So a loop
 that certainly terminates within the cap is solved in time linear in the
 unknowns it touches, whatever the fuel.  An unknown holds its form until
-its component is solved, and only its value after.  The exact form of an
-unknown left uncertified stays on the engine, so each loop state's body
-runs once per engine and postweighting, nested loops included.
+its component is solved, and only its value after; only certified values
+outlive the solve.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -113,8 +112,7 @@ class TransformResult:
     inner loop states included; unknowns certified by earlier queries on
     the same engine are read, not touched again.  `evaluations` counts the
     unknowns whose body (or, where the guard fails, continuation) those
-    solves ran: once per discovered unknown, and not at all for one whose
-    form an earlier query on the same engine read off.
+    solves ran: once per discovered unknown.
     """
 
     value: ModuleValue
@@ -193,11 +191,7 @@ class _Solve:
     discovered, which is what the sweeps discover, each unknown once.  A
     loop whose sweep went past the horizon and was stopped there (by the
     cap, the budget or an error) joins `Engine._capped`, so later sweeps
-    of it on the engine stop at the horizon.  A form does not depend on
-    the horizon or the seed, and the values it adds into its constant are
-    certified for good, so the exact form of an unknown left uncertified
-    moves to the memo, keyed by state, when its component is solved, and
-    a later solve reads it instead of running the body again.
+    of it on the engine stop at the horizon.
     """
 
     __slots__ = ("engine", "node", "memo", "outer", "exit", "horizon", "beyond", "queue",
@@ -225,7 +219,7 @@ class _Solve:
             self.keys, self.homes, self.vals, self.exact, self.forms = [], [], [], [], []
             self.found = bytearray()
             self.outside: list = []  # the raw values of the certified states read
-            self.loops: dict = {}  # per loop node: (node, numbers, final table, form cache)
+            self.loops: dict = {}  # per loop node: (numbers, final table)
             self.count = 0  # the unknowns discovered
         else:  # one system: an inner sweep numbers into the solve's lists
             top = self.top = outer.top
@@ -234,22 +228,19 @@ class _Solve:
                 top.keys, top.homes, top.vals, top.exact, top.forms, top.found)
             self.outside = top.outside
         self.home = self.top._home(node)
-        self.ids = self.home[1]
+        self.ids = self.home[0]
 
     def _home(self, node: Node) -> tuple:
         """The tables of a loop of the system: its numbers for this solve,
-        and, on the memo, its final values and the forms left there."""
+        and its final table, on the memo."""
         home = self.loops.get(node)
         if home is None:
-            kept = self.memo.loops.get(node)
-            if kept is None:
-                kept = self.memo.loops[node] = ({}, {})
-            home = self.loops[node] = (node, {}, *kept)
+            home = self.loops[node] = ({}, self.memo.loops.setdefault(node, {}))
         return home
 
     def _number(self, home: tuple, sigma: State, value) -> int:
         """A new number for the unknown of `home`'s loop at `sigma`."""
-        i = home[1][sigma] = len(self.keys)
+        i = home[0][sigma] = len(self.keys)
         self.keys.append(sigma)
         self.homes.append(home)
         self.vals.append(value)
@@ -273,7 +264,7 @@ class _Solve:
         read-off adds into its form's constant (`outside`), else the
         unknown, discovered unless it is past the horizon where the sweep
         stops."""
-        final = self.home[2]
+        final = self.home[1]
         final = final.get(sigma) if final and i is None else None
         if final is not None:
             self.outside.append(final)
@@ -313,47 +304,38 @@ class _Solve:
             solve = solve.outer
             if solve is None:  # an inner loop is entered
                 home = self.top._home(node)
-                i = home[1].get(sigma)
+                i = home[0].get(sigma)
                 if i is not None and self.vals[i] is not None:
                     return i
-                final = home[2].get(sigma) if i is None else None
+                final = home[1].get(sigma) if i is None else None
                 if final is not None:  # certified: its mark (see `_reach`)
                     self.outside.append(final)
                     return -len(self.outside)
                 _Solve(self.engine, node, self.memo, self)._discover(sigma)
-                return home[1][sigma]
+                return home[0][sigma]
         return solve._touch(sigma, solve.depth + 1)
 
     def _form(self, i: int) -> tuple:
-        """The form of unknown `i`: left on the memo by an earlier solve, or
-        read off by running the characteristic map once, its loop heads
-        read as unknowns (over values where the queried loop exits)."""
-        sigma = self.keys[i]
-        cache = self.home[3]
-        cached = cache.get(sigma) if cache else None
-        if cached is not None:  # read by an earlier solve's run: discover here
-            terms = iter(cached)
-            const, exact, out = next(terms), next(terms), []
-            for (node, tau), c in zip(terms, terms):
-                out += (self._meet(node, tau), c)
+        """The form of unknown `i`, read off by running the characteristic
+        map once, its loop heads read as unknowns (over values where the
+        queried loop exits)."""
+        self.engine._evaluations += 1
+        sigma, node = self.keys[i], self.node
+        if node.guard(sigma):
+            step = node.then.step
+        elif self.outer is None:  # the queried loop exits
+            value, exact = self.exit(sigma, self.memo)
+            return value.value, exact
         else:
-            self.engine._evaluations += 1
-            node = self.node
-            if node.guard(sigma):
-                step = node.then.step
-            elif self.outer is None:  # the queried loop exits
-                value, exact = self.exit(sigma, self.memo)
-                return value.value, exact
-            else:
-                step = self.exit
-            const, exact, out = self.engine._zero, True, []
-            self.out = out  # the read-off's (unknown, coefficient) pairs
-            self.joins.clear()
-            step(sigma, self)
+            step = self.exit
+        const, out = self.engine._zero, []
+        self.out = out  # the read-off's (unknown, coefficient) pairs
+        self.joins.clear()
+        step(sigma, self)
         reads = out[::2]
         if reads and (min(reads) < 0 or len(set(reads)) < len(reads)):
             const, out = self._merged(const, out)
-        return (const, exact, *out)
+        return (const, True, *out)
 
     def _merged(self, const, pairs: list) -> tuple:
         """The constant and the (unknown, coefficient) pairs of a read-off,
@@ -436,7 +418,7 @@ class _Solve:
             order = [[r]]
         else:
             for home in self.loops.values():  # nothing is met any more
-                home[1].clear()
+                home[0].clear()
             order = components([r], self._deps, len(self.keys))
         for component in order:
             i = component[0]
@@ -449,21 +431,11 @@ class _Solve:
                 vals[i], certified = self._substitute(i)
                 longest = longest or 1
             for i in component:  # solved: keep the value, not the form
-                form, forms[i], exact[i] = forms[i], None, certified
+                forms[i], exact[i] = None, certified
                 if certified:
-                    self.homes[i][2][self.keys[i]] = vals[i]
-                elif form and form[1]:  # a later solve may meet it again
-                    self.homes[i][3][self.keys[i]] = self._keyed(form)
+                    self.homes[i][1][self.keys[i]] = vals[i]
         self.engine._passes += longest
         return ModuleValue(self.algebra, vals[r]), exact[r]
-
-    def _keyed(self, form: tuple) -> tuple:
-        """The form with each unknown's number replaced by (loop, state)."""
-        terms = iter(form)
-        keyed = [next(terms), next(terms)]
-        for j, c in zip(terms, terms):
-            keyed += ((self.homes[j][0], self.keys[j]), c)
-        return tuple(keyed)
 
     def _iterate(self, component: list) -> tuple[int, bool]:
         """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
@@ -485,14 +457,12 @@ class _Solve:
 class _Memo:
     """What an engine keeps for one postweighting: the values at the joins
     and loop heads that steps over values entered (see `compile_step`),
-    and, keyed on each loop's node (`loops`), its certified states' raw
-    values and the exact forms read off its uncertified states, with each
-    unknown as (loop, state).
+    and, keyed on each loop's node (`loops`), its final table: the raw
+    values of its certified states.
 
     It persists on the engine: a certified value is a fixed-point value
-    whatever state its query started from, and an exact form is the
-    body's one run at its unknown, so later queries read those instead of
-    solving or running the body again.
+    whatever state its query started from, so later queries read it
+    instead of solving again.  Nothing uncertified outlives its solve.
     """
 
     __slots__ = ("engine", "algebra", "post", "values", "loops")
@@ -502,7 +472,7 @@ class _Memo:
         self.algebra = engine.algebra
         self.post = post
         self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
-        self.loops: dict[Node, tuple[dict, dict]] = {}
+        self.loops: dict[Node, dict] = {}
 
 
 class Engine:
@@ -510,7 +480,7 @@ class Engine:
     runs the compiled steps of each program object's one graph
     (`compile_program`, `compile_step`) and keys what it keeps between runs
     on that graph's nodes: the values at joins and loop heads, and each
-    loop's certified states and forms."""
+    loop's certified states."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -557,7 +527,7 @@ class Engine:
     def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
         """A loop head over values: its certified value, else a solve."""
         kept = memo.loops.get(node)
-        final = kept[0].get(sigma) if kept else None
+        final = kept.get(sigma) if kept else None
         if final is not None:
             return ModuleValue(self.algebra, final), True
         return _Solve(self, node, memo).run(sigma)

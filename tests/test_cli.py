@@ -437,6 +437,27 @@ def test_fuel_env_goes_through_the_option_type(capsys, monkeypatch):
     assert (code, out) == (0, "- | 0 | - | open\n")
 
 
+@pytest.mark.parametrize("fuel", ["-5", "abc"])
+def test_a_bad_fuel_env_leaves_print_and_paths_working(capsys, monkeypatch, fuel):
+    # neither command reads the fuel, so neither takes --fuel or WGCL_FUEL
+    monkeypatch.setenv("WGCL_FUEL", fuel)
+    code, out, err = run(capsys, "print", "ex49")
+    assert (code, err) == (0, "") and out.startswith("@instance tropical\n")
+    assert run(capsys, "paths", "ex49", "--state", "x=0") == (
+        0, "L | 2 | - | terminal\nR | 3 | - | terminal\n", "")
+    code, out, err = run(capsys, "print", "ex49", "--fuel", "1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --fuel 1\n")
+
+
+def test_ratio_and_liberal_are_exclusive(capsys):
+    code, out, err = run(capsys, "compare", "ski_onl", "--ratio", "ski_nd", "--liberal")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: wgcl compare ")
+    assert err.endswith("wgcl compare: error: argument --liberal: "
+                        "not allowed with argument --ratio\n")
+
+
 ONE_COMMAND_ARGVS = {
     "wp": [["ski_nd"], ["ski_nd", "--post", "zero", "--grid", "n=0..2,y=0..2", "--fuel", "3",
                         "--budget", "7", "--max-grid", "9", "--format", "tsv", "--instance", "arctic"]],
@@ -446,8 +467,9 @@ ONE_COMMAND_ARGVS = {
     "compare": [["knapsack"], ["ex410", "--liberal", "--post", "int(0)"],
                 ["ski_nd", "--ratio", "ski_onl", "--grid", "n=1..2,y=1..2"]],
     "paths": [["ex49"], ["ex49", "--state", "x=0", "--depth", "6", "--format", "tsv"]],
-    "print": [["fib"], ["ex410", "--instance", "tropical", "--fuel", "1"]],
+    "print": [["fib"], ["ex410", "--instance", "tropical"]],
 }
+FUELLESS = ("paths", "print")  # the commands that take no --fuel
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -458,6 +480,9 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
         one = build_parser(command).parse_args(argv[1:])
         assert one == build_parser().parse_args(argv)
         assert one.command == command
+        assert hasattr(one, "fuel") is (command not in FUELLESS)
+    if command in FUELLESS:
+        return
     # each parse reads WGCL_FUEL anew for the fuel default
     argv = [command, *ONE_COMMAND_ARGVS[command][0]]
     assert build_parser(command).parse_args(argv[1:]).fuel == 64
@@ -638,8 +663,8 @@ def test_generated_programs_never_crash_and_exact_columns_agree(tmp_path_factory
     f = tmp_path_factory.mktemp("gen") / "p.wgcl"
     f.write_text(f"@instance {instance}\n{print_program(program, alg)}\n", encoding="utf-8")
     for command in COMMANDS:
-        argv = [*command, str(f), "--state", state, "--fuel", "8", "--budget", "2000"]
-        if command[0] != "paths":
-            argv += ["--post", post]
+        argv = [*command, str(f), "--state", state, "--budget", "2000"]
+        if command[0] != "paths":  # it takes neither a postweighting nor a fuel
+            argv += ["--post", post, "--fuel", "8"]
         # 4 would mean two exact columns disagree
         assert main(argv) in (0, 2, 3, 5), argv

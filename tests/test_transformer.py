@@ -674,18 +674,18 @@ def test_a_solve_runs_each_loop_state_body_once():
     assert ski.evaluations == ski.touched_states
 
 
-def test_a_shared_engine_reads_uncertified_forms_instead_of_running_bodies():
+def test_a_shared_engine_reruns_only_the_window_of_each_uncertified_row():
     # a chain n, n-1, ... of 2000 states outgrows the sweep's cap (1000
-    # states at the default budget), so no row is certified; each later row
-    # touches the chain again but runs only its own new root's body, so no
-    # state's body runs twice
+    # states at the default budget), so no row is certified and the loop is
+    # capped; each later row runs the bodies within its horizon of fuel + 1
+    # hops only, since nothing uncertified outlives a solve
     engine = Engine(TROP, "wp")
     f = weighting("one", TROP)
     rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 100}))
             for n in range(2000, 2006)]
     assert not any(r.exact for r in rows)
     assert rows[0].evaluations == rows[0].touched_states
-    assert [r.evaluations for r in rows[1:]] == [1] * 5
+    assert all(r.evaluations == r.touched_states == 66 for r in rows[1:])
     assert all(r.touched_states > 60 for r in rows[1:])
 
 
@@ -721,10 +721,10 @@ def test_a_divergent_loop_stays_a_sound_inexact_bound():
     assert not first.exact and first.value == TROP.mod_zero()
     assert first.evaluations == first.touched_states == engine.state_cap == 1000
     # the sweep went past the horizon and hit the cap, so a later query
-    # reads the forms within fuel + 1 hops and goes no further
+    # runs the bodies within fuel + 1 hops and goes no further
     later = engine.run(grower, f, State({"x": 2}))
     assert not later.exact and later.value == TROP.mod_zero()
-    assert (later.touched_states, later.evaluations) == (66, 0)
+    assert (later.touched_states, later.evaluations) == (66, 66)
 
 
 def test_a_deepening_round_never_turns_an_answer_into_an_error():
@@ -781,12 +781,14 @@ def test_auto_wlp_skips_the_divergence_part_when_the_wp_part_is_inexact(monkeypa
 
 def test_a_text_postweighting_is_shared_between_queries():
     # the engine keys what it keeps on the postweighting as passed, so a
-    # second query with the same text reads the forms the first read off
-    grower = prog("@instance tropical\nwhile(x>0){x := x+1}").program
+    # second query with the same text reads the final table the first
+    # certified, and one with a distinct weighting object solves again
     engine = Engine(TROP, "wp")
-    engine.run(grower, "one", State({"x": 1}))
-    later = engine.run(grower, "one", State({"x": 2}))
-    assert (later.touched_states, later.evaluations) == (66, 0)
+    assert engine.run(SKI_ND.program, "one", State({"n": 5, "y": 5})).exact
+    later = engine.run(SKI_ND.program, "one", State({"n": 4, "y": 5}))
+    assert (later.value, later.exact, later.touched_states) == (TROP.value(4), True, 0)
+    other = engine.run(SKI_ND.program, weighting("one", TROP), State({"n": 4, "y": 5}))
+    assert (other.value, other.exact, other.touched_states) == (TROP.value(4), True, 5)
 
 
 def test_nested_loops_match_oracles_and_fresh_engines():
@@ -917,15 +919,16 @@ def test_a_divergent_inner_loop_caps_that_loop():
     assert later.touched_states == 67
 
 
-def test_a_shared_engine_reads_inner_forms_instead_of_running_bodies():
-    # the exact forms of uncertified inner states stay on the engine, so a
-    # repeated query sweeps the same unknowns and runs no body
+def test_a_shared_engine_repeats_an_uncertified_inner_query():
+    # nothing uncertified outlives a solve, so a repeated query sweeps the
+    # same unknowns, runs their bodies again and returns the same bound
     div = INNER_GROWER.program
     engine = Engine(TROP, "wp")
     engine.run(div, "one", State({"x": 3}))
-    engine.run(div, "one", State({"x": 4}))
+    first = engine.run(div, "one", State({"x": 4}))
     again = engine.run(div, "one", State({"x": 4}))
-    assert not again.exact and (again.touched_states, again.evaluations) == (67, 0)
+    assert not again.exact and (again.value, again.exact) == (first.value, first.exact)
+    assert (again.touched_states, again.evaluations) == (67, 67)
 
 
 def test_a_failed_inner_read_off_keeps_the_seed_past_its_horizon():
