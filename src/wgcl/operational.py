@@ -230,14 +230,14 @@ def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
 
 
 def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
-           algebra: Algebra, fuel: int, node_budget: int) -> OracleResult:
+           algebra: Algebra, fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
     when no path is live, or when `_solve` certifies each live pair whose
     path weight w does not annihilate, as done (+) w (x) value(pair) over
-    the live paths; else s_fuel.  The pairs are first walked keeping only
-    the set seen: BudgetError past `node_budget` of them, EvalError at an
-    undefined step.
+    the live paths; else s_fuel.  Each oracle first walks the pairs once,
+    keeping only the set seen: BudgetError past `node_budget` of them,
+    EvalError at an undefined step.
 
     Why that is the limit: from a pair, the forest cut at depth n sums to
     s_n = F^n(x0), F the right-hand sides of `_solve` and x0 post at
@@ -252,7 +252,6 @@ def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
     if not live:
         return OracleResult(done, True)
     roots = [(position, sigma) for position, sigma, _ in live]
-    deque(_reachable(roots, algebra, node_budget), maxlen=0)  # does the graph fit?
     value, certified = _solve(roots, post, seed, algebra, fuel)
     if all((p, s) in certified or _annihilates(w, algebra) for p, s, w in live):
         return OracleResult(_cut_sum(done, live, lambda *pair: value[pair], algebra), True)
@@ -266,7 +265,8 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     uncertified, s_fuel, a lower bound."""
     live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     try:
-        return _limit(live, done, post, algebra.mod_zero(), algebra, fuel, node_budget)
+        deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
+        return _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
     except (BudgetError, EvalError):  # too large, or undefined past the cut
         return OracleResult(done, False)
 
@@ -280,11 +280,12 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     top = algebra.top()
     live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     try:
-        result = _limit(live, done, post, top, algebra, fuel, node_budget)
+        deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
+        result = _limit(live, done, post, top, algebra, fuel)
         if result.exact:
             return result
         check_divergence_analysis(algebra)  # before the op solve
-        op = _limit(live, done, post, algebra.mod_zero(), algebra, fuel, node_budget)
+        op = _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
         if op.exact:
             diverging = diverging_weights(program, state, algebra, node_budget)
             return OracleResult(algebra.mod_add(op.value, diverging.value), True)

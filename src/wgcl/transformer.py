@@ -26,12 +26,13 @@ weight at the state where it stands, multiplies the weights in program
 order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
 sequence costs no recursion.  A position has one step, in the mode of
 its region.  Outside any loop body it runs over values, ends in f at
-TERMINATED and memoizes values where two paths meet: at the positions
-lowering marks as joins, and at loop heads.  Inside a loop body it is a
-form step: it reads each loop head as an unknown and appends
-(unknown, coefficient) pairs to the form being read off, `[]` its left
-arm's, then its right arm's, and a run with a weight scales those that
-follow it; a join keeps its pairs for the rest of that read-off.
+TERMINATED, solves a loop at its head, and memoizes values for the rest
+of the query where two paths meet, at the positions lowering marks as
+joins.  Inside a loop body it is a form step: it reads each loop head as
+an unknown and appends (unknown, coefficient) pairs to the form being
+read off, `[]` its left arm's, then its right arm's, and a run with a
+weight scales those that follow it; a join keeps its pairs, one per
+unknown, for the rest of that read-off.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
@@ -152,9 +153,10 @@ class _Solve:
     A form is one flat tuple (constant, exact, unknown, coefficient, ...):
     the body's form steps (see `compile_step`) append each read of a loop
     head to the sweep's `out` as a (number, coefficient) pair, in reading
-    order, with duplicates merged in place when the read-off ends.  A read
-    of a state that an earlier query certified is no unknown: the
-    read-off adds its value, times the coefficient, into the constant.
+    order, with duplicates merged in place at a join and when the read-off
+    ends.  A read of a state that an earlier query certified is no
+    unknown: the read-off adds its value, times the coefficient, into the
+    constant.
 
     1. Discovery: a breadth-first sweep reads off each unknown's form once.
        Where the guard holds, the body's form steps run.  Where it fails,
@@ -456,13 +458,14 @@ class _Solve:
 
 class _Memo:
     """What an engine keeps for one postweighting: the values at the joins
-    and loop heads that steps over values entered (see `compile_step`),
-    and, keyed on each loop's node (`loops`), its final table: the raw
-    values of its certified states.
+    that steps over values entered in the query under way (`values`, see
+    `compile_step`), and, keyed on each loop's node (`loops`), its final
+    table: the raw values of its certified states.
 
-    It persists on the engine: a certified value is a fixed-point value
-    whatever state its query started from, so later queries read it
-    instead of solving again.  Nothing uncertified outlives its solve.
+    The final tables persist on the engine: a certified value is a
+    fixed-point value whatever state its query started from, so later
+    queries read it instead of solving again.  The values last one query
+    (`Engine.run` clears them), so nothing uncertified outlives its query.
     """
 
     __slots__ = ("engine", "algebra", "post", "values", "loops")
@@ -478,9 +481,9 @@ class _Memo:
 class Engine:
     """A wp or wlp evaluator over one algebra, reusable across states.  It
     runs the compiled steps of each program object's one graph
-    (`compile_program`, `compile_step`) and keys what it keeps between runs
-    on that graph's nodes: the values at joins and loop heads, and each
-    loop's certified states."""
+    (`compile_program`, `compile_step`) and keys what it keeps on that
+    graph's nodes: for one run, the values at joins; between runs, each
+    loop's certified states, besides `_capped` and the seed."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -507,6 +510,7 @@ class Engine:
         memo = self._memos.get(f)
         if memo is None:
             memo = self._memos[f] = _Memo(self, as_weighting(self.algebra, f))
+        memo.values.clear()  # only the final tables outlive a query
         self._passes = self._touched = self._evaluations = 0
         value, exact = compile_program(program).step(sigma, memo)
         return TransformResult(value, exact, self._passes, self._touched,
@@ -524,14 +528,6 @@ class Engine:
                 self._start = self.algebra._top()  # may raise NoTopError; that is the contract
         return self._start
 
-    def _loop(self, node: Node, sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-        """A loop head over values: its certified value, else a solve."""
-        kept = memo.loops.get(node)
-        final = kept.get(sigma) if kept else None
-        if final is not None:
-            return ModuleValue(self.algebra, final), True
-        return _Solve(self, node, memo).run(sigma)
-
 
 # ---------------------------------------------------------------------------
 # Compiled steps
@@ -543,19 +539,24 @@ def compile_step(node: Node):
     `(state, memo) -> (value, exact)`.  In a loop's body it is a form step,
     `(state, sweep) -> None`: it appends the (unknown, coefficient) pairs
     of the read-off from here to the sweep's `out`, in reading order, and
-    reads a loop head as the unit coefficient of its unknown.  Expressions
-    run as the node's closures (`Node.guard`, `rhs`, `weight`).  The step
-    of a join first looks in the memo, or in the sweep's `joins` for the
-    read-off under way."""
+    reads a loop head as the unit coefficient of its unknown.  A loop head
+    over values reads its final table, else solves (`_Solve`).
+    Expressions run as the node's closures (`Node.guard`, `rhs`,
+    `weight`).  The step of a join first looks in the memo, or in the
+    sweep's `joins` for the read-off under way, where it keeps its pairs
+    with each unknown's coefficients added up."""
     cls, in_body = node.stmt.__class__, node.in_body
     if cls is While:
         if in_body:
             return _read(node)
 
-        def loop(sigma, memo):
-            return memo.engine._loop(node, sigma, memo)
-        return loop
-    if cls is Ite:
+        def step(sigma, memo):  # the certified value, else a solve
+            kept = memo.loops.get(node)
+            final = kept.get(sigma) if kept else None
+            if final is not None:
+                return ModuleValue(memo.algebra, final), True
+            return _Solve(memo.engine, node, memo).run(sigma)
+    elif cls is Ite:
         guard, then, orelse = node.guard, node.then, node.orelse
 
         def step(sigma, ctx):
@@ -594,7 +595,14 @@ def compile_step(node: Node):
             if hit is None:
                 start = len(out)
                 step(sigma, sweep)
-                sweep.joins[key] = out[start:]
+                hit = out[start:]
+                reads = hit[::2]
+                if len(set(reads)) < len(reads):  # one pair per unknown, or k `[]`s read 2^k
+                    add, sums = sweep.algebra._add, {}
+                    for j, c in zip(reads, hit[1::2]):
+                        sums[j] = add(sums[j], c) if j in sums else c
+                    out[start:] = hit = [x for pair in sums.items() for x in pair]
+                sweep.joins[key] = hit
             else:
                 out += hit
         return joined
@@ -666,22 +674,13 @@ def _read(node: Node):
 
 def _follow(node, in_body: bool):
     """How a `next` link, from a position in a loop body or not, enters
-    `node`: the postweighting after the last statement, a loop head over
-    values memoized, a read of the head of the loop whose body ends here,
-    else the node's step, compiled now (a step compiles no arm, so this
-    recursion stays shallow)."""
+    `node`: the postweighting after the last statement, a read of the head
+    of the loop whose body ends here, else the node's step, compiled now
+    (a step compiles no arm, so this recursion stays shallow)."""
     if node is TERMINATED:
         return _post
     if node.stmt.__class__ is While and in_body and not node.in_body:
         return _read(node)  # the back edge to a loop entered over values
-    if node.stmt.__class__ is While and not in_body:
-        def head(sigma, memo):
-            key = (node, sigma)
-            hit = memo.values.get(key)
-            if hit is None:
-                hit = memo.values[key] = memo.engine._loop(node, sigma, memo)
-            return hit
-        return head
     return node.step
 
 

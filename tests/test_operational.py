@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from wgcl import operational
 from wgcl.algebra import INF, NEG_INF, algebra, make_omega
 from wgcl.operational import (
     BudgetError, DivergenceError, TERMINATED, build_quotient, components, cyclic,
@@ -360,6 +361,27 @@ def test_olp_omega_lasso():
     loop = prog("@instance omegalang:ab\nwhile(true){weigh b}").program
     res = olp_oracle(loop, State({}), weighting("zero", ol), ol, fuel=12)
     assert res.value == ol.value({("", "b")}) and res.exact
+
+
+def test_the_oracles_walk_the_live_pairs_once(monkeypatch):
+    # the olp solve is not certified here, so the lasso solves op on the
+    # same pairs; the budget walk before the first solve covers both, and
+    # the lasso's quotient is the only other walk
+    walks, walk = [], operational._reachable
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+    monkeypatch.setattr(operational, "_reachable", counted)
+    ol = algebra("omegalang:ab")
+    loop = prog("@instance omegalang:ab\nwhile(true){weigh b}").program
+    res = olp_oracle(loop, State({}), weighting("zero", ol), ol, fuel=12)
+    assert res.value == ol.value({("", "b")}) and res.exact
+    assert len(walks) == 2
+    walks.clear()
+    res = op_oracle(loop, State({}), weighting("zero", ol), ol, fuel=12)
+    assert res.value == ol.mod_zero() and res.exact
+    assert len(walks) == 1
 
 
 def test_olp_chain_is_descending():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wgcl import operational
+from wgcl import operational, transformer
 from wgcl.algebra import INF, NoTopError, algebra
 from wgcl.operational import (
     BudgetError, DivergenceError, certainly_terminates, olp_oracle, op_oracle, uct_check,
@@ -789,6 +789,43 @@ def test_a_text_postweighting_is_shared_between_queries():
     assert (later.value, later.exact, later.touched_states) == (TROP.value(4), True, 0)
     other = engine.run(SKI_ND.program, weighting("one", TROP), State({"n": 4, "y": 5}))
     assert (other.value, other.exact, other.touched_states) == (TROP.value(4), True, 5)
+
+
+@pytest.mark.parametrize("before", ["c := 0", "if (c > 0) { c := 0 } else { skip }",
+                                    "{ c := 0 } [] { c := 0; weigh 0 }"])
+def test_only_certified_loop_values_outlive_a_query(before):
+    # every row reaches the loop at c=0,x=3.  Values are memoized for one
+    # query, at joins, so a later row solves an uncertified loop again,
+    # within its horizon since the first row capped it, and reads a
+    # certified one from the final table; the two arms of `[]` meet at a
+    # loop head that is a join, which solves once per query
+    engine = Engine(TROP, "wp")
+    for body, value, exact, counts in (
+            ("x := x + 1", TROP.mod_zero(), False, [(1000, 1000), (66, 66), (66, 66)]),
+            ("x := x - 1; weigh 1", TROP.value(3), True, [(4, 4), (0, 0), (0, 0)])):
+        program = prog(f"@instance tropical\n{before}; while (x > 0) {{ {body} }}").program
+        rows = [engine.run(program, "one", State({"c": c, "x": 3})) for c in range(3)]
+        assert [(r.value, r.exact) for r in rows] == [(value, exact)] * 3
+        assert [(r.touched_states, r.evaluations) for r in rows] == counts
+
+
+def test_choices_in_a_row_in_a_loop_body_read_off_one_pair_per_unknown(monkeypatch):
+    # each join adds up the coefficients of an unknown read more than once
+    # before its pairs are replayed into the other arm, so 12 `[]`s in a
+    # row read the next loop state at most twice, not 2^12 times
+    sizes, read_off = [], transformer._Solve._form
+
+    def recorded(sweep, i):
+        form = read_off(sweep, i)
+        sizes.append(len(getattr(sweep, "out", ())) // 2)
+        return form
+    monkeypatch.setattr(transformer._Solve, "_form", recorded)
+    body = "{weigh 1} [] {weigh 2}; " * 12
+    program = prog(f"@instance tropical\nwhile (x > 0) {{ {body}x := x - 1 }}").program
+    for direction in ("wp", "wlp"):
+        res = Engine(TROP, direction).run(program, "one", State({"x": 3}))
+        assert (res.value, res.exact) == (TROP.value(36), True)
+    assert 1 <= max(sizes) <= 2
 
 
 def test_nested_loops_match_oracles_and_fresh_engines():
