@@ -25,10 +25,12 @@ The quotient graph is the reachable part of the step relation, walked by
 one routine (`_reachable`, which also bounds the oracle's solve);
 its cycles are exactly the shapes of infinite paths.  `components` is the
 package's one strongly-connected-components routine (Tarjan, dependencies
-first, each component yielded as soon as it is complete), and
-`longest_paths` its one cycle summary: every termination and divergence
-question reads whether a cycle is reachable off it, and the transformer's
-loop solver and the oracle solve each component as `components` yields it.
+first, each component yielded as soon as it is complete), `cyclic` its
+one cycle test and `longest_paths` its one cycle summary: every
+termination and divergence question reads whether a cycle is reachable
+off it.  `settle` is the one component solve: the transformer's loop
+solver and the oracle solve each component with it as `components`
+yields it.
 """
 
 from __future__ import annotations
@@ -182,62 +184,52 @@ def _annihilates(a: Weight, algebra: Algebra) -> bool:
 
 
 def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
-           fuel: int) -> tuple[dict, set]:
-    """The value of each pair reachable from `roots`, and the pairs whose
-    value is certified, per component as `components` yields it (its edges
-    dropped once solved).  A pair on no cycle takes post(state) at
-    TERMINATED, else (+) a (x) value(p) over its `successors` (a, p), equal
-    arms counted twice; it is certified when each value it reads is, or
-    lies behind an annihilating a.  A cyclic component takes Gauss-Seidel
-    passes from `seed`, at most `fuel`, and is certified when one changes
-    nothing and reads certified values only from outside the component."""
-    value, certified, edges = {}, set(), {}  # per pair; edges until its component is out
+           fuel: int) -> tuple[dict, dict]:
+    """The value of each pair reachable from `roots`, and whether it is
+    certified (absent while unsolved, like `_Solve.exact`), each
+    component solved by `settle` as `components` yields it, from `seed`
+    on a cycle, and its edges dropped then.  A pair reads post(state) at
+    TERMINATED, else (+) a (x) value(p) over its `successors` (a, p),
+    equal arms counted twice; the read is exact when each p is certified
+    or in the pair's own component, or lies behind an annihilating a."""
+    value, certain, edges = {}, {}, {}  # per pair; edges until its component is out
+
+    def after(pair):
+        return [(position, sigma) for _, position, sigma in edges[pair]]
 
     def step(pair):
         edges[pair] = successors(*pair, algebra)
-        return [(position, sigma) for _, position, sigma in edges[pair]]
+        return after(pair)
 
     def read(pair) -> tuple[ModuleValue, bool]:
+        if pair[0] is TERMINATED:
+            return post.at(pair[1]), True
         terms, ok = [], True
         for a, position, sigma in edges[pair]:
             terms.append(algebra.scalar_mul(a, value[position, sigma]))
-            ok = ok and ((position, sigma) in certified or _annihilates(a, algebra))
+            ok = ok and (certain.get((position, sigma)) is not False or _annihilates(a, algebra))
         return algebra.big_add(terms), ok
 
     for component in components(roots, step):
-        pair = component[0]
-        if len(component) == 1 and all((p, s) != pair for _, p, s in edges[pair]):
-            value[pair], ok = (post.at(pair[1]), True) if pair[0] is TERMINATED else read(pair)
-            if ok:
-                certified.add(pair)
-        else:
-            value.update(dict.fromkeys(component, seed))
-            certified.update(component)
-            changed = True
-            for _ in range(fuel):
-                changed, ok = False, True
-                for pair in component:
-                    new, read_ok = read(pair)
-                    ok, changed = ok and read_ok, changed or new != value[pair]
-                    value[pair] = new
-                if not changed:
-                    break
-            if changed or not ok:
-                certified.difference_update(component)
+        for pair in component:  # a cycle's passes start here; off a cycle it is overwritten
+            value[pair] = seed
+        _, ok = settle(component, after, value, read, fuel)
         for pair in component:
+            certain[pair] = ok
             del edges[pair]
-    return value, certified
+    return value, certain
 
 
 def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
            algebra: Algebra, fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
-    when no path is live, or when `_solve` certifies each live pair whose
-    path weight w does not annihilate, as done (+) w (x) value(pair) over
-    the live paths; else s_fuel.  Each oracle first walks the pairs once,
-    keeping only the set seen: BudgetError past `node_budget` of them,
-    EvalError at an undefined step.
+    when no path is live, or when `_solve`'s certainty is True at each
+    live pair whose path weight w does not annihilate, as done (+) w (x)
+    value(pair) over the live paths; else s_fuel.  Each oracle first
+    walks the pairs once, before its first solve, keeping only the set
+    seen: BudgetError past `node_budget` of them, EvalError at an
+    undefined step.
 
     Why that is the limit: from a pair, the forest cut at depth n sums to
     s_n = F^n(x0), F the right-hand sides of `_solve` and x0 post at
@@ -252,8 +244,8 @@ def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
     if not live:
         return OracleResult(done, True)
     roots = [(position, sigma) for position, sigma, _ in live]
-    value, certified = _solve(roots, post, seed, algebra, fuel)
-    if all((p, s) in certified or _annihilates(w, algebra) for p, s, w in live):
+    value, certain = _solve(roots, post, seed, algebra, fuel)
+    if all(certain[p, s] or _annihilates(w, algebra) for p, s, w in live):
         return OracleResult(_cut_sum(done, live, lambda *pair: value[pair], algebra), True)
     return OracleResult(_cut_sum(done, live, lambda *_: seed, algebra), False)
 
@@ -402,6 +394,30 @@ def components(roots, successors, size: int | None = None) -> Iterator[list]:
 def cyclic(component: list, successors) -> bool:
     """The component has two or more vertices, or a self-loop."""
     return len(component) > 1 or component[0] in successors(component[0])
+
+
+def settle(component: list, successors, values, substitute, fuel: int) -> tuple[int, bool]:
+    """Solve one component that `components` yielded, in place in `values`
+    (a list or a dict): `substitute(v)` is v's right-hand side against
+    `values`, as (value, exact).  With no cycle (`cyclic`), one
+    substitution; on a cycle, Gauss-Seidel passes from the values the
+    component holds, at most `fuel`.  The passes made, and whether the
+    component is certified: the last pass changed nothing and every
+    substitution in it was exact."""
+    if not cyclic(component, successors):
+        v = component[0]
+        values[v], exact = substitute(v)
+        return 1, exact
+    for passes in range(1, fuel + 1):
+        changed, exact = False, True
+        for v in component:
+            value, ex = substitute(v)
+            exact = exact and ex
+            if value != values[v]:
+                values[v], changed = value, True
+        if not changed:
+            return passes, exact
+    return fuel, False
 
 
 def longest_paths(order, successors) -> dict:

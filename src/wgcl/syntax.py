@@ -147,6 +147,7 @@ class Statement:
             for stmt in reversed(flatten_seq(prog)):
                 node = Node(stmt, nxt, in_body)
                 if isinstance(stmt, While):
+                    node.join = True  # where the loop's entry and its back edge meet
                     node.then = lower(stmt.body, node, True)
                 elif isinstance(stmt, Ite):
                     node.then = lower(stmt.then, nxt, in_body)
@@ -243,7 +244,8 @@ class Node:
     TERMINATED).  `then`/`orelse` are the compiled arms of `if` and `[]`;
     a loop's `then` is its body, which runs back to the loop's own node.
     `join` marks a position where two paths meet: lowering sets it on the
-    continuation of an `if`, a `[]` and a `while`.  `in_body` marks a
+    continuation of an `if`, a `[]` and a `while`, and on each loop head,
+    where the loop's entry and its back edge meet.  `in_body` marks a
     position inside some loop's body; the loop's own position lies in the
     region around it.  Nodes compare by identity.
 

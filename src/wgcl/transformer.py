@@ -28,11 +28,12 @@ sequence costs no recursion.  A position has one step, in the mode of
 its region.  Outside any loop body it runs over values, ends in f at
 TERMINATED, solves a loop at its head, and memoizes values for the rest
 of the query where two paths meet, at the positions lowering marks as
-joins.  Inside a loop body it is a form step: it reads each loop head as
-an unknown and appends (unknown, coefficient) pairs to the form being
-read off, `[]` its left arm's, then its right arm's, and a run with a
-weight scales those that follow it; a join keeps its pairs, one per
-unknown, for the rest of that read-off.
+joins, each loop head among them, so a query solves a loop state once
+however many paths reach it.  Inside a loop body it is a form step: it
+reads each loop head as an unknown and appends (unknown, coefficient)
+pairs to the form being read off, `[]` its left arm's, then its right
+arm's, and a run with a weight scales those that follow it; a join keeps
+its pairs, one per unknown, for the rest of that read-off.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
@@ -50,9 +51,10 @@ unknowns, a thousandth of the node budget.  The strongly connected
 components of that dependency graph (`operational.components`) are then
 solved dependencies first (chaotic iteration over a topological order,
 Bourdoncle 1993, where nested loops are nested components of one system)
-by substituting values into the forms: an unknown outside any cycle once,
-and a cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri
-2002 solve path problems from the same per-vertex equations).  So a loop
+by substituting values into the forms, with `operational.settle`, the
+oracle's component solve too: an unknown outside any cycle once, and a
+cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri 2002
+solve path problems from the same per-vertex equations).  So a loop
 that certainly terminates within the cap is solved in time linear in the
 unknowns it touches, whatever the fuel.  An unknown holds its form until
 its component is solved, and only its value after; only certified values
@@ -84,7 +86,7 @@ from .syntax import (
 )
 from .operational import (
     BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis, components,
-    diverging_weights,
+    diverging_weights, settle,
 )
 
 
@@ -179,14 +181,15 @@ class _Solve:
        the Gauss-Seidel order, so it fixes a bound.  An unknown's
        dependencies are read from its form when the order reaches it
        (`_deps`); no table keeps them.
-    3. Solving substitutes forms, and never runs a body again: an unknown
-       outside any cycle gets const (+) sum of c (x) X(tau) over its solved
-       dependencies; a cyclic component is iterated from the seed,
-       Gauss-Seidel, for at most `fuel` passes.  A component is certified
-       when a full pass changes nothing and every substitution in it was
-       exact: no constant was inexact, no read was left at the seed and
-       every dependency outside the component was itself certified.
-       Each component is solved as `components` yields it, and its forms
+    3. Solving substitutes forms (`_substitute`), and never runs a body
+       again: `operational.settle` solves each component not solved at
+       read-off as `components` yields it.  An unknown outside any cycle
+       gets const (+) sum of c (x) X(tau) over its solved dependencies; a
+       cyclic component is iterated from the seed, Gauss-Seidel, for at
+       most `fuel` passes.  A component is certified when a full pass
+       changes nothing and every substitution in it was exact: no
+       constant was inexact, no read was left at the seed and every
+       dependency outside the component was itself certified.  Its forms
        go then; its certified unknowns go to their loop's final table.
 
     An unknown is certified only once its whole reachable set is
@@ -305,16 +308,7 @@ class _Solve:
         while solve.node is not node:
             solve = solve.outer
             if solve is None:  # an inner loop is entered
-                home = self.top._home(node)
-                i = home[0].get(sigma)
-                if i is not None and self.vals[i] is not None:
-                    return i
-                final = home[1].get(sigma) if i is None else None
-                if final is not None:  # certified: its mark (see `_reach`)
-                    self.outside.append(final)
-                    return -len(self.outside)
-                _Solve(self.engine, node, self.memo, self)._discover(sigma)
-                return home[0][sigma]
+                return _Solve(self.engine, node, self.memo, self)._discover(sigma)
         return solve._touch(sigma, solve.depth + 1)
 
     def _form(self, i: int) -> tuple:
@@ -385,13 +379,17 @@ class _Solve:
             total = add(total, times(c, x))
         return total, exact
 
-    def _discover(self, entry: State) -> None:
+    def _discover(self, entry: State) -> int:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
-        value if it reads none of this solve's unknowns."""
-        self._touch(entry, 0)
+        value if it reads none of this solve's unknowns.  The entry's
+        number, or its mark if it is certified (see `_touch`); a sweep is
+        counted only where the entry is discovered."""
+        r = self._touch(entry, 0)
+        queue = self.queue
+        if not queue:  # known in this solve, or certified
+            return r
         self.engine._passes += 1
-        queue, level_end = self.queue, 1
-        forms, found = self.forms, self.found
+        forms, found, level_end = self.forms, self.found, 1
         for n, i in enumerate(queue):  # grows while it is walked
             if n == level_end:  # the sweep's next breadth-first level
                 self.depth += 1
@@ -408,52 +406,37 @@ class _Solve:
                 self.engine._capped.add(self.node)
                 break
         queue.clear()  # discovery is over
+        return r
 
     def run(self, root: State) -> tuple[ModuleValue, bool]:
         """The value at `root` and whether it is certified (steps 1 to 3).
         Certified unknowns become final."""
-        self._discover(root)
+        r = self._discover(root)
         vals, exact, forms = self.vals, self.exact, self.forms
         self.engine._touched += self.count
-        longest, r = 0, self.ids[root]
+        longest = 0
         if exact[r] is not None:  # solved when read off
             order = [[r]]
         else:
             for home in self.loops.values():  # nothing is met any more
                 home[0].clear()
             order = components([r], self._deps, len(self.keys))
+
+        def reads(j):  # `_deps` less its filter, the same to the cycle test: all were found
+            return forms[j][2::2]
         for component in order:
             i = component[0]
-            if exact[i] is not None:  # solved when read off, or left at the seed
-                certified = exact[i]
-            elif len(component) > 1 or i in forms[i][2::2]:  # cyclic
-                passes, certified = self._iterate(component)
+            if exact[i] is None:  # not solved when read off, nor left at the seed
+                passes, exact[i] = settle(component, reads, vals, self._substitute,
+                                          self.engine.fuel)
                 longest = max(longest, passes)
-            else:
-                vals[i], certified = self._substitute(i)
-                longest = longest or 1
+            certified = exact[i]
             for i in component:  # solved: keep the value, not the form
                 forms[i], exact[i] = None, certified
                 if certified:
                     self.homes[i][1][self.keys[i]] = vals[i]
         self.engine._passes += longest
         return ModuleValue(self.algebra, vals[r]), exact[r]
-
-    def _iterate(self, component: list) -> tuple[int, bool]:
-        """Gauss-Seidel passes over a cyclic component, at most `fuel`: the
-        pass count, and whether the last pass changed nothing with every
-        substitution exact."""
-        vals, substitute = self.vals, self._substitute
-        for passes in range(1, self.engine.fuel + 1):
-            changed, exact = False, True
-            for i in component:
-                value, ex = substitute(i)
-                exact = exact and ex
-                if value != vals[i]:
-                    vals[i], changed = value, True
-            if not changed:
-                return passes, exact
-        return self.engine.fuel, False
 
 
 class _Memo:
@@ -540,11 +523,11 @@ def compile_step(node: Node):
     `(state, sweep) -> None`: it appends the (unknown, coefficient) pairs
     of the read-off from here to the sweep's `out`, in reading order, and
     reads a loop head as the unit coefficient of its unknown.  A loop head
-    over values reads its final table, else solves (`_Solve`).
+    over values, a join, reads its final table, else solves (`_Solve`).
     Expressions run as the node's closures (`Node.guard`, `rhs`,
-    `weight`).  The step of a join first looks in the memo, or in the
-    sweep's `joins` for the read-off under way, where it keeps its pairs
-    with each unknown's coefficients added up."""
+    `weight`).  The step of a join, but a loop head's read, first looks
+    in the memo, or in the sweep's `joins` for the read-off under way,
+    where it keeps its pairs with each unknown's coefficients added up."""
     cls, in_body = node.stmt.__class__, node.in_body
     if cls is While:
         if in_body:

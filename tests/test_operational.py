@@ -9,7 +9,7 @@ from wgcl import operational
 from wgcl.algebra import INF, NEG_INF, algebra, make_omega
 from wgcl.operational import (
     BudgetError, DivergenceError, TERMINATED, build_quotient, components, cyclic,
-    diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle,
+    diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle, settle,
     successors, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
@@ -443,6 +443,55 @@ def test_components_dependencies_first_deepest_first():
         assert all(w in seen or w in comp for v in comp for w in succ[v])
         seen.update(comp)
     assert [cyclic(comp, succ.__getitem__) for comp in order] == [True, True, False, False, False]
+
+
+# each test runs with a list and with a dict as the values table
+TABLES = pytest.mark.parametrize("table", [list, lambda xs: dict(enumerate(xs))],
+                                 ids=["list", "dict"])
+TWO_CYCLE = [[1], [0]].__getitem__  # 0 and 1 read each other
+
+
+@TABLES
+@pytest.mark.parametrize("exact", [True, False])
+def test_settle_substitutes_once_on_no_cycle(table, exact):
+    values, calls = table([0, 0]), []
+
+    def substitute(v):
+        calls.append(v)
+        return values[1] + 5, exact
+    assert settle([0], [[1], []].__getitem__, values, substitute, fuel=10) == (1, exact)
+    assert calls == [0] and values[0] == 5
+
+
+@TABLES
+def test_settle_certifies_a_cycle_once_a_pass_changes_nothing(table):
+    # 0 and 1 climb to 3 in two passes, and the third changes nothing
+    values = table([0, 0])
+    passes = settle([0, 1], TWO_CYCLE, values, lambda v: (min(values[1 - v] + 1, 3), True), 10)
+    assert passes == (3, True) and [values[0], values[1]] == [3, 3]
+
+
+@TABLES
+def test_settle_gives_up_on_a_cycle_after_fuel_passes(table):
+    values = table([0, 0])
+    assert settle([0, 1], TWO_CYCLE, values, lambda v: (values[1 - v] + 1, True), 4) == (4, False)
+    assert [values[0], values[1]] == [7, 8]
+
+
+@TABLES
+def test_settle_on_a_cycle_with_no_fuel_makes_no_pass(table):
+    values = table([0, 0])
+    assert settle([0, 1], TWO_CYCLE, values, lambda v: (1, True), 0) == (0, False)
+    assert [values[0], values[1]] == [0, 0]
+
+
+@TABLES
+def test_settle_does_not_certify_a_still_pass_with_an_inexact_substitution(table):
+    # a self-loop that stands still at once, but reads something inexact
+    values = table([2])
+    assert settle([0], [[0]].__getitem__, values, lambda v: (values[0], False), 10) == (1, False)
+    values = table([0, 0])  # a two-vertex cycle whose vertex 1 reads something inexact
+    assert settle([0, 1], TWO_CYCLE, values, lambda v: (values[1 - v], v == 0), 10) == (1, False)
 
 
 def test_lassos_are_walks_and_divergence_matches_the_exact_chain(monkeypatch):

@@ -809,6 +809,34 @@ def test_only_certified_loop_values_outlive_a_query(before):
         assert [(r.touched_states, r.evaluations) for r in rows] == counts
 
 
+def test_a_loop_head_reached_along_many_paths_is_solved_once_per_query():
+    # 12 choices reach the loop at one state along 4096 paths; a loop head
+    # is a join, where its entry and its back edge meet, so the query solves
+    # it once and reads the value memo on every other path
+    names = [f"v{k}" for k in range(12)]
+    choices = "".join(f"{{ {v} := 1 }} [] {{ {v} := 2 }}; " for v in names)
+    resets = "".join(f"{v} := 0; " for v in names)
+    program = prog(f"@instance tropical\n{choices}{resets}while (x > 0) {{ x := x + 1 }}").program
+    res = Engine(TROP, "wp").run(program, "one", State({"x": 3}))
+    assert (res.value, res.exact) == (TROP.mod_zero(), False)
+    assert (res.touched_states, res.evaluations, res.iterations) == (1000, 1000, 2)
+
+
+def test_an_inner_loop_entered_where_its_sweep_stopped_is_followed_there():
+    # fuel 2 and a budget below 1000 leave no room past the horizon: the left
+    # arm's inner sweep stops at y=0 and numbers it unread, then the right
+    # arm enters the inner loop at y=0, which is followed now, so the solve
+    # touches x=1, x=0 and y=4..0.  The left arm's chain read y=0 at the
+    # seed before that, so today the value is 7, a bound below the answer
+    program = prog("@instance tropical\nwhile (x > 0) { { y := 4 } [] { y := 0; weigh 7 }; "
+                   "while (y > 0) { y := y - 1; weigh 1 }; x := x - 1 }").program
+    res = Engine(TROP, "wp", fuel=2, node_budget=500).run(program, "one", State({"x": 1}))
+    assert res.touched_states == 7
+    ref = op_oracle(program, State({"x": 1}), as_weighting(TROP, "one"), TROP)
+    assert (ref.value, ref.exact) == (TROP.value(4), True)
+    assert res.value == ref.value if res.exact else TROP.nat_leq(res.value, ref.value)
+
+
 def test_choices_in_a_row_in_a_loop_body_read_off_one_pair_per_unknown(monkeypatch):
     # each join adds up the coefficients of an unknown read more than once
     # before its pairs are replayed into the other arm, so 12 `[]`s in a
