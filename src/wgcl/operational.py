@@ -18,8 +18,11 @@ The exposed analyses:
   their iteration stabilizes (olp also takes the lasso below),
 * `uct_check` / `certainly_terminates` - certain termination from one
   state (with a lasso counterexample) or from every state of a grid,
-* `diverging_weights` - exact limit of the olp chain from the finite
-  (position, state) quotient graph, where the instance allows it.
+* `diverging_weights` - exact limit of the olp chain for post zero from
+  the finite (position, state) quotient graph, where the instance allows
+  it: one pass over its components, dependencies first, that gives a pair
+  on a cycle the weight of going round it forever (tropical: the
+  cheapest route to a zero-weight cycle).
 
 The quotient graph is the reachable part of the step relation, walked by
 one routine (`_reachable`, which also bounds the oracle's solve);
@@ -27,10 +30,10 @@ its cycles are exactly the shapes of infinite paths.  `components` is the
 package's one strongly-connected-components routine (Tarjan, dependencies
 first, each component yielded as soon as it is complete), `cyclic` its
 one cycle test and `longest_paths` its one cycle summary: every
-termination and divergence question reads whether a cycle is reachable
-off it.  `settle` is the one component solve: the transformer's loop
-solver and the oracle solve each component with it as `components`
-yields it.
+termination question, and whether an omega-language cycle feeds
+another, reads whether a cycle is reachable off it.  `settle` is the one
+component solve: the transformer's loop solver and the oracle solve each
+component with it as `components` yields it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import (
-    Algebra, INF, ModuleValue, NEG_INF, OmegaLangAlgebra, Weight, make_omega,
+    Algebra, INF, ModuleValue, OmegaLangAlgebra, Weight, make_omega,
 )
 from .syntax import (
     TERMINATED, Assign, Branch, EvalError, FnWeighting, Ite, Program, State, Weigh,
@@ -507,22 +510,18 @@ def certainly_terminates(program: Program, states, algebra: Algebra,
 
 @dataclass
 class DivergenceReport:
-    """Exact limit of the olp chain, plus the witnessing lassos."""
+    """Exact limit of the olp chain for post zero: the weight of the
+    infinite paths from the start pair."""
 
     value: ModuleValue
-    lassos: frozenset  # (prefix weight, cycle weight) pairs, raw carriers
-
-
-# per idempotent numeric instance, the edge weights a divergent run may take
-# forever without changing the limit
-_DIVERGENT_EDGES = {"tropical": lambda w: w == 0, "arctic": lambda w: True, "boolean": bool}
 
 
 def check_divergence_analysis(algebra: Algebra) -> None:
     """Raise DivergenceError unless `diverging_weights` handles `algebra`:
     counting, prob and lang have no exact divergence analysis, and this
     says so before any walk."""
-    if not isinstance(algebra, OmegaLangAlgebra) and algebra.name not in _DIVERGENT_EDGES:
+    if not isinstance(algebra, OmegaLangAlgebra) and algebra.name not in (
+            "boolean", "tropical", "arctic"):
         raise DivergenceError(f"{algebra.name}: no exact divergence analysis")
 
 
@@ -530,36 +529,47 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
                       node_budget: int = 10 ** 6) -> DivergenceReport:
     """Evaluate nonterminating behavior exactly on the finite quotient.
 
-    For omega-language instances the result collects one lasso per way of
-    reaching a cycle: prefix label plus the cycle label repeated forever (a
-    cycle with empty label contributes the full cylinder after its prefix).
-    For the idempotent numeric instances the limit is characterized by
-    cycle reachability: tropical takes the cheapest route to a zero-weight
-    cycle, arctic and boolean only ask whether a (weight-preserving) cycle
-    is reachable at all.  Other instances are rejected before any walk.
+    Tropical takes the cheapest route to a cycle of zero-weight edges, a
+    shortest path through cycles (Dijkstra).  Boolean, arctic and
+    omega-language instances take one pass over the quotient's components,
+    dependencies first, with the per-vertex path equations of Tarjan 1981:
+    a pair off a cycle gets (+) w (x) D(s) over its edges (w, s), and a
+    pair on a cycle the weight of going round it forever, the omega of
+    Esik and Kuich 2005.  For boolean, whose cycles take only true edges,
+    and arctic, that weight is top.  For omega-languages it is the cycle's
+    word from that pair repeated forever, or the full cylinder if the word
+    is empty, built once where the pass enters the cycle or at the start
+    pair; the diverging words must be ultimately periodic, so each
+    reachable cycle must be simple and feed no other one, else
+    DivergenceError.  Other instances are rejected before any walk.
     """
     check_divergence_analysis(algebra)
     graph = build_quotient(program, state, algebra, node_budget)
     root = next(iter(graph))
-    name = algebra.name
-
-    if isinstance(algebra, OmegaLangAlgebra):
-        return _diverge_omega(graph, root, algebra, node_budget)
-    keep = _DIVERGENT_EDGES[name]
-    succ = {v: [s for (w, s) in es if keep(w)] for v, es in graph.items()}.__getitem__
-    if name == "tropical":
-        # zero-weight cycles anywhere, entered by the cheapest route
+    if algebra.name == "tropical":  # zero-weight cycles anywhere, entered by the cheapest route
+        succ = {v: [s for w, s in es if w == 0] for v, es in graph.items()}.__getitem__
         dist = _shortest_distances(graph, root)
         best = min((dist[v] for comp in components(graph, succ) if cyclic(comp, succ)
                     for v in comp if v in dist), default=INF)
-        return DivergenceReport(algebra.value(best),
-                                frozenset({(best, 0)} if best is not INF else ()))
-    alive = longest_paths(components([root], succ), succ)[root] == math.inf
-    if name == "arctic":
-        return DivergenceReport(algebra.value(INF if alive else NEG_INF),
-                                frozenset({(0, 0)} if alive else ()))
-    return DivergenceReport(algebra.value(alive),
-                            frozenset({(True, True)} if alive else ()))
+        return DivergenceReport(algebra.value(best))
+    if algebra.name == "boolean":  # a run over a false edge weighs false, however it goes on
+        graph = {v: [(w, s) for w, s in es if w] for v, es in graph.items()}
+    succ = {v: [s for _, s in es] for v, es in graph.items()}.__getitem__
+    order = list(components([root], succ))
+    top, add, scale = algebra._top(), algebra._add, algebra._scale
+    around = (_omega_cycles(graph, order, succ) if isinstance(algebra, OmegaLangAlgebra)
+              else lambda v: top)
+    value: dict = {}  # per pair off a cycle, and per cycle pair the pass entered
+    for comp in order:
+        if cyclic(comp, succ):
+            continue
+        total = algebra._zero()
+        for w, s in graph[comp[0]]:
+            if s not in value:  # s is on a cycle, entered here first
+                value[s] = around(s)
+            total = add(total, scale(w, value[s]))
+        value[comp[0]] = total
+    return DivergenceReport(algebra.value(value[root] if root in value else around(root)))
 
 
 def _shortest_distances(graph, root):
@@ -581,10 +591,11 @@ def _shortest_distances(graph, root):
     return dist
 
 
-def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> DivergenceReport:
-    succ = {v: [s for (_, s) in es] for v, es in graph.items()}.__getitem__
-    order = list(components([root], succ))
-
+def _omega_cycles(graph, order, succ):
+    """Per pair on a cycle of the quotient `graph` (its `components`
+    `order`), the raw omega-language value of going round that cycle
+    forever from the pair.  Raises DivergenceError unless the diverging
+    words are ultimately periodic."""
     # each cyclic component must be one simple cycle: within it, out-degree one
     cycle_next: dict[QNode, tuple[str, QNode]] = {}
     for comp in (c for c in order if cyclic(c, succ)):
@@ -606,35 +617,12 @@ def _diverge_omega(graph, root, algebra: OmegaLangAlgebra, node_budget: int) -> 
             "diverging words are not ultimately periodic "
             "(a reachable cycle feeds another cycle)")
 
-    # enumerate label-distinct prefixes: the region outside the cycles is
-    # acyclic, and walking past the first cycle vertex only pumps the period
-    lassos: set[tuple[str, str]] = set()
-    cylinders: set[str] = set()
-    raw_lassos: set[tuple[str, str]] = set()
-
-    def cycle_label(entry: QNode) -> str:
-        label, cur = cycle_next[entry]
-        while cur != entry:
-            w, cur = cycle_next[cur]
-            label += w
-        return label
-
-    budget = node_budget
-    stack: list[tuple[QNode, str]] = [(root, "")]
-    while stack:
-        node, label = stack.pop()
-        budget -= 1
-        if budget < 0:
-            raise BudgetError(f"node budget {node_budget} exceeded")
-        if node in cycle_next:
-            period = cycle_label(node)
-            raw_lassos.add((label, period))
-            if period:
-                lassos.add((label, period))
-            else:
-                cylinders.add(label)
-            continue
-        for w, nxt in graph[node]:
-            stack.append((nxt, label + w))
-    value = algebra.value(make_omega((), lassos, cylinders, algebra.alphabet))
-    return DivergenceReport(value, frozenset(raw_lassos))
+    def around(entry: QNode):  # built where the pass enters the cycle
+        w, v = cycle_next[entry]
+        word = [w]
+        while v != entry:
+            w, v = cycle_next[v]
+            word.append(w)
+        period = "".join(word)
+        return make_omega(lassos=[("", period)]) if period else make_omega(cylinders=[""])
+    return around

@@ -174,7 +174,10 @@ class _Solve:
        bounded unrolling, and is never certified; so does an unknown past
        the horizon whose read-off fails, with those queued behind it.
        Within the horizon the node budget and a failed read-off raise.
-       The node budget counts the unknowns this solve discovered.
+       The node budget counts the unknowns this solve discovered.  An
+       unknown whose form reads nothing, a constant, is solved when it is
+       read off; every other one waits for step 3, even one whose reads
+       are all unfollowed so far, since a later entry may follow them.
     2. Component order: `operational.components` yields the components
        of the dependency graph over the numbers one at a time,
        dependencies first and deepest unknown first within one; that is
@@ -381,23 +384,23 @@ class _Solve:
 
     def _discover(self, entry: State) -> int:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
-        value if it reads none of this solve's unknowns.  The entry's
-        number, or its mark if it is certified (see `_touch`); a sweep is
-        counted only where the entry is discovered."""
+        value if the form is a constant.  The entry's number, or its mark
+        if it is certified (see `_touch`); a sweep is counted only where
+        the entry is discovered."""
         r = self._touch(entry, 0)
         queue = self.queue
         if not queue:  # known in this solve, or certified
             return r
         self.engine._passes += 1
-        forms, found, level_end = self.forms, self.found, 1
+        forms, level_end = self.forms, 1
         for n, i in enumerate(queue):  # grows while it is walked
             if n == level_end:  # the sweep's next breadth-first level
                 self.depth += 1
                 level_end = len(queue)
             try:
                 forms[i] = form = self._form(i)
-                if not any(map(found.__getitem__, form[2::2])):  # solved already
-                    self.vals[i], self.exact[i] = self._substitute(i)
+                if len(form) == 2:  # reads nothing: solved already
+                    self.vals[i], self.exact[i] = form
             except (BudgetError, EvalError, AlgebraError):
                 for j in queue[n:]:  # the sweep stops; they keep the seed
                     self.exact[j] = False

@@ -277,6 +277,17 @@ def test_wlp_keeps_the_chain_bound_when_the_lasso_wp_part_is_inexact(capsys, tmp
     assert (code, out, err) == (3, "x=1,y=2 | 0 | inexact\n", "")
 
 
+def test_wlp_of_a_cycle_behind_many_choices_is_exact_by_the_lasso(capsys, tmp_path):
+    # the quotient has 82 pairs and 2^20 paths onto the cycle: one pass over
+    # its components gives the divergence part, under auto and lasso alike
+    f = tmp_path / "diamonds.wgcl"
+    f.write_text("@instance omegalang:ab\n" + "{ skip } [] { skip; skip }; " * 20
+                 + "while (true) { weigh a }\n", encoding="utf-8")
+    for method in ((), ("--method", "lasso")):
+        code, out, err = run(capsys, "wlp", str(f), "--post", "zero", *method)
+        assert (code, out, err) == (0, " | {(a)^ω} | exact\n", ""), method
+
+
 def test_budget_exhaustion_has_its_own_exit_code(capsys):
     code, out, err = run(capsys, "paths", "ex411", "--state", "x=1",
                          "--depth", "100", "--budget", "10")

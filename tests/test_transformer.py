@@ -826,15 +826,15 @@ def test_an_inner_loop_entered_where_its_sweep_stopped_is_followed_there():
     # fuel 2 and a budget below 1000 leave no room past the horizon: the left
     # arm's inner sweep stops at y=0 and numbers it unread, then the right
     # arm enters the inner loop at y=0, which is followed now, so the solve
-    # touches x=1, x=0 and y=4..0.  The left arm's chain read y=0 at the
-    # seed before that, so today the value is 7, a bound below the answer
+    # touches x=1, x=0 and y=4..0.  The left arm's chain waits for the solve,
+    # which reads y=0 at its value, not the seed
     program = prog("@instance tropical\nwhile (x > 0) { { y := 4 } [] { y := 0; weigh 7 }; "
                    "while (y > 0) { y := y - 1; weigh 1 }; x := x - 1 }").program
     res = Engine(TROP, "wp", fuel=2, node_budget=500).run(program, "one", State({"x": 1}))
     assert res.touched_states == 7
+    assert (res.value, res.exact) == (TROP.value(4), True)
     ref = op_oracle(program, State({"x": 1}), as_weighting(TROP, "one"), TROP)
     assert (ref.value, ref.exact) == (TROP.value(4), True)
-    assert res.value == ref.value if res.exact else TROP.nat_leq(res.value, ref.value)
 
 
 def test_choices_in_a_row_in_a_loop_body_read_off_one_pair_per_unknown(monkeypatch):
