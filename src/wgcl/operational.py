@@ -283,7 +283,7 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
         op = _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
         if op.exact:
             diverging = diverging_weights(program, state, algebra, node_budget)
-            return OracleResult(algebra.mod_add(op.value, diverging.value), True)
+            return OracleResult(algebra.mod_add(op.value, diverging), True)
     except (BudgetError, EvalError, DivergenceError):
         pass
     return OracleResult(_cut_sum(done, live, lambda *_: top, algebra), False)
@@ -508,14 +508,6 @@ def certainly_terminates(program: Program, states, algebra: Algebra,
     return [longest[root] < math.inf for root in roots]
 
 
-@dataclass
-class DivergenceReport:
-    """Exact limit of the olp chain for post zero: the weight of the
-    infinite paths from the start pair."""
-
-    value: ModuleValue
-
-
 def check_divergence_analysis(algebra: Algebra) -> None:
     """Raise DivergenceError unless `diverging_weights` handles `algebra`:
     counting, prob and lang have no exact divergence analysis, and this
@@ -526,8 +518,9 @@ def check_divergence_analysis(algebra: Algebra) -> None:
 
 
 def diverging_weights(program: Program, state: State, algebra: Algebra,
-                      node_budget: int = 10 ** 6) -> DivergenceReport:
-    """Evaluate nonterminating behavior exactly on the finite quotient.
+                      node_budget: int = 10 ** 6) -> ModuleValue:
+    """The exact limit of the olp chain for post zero: the weight of the
+    infinite paths from the start pair, on the finite quotient.
 
     Tropical takes the cheapest route to a cycle of zero-weight edges, a
     shortest path through cycles (Dijkstra).  Boolean, arctic and
@@ -551,7 +544,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
         dist = _shortest_distances(graph, root)
         best = min((dist[v] for comp in components(graph, succ) if cyclic(comp, succ)
                     for v in comp if v in dist), default=INF)
-        return DivergenceReport(algebra.value(best))
+        return algebra.value(best)
     if algebra.name == "boolean":  # a run over a false edge weighs false, however it goes on
         graph = {v: [(w, s) for w, s in es if w] for v, es in graph.items()}
     succ = {v: [s for _, s in es] for v, es in graph.items()}.__getitem__
@@ -569,7 +562,7 @@ def diverging_weights(program: Program, state: State, algebra: Algebra,
                 value[s] = around(s)
             total = add(total, scale(w, value[s]))
         value[comp[0]] = total
-    return DivergenceReport(algebra.value(value[root] if root in value else around(root)))
+    return algebra.value(value[root] if root in value else around(root))
 
 
 def _shortest_distances(graph, root):

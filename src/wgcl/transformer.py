@@ -25,15 +25,16 @@ of assignments and `weigh`s is one step, as in large-block encoding
 weight at the state where it stands, multiplies the weights in program
 order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
 sequence costs no recursion.  A position has one step, in the mode of
-its region.  Outside any loop body it runs over values, ends in f at
-TERMINATED, solves a loop at its head, and memoizes values for the rest
-of the query where two paths meet, at the positions lowering marks as
-joins, each loop head among them, so a query solves a loop state once
-however many paths reach it.  Inside a loop body it is a form step: it
-reads each loop head as an unknown and appends (unknown, coefficient)
-pairs to the form being read off, `[]` its left arm's, then its right
-arm's, and a run with a weight scales those that follow it; a join keeps
-its pairs, one per unknown, for the rest of that read-off.
+its region.  Outside any loop body it runs over values with the `Engine`
+as its context, ends in f at TERMINATED, solves a loop at its head, and
+memoizes values on the engine for the rest of the query where two paths
+meet, at the positions lowering marks as joins, each loop head among
+them, so a query solves a loop state once however many paths reach it.
+Inside a loop body it is a form step: it reads each loop head as an
+unknown and appends (unknown, coefficient) pairs to the form being read
+off, `[]` its left arm's, then its right arm's, and a run with a weight
+scales those that follow it; a join keeps its pairs, one per unknown,
+for the rest of that read-off.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
@@ -156,9 +157,9 @@ class _Solve:
     the body's form steps (see `compile_step`) append each read of a loop
     head to the sweep's `out` as a (number, coefficient) pair, in reading
     order, with duplicates merged in place at a join and when the read-off
-    ends.  A read of a state that an earlier query certified is no
-    unknown: the read-off adds its value, times the coefficient, into the
-    constant.
+    ends (`_summed`).  A read of a state that an earlier query certified
+    (in the engine's final tables, the solve's context) is no unknown: the
+    read-off adds its value, times the coefficient, into the constant.
 
     1. Discovery: a breadth-first sweep reads off each unknown's form once.
        Where the guard holds, the body's form steps run.  Where it fails,
@@ -202,16 +203,13 @@ class _Solve:
     of it on the engine stop at the horizon.
     """
 
-    __slots__ = ("engine", "node", "memo", "outer", "exit", "horizon", "beyond", "queue",
-                 "depth", "out", "joins", "algebra", "top", "seed", "unit", "keys",
-                 "homes", "vals", "exact", "forms", "found", "outside", "loops", "count",
-                 "home", "ids")
+    __slots__ = ("engine", "node", "outer", "exit", "horizon", "beyond", "queue", "depth",
+                 "out", "joins", "algebra", "top", "seed", "unit", "keys", "homes", "vals",
+                 "exact", "forms", "found", "outside", "loops", "count", "home", "ids")
 
-    def __init__(self, engine: "Engine", node: Node, memo: "_Memo",
-                 outer: "_Solve | None" = None):
+    def __init__(self, engine: "Engine", node: Node, outer: "_Solve | None" = None):
         self.engine = engine
         self.node = node
-        self.memo = memo
         self.outer = outer  # the sweep whose read-off entered this loop
         self.exit = _follow(node.next, node.in_body)  # where the loop goes when its guard fails
         self.horizon = engine.fuel + 1
@@ -240,10 +238,10 @@ class _Solve:
 
     def _home(self, node: Node) -> tuple:
         """The tables of a loop of the system: its numbers for this solve,
-        and its final table, on the memo."""
+        and its final table, on the engine."""
         home = self.loops.get(node)
         if home is None:
-            home = self.loops[node] = ({}, self.memo.loops.setdefault(node, {}))
+            home = self.loops[node] = ({}, self.engine._finals.setdefault(node, {}))
         return home
 
     def _number(self, home: tuple, sigma: State, value) -> int:
@@ -311,7 +309,7 @@ class _Solve:
         while solve.node is not node:
             solve = solve.outer
             if solve is None:  # an inner loop is entered
-                return _Solve(self.engine, node, self.memo, self)._discover(sigma)
+                return _Solve(self.engine, node, self)._discover(sigma)
         return solve._touch(sigma, solve.depth + 1)
 
     def _form(self, i: int) -> tuple:
@@ -323,7 +321,7 @@ class _Solve:
         if node.guard(sigma):
             step = node.then.step
         elif self.outer is None:  # the queried loop exits
-            value, exact = self.exit(sigma, self.memo)
+            value, exact = self.exit(sigma, self.engine)
             return value.value, exact
         else:
             step = self.exit
@@ -338,21 +336,16 @@ class _Solve:
 
     def _merged(self, const, pairs: list) -> tuple:
         """The constant and the (unknown, coefficient) pairs of a read-off,
-        with each certified state read added into the constant, and each
-        unknown's coefficients added up in place of its first read."""
+        with each certified state read added into the constant, and the
+        unknowns' reads `_summed`."""
         add, times, outside = self.algebra._add, self.algebra._times, self.outside
-        merged, where = [], {}
+        reads = []
         for j, c in zip(pairs[::2], pairs[1::2]):
             if j < 0:
                 const = add(const, times(c, outside[~j]))
-                continue
-            k = where.get(j)
-            if k is None:
-                where[j] = len(merged) + 1
-                merged += (j, c)
             else:
-                merged[k] = add(merged[k], c)
-        return const, merged
+                reads.append((j, c))
+        return const, _summed(add, reads)
 
     def _deps(self, i: int) -> list:
         """The unknowns `i` waits on, none once it is solved: those its form
@@ -366,10 +359,7 @@ class _Solve:
     def _substitute(self, i: int) -> tuple:
         """The characteristic map at `i` against the current iterate: a raw
         value and whether it is exact."""
-        form = self.forms[i]
-        if len(form) == 2:  # a constant: the queried loop exits, or every read was certified
-            return form
-        terms = iter(form)
+        terms = iter(self.forms[i])
         total, exact = next(terms), next(terms)
         algebra, vals, certain = self.algebra, self.vals, self.exact
         add, times = algebra._add, algebra._times
@@ -442,34 +432,24 @@ class _Solve:
         return ModuleValue(self.algebra, vals[r]), exact[r]
 
 
-class _Memo:
-    """What an engine keeps for one postweighting: the values at the joins
-    that steps over values entered in the query under way (`values`, see
-    `compile_step`), and, keyed on each loop's node (`loops`), its final
-    table: the raw values of its certified states.
-
-    The final tables persist on the engine: a certified value is a
-    fixed-point value whatever state its query started from, so later
-    queries read it instead of solving again.  The values last one query
-    (`Engine.run` clears them), so nothing uncertified outlives its query.
-    """
-
-    __slots__ = ("engine", "algebra", "post", "values", "loops")
-
-    def __init__(self, engine: "Engine", post: Weighting):
-        self.engine = engine
-        self.algebra = engine.algebra
-        self.post = post
-        self.values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}
-        self.loops: dict[Node, dict] = {}
+def _summed(add, reads) -> list:
+    """The flat (unknown, coefficient) pairs of `reads`, one per unknown in
+    order of first read, its coefficients added up."""
+    sums = {}
+    for j, c in reads:
+        sums[j] = add(sums[j], c) if j in sums else c
+    return [x for pair in sums.items() for x in pair]
 
 
 class Engine:
     """A wp or wlp evaluator over one algebra, reusable across states.  It
     runs the compiled steps of each program object's one graph
-    (`compile_program`, `compile_step`) and keys what it keeps on that
-    graph's nodes: for one run, the values at joins; between runs, each
-    loop's certified states, besides `_capped` and the seed."""
+    (`compile_program`, `compile_step`) as their context.  Per postweighting
+    it keeps each loop's final table, the raw values of its certified
+    states, which are fixed-point values whatever state their query started
+    from; `run` makes them current with a fresh dict of join values, so
+    nothing uncertified outlives its query.  Besides, it keeps `_capped`
+    and the seed."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -481,7 +461,10 @@ class Engine:
         self.fuel = fuel
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
-        self._memos: dict[object, _Memo] = {}  # keyed on the postweighting as passed
+        self._posts: dict[object, tuple[Weighting, dict]] = {}  # keyed on f as passed
+        self._weighting: Weighting | None = None  # the query's postweighting
+        self._finals: dict[Node, dict] = {}  # its loops' final tables
+        self._values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}  # the query's joins
         self._zero = algebra._zero()  # the constant of a form read off a body
         self._start = None  # the raw seed of a loop's iteration, once known
         self._unit = algebra._module_one()  # the coefficient of a read loop head
@@ -493,12 +476,13 @@ class Engine:
 
     # -- public -------------------------------------------------------------
     def run(self, program: Program, f, sigma: State) -> TransformResult:
-        memo = self._memos.get(f)
-        if memo is None:
-            memo = self._memos[f] = _Memo(self, as_weighting(self.algebra, f))
-        memo.values.clear()  # only the final tables outlive a query
+        kept = self._posts.get(f)
+        if kept is None:
+            kept = self._posts[f] = (as_weighting(self.algebra, f), {})
+        self._weighting, self._finals = kept
+        self._values = {}  # only the final tables outlive a query
         self._passes = self._touched = self._evaluations = 0
-        value, exact = compile_program(program).step(sigma, memo)
+        value, exact = compile_program(program).step(sigma, self)
         return TransformResult(value, exact, self._passes, self._touched,
                                self._evaluations)
 
@@ -522,26 +506,26 @@ class Engine:
 def compile_step(node: Node):
     """The step of a position, in the mode of its region; `Node.step` builds
     it on first use.  Outside any loop body a step runs over values,
-    `(state, memo) -> (value, exact)`.  In a loop's body it is a form step,
+    `(state, engine) -> (value, exact)`.  In a loop's body it is a form step,
     `(state, sweep) -> None`: it appends the (unknown, coefficient) pairs
     of the read-off from here to the sweep's `out`, in reading order, and
     reads a loop head as the unit coefficient of its unknown.  A loop head
     over values, a join, reads its final table, else solves (`_Solve`).
     Expressions run as the node's closures (`Node.guard`, `rhs`,
     `weight`).  The step of a join, but a loop head's read, first looks
-    in the memo, or in the sweep's `joins` for the read-off under way,
-    where it keeps its pairs with each unknown's coefficients added up."""
+    in the engine's values for the query, or in the sweep's `joins` for
+    the read-off under way, where it keeps its pairs `_summed`."""
     cls, in_body = node.stmt.__class__, node.in_body
     if cls is While:
         if in_body:
             return _read(node)
 
-        def step(sigma, memo):  # the certified value, else a solve
-            kept = memo.loops.get(node)
+        def step(sigma, engine):  # the certified value, else a solve
+            kept = engine._finals.get(node)
             final = kept.get(sigma) if kept else None
             if final is not None:
-                return ModuleValue(memo.algebra, final), True
-            return _Solve(memo.engine, node, memo).run(sigma)
+                return ModuleValue(engine.algebra, final), True
+            return _Solve(engine, node).run(sigma)
     elif cls is Ite:
         guard, then, orelse = node.guard, node.then, node.orelse
 
@@ -556,18 +540,18 @@ def compile_step(node: Node):
                 then.step(sigma, sweep)
                 out += out[start:]
         elif then is orelse:
-            def step(sigma, memo):
-                value, exact = then.step(sigma, memo)
-                return memo.algebra.mod_add(value, value), exact
+            def step(sigma, engine):
+                value, exact = then.step(sigma, engine)
+                return engine.algebra.mod_add(value, value), exact
         elif in_body:  # left arm first: that is the reading order
             def step(sigma, sweep):
                 then.step(sigma, sweep)
                 orelse.step(sigma, sweep)
         else:
-            def step(sigma, memo):
-                lv, le = then.step(sigma, memo)
-                rv, re_ = orelse.step(sigma, memo)
-                return memo.algebra.mod_add(lv, rv), le and re_
+            def step(sigma, engine):
+                lv, le = then.step(sigma, engine)
+                rv, re_ = orelse.step(sigma, engine)
+                return engine.algebra.mod_add(lv, rv), le and re_
     elif cls is Assign or cls is Weigh:
         step = _run(node)
     else:
@@ -584,20 +568,17 @@ def compile_step(node: Node):
                 hit = out[start:]
                 reads = hit[::2]
                 if len(set(reads)) < len(reads):  # one pair per unknown, or k `[]`s read 2^k
-                    add, sums = sweep.algebra._add, {}
-                    for j, c in zip(reads, hit[1::2]):
-                        sums[j] = add(sums[j], c) if j in sums else c
-                    out[start:] = hit = [x for pair in sums.items() for x in pair]
+                    out[start:] = hit = _summed(sweep.algebra._add, zip(reads, hit[1::2]))
                 sweep.joins[key] = hit
             else:
                 out += hit
         return joined
 
-    def joined(sigma, memo):
+    def joined(sigma, engine):
         key = (node, sigma)
-        hit = memo.values.get(key)
+        hit = engine._values.get(key)
         if hit is None:
-            hit = memo.values[key] = step(sigma, memo)
+            hit = engine._values[key] = step(sigma, engine)
         return hit
     return joined
 
@@ -640,8 +621,8 @@ def _run(node: Node):
     return run
 
 
-def _post(sigma: State, memo: _Memo) -> tuple[ModuleValue, bool]:
-    return memo.post.at(sigma), True
+def _post(sigma: State, engine: Engine) -> tuple[ModuleValue, bool]:
+    return engine._weighting.at(sigma), True
 
 
 def _read(node: Node):
@@ -739,7 +720,7 @@ class LiberalEngine:
         if exact_only and not wp_part.exact:
             return wp_part
         div = diverging_weights(program, sigma, self.algebra, self.node_budget)
-        value = self.algebra.mod_add(wp_part.value, div.value)
+        value = self.algebra.mod_add(wp_part.value, div)
         return TransformResult(value, wp_part.exact, wp_part.iterations,
                                wp_part.touched_states, wp_part.evaluations)
 

@@ -625,6 +625,19 @@ def test_engine_shares_loop_tables_across_states():
     assert all(values[(n, y)] == min(n, y) for n in range(9) for y in range(9))
 
 
+def test_an_engine_keeps_final_tables_per_postweighting():
+    # two postweightings alternate on one engine: the first query of each
+    # solves its own chain, and the later ones read only their own final
+    # tables, never the other postweighting's
+    engine = Engine(TROP, "wp")
+    one, y = weighting("one", TROP), weighting("int(y)", TROP)
+    rows = [engine.run(SKI_ND.program, f, State({"n": n, "y": 5}))
+            for n in (5, 4) for f in (one, y)]
+    assert [(r.value, r.exact, r.touched_states) for r in rows] == [
+        (TROP.value(5), True, 6), (TROP.value(10), True, 6),
+        (TROP.value(4), True, 0), (TROP.value(9), True, 0)]
+
+
 def test_ski_nd_solves_in_linear_time():
     # every state of the chain n, n-1, ..., 0 is solved once, dependencies
     # first, so the solver's sweeps do not grow with n
