@@ -25,11 +25,12 @@ of assignments and `weigh`s is one step, as in large-block encoding
 weight at the state where it stands, multiplies the weights in program
 order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
 sequence costs no recursion.  A position has one step, in the mode of
-its region.  Outside any loop body it runs over values with the `Engine`
-as its context, ends in f at TERMINATED, solves a loop at its head, and
-memoizes values on the engine for the rest of the query where two paths
-meet, at the positions lowering marks as joins, each loop head among
-them, so a query solves a loop state once however many paths reach it.
+its region.  Outside any loop body it runs over raw carrier values with
+the `Engine` as its context (`Engine.run` wraps the query's one value),
+ends in f at TERMINATED, solves a loop at its head, and memoizes values
+on the engine for the rest of the query where two paths meet, at the
+positions lowering marks as joins, each loop head among them, so a query
+solves a loop state once however many paths reach it.
 Inside a loop body it is a form step: it reads each loop head as an
 unknown and appends (unknown, coefficient) pairs to the form being read
 off, `[]` its left arm's, then its right arm's, and a run with a weight
@@ -163,22 +164,23 @@ class _Solve:
 
     1. Discovery: a breadth-first sweep reads off each unknown's form once.
        Where the guard holds, the body's form steps run.  Where it fails,
-       the queried loop runs its continuation over values, which gives the
-       form's constant, and an inner loop runs the rest of the enclosing
-       body's form steps.  A read of this loop's head, or of one around
-       it, joins that loop's sweep; an inner loop is entered, and there an
-       inner `_Solve`, sharing this one's lists, sweeps it at once.  Past
-       its horizon, fuel + 1 body-hops from its entry, a sweep goes on
-       while it has touched fewer than `Engine.state_cap` unknowns, the
-       node budget has room and its loop is not in `Engine._capped`.  A
-       read the sweep does not follow keeps the seed, like the leaf of a
-       bounded unrolling, and is never certified; so does an unknown past
-       the horizon whose read-off fails, with those queued behind it.
-       Within the horizon the node budget and a failed read-off raise.
-       The node budget counts the unknowns this solve discovered.  An
-       unknown whose form reads nothing, a constant, is solved when it is
-       read off; every other one waits for step 3, even one whose reads
-       are all unfollowed so far, since a later entry may follow them.
+       the queried loop runs its continuation's value step, whose (raw
+       value, exact) is the form, a constant, and an inner loop runs the
+       rest of the enclosing body's form steps.  A read of this loop's
+       head, or of one around it, joins that loop's sweep; an inner loop
+       is entered, and there an inner `_Solve`, sharing this one's lists,
+       sweeps it at once.  Past its horizon, fuel + 1 body-hops from its
+       entry, a sweep goes on while it has touched fewer than
+       `Engine.state_cap` unknowns, the node budget has room and its loop
+       is not in `Engine._capped`.  A read the sweep does not follow keeps
+       the seed, like the leaf of a bounded unrolling, and is never
+       certified; so does an unknown past the horizon whose read-off
+       fails, with those queued behind it.  Within the horizon the node
+       budget and a failed read-off raise.  The node budget counts the
+       unknowns this solve discovered.  An unknown whose form reads
+       nothing, a constant, is solved when it is read off; every other one
+       waits for step 3, even one whose reads are all unfollowed so far,
+       since a later entry may follow them.
     2. Component order: `operational.components` yields the components
        of the dependency graph over the numbers one at a time,
        dependencies first and deepest unknown first within one; that is
@@ -220,7 +222,12 @@ class _Solve:
         if outer is None:
             self.algebra = engine.algebra
             self.top = self
-            self.seed = engine._seed()
+            if engine.direction == "wp":
+                self.seed = engine._zero
+            elif engine.seed_one:
+                self.seed = engine._unit
+            else:  # may raise NoTopError; that is the contract
+                self.seed = self.algebra._top()
             self.unit = engine._unit
             self.keys, self.homes, self.vals, self.exact, self.forms = [], [], [], [], []
             self.found = bytearray()
@@ -314,15 +321,14 @@ class _Solve:
 
     def _form(self, i: int) -> tuple:
         """The form of unknown `i`, read off by running the characteristic
-        map once, its loop heads read as unknowns (over values where the
-        queried loop exits)."""
+        map once, its loop heads read as unknowns (a constant, over values,
+        where the queried loop exits)."""
         self.engine._evaluations += 1
         sigma, node = self.keys[i], self.node
         if node.guard(sigma):
             step = node.then.step
         elif self.outer is None:  # the queried loop exits
-            value, exact = self.exit(sigma, self.engine)
-            return value.value, exact
+            return self.exit(sigma, self.engine)
         else:
             step = self.exit
         const, out = self.engine._zero, []
@@ -401,8 +407,8 @@ class _Solve:
         queue.clear()  # discovery is over
         return r
 
-    def run(self, root: State) -> tuple[ModuleValue, bool]:
-        """The value at `root` and whether it is certified (steps 1 to 3).
+    def run(self, root: State) -> tuple:
+        """The raw value at `root` and whether it is certified (steps 1 to 3).
         Certified unknowns become final."""
         r = self._discover(root)
         vals, exact, forms = self.vals, self.exact, self.forms
@@ -429,7 +435,7 @@ class _Solve:
                 if certified:
                     self.homes[i][1][self.keys[i]] = vals[i]
         self.engine._passes += longest
-        return ModuleValue(self.algebra, vals[r]), exact[r]
+        return vals[r], exact[r]
 
 
 def _summed(add, reads) -> list:
@@ -448,8 +454,8 @@ class Engine:
     it keeps each loop's final table, the raw values of its certified
     states, which are fixed-point values whatever state their query started
     from; `run` makes them current with a fresh dict of join values, so
-    nothing uncertified outlives its query.  Besides, it keeps `_capped`
-    and the seed."""
+    nothing uncertified outlives its query, and wraps the query's raw value
+    once.  Besides, it keeps `_capped`; each solve computes its own seed."""
 
     def __init__(self, algebra: Algebra, direction: Direction = "wp",
                  fuel: int = 64, node_budget: int = 10 ** 6,
@@ -464,9 +470,8 @@ class Engine:
         self._posts: dict[object, tuple[Weighting, dict]] = {}  # keyed on f as passed
         self._weighting: Weighting | None = None  # the query's postweighting
         self._finals: dict[Node, dict] = {}  # its loops' final tables
-        self._values: dict[tuple[Node, State], tuple[ModuleValue, bool]] = {}  # the query's joins
+        self._values: dict[tuple[Node, State], tuple] = {}  # the query's joins
         self._zero = algebra._zero()  # the constant of a form read off a body
-        self._start = None  # the raw seed of a loop's iteration, once known
         self._unit = algebra._module_one()  # the coefficient of a read loop head
         self.state_cap = node_budget // 1000  # states a sweep past the horizon may reach
         self._capped: set[Node] = set()  # loops whose sweep was stopped past the horizon
@@ -483,20 +488,8 @@ class Engine:
         self._values = {}  # only the final tables outlive a query
         self._passes = self._touched = self._evaluations = 0
         value, exact = compile_program(program).step(sigma, self)
-        return TransformResult(value, exact, self._passes, self._touched,
-                               self._evaluations)
-
-    # -- loops ---------------------------------------------------------------
-    def _seed(self):
-        """The raw value a loop's iteration starts from, kept once known."""
-        if self._start is None:
-            if self.direction == "wp":
-                self._start = self.algebra._zero()
-            elif self.seed_one:
-                self._start = self.algebra._module_one()
-            else:
-                self._start = self.algebra._top()  # may raise NoTopError; that is the contract
-        return self._start
+        return TransformResult(ModuleValue(self.algebra, value), exact, self._passes,
+                               self._touched, self._evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +499,12 @@ class Engine:
 def compile_step(node: Node):
     """The step of a position, in the mode of its region; `Node.step` builds
     it on first use.  Outside any loop body a step runs over values,
-    `(state, engine) -> (value, exact)`.  In a loop's body it is a form step,
-    `(state, sweep) -> None`: it appends the (unknown, coefficient) pairs
-    of the read-off from here to the sweep's `out`, in reading order, and
-    reads a loop head as the unit coefficient of its unknown.  A loop head
-    over values, a join, reads its final table, else solves (`_Solve`).
+    `(state, engine) -> (raw value, exact)`.  In a loop's body it is a
+    form step, `(state, sweep) -> None`: it appends the (unknown,
+    coefficient) pairs of the read-off from here to the sweep's `out`, in
+    reading order, and reads a loop head as the unit coefficient of its
+    unknown.  A loop head over values, a join, reads its final table,
+    else solves (`_Solve`).
     Expressions run as the node's closures (`Node.guard`, `rhs`,
     `weight`).  The step of a join, but a loop head's read, first looks
     in the engine's values for the query, or in the sweep's `joins` for
@@ -524,7 +518,7 @@ def compile_step(node: Node):
             kept = engine._finals.get(node)
             final = kept.get(sigma) if kept else None
             if final is not None:
-                return ModuleValue(engine.algebra, final), True
+                return final, True
             return _Solve(engine, node).run(sigma)
     elif cls is Ite:
         guard, then, orelse = node.guard, node.then, node.orelse
@@ -533,17 +527,7 @@ def compile_step(node: Node):
             return (then if guard(sigma) else orelse).step(sigma, ctx)
     elif cls is Branch:
         then, orelse = node.then, node.orelse
-        if then is orelse and in_body:  # equal arms share one lowering: run it once
-            def step(sigma, sweep):
-                out = sweep.out
-                start = len(out)
-                then.step(sigma, sweep)
-                out += out[start:]
-        elif then is orelse:
-            def step(sigma, engine):
-                value, exact = then.step(sigma, engine)
-                return engine.algebra.mod_add(value, value), exact
-        elif in_body:  # left arm first: that is the reading order
+        if in_body:  # left arm first: that is the reading order
             def step(sigma, sweep):
                 then.step(sigma, sweep)
                 orelse.step(sigma, sweep)
@@ -551,7 +535,7 @@ def compile_step(node: Node):
             def step(sigma, engine):
                 lv, le = then.step(sigma, engine)
                 rv, re_ = orelse.step(sigma, engine)
-                return engine.algebra.mod_add(lv, rv), le and re_
+                return engine.algebra._add(lv, rv), le and re_
     elif cls is Assign or cls is Weigh:
         step = _run(node)
     else:
@@ -611,7 +595,7 @@ def _run(node: Node):
             return follow(sigma, ctx)
         if not in_body:
             value, exact = follow(sigma, ctx)
-            return algebra.scalar_mul(weight, value), exact
+            return algebra._scale(weight.value, value), exact
         out = ctx.out
         start = len(out)
         follow(sigma, ctx)
@@ -621,8 +605,10 @@ def _run(node: Node):
     return run
 
 
-def _post(sigma: State, engine: Engine) -> tuple[ModuleValue, bool]:
-    return engine._weighting.at(sigma), True
+def _post(sigma: State, engine: Engine) -> tuple:
+    """The query's postweighting at `sigma`, raw, once checked to be over
+    the engine's instance."""
+    return engine.algebra._need(engine._weighting.at(sigma), ModuleValue), True
 
 
 def _read(node: Node):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wgcl.algebra import algebra
 from wgcl import cli, syntax
+from wgcl.operational import OracleResult
 from wgcl.cli import build_parser, main
 from wgcl.parser import parse_program
 from wgcl.syntax import compile_program, print_program
@@ -165,6 +166,19 @@ def test_compare_liberal_reads_post(capsys):
         assert all(line.endswith("agree") for line in lines)
 
 
+@pytest.mark.parametrize("exact, code", [(True, 4), (False, 3)], ids=["exact", "inexact"])
+def test_compare_exits_on_a_differing_oracle(capsys, tmp_path, monkeypatch, exact, code):
+    # an exact oracle that disagrees is a mismatch; an inexact one only
+    # leaves the row inexact
+    f = tmp_path / "nothing.wgcl"
+    f.write_text("@instance tropical\nskip\n", encoding="utf-8")
+    trop = algebra("tropical")
+    monkeypatch.setattr(cli, "op_oracle", lambda *_: OracleResult(trop.value(5), exact))
+    flag = "exact" if exact else "inexact"
+    assert run(capsys, "compare", str(f), "--post", "int(1)", "--state", "x=1") == (
+        code, f"x=1 | 1 | exact | 5 | {flag} | DIFFER\n", "")
+
+
 def test_compare_ski_nd_at_n_100_is_exact_on_both_sides(capsys):
     # 100 laps outrun the fuel; the pairs past the cut form a chain the
     # oracle solves, for op and for olp alike
@@ -308,6 +322,16 @@ def test_the_loop_budget_counts_one_solve_s_own_states(capsys, tmp_path):
                          "--grid", "x=1,y=0..40", "--budget", "50")
     assert (code, err) == (0, "")
     assert out.splitlines() == [f"x=1,y={y} | 0 | exact" for y in range(41)]
+
+
+def test_loops_in_sequence_each_count_their_own_solve_s_states(capsys, tmp_path):
+    # each loop's solve touches its own 601 states, under a budget of 1000
+    f = tmp_path / "two.wgcl"
+    f.write_text("@instance tropical\nx := 600; while (x > 0) { x := x - 1; weigh 1 }; "
+                 "y := 600; while (y > 0) { y := y - 1; weigh 1 }\n", encoding="utf-8")
+    for command in ("wp", "wlp"):
+        assert run(capsys, command, str(f), "--post", "one", "--state", "x=0",
+                   "--fuel", "1000", "--budget", "1000") == (0, "x=0 | 1200 | exact\n", "")
 
 
 def test_grid_row_does_not_borrow_an_uncertified_neighbour(capsys, tmp_path):
@@ -611,6 +635,18 @@ def test_a_long_counting_sum_runs(capsys, tmp_path):
         assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
 
 
+@pytest.mark.parametrize("program", [
+    "if (y > 0) { " * 2000 + "x := x - 1" + " } else { skip }" * 2000,
+    "; ".join(["if (y > 0) { x := x - 1 } else { skip }"] * 2000),
+], ids=["2000 nested ifs", "2000 ifs in sequence"])
+def test_a_program_that_nests_too_deeply_exits_without_traceback(capsys, tmp_path, program):
+    f = tmp_path / "deep.wgcl"
+    f.write_text(f"@instance tropical\n{program}\n", encoding="utf-8")
+    for command in ("wp", "wlp"):
+        assert run(capsys, command, str(f), "--post", "one", "--state", "x=2,y=1") == (
+            2, "", "wgcl: the program nests too deeply\n")
+
+
 def test_a_long_straight_line_program_runs(capsys, tmp_path):
     # a run of assignments is one compiled step, so its length costs no recursion
     f = tmp_path / "long.wgcl"
@@ -622,14 +658,19 @@ def test_a_long_straight_line_program_runs(capsys, tmp_path):
         assert run(capsys, command, str(f), "--post", "int(x)", "--state", "x=0") == (0, row, "")
 
 
-@pytest.mark.parametrize("body", [
-    "if (y > 0) { " * 300 + "x := x - 1" + " } else { skip }" * 300,
-    "; ".join(["while (y > 0) { y := y - 1 }"] * 150) + "; x := x - 1",
-], ids=["300 nested ifs", "150 loops in sequence"])
-def test_a_deep_loop_body_runs(capsys, tmp_path, body):
-    # a body's form steps recurse no deeper than its steps over values did
+@pytest.mark.parametrize("body, in_loop", [
+    ("if (y > 0) { " * 300 + "x := x - 1" + " } else { skip }" * 300, True),
+    ("; ".join(["while (y > 0) { y := y - 1 }"] * 150) + "; x := x - 1", True),
+    ("; ".join(["while (y > 0) { y := y - 1 }"] * 180), False),
+    ("; ".join(["if (y > 0) { x := x - 1 } else { skip }"] * 300), False),
+], ids=["300 nested ifs", "150 loops in sequence", "180 top-level loops in sequence",
+        "300 top-level ifs in sequence"])
+def test_a_deep_loop_body_runs(capsys, tmp_path, body, in_loop):
+    # a body's form steps recurse no deeper than its steps over values did,
+    # and top-level code, run by the steps over values, goes nearly as deep
     f = tmp_path / "deep.wgcl"
-    f.write_text(f"@instance tropical\nwhile (x > 0) {{ {body} }}\n", encoding="utf-8")
+    program = f"while (x > 0) {{ {body} }}" if in_loop else body
+    f.write_text(f"@instance tropical\n{program}\n", encoding="utf-8")
     for command in ("wp", "wlp"):
         assert run(capsys, command, str(f), "--post", "one",
                    "--state", "x=2,y=1") == (0, "x=2,y=1 | 0 | exact\n", "")

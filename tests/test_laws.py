@@ -4,12 +4,15 @@ same exact value on every instance (metamorphic testing, Chen, Cheung and
 Yiu 1998; equivalence modulo inputs, Le, Afshari and Su 2014)."""
 
 import random
+from functools import reduce
 
 import pytest
 
 from wgcl.algebra import NoTopError, algebra
 from wgcl.operational import BudgetError
-from wgcl.syntax import Branch, EvalError, ExprWeighting, Ite, Seq, Weigh, While, WLit
+from wgcl.syntax import (
+    BNot, Branch, EvalError, ExprWeighting, Ite, Seq, Weigh, While, WLit, flatten_seq,
+)
 from wgcl.transformer import Engine, LiberalEngine
 
 from genprog import rand_looping_program, rand_nested_program, rand_state, rand_weighting_expr
@@ -19,9 +22,11 @@ FUEL, BUDGET = 8, 1000
 
 
 def rewrite(prog, law):
-    """`prog` with `law` applied to each statement, children first."""
+    """`prog` with `law` applied to each statement, children first, and to
+    each statement list (a `Seq`'s flattened statements) after its
+    statements.  A law returns what it does not rewrite as it is."""
     if isinstance(prog, Seq):
-        return Seq(rewrite(prog.first, law), rewrite(prog.second, law))
+        return _seq(law([rewrite(s, law) for s in flatten_seq(prog)]))
     if isinstance(prog, Ite):
         prog = Ite(prog.guard, rewrite(prog.then, law), rewrite(prog.orelse, law))
     elif isinstance(prog, While):
@@ -29,6 +34,11 @@ def rewrite(prog, law):
     elif isinstance(prog, Branch):
         prog = Branch(rewrite(prog.left, law), rewrite(prog.right, law))
     return law(prog)
+
+
+def _seq(stmts):
+    """One program of a nonempty statement list, `Seq`s nested to the right."""
+    return reduce(lambda rest, s: Seq(s, rest), reversed(stmts))
 
 
 def arm_swap(prog, alg):
@@ -43,6 +53,41 @@ def unrolling(prog, alg):
         return prog
     skip = Weigh(WLit(alg.mon_one().value))
     return Ite(prog.guard, Seq(prog.body, prog), skip)
+
+
+def negation(prog, alg):
+    """`if (g) { A } else { B }` is `if (not g) { B } else { A }`."""
+    return Ite(BNot(prog.guard), prog.orelse, prog.then) if isinstance(prog, Ite) else prog
+
+
+def distribution(prog, alg):
+    """`({ A } [] { B }); C` is `{ A; C } [] { B; C }`: wp(C) is linear, so
+    sequencing distributes over `[]` from the right.  C is the rest of the
+    list after its first `[]`."""
+    if not isinstance(prog, list):
+        return prog
+    for i, stmt in enumerate(prog[:-1]):
+        if isinstance(stmt, Branch):
+            rest = _seq(prog[i + 1:])
+            return prog[:i] + [Branch(Seq(stmt.left, rest), Seq(stmt.right, rest))]
+    return prog
+
+
+def fusion(prog, alg):
+    """`weigh a; weigh b` is `weigh a.b` for literal weights, multiplied in
+    program order: (a.b) (x) v = a (x) (b (x) v)."""
+    if not isinstance(prog, list):
+        return prog
+    out = []
+    for stmt in prog:
+        if _literal(stmt) and out and _literal(out[-1]):
+            stmt = Weigh(WLit(alg._mul(out.pop().weight.raw, stmt.weight.raw)))
+        out.append(stmt)
+    return out
+
+
+def _literal(stmt) -> bool:
+    return isinstance(stmt, Weigh) and isinstance(stmt.weight, WLit)
 
 
 def _cases():
@@ -70,7 +115,7 @@ def _engine(alg, direction):
 
 
 @pytest.mark.parametrize("direction, floor", [("wp", 700), ("wlp", 550)])
-@pytest.mark.parametrize("law", [arm_swap, unrolling])
+@pytest.mark.parametrize("law", [arm_swap, unrolling, negation, distribution, fusion])
 def test_a_law_keeps_every_exact_value(law, direction, floor):
     compared = 0
     for alg, generate, p, f, sigma in CASES:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgcl.algebra import algebra
+from wgcl.algebra import INF, algebra
+from wgcl.operational import op_oracle
 from wgcl.parser import (
     ParseError, parse_grid, parse_program, parse_state, parse_weighting, tokenize,
 )
@@ -16,7 +17,7 @@ from wgcl.syntax import (
     EvalError, ExprWeighting, Ite, Seq, State, TEmbed, TOne, TScale, Weigh, WEmbedInt,
     WGuarded, While, WLit, WSum,
     compile_arith, compile_bool, compile_program, eval_arith, eval_bool, eval_weight,
-    eval_weighting, fib, print_program,
+    compile_weighting, eval_weighting, fib, print_program,
 )
 from wgcl.transformer import wp_eval
 
@@ -121,6 +122,47 @@ def test_embedding_and_scalar_weightings_are_pinned():
     embed = ABin("+", ABin("*", AInt(2), ABin("-", AVar("x"), AInt(1))), AVar("y"))
     assert parse_weighting("2*(x-1)+y", trop) == WSum((WGuarded(None, TEmbed(embed)),))
     assert parse_weighting("2 * one", trop) == WSum((WGuarded(None, TScale(WLit(2), TOne())),))
+
+
+@pytest.mark.parametrize("instance, post, expected", [
+    ("counting", "2 * (one (+) int(x))", "8"),
+    ("counting", "3 * int(x)", "9"),
+    ("tropical", "2 * int(x)", "5"),
+    ("tropical", "1 * (one (+) int(x))", "1"),
+    ("arctic", "2 * int(x)", "5"),
+    ("arctic", "3 * one", "3"),
+    ("prob", "1/3 * (1/2 * one)", "1/6"),
+    ("prob", "1/2 * ([x > 2] one (+) 1/4)", "5/8"),
+    ("boolean", "false * top", "false"),
+    ("boolean", "1 * one", "true"),
+    ("lang:ab", "a * (b * {ab, eps})", "{ab,abab}"),
+    ("lang:ab", "eps * {a}", "{a}"),
+    ("omegalang:ab", "b * {a(b)^w, eps}", "{b,ba(b)^ω}"),
+    ("omegalang:ab", "ab * one", "{ab}"),
+])
+def test_a_scalar_product_weighting_evaluates_alike_everywhere(instance, post, expected):
+    # `w * term` evaluated, compiled, and read after `x := x + 1` by wp and
+    # by the path oracle
+    alg = algebra(instance)
+    expr = parse_weighting(post, alg)
+    assert isinstance(expr.items[0].term, TScale)
+    value = eval_weighting(expr, State({"x": 3}), alg)
+    assert alg.format_value(value) == expected
+    assert compile_weighting(expr, alg)(State({"x": 3})) == value
+    step = parse_program(f"@instance {instance}\nx := x + 1").program
+    f, sigma = ExprWeighting(alg, expr), State({"x": 2})
+    for res in (wp_eval(step, f, sigma, alg), op_oracle(step, sigma, f, alg)):
+        assert res.exact and res.value == value
+
+
+def test_word_set_sugar_and_literal_weights():
+    om = algebra("omegalang:ab")
+    lit = parse_weighting("{eps, a^w, b(ab)^w}", om)
+    assert om.format_value(eval_weighting(lit, State({}), om)) == "{ε,(a)^ω,(ba)^ω}"
+    for instance, weight, raw in (("lang:ab", "eps", ""), ("omegalang:ab", "eps", ""),
+                                  ("counting", "inf", INF), ("tropical", "inf", INF),
+                                  ("boolean", "1", True)):
+        assert parse_program(f"@instance {instance}\nweigh {weight}").program == Weigh(WLit(raw))
 
 
 def test_arithmetic_guard_names_the_missing_comparison():

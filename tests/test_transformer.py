@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from wgcl import operational, transformer
-from wgcl.algebra import INF, NoTopError, algebra
+from wgcl.algebra import INF, MismatchError, NoTopError, algebra
 from wgcl.operational import (
     BudgetError, DivergenceError, certainly_terminates, olp_oracle, op_oracle, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    EvalError, ExprWeighting, FnWeighting, State, TableWeighting, While, flatten_seq,
-    print_program,
+    EvalError, ExprWeighting, FnWeighting, State, TableWeighting, While, compile_program,
+    flatten_seq, print_program,
 )
 from wgcl.transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, apply_char_fn, as_weighting,
@@ -909,7 +909,7 @@ def test_nested_loops_match_oracles_and_fresh_engines():
 BODY_POSITIONS = {
     # a join reached from two differently weighted arms, at one state
     "join": "{ weigh A } [] { weigh B }; x := x - 1; { weigh C } [] { x := x - 1 }",
-    # equal arms share one lowering, so their form is read once and doubled
+    # equal arms share one lowering, whose form steps both arms run
     "equal arms": "{ x := x - 1; weigh A } [] { x := x - 1; weigh A }; weigh B",
     # the inner loop's exit continues the outer body through a weigh
     "inner exit": "y := x; while (y > 0) { { weigh A } [] { weigh B; y := y - 1 }; "
@@ -934,6 +934,42 @@ def test_every_kind_of_body_position_matches_the_path_oracle(name, instance, wei
             sigma = State({"x": x})
             res, ref = wp_eval(loop, f, sigma, alg), op_oracle(loop, sigma, f, alg)
             assert res.exact and ref.exact and res.value == ref.value, (post, sigma)
+
+
+@pytest.mark.parametrize("program", [
+    "{ x := x - 1; weigh A } [] { x := x - 1; weigh A }; weigh B",
+    "{ x := x - 1; while (x > 0) { x := x - 1; weigh A } } [] "
+    "{ x := x - 1; while (x > 0) { x := x - 1; weigh A } }; weigh B",
+], ids=["straight", "loops"])
+@pytest.mark.parametrize("instance, weights", [
+    ("lang:ab", ("a", "b")), ("prob", ("1/2", "1/3")), ("counting", ("2", "3")),
+    ("omegalang:ab", ("a", "b")),
+], ids=["lang:ab", "prob", "counting", "omegalang:ab"])
+def test_equal_arms_outside_a_loop_body_match_the_path_oracle(program, instance, weights):
+    # the arms share one lowering, which the steps over values run once per arm
+    for letter, weight in zip("AB", weights):
+        program = program.replace(letter, weight)
+    alg = algebra(instance)
+    p = prog(f"@instance {instance}\n{program}").program
+    node = compile_program(p)
+    assert node.then is node.orelse
+    for post in ("one", "[x + y < 0] one"):
+        f = weighting(post, alg)
+        for x in range(4):
+            sigma = State({"x": x})
+            res, ref = wp_eval(p, f, sigma, alg), op_oracle(p, sigma, f, alg)
+            assert res.exact and ref.exact and res.value == ref.value, (post, sigma)
+
+
+@pytest.mark.parametrize("program", [
+    "x := 1", "x := 1; weigh 2", "while (x > 0) { x := x - 1 }",
+], ids=["assignment", "weigh", "loop"])
+def test_a_postweighting_over_another_instance_is_rejected(program):
+    p = prog(f"@instance tropical\n{program}").program
+    f = weighting("int(x)", CNT)
+    for evaluate in (wp_eval, wlp_eval):
+        with pytest.raises(MismatchError):
+            evaluate(p, f, State({"x": 2}), TROP)
 
 
 TRIANGLE = prog("@instance tropical\nwhile (x > 0) { y := x; "
