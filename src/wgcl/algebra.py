@@ -233,9 +233,14 @@ def format_lasso(prefix: str, period: str) -> str:
 class _Tagged:
     """A raw carrier element tagged with its algebra.  Immutable, and equal
     to another exactly when the class, the algebra and the value are; the
-    hash is that of (algebra, value).  The transformer builds one per
-    unknown and operation, so the fields are slots set through their
-    descriptors, without a frozen dataclass's `__init__`."""
+    hash is that of (algebra, value).  Some are still built per step: the
+    weight of each edge `successors` yields and of each weighted run the
+    transformer takes, their products, the compiled postweighting terms,
+    and the oracles' sums and scalings.  So the fields are slots set
+    through their descriptors, without a frozen dataclass's `__init__`.  A
+    frozen slotted dataclass base would not do: under Python 3.11 its
+    subclasses raise `TypeError`, not `AttributeError`, on an attribute
+    with no slot."""
 
     __slots__ = ("algebra", "value")
 

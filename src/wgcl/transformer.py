@@ -150,17 +150,26 @@ class _Solve:
     states of the queried loop and of each loop in its body.  Each gets a
     dense number when a read-off first meets it (`_number`), and the solve
     keeps one entry per number in lists that its sweeps share: the state
-    (`keys`), the loop's tables (`homes`), the raw value (`vals`, None for
-    a read the sweeps did not follow), whether that value is certain
-    (`exact`, None while it is unsolved), the form (`forms`, until its
-    component is solved) and whether a sweep discovered it (`found`).
-    A form is one flat tuple (constant, exact, unknown, coefficient, ...):
-    the body's form steps (see `compile_step`) append each read of a loop
-    head to the sweep's `out` as a (number, coefficient) pair, in reading
-    order, with duplicates merged in place at a join and when the read-off
-    ends (`_summed`).  A read of a state that an earlier query certified
-    (in the engine's final tables, the solve's context) is no unknown: the
-    read-off adds its value, times the coefficient, into the constant.
+    (`keys`), the loop's tables (`homes`), the raw value (`vals`), whether
+    that value is certain (`exact`, None while it is unsolved), the form
+    (`forms`, until its component is solved) and whether a sweep
+    discovered it (`found`).  Every entry holds a value from the moment it
+    is numbered, and there are three kinds:
+
+    * a discovered unknown: the seed, exact None, found;
+    * a read the sweeps did not follow, past a horizon: the seed, exact
+      False, not found, until a later entry follows it and it becomes a
+      discovered unknown;
+    * a read of a state that an earlier query certified (in the engine's
+      final tables, the solve's context): its final value, exact True,
+      not found.
+
+    Only discovered unknowns are solved; the other two are read as they
+    are.  A form is one flat tuple (constant, exact, number, coefficient,
+    ...): the body's form steps (see `compile_step`) append each read of a
+    loop head to the sweep's `out` as a (number, coefficient) pair, in
+    reading order, with duplicates merged in place at a join and when the
+    read-off ends (`_summed`).
 
     1. Discovery: a breadth-first sweep reads off each unknown's form once.
        Where the guard holds, the body's form steps run.  Where it fails,
@@ -177,10 +186,10 @@ class _Solve:
        certified; so does an unknown past the horizon whose read-off
        fails, with those queued behind it.  Within the horizon the node
        budget and a failed read-off raise.  The node budget counts the
-       unknowns this solve discovered.  An unknown whose form reads
-       nothing, a constant, is solved when it is read off; every other one
-       waits for step 3, even one whose reads are all unfollowed so far,
-       since a later entry may follow them.
+       unknowns this solve discovered.  An unknown whose form reads only
+       certified states, or nothing, is solved when it is read off; every
+       other one waits for step 3, even one whose reads are all unfollowed
+       so far, since a later entry may follow them.
     2. Component order: `operational.components` yields the components
        of the dependency graph over the numbers one at a time,
        dependencies first and deepest unknown first within one; that is
@@ -190,13 +199,14 @@ class _Solve:
     3. Solving substitutes forms (`_substitute`), and never runs a body
        again: `operational.settle` solves each component not solved at
        read-off as `components` yields it.  An unknown outside any cycle
-       gets const (+) sum of c (x) X(tau) over its solved dependencies; a
+       gets const (+) sum of c (x) X(tau) over the entries it reads; a
        cyclic component is iterated from the seed, Gauss-Seidel, for at
        most `fuel` passes.  A component is certified when a full pass
        changes nothing and every substitution in it was exact: no
        constant was inexact, no read was left at the seed and every
        dependency outside the component was itself certified.  Its forms
        go then; its certified unknowns go to their loop's final table.
+       Undiscovered entries are in no component and never go there.
 
     An unknown is certified only once its whole reachable set is
     discovered, which is what the sweeps discover, each unknown once.  A
@@ -207,7 +217,7 @@ class _Solve:
 
     __slots__ = ("engine", "node", "outer", "exit", "horizon", "beyond", "queue", "depth",
                  "out", "joins", "algebra", "top", "seed", "unit", "keys", "homes", "vals",
-                 "exact", "forms", "found", "outside", "loops", "count", "home", "ids")
+                 "exact", "forms", "found", "loops", "count", "home", "ids")
 
     def __init__(self, engine: "Engine", node: Node, outer: "_Solve | None" = None):
         self.engine = engine
@@ -231,7 +241,6 @@ class _Solve:
             self.unit = engine._unit
             self.keys, self.homes, self.vals, self.exact, self.forms = [], [], [], [], []
             self.found = bytearray()
-            self.outside: list = []  # the raw values of the certified states read
             self.loops: dict = {}  # per loop node: (numbers, final table)
             self.count = 0  # the unknowns discovered
         else:  # one system: an inner sweep numbers into the solve's lists
@@ -239,7 +248,6 @@ class _Solve:
             self.algebra, self.seed, self.unit = top.algebra, top.seed, top.unit
             self.keys, self.homes, self.vals, self.exact, self.forms, self.found = (
                 top.keys, top.homes, top.vals, top.exact, top.forms, top.found)
-            self.outside = top.outside
         self.home = self.top._home(node)
         self.ids = self.home[0]
 
@@ -251,47 +259,45 @@ class _Solve:
             home = self.loops[node] = ({}, self.engine._finals.setdefault(node, {}))
         return home
 
-    def _number(self, home: tuple, sigma: State, value) -> int:
-        """A new number for the unknown of `home`'s loop at `sigma`."""
-        i = home[0][sigma] = len(self.keys)
+    def _number(self, sigma: State, value, exact) -> int:
+        """A new number for this loop's entry at `sigma`, holding `value` and
+        `exact`, not discovered."""
+        i = self.ids[sigma] = len(self.keys)
         self.keys.append(sigma)
-        self.homes.append(home)
+        self.homes.append(self.home)
         self.vals.append(value)
-        self.exact.append(None)
+        self.exact.append(exact)
         self.forms.append(None)
         self.found.append(0)
         return i
 
     def _touch(self, sigma: State, depth: int) -> int:
-        """The number of this loop's unknown at `sigma`, discovered unless it
-        is known or certified (see `_reach`)."""
+        """The number of this loop's entry at `sigma`, discovered unless it
+        is known: discovered or certified (see `_reach`)."""
         i = self.ids.get(sigma)
-        if i is not None and self.vals[i] is not None:
+        if i is not None and (self.found[i] or self.exact[i]):
             return i
         return self._reach(sigma, depth, i)
 
     def _reach(self, sigma: State, depth: int, i: int | None) -> int:
-        """The number of this loop's unknown at `sigma`, not known yet (`i`
-        is None, or the number of a read met before past a horizon): the
-        mark of a certified state, a negative number whose value the
-        read-off adds into its form's constant (`outside`), else the
-        unknown, discovered unless it is past the horizon where the sweep
-        stops."""
-        final = self.home[1]
-        final = final.get(sigma) if final and i is None else None
-        if final is not None:
-            self.outside.append(final)
-            return -len(self.outside)
+        """The number of this loop's entry at `sigma`, not known yet (`i` is
+        None, or the number of a read met before past a horizon): a
+        certified state's entry, else the unknown, discovered unless it is
+        past the horizon where the sweep stops."""
+        if i is None:
+            final = self.home[1].get(sigma)
+            if final is not None:
+                return self._number(sigma, final, True)
         if depth > self.horizon and not self._go_on():
-            return self._number(self.home, sigma, None) if i is None else i
+            return self._number(sigma, self.seed, False) if i is None else i
         top, budget = self.top, self.engine.node_budget
         if top.count >= budget:
             raise BudgetError(f"loop touched more than {budget} states")
         top.count += 1
         if i is None:
-            i = self._number(self.home, sigma, self.seed)
+            i = self._number(sigma, self.seed, None)
         else:  # met before past a horizon, and followed now
-            self.vals[i] = self.seed
+            self.exact[i] = None
         self.found[i] = 1
         self.queue.append(i)
         return i
@@ -331,27 +337,13 @@ class _Solve:
             return self.exit(sigma, self.engine)
         else:
             step = self.exit
-        const, out = self.engine._zero, []
-        self.out = out  # the read-off's (unknown, coefficient) pairs
+        self.out = out = []  # the read-off's (number, coefficient) pairs
         self.joins.clear()
         step(sigma, self)
         reads = out[::2]
-        if reads and (min(reads) < 0 or len(set(reads)) < len(reads)):
-            const, out = self._merged(const, out)
-        return (const, True, *out)
-
-    def _merged(self, const, pairs: list) -> tuple:
-        """The constant and the (unknown, coefficient) pairs of a read-off,
-        with each certified state read added into the constant, and the
-        unknowns' reads `_summed`."""
-        add, times, outside = self.algebra._add, self.algebra._times, self.outside
-        reads = []
-        for j, c in zip(pairs[::2], pairs[1::2]):
-            if j < 0:
-                const = add(const, times(c, outside[~j]))
-            else:
-                reads.append((j, c))
-        return const, _summed(add, reads)
+        if len(set(reads)) < len(reads):
+            out = _summed(self.algebra._add, zip(reads, out[1::2]))
+        return (self.engine._zero, True, *out)
 
     def _deps(self, i: int) -> list:
         """The unknowns `i` waits on, none once it is solved: those its form
@@ -369,37 +361,37 @@ class _Solve:
         total, exact = next(terms), next(terms)
         algebra, vals, certain = self.algebra, self.vals, self.exact
         add, times = algebra._add, algebra._times
-        for j, c in zip(terms, terms):  # (unknown, coefficient) pairs
-            x = vals[j]
-            if x is None:  # not followed by the sweep
-                x, exact = self.seed, False
-            elif certain[j] is False:
+        for j, c in zip(terms, terms):  # (number, coefficient) pairs
+            if certain[j] is False:  # left at the seed, or solved inexact
                 exact = False
-            total = add(total, times(c, x))
+            total = add(total, times(c, vals[j]))
         return total, exact
 
     def _discover(self, entry: State) -> int:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
-        value if the form is a constant.  The entry's number, or its mark
-        if it is certified (see `_touch`); a sweep is counted only where
-        the entry is discovered."""
+        value if the form reads only certified states (`_substitute`).  The
+        entry's number (see `_touch`); a sweep is counted only where the
+        entry is discovered."""
         r = self._touch(entry, 0)
         queue = self.queue
         if not queue:  # known in this solve, or certified
             return r
         self.engine._passes += 1
-        forms, level_end = self.forms, 1
+        forms, exact, found, level_end = self.forms, self.exact, self.found, 1
         for n, i in enumerate(queue):  # grows while it is walked
             if n == level_end:  # the sweep's next breadth-first level
                 self.depth += 1
                 level_end = len(queue)
             try:
                 forms[i] = form = self._form(i)
-                if len(form) == 2:  # reads nothing: solved already
-                    self.vals[i], self.exact[i] = form
+                # solved already if it reads only certified states, or
+                # nothing; for most forms the first read settles the test
+                if len(form) == 2 or exact[form[2]] and all(
+                        exact[j] and not found[j] for j in form[2::2]):
+                    self.vals[i], exact[i] = self._substitute(i)
             except (BudgetError, EvalError, AlgebraError):
                 for j in queue[n:]:  # the sweep stops; they keep the seed
-                    self.exact[j] = False
+                    exact[j] = False
                 if self.depth <= self.horizon:
                     raise
                 self.engine._capped.add(self.node)
@@ -421,7 +413,7 @@ class _Solve:
                 home[0].clear()
             order = components([r], self._deps, len(self.keys))
 
-        def reads(j):  # `_deps` less its filter, the same to the cycle test: all were found
+        def reads(j):  # `_deps` less its filter, the same to the cycle test of found unknowns
             return forms[j][2::2]
         for component in order:
             i = component[0]
@@ -617,9 +609,9 @@ def _read(node: Node):
     def read(sigma, sweep):
         if sweep.node is not node:
             i = sweep._meet(node, sigma)
-        else:  # the loop's own head: a known unknown needs no call
+        else:  # the loop's own head: a known entry needs no call
             i = sweep.ids.get(sigma)
-            if i is None or sweep.vals[i] is None:
+            if i is None or not (sweep.found[i] or sweep.exact[i]):
                 i = sweep._reach(sigma, sweep.depth + 1, i)
         sweep.out += (i, sweep.unit)
     return read

@@ -101,6 +101,24 @@ def test_check_fixed_mode_conclusions(capsys):
     assert "wp = wlp = invariant" in out
 
 
+E55_INV = "[x>0 and y>0] 2*(x-1)+y (+) [not(x>0 and y>0)] int(0)"
+
+
+@pytest.mark.parametrize("budget, flag", [((), "uct"), (("--budget", "3"), "divergence-possible")],
+                         ids=["default budget", "budget 3"])
+def test_check_fixed_mode_flags_every_row(capsys, budget, flag):
+    # the grid's (position, state) graph is built once for all rows; when it
+    # outgrows the budget, no row is certain to terminate and wp = wlp is
+    # not concluded, while the fixed-point verdicts stand
+    code, out, err = run(capsys, "check", "ex55_arctic", "--post", "int(0)", "--mode", "fixed",
+                         "--grid", "x=0..2,y=0..2", "--invariant", E55_INV, *budget)
+    lines = [f"x={x},y={y} | fixed | {flag}" for x in range(3) for y in range(3)]
+    lines.append("conclusion: invariant is a fixed point of the characteristic function on the grid")
+    if flag == "uct":
+        lines.append("conclusion: wp = wlp = invariant at every checked state")
+    assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
+
+
 def test_check_sub_zero_passes(capsys):
     code, out, _ = run(capsys, "check", "ex410", "--post", "int(0)",
                        "--invariant", "zero", "--mode", "sub",
@@ -132,6 +150,14 @@ def test_check_loop_path_selects_nested(capsys):
                        "--grid", "n=0..4,c=0..1,m=0..2")
     assert code == 0
     assert "wp of the loop <= invariant" in out
+
+
+@pytest.mark.parametrize("path, message", [("5", "loop path index 5 out of range"),
+                                           ("body", "loop path does not select a loop")])
+def test_a_loop_path_that_selects_no_loop_is_a_usage_error(capsys, path, message):
+    code, out, err = run(capsys, "check", "ski_nd", "--post", "one", "--invariant", "int(0)",
+                         "--mode", "fixed", "--state", "n=1,y=1", "--loop-path", path)
+    assert (code, out, err) == (2, "", f"wgcl: {message}\n")
 
 
 def test_compare_knapsack_agrees(capsys):
@@ -300,6 +326,19 @@ def test_wlp_of_a_cycle_behind_many_choices_is_exact_by_the_lasso(capsys, tmp_pa
     for method in ((), ("--method", "lasso")):
         code, out, err = run(capsys, "wlp", str(f), "--post", "zero", *method)
         assert (code, out, err) == (0, " | {(a)^ω} | exact\n", ""), method
+
+
+def test_tropical_divergence_skips_an_inf_edge(capsys, tmp_path):
+    # the cheapest run into the cycle goes through the arm weighed 3; the
+    # arm weighed inf is no route at all
+    f = tmp_path / "infedge.wgcl"
+    f.write_text("@instance tropical\n{ weigh inf } [] { weigh 3 }; while (true) { skip }\n",
+                 encoding="utf-8")
+    for method in ("lasso", "auto"):
+        assert run(capsys, "wlp", str(f), "--post", "zero", "--method", method) == (
+            0, " | 3 | exact\n", ""), method
+    assert run(capsys, "compare", str(f), "--liberal", "--post", "zero") == (
+        0, " | 3 | exact | 3 | exact | agree\n", "")
 
 
 def test_budget_exhaustion_has_its_own_exit_code(capsys):
@@ -568,6 +607,20 @@ def test_compare_ratio_of_minus_infinity_is_undefined(capsys, tmp_path):
                          "--post", "int(0)")
     assert (code, err) == (0, "")
     assert out == "x=1 | -inf | -inf | undefined\nmax ratio on grid: undefined\n"
+
+
+def test_compare_ratio_of_inexact_infinity_is_undefined(capsys, tmp_path):
+    # tropical wp of a loop that never ends is inf, a bound at the horizon
+    # on both sides, so the row is undefined and the exit code 3
+    f = tmp_path / "grow.wgcl"
+    f.write_text("@instance tropical\nwhile (x > 0) { x := x + 1 }\n", encoding="utf-8")
+    assert run(capsys, "compare", str(f), "--ratio", str(f), "--state", "x=1") == (
+        3, "x=1 | inf | inf | undefined\nmax ratio on grid: undefined\n", "")
+
+
+def test_compare_ratio_rejects_programs_over_two_instances(capsys):
+    assert run(capsys, "compare", "ski_nd", "--ratio", "fib") == (
+        2, "", "wgcl: ratio programs must share one algebra instance\n")
 
 
 def test_compare_ratio_rejects_word_instances(capsys, tmp_path):

@@ -638,6 +638,27 @@ def test_an_engine_keeps_final_tables_per_postweighting():
         (TROP.value(4), True, 0), (TROP.value(9), True, 0)]
 
 
+@pytest.mark.parametrize("instance, a, b, expected", [
+    ("lang:ab", "a", "b", "{aaa,aab,aba,abb,baa,bab,bba,bbb}"),
+    ("prob", "1/2", "1/3", "125/216"),
+], ids=["lang", "prob"])
+def test_a_certified_state_read_twice_in_one_read_off(instance, a, b, expected):
+    # both arms of the body at x=3 read the head at x=2, which the first
+    # query certified: one entry holding its final value, read by two
+    # pairs that the read-off adds up, so x=3 is solved when it is read off
+    parsed = prog(f"while (x > 0) {{ {{ x := x - 1; weigh {a} }} [] "
+                  f"{{ x := x - 1; weigh {b} }} }}", instance)
+    alg = parsed.algebra
+    f = weighting("one", alg)
+    engine = Engine(alg, "wp")
+    assert engine.run(parsed.program, f, State({"x": 2})).exact
+    res = engine.run(parsed.program, f, State({"x": 3}))
+    fresh = Engine(alg, "wp").run(parsed.program, f, State({"x": 3}))
+    assert res.value == fresh.value and alg.format_raw(res.value.value) == expected
+    assert res.exact and fresh.exact
+    assert (res.touched_states, res.evaluations, res.iterations) == (1, 1, 1)
+
+
 def test_ski_nd_solves_in_linear_time():
     # every state of the chain n, n-1, ..., 0 is solved once, dependencies
     # first, so the solver's sweeps do not grow with n
