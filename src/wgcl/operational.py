@@ -2,27 +2,23 @@
 
 The step relation `successors` maps a (position, state) pair, where a
 position is a node of the compiled program (`syntax.compile_program`, one
-graph per program object, which the transformer walks too) or TERMINATED,
-to weighted successor pairs.  In the paper, configurations
-also carry a step count and an L/R branch history, so that paths form a
-forest in bijection with nondeterministic resolutions; only
-`enumerate_paths` records those, as each path's depth and `history`.
-The exposed analyses:
+graph per program object, which the transformer walks too) or TERMINATED
+and a state is a key over the program's slots (`syntax.pack`), to
+weighted successor pairs.  Each analysis takes a `State` and packs it
+once.  In the paper, configurations also carry a step count and an L/R
+branch history, so that paths form a forest in bijection with
+nondeterministic resolutions; only `enumerate_paths` records those.  The
+exposed analyses:
 
 * `enumerate_paths` - depth-bounded path listing,
-* `op_oracle` / `olp_oracle` - one walk over the paths cut at depth n:
-  terminated paths add weight (x) post(final state), paths still running
-  add weight (x) zero (op) or weight (x) top (olp, whose limit captures
-  nonterminating behavior).  Past the cut, the pairs the running paths
-  reach are solved dependencies first, which certifies the limit where
-  their iteration stabilizes (olp also takes the lasso below),
+* `op_oracle` / `olp_oracle` - the limits of the path sums cut at depth
+  n, certified by solving the pairs the running paths reach (olp also
+  takes the lasso below),
 * `uct_check` / `certainly_terminates` - certain termination from one
   state (with a lasso counterexample) or from every state of a grid,
 * `diverging_weights` - exact limit of the olp chain for post zero from
   the finite (position, state) quotient graph, where the instance allows
-  it: one pass over its components, dependencies first, that gives a pair
-  on a cycle the weight of going round it forever (tropical: the
-  cheapest route to a zero-weight cycle).
+  it, in one pass over its components.
 
 The quotient graph is the reachable part of the step relation, walked by
 one routine (`_reachable`, which also bounds the oracle's solve);
@@ -49,7 +45,7 @@ from .algebra import (
 )
 from .syntax import (
     TERMINATED, Assign, Branch, EvalError, FnWeighting, Ite, Program, State, Weigh,
-    Weighting, While, compile_program,
+    Weighting, While, compile_program, pack, unpack,
 )
 
 
@@ -61,21 +57,24 @@ class DivergenceError(Exception):
     """The divergence analysis does not apply (instance or cycle structure)."""
 
 
-QNode = tuple  # (position, State)
+QNode = tuple  # (position, key)
 
 
-def successors(position, state: State,
-               algebra: Algebra) -> tuple[tuple[Weight, object, State], ...]:
-    """The one-step relation on (position, state) pairs, as (weight,
-    position, state) triples, the left arm of `[]` first; empty at
-    TERMINATED.  Expressions run as the position's compiled closures
-    (`Node.guard`, `rhs`, `weight`), which the transformer shares."""
+def successors(position, state: tuple,
+               algebra: Algebra) -> tuple[tuple[Weight, object, tuple], ...]:
+    """The one-step relation on (position, state) pairs, each state a key
+    over the program's slots (`syntax.pack`), as (weight, position, state)
+    triples, the left arm of `[]` first; empty at TERMINATED.  Expressions
+    run as the position's compiled closures (`Node.guard`, `rhs`,
+    `weight`), which the transformer shares."""
     if position is TERMINATED:
         return ()
     stmt = position.stmt
     one = algebra.mon_one()
     if isinstance(stmt, Assign):
-        return ((one, position.next, state.set(stmt.var, position.rhs(state))),)
+        after = list(state)
+        after[position.slot] = position.rhs(state)
+        return ((one, position.next, tuple(after)),)
     if isinstance(stmt, Weigh):
         return ((position.weight(state, algebra), position.next, state),)
     if isinstance(stmt, Ite):
@@ -121,8 +120,9 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
     order, i.e. sorted by branch history.
     """
     report = PathReport(paths=[], truncated=False)
-    trace: list[QNode] = []
-    stack = [(compile_program(program), state, 0, (), algebra.mon_one())]
+    trace: list[QNode] = []  # with each state unpacked
+    entry = compile_program(program)
+    stack = [(entry, pack(state, entry.names, True), 0, (), algebra.mon_one())]
     visited = 0
     while stack:
         position, sigma, steps, history, weight = stack.pop()
@@ -130,7 +130,7 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
         if visited > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded")
         del trace[steps:]
-        trace.append((position, sigma))
+        trace.append((position, unpack(sigma, entry.names)))
         if position is TERMINATED or steps >= depth:
             report.paths.append(Path(tuple(trace), history, weight, position is TERMINATED))
             report.truncated |= position is not TERMINATED
@@ -145,22 +145,25 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
 
 
 def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
-            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue]]:
-    """Per depth n = 0..fuel of the forest cut, (live, done): the paths
-    still running, as (position, state, weight), and weight (x) post(final
-    state) summed over those that ended.  Nothing is built past the cut;
-    forest nodes count as in `enumerate_paths`, the root included."""
-    frontier = [(compile_program(program), state, algebra.mon_one())]
+            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue, object]]:
+    """Per depth n = 0..fuel of the forest cut, (live, done, at): the paths
+    still running, as (position, key, weight), weight (x) post(final key)
+    summed over those that ended, and `at` the postweighting at a key
+    (`Weighting.keyed`).  Nothing is built past the cut; forest nodes
+    count as in `enumerate_paths`, the root included."""
+    entry = compile_program(program)
+    key, at = post.keyed(entry.names)
+    frontier = [(entry, key(state), algebra.mon_one())]
     done = algebra.mod_zero()
     nodes = 1
     for n in range(fuel + 1):
         live = []
         for position, sigma, w in frontier:
             if position is TERMINATED:
-                done = algebra.mod_add(done, algebra.scalar_mul(w, post.at(sigma)))
+                done = algebra.mod_add(done, algebra.scalar_mul(w, at(sigma)))
             else:
                 live.append((position, sigma, w))
-        yield live, done
+        yield live, done, at
         if not live or n == fuel:
             return
         frontier = [(position2, sigma2, algebra.mon_mul(w, a)) for position, sigma, w in live
@@ -186,7 +189,7 @@ def _annihilates(a: Weight, algebra: Algebra) -> bool:
     return algebra.has_top and algebra.scalar_mul(a, algebra.top()) == algebra.mod_zero()
 
 
-def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
+def _solve(roots, post, seed: ModuleValue, algebra: Algebra,
            fuel: int) -> tuple[dict, dict]:
     """The value of each pair reachable from `roots`, and whether it is
     certified (absent while unsolved, like `_Solve.exact`), each
@@ -206,7 +209,7 @@ def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
 
     def read(pair) -> tuple[ModuleValue, bool]:
         if pair[0] is TERMINATED:
-            return post.at(pair[1]), True
+            return post(pair[1]), True
         terms, ok = [], True
         for a, position, sigma in edges[pair]:
             terms.append(algebra.scalar_mul(a, value[position, sigma]))
@@ -223,7 +226,7 @@ def _solve(roots, post: Weighting, seed: ModuleValue, algebra: Algebra,
     return value, certain
 
 
-def _limit(live: list, done: ModuleValue, post: Weighting, seed: ModuleValue,
+def _limit(live: list, done: ModuleValue, post, seed: ModuleValue,
            algebra: Algebra, fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
@@ -258,7 +261,8 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     """op(post): the limit of the ascending chain that sums weight (x)
     post(final state) over the paths ended within n steps (see `_limit`);
     uncertified, s_fuel, a lower bound."""
-    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
+    layers = _layers(program, state, post, algebra, fuel, node_budget)
+    live, done, post = deque(layers, maxlen=1).pop()
     try:
         deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
         return _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
@@ -272,8 +276,8 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     to the paths running at depth n (see `_limit`).  Left open there, on
     the instances `diverging_weights` handles, the lasso completes it as
     op(post) (+) olp(zero), exact when op is; else s_fuel, an upper bound."""
-    top = algebra.top()
-    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
+    top, layers = algebra.top(), _layers(program, state, post, algebra, fuel, node_budget)
+    live, done, post = deque(layers, maxlen=1).pop()
     try:
         deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
         result = _limit(live, done, post, top, algebra, fuel)
@@ -294,7 +298,7 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
     """The raw olp chain s_n for post zero, n = 0..fuel (fewer if all paths end)."""
     zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra.top()
     return [_cut_sum(done, live, lambda *_: top, algebra)
-            for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
+            for live, done, _ in _layers(program, state, zero, algebra, fuel, node_budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,8 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
     infinite paths.
     """
     graph: dict[QNode, list[tuple[object, QNode]]] = {}
-    for node, succs in _reachable([(compile_program(program), state)], algebra, node_budget):
+    entry = compile_program(program)
+    for node, succs in _reachable([(entry, pack(state, entry.names))], algebra, node_budget):
         edges = graph[node] = []
         for w, position, sigma in succs:
             edge = (w.value, (position, sigma))
@@ -498,7 +503,8 @@ def certainly_terminates(program: Program, states, algebra: Algebra,
     quotient walked from all of them together; every answer is False if
     that quotient outgrows `node_budget`.  The roots share the program's
     one graph (`compile_program`), so equal positions are one vertex."""
-    roots = [(compile_program(program), sigma) for sigma in states]
+    entry = compile_program(program)
+    roots = [(entry, pack(sigma, entry.names)) for sigma in states]
     try:
         succ = {v: [(p, s) for _, p, s in succs]
                 for v, succs in _reachable(roots, algebra, node_budget)}.__getitem__

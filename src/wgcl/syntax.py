@@ -8,12 +8,13 @@ and trace weighting `weigh a`.  `skip` and the weighted choice
 `compile_program` lowers a program object once into a graph of positions
 (`Node`), one per statement occurrence and kept on the object, which the
 small-step semantics, the oracles and the transformer all walk.
-Each node carries its statement's expression compiled to a closure, and an
-`ExprWeighting` compiles its expression when it is built; the interpretive
-`eval_arith`, `eval_bool`, `eval_weight` and `eval_weighting` are the
-one-shot evaluators and the reference the closures are tested against.  A
-`State` is a tuple of sorted (name, value) pairs, so the state-keyed tables
-of every walk hash and compare it in C.
+Lowering numbers the program's variables, and inside a walk a state is a
+key, an int tuple indexed by those slots (`pack`); a `State` is a state at
+the package's boundary.  Each node carries its statement's expression
+compiled to a closure over a key; the interpretive `eval_arith`,
+`eval_bool`, `eval_weight` and `eval_weighting` are the one-shot
+evaluators over a `State` and the reference the closures are tested
+against.
 
 A weighting is the quantitative counterpart of a predicate: a total
 function from program states to module values.  The syntactic fragment
@@ -139,14 +140,36 @@ class Statement:
     on first use, to its graph of positions (see `compile_program`)."""
 
     @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The variables the program reads or assigns, sorted: its
+        lowering's slots.  The parser sets them as it reads a program."""
+        found, stack = set(), [self]
+        while stack:
+            t = stack.pop()
+            if t.__class__ is AVar:
+                found.add(t.name)
+            elif t.__class__ is Assign:
+                found.add(t.var)
+                stack.append(t.expr)
+            elif t.__class__ is tuple:
+                stack += t
+            elif hasattr(t, "__dict__"):  # a node's fields; a cached lowering, a `Node`, has none
+                stack += t.__dict__.values()
+        return tuple(sorted(found))
+
+    @cached_property
     def _graph(self) -> "Node":
         # kept in the instance `__dict__`, which `==`, `hash` and `repr` do
         # not read.  No table keys on statements: only the arms of a `[]`
         # that are equal statement lists (`flatten_seq`) share one lowering.
+        names = self.names
+
         def lower(prog: Program, nxt, in_body: bool) -> Node:
             for stmt in reversed(flatten_seq(prog)):
-                node = Node(stmt, nxt, in_body)
-                if isinstance(stmt, While):
+                node = Node(stmt, nxt, in_body, names)
+                if isinstance(stmt, Assign):
+                    node.slot = names.index(stmt.var)
+                elif isinstance(stmt, While):
                     node.join = True  # where the loop's entry and its back edge meet
                     node.then = lower(stmt.body, node, True)
                 elif isinstance(stmt, Ite):
@@ -249,36 +272,38 @@ class Node:
     position inside some loop's body; the loop's own position lies in the
     region around it.  Nodes compare by identity.
 
-    The statement's expression, compiled to a closure (see
-    `compile_arith`), is `guard` (state -> bool) on `if` and `while`,
-    `rhs` (state -> int) on an assignment and `weight` ((state, algebra)
-    -> Weight) on `weigh`.  `step` is the transformer's compiled walk from
-    this position (see `transformer.compile_step`), one per position, in
-    its region's mode: over values outside any loop body, over linear
-    forms inside one.  From an assignment or a `weigh` it runs the whole
-    straight-line run that starts here.  Each is built on first use and
-    kept, so every walk over the graph shares it, and a position never
-    evaluated (as in `print`) costs nothing.
+    `names` is the program's `Statement.names`, the slots of a key (`pack`),
+    and an assignment writes slot `slot`.  The statement's expression,
+    compiled to a closure over a key (`compile_arith`), is `guard` on `if`
+    and `while`, `rhs` on an assignment and `weight` (key, algebra) on
+    `weigh`.  `step` is the transformer's compiled walk from here
+    (`transformer.compile_step`), in its region's mode: over values outside
+    any loop body, over linear forms inside one; from an assignment or a
+    `weigh` it runs the whole straight-line run.  Each is built on first
+    use and kept, so every walk shares it, and a position never evaluated
+    (as in `print`) costs nothing.
     """
 
-    __slots__ = ("stmt", "next", "then", "orelse", "join", "in_body", "guard", "rhs",
-                 "weight", "step")
+    __slots__ = ("stmt", "next", "then", "orelse", "join", "in_body", "names", "slot",
+                 "guard", "rhs", "weight", "step")
 
-    def __init__(self, stmt: Program, nxt: "Node | _Terminated", in_body: bool):
+    def __init__(self, stmt: Program, nxt: "Node | _Terminated", in_body: bool,
+                 names: tuple[str, ...]):
         self.stmt = stmt
         self.next = nxt
         self.then = self.orelse = None
         self.join = False
         self.in_body = in_body
+        self.names = names
 
     def __getattr__(self, name: str):
         # called only while a slot is unset: compile it now
         if name == "guard":
-            fn = compile_bool(self.stmt.guard)
+            fn = compile_bool(self.stmt.guard, self.names)
         elif name == "rhs":
-            fn = compile_arith(self.stmt.expr)
+            fn = compile_arith(self.stmt.expr, self.names)
         elif name == "weight":
-            fn = compile_weight(self.stmt.weight)
+            fn = compile_weight(self.stmt.weight, self.names)
         elif name == "step":
             from .transformer import compile_step  # the walk lives there
             fn = compile_step(self)
@@ -305,10 +330,9 @@ class State(tuple):
     """Finitely supported variable valuation; absent variables read as 0.
 
     A state is the tuple of its nonzero (name, value) pairs, sorted by
-    name.  So hashing and equality, which every state-keyed table of the
-    solvers and the quotient walks does, run in C; the hash is that of the
-    sorted pairs.  A state equals the plain tuple of its items, and the
-    empty state is falsy.
+    name, and it equals the plain tuple of its items; the empty state is
+    falsy.  States enter and leave the package as `State`s; a walk packs
+    one into a key once (`pack`) and unpacks a key where a state leaves.
     """
 
     __slots__ = ()
@@ -317,21 +341,10 @@ class State(tuple):
         return tuple.__new__(cls, sorted((k, v) for k, v in (mapping or {}).items() if v != 0))
 
     def get(self, name: str) -> int:
-        for k, v in self:
-            if k == name:
-                return v
-        return 0
+        return dict(self).get(name, 0)
 
     def set(self, name: str, value: int) -> "State":
-        # splice into the sorted items rather than sort again
-        i = 0
-        for k, _ in self:
-            if k >= name:
-                break
-            i += 1
-        rest = self[i + 1:] if i < len(self) and self[i][0] == name else self[i:]
-        items = self[:i] + ((name, value),) + rest if value != 0 else self[:i] + rest
-        return tuple.__new__(State, items)
+        return State({**dict(self), name: value})
 
     def items(self) -> tuple[tuple[str, int], ...]:
         return self
@@ -346,6 +359,20 @@ class State(tuple):
         return ",".join(f"{k}={self.get(k)}" for k in variables)
 
 
+def pack(sigma: State, names: tuple[str, ...], rest: bool = False) -> tuple:
+    """`sigma` as a key over the slots `names`: their values, 0 where
+    absent, and with `rest` the other variables as one trailing `State`."""
+    values = dict(sigma)
+    key = tuple([values.pop(n, 0) for n in names])
+    return key + (State(values),) if rest else key
+
+
+def unpack(key, names: tuple[str, ...]) -> State:
+    """The `State` of a key over the slots `names` (see `pack`)."""
+    rest = key[len(names)] if len(key) > len(names) else ()
+    return State({**dict(rest), **dict(zip(names, key))})
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -354,6 +381,8 @@ class State(tuple):
 # node budget bounds that time.  So a product of more than MAX_INT_BITS
 # bits, and a fib argument above MAX_INT_BITS, are evaluation errors.
 MAX_INT_BITS = 1 << 16
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def eval_arith(e: ArithExpr, sigma: State) -> int:
@@ -391,13 +420,7 @@ def eval_bool(b: BoolExpr, sigma: State) -> bool:
     if isinstance(b, BBool):
         return b.value
     if isinstance(b, BCmp):
-        l = eval_arith(b.left, sigma)
-        r = eval_arith(b.right, sigma)
-        return {
-            "=": l == r, "!=": l != r,
-            "<": l < r, "<=": l <= r,
-            ">": l > r, ">=": l >= r,
-        }[b.op]
+        return _COMPARISONS[b.op](eval_arith(b.left, sigma), eval_arith(b.right, sigma))
     if isinstance(b, BNot):
         return not eval_bool(b.arg, sigma)
     if isinstance(b, BAnd):
@@ -422,32 +445,25 @@ def eval_weight(w: WeightExpr, sigma: State, algebra: Algebra) -> Weight:
 # ---------------------------------------------------------------------------
 # Compiled expressions
 # ---------------------------------------------------------------------------
-# Each expression is compiled once into a closure over a state (Feeley and
-# Lapalme 1987, "Using closures for code generation"), so a walk that
-# evaluates it at every state no longer re-dispatches on its AST.  A
-# closure equals the evaluator above: the same values, the same
-# `EvalError`s, operands left to right, and `and`/`or` short-circuit.  A
-# shape the compiler does not know falls back to the evaluator.
-
-_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# Each expression is compiled once into a closure over a key over the slots
+# `names` (Feeley and Lapalme 1987, "Using closures for code generation"),
+# so a walk that evaluates it at every state no longer re-dispatches on its
+# AST.  A closure equals the evaluator above at the key's `State`: the same
+# values, the same `EvalError`s, operands left to right, and `and`/`or`
+# short-circuit.  A variable not in `names`, then a list, takes the next
+# slot; a shape the compiler does not know falls back to the evaluator.
 
 
-def compile_arith(e: ArithExpr) -> Callable[[State], int]:
+def compile_arith(e: ArithExpr, names: tuple[str, ...]) -> Callable[[tuple], int]:
     if isinstance(e, AInt):
         value = e.value
         return lambda sigma: value
     if isinstance(e, AVar):
-        name = e.name
-
-        def read(sigma):  # State.get, without its call
-            for k, v in sigma:
-                if k == name:
-                    return v
-            return 0
-        return read
+        if e.name not in names:
+            names.append(e.name)
+        return operator.itemgetter(names.index(e.name))
     if isinstance(e, ABin):
-        l, r = compile_arith(e.left), compile_arith(e.right)
+        l, r = compile_arith(e.left, names), compile_arith(e.right, names)
         if e.op == "+":
             return lambda sigma: l(sigma) + r(sigma)
         if e.op == "-":
@@ -460,7 +476,7 @@ def compile_arith(e: ArithExpr) -> Callable[[State], int]:
                 return a * b
             return times
     if isinstance(e, ACall):
-        args = [compile_arith(a) for a in e.args]
+        args = [compile_arith(a, names) for a in e.args]
         if e.fn in ("min", "max"):
             pick = min if e.fn == "min" else max
             if len(args) == 2:
@@ -476,29 +492,29 @@ def compile_arith(e: ArithExpr) -> Callable[[State], int]:
                     raise EvalError(f"fib argument {n} exceeds {MAX_INT_BITS}")
                 return fib(n)
             return fib_of
-    return lambda sigma: eval_arith(e, sigma)
+    return lambda sigma: eval_arith(e, unpack(sigma, names))
 
 
-def compile_bool(b: BoolExpr) -> Callable[[State], bool]:
+def compile_bool(b: BoolExpr, names: tuple[str, ...]) -> Callable[[tuple], bool]:
     if isinstance(b, BBool):
         value = b.value
         return lambda sigma: value
     if isinstance(b, BCmp) and b.op in _COMPARISONS:
-        op, l, r = _COMPARISONS[b.op], compile_arith(b.left), compile_arith(b.right)
+        op, l, r = _COMPARISONS[b.op], compile_arith(b.left, names), compile_arith(b.right, names)
         return lambda sigma: op(l(sigma), r(sigma))
     if isinstance(b, BNot):
-        arg = compile_bool(b.arg)
+        arg = compile_bool(b.arg, names)
         return lambda sigma: not arg(sigma)
     if isinstance(b, BAnd):
-        l, r = compile_bool(b.left), compile_bool(b.right)
+        l, r = compile_bool(b.left, names), compile_bool(b.right, names)
         return lambda sigma: l(sigma) and r(sigma)
     if isinstance(b, BOr):
-        l, r = compile_bool(b.left), compile_bool(b.right)
+        l, r = compile_bool(b.left, names), compile_bool(b.right, names)
         return lambda sigma: l(sigma) or r(sigma)
-    return lambda sigma: eval_bool(b, sigma)
+    return lambda sigma: eval_bool(b, unpack(sigma, names))
 
 
-def compile_weight(w: WeightExpr) -> Callable[[State, Algebra], Weight]:
+def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Algebra], Weight]:
     if isinstance(w, WLit):
         raw, built = w.raw, (None, None)
 
@@ -509,7 +525,7 @@ def compile_weight(w: WeightExpr) -> Callable[[State, Algebra], Weight]:
             return built[1]
         return literal
     if isinstance(w, WEmbedInt):
-        arg = compile_arith(w.expr)
+        arg = compile_arith(w.expr, names)
 
         def embed(sigma, algebra):
             n = arg(sigma)
@@ -518,7 +534,7 @@ def compile_weight(w: WeightExpr) -> Callable[[State, Algebra], Weight]:
             except EmbedError as exc:
                 raise EvalError(str(exc)) from exc
         return embed
-    return lambda sigma, algebra: eval_weight(w, sigma, algebra)
+    return lambda sigma, algebra: eval_weight(w, unpack(sigma, names), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +621,9 @@ def eval_weighting(expr: WeightingExpr, sigma: State, algebra: Algebra) -> Modul
     raise EvalError(f"not a weighting expression: {expr!r}")
 
 
-def compile_weighting(expr: WeightingExpr, algebra: Algebra) -> Callable[[State], ModuleValue]:
-    """`expr` as a closure over a state, equal to `eval_weighting(expr, .,
+def compile_weighting(expr: WeightingExpr, algebra: Algebra,
+                      names: tuple[str, ...]) -> Callable[[tuple], ModuleValue]:
+    """`expr` as a closure over a key, equal to `eval_weighting(expr, .,
     algebra)`: a term behind a failing guard is never evaluated."""
     if isinstance(expr, TZero):
         return lambda sigma: algebra.mod_zero()
@@ -615,7 +632,7 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra) -> Callable[[State]
     if isinstance(expr, TTop):
         return lambda sigma: algebra.top()
     if isinstance(expr, TEmbed):
-        arg = compile_arith(expr.expr)
+        arg = compile_arith(expr.expr, names)
 
         def embed(sigma):
             n = arg(sigma)
@@ -628,11 +645,12 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra) -> Callable[[State]
         raw = expr.raw
         return lambda sigma: algebra.value(raw)
     if isinstance(expr, TScale):
-        weight, term = compile_weight(expr.weight), compile_weighting(expr.term, algebra)
+        weight = compile_weight(expr.weight, names)
+        term = compile_weighting(expr.term, algebra, names)
         return lambda sigma: algebra.scalar_mul(weight(sigma, algebra), term(sigma))
     if isinstance(expr, WSum):
-        items = [(None if item.guard is None else compile_bool(item.guard),
-                  compile_weighting(item.term, algebra)) for item in expr.items]
+        items = [(None if item.guard is None else compile_bool(item.guard, names),
+                  compile_weighting(item.term, algebra, names)) for item in expr.items]
 
         def total(sigma):
             out = algebra.mod_zero()
@@ -641,7 +659,7 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra) -> Callable[[State]
                     out = algebra.mod_add(out, term(sigma))
             return out
         return total
-    return lambda sigma: eval_weighting(expr, sigma, algebra)
+    return lambda sigma: eval_weighting(expr, unpack(sigma, names), algebra)
 
 
 class Weighting:
@@ -652,15 +670,37 @@ class Weighting:
     def at(self, sigma: State) -> ModuleValue:
         raise NotImplementedError
 
+    def keyed(self, names: tuple[str, ...]) -> tuple:
+        """For a walk over a program with slots `names`, built once: how it
+        packs a `State` (`pack`), and the weighting at a key.  The key keeps
+        the input's other variables, constant through the walk, that the
+        weighting can read: here all of them."""
+        built = self.__dict__.setdefault("_keys", {})
+        if names not in built:
+            built[names] = self._keyed(names)
+        return built[names]
+
+    def _keyed(self, names: tuple[str, ...]) -> tuple:
+        return lambda sigma: pack(sigma, names, True), lambda key: self.at(unpack(key, names))
+
 
 class ExprWeighting(Weighting):
-    """A weighting expression over one algebra, compiled when built: `at`
-    is the closure itself (see `compile_weighting`)."""
+    """A weighting expression over one algebra.  Keyed, it is its closure
+    (`compile_weighting`), its other variables in the slots after the
+    program's, so the key keeps only the input variables it reads."""
 
     def __init__(self, algebra: Algebra, expr: WeightingExpr):
         self.algebra = algebra
         self.expr = expr
-        self.at = compile_weighting(expr, algebra)
+
+    def at(self, sigma: State) -> ModuleValue:
+        key, at = self.keyed(())
+        return at(key(sigma))
+
+    def _keyed(self, names: tuple[str, ...]) -> tuple:
+        layout = list(names)  # the expression's other variables join it as it compiles
+        at = compile_weighting(self.expr, self.algebra, layout)
+        return lambda sigma: pack(sigma, layout), at
 
 
 class TableWeighting(Weighting):

@@ -16,51 +16,30 @@ nonterminating behavior, and wlp(f) = wp(f) (+) wlp(zero).
 The recursion runs over the compiled program (`syntax.compile_program`)
 as compiled steps (`compile_step`), one per position, built on first use
 and kept on its `Node`, the way expressions are compiled to closures
-(Feeley and Lapalme 1987).  A step resolves its guard, its arms'
-positions and its continuation when it is compiled; an arm's own step is
-compiled when the arm is first taken, so compiling recurses no deeper
-than running.  A maximal straight-line run
+(Feeley and Lapalme 1987); a state is a key over the program's variable
+slots (`syntax.pack`), packed once per query.  A maximal straight-line run
 of assignments and `weigh`s is one step, as in large-block encoding
-(Beyer et al. 2009): it applies the updates in order, evaluates each
-weight at the state where it stands, multiplies the weights in program
-order and scales once, since (a.b) (x) v = a (x) (b (x) v); so a long
-sequence costs no recursion.  A position has one step, in the mode of
-its region.  Outside any loop body it runs over raw carrier values with
-the `Engine` as its context (`Engine.run` wraps the query's one value),
-ends in f at TERMINATED, solves a loop at its head, and memoizes values
-on the engine for the rest of the query where two paths meet, at the
-positions lowering marks as joins, each loop head among them, so a query
-solves a loop state once however many paths reach it.
-Inside a loop body it is a form step: it reads each loop head as an
-unknown and appends (unknown, coefficient) pairs to the form being read
-off, `[]` its left arm's, then its right arm's, and a run with a weight
-scales those that follow it; a join keeps its pairs, one per unknown,
-for the rest of that read-off.
+(Beyer et al. 2009), so a long sequence costs no recursion.  Outside any
+loop body a step runs over raw carrier values with the `Engine` as its
+context and memoizes values for the rest of the query where two paths
+meet (the joins lowering marks, each loop head among them); inside a
+loop body it is a form step, which reads each loop head as an unknown.
 
 Fixed points over an infinite state space are evaluated lazily, one solve
 per queried loop state (`_Solve`).  Over a fixed loop and postweighting
 the characteristic map is affine in X: at each state it is a constant plus
-a weighted sum of the iterate at the loop heads the body reaches.  A loop
-in the body only adds unknowns, one per (inner loop, state), to that one
-system.  A breadth-first sweep discovers the unknowns from the queried
-state, running the body's form steps once at each to read off that
-linear form; its unknowns are the ones this one reads.  Each unknown is
-numbered when it is first met, and the solve keeps it in lists indexed
-by that number.  An inner loop gets a sweep of its own where it is
-entered.  A sweep goes on past its horizon,
-fuel + 1 body-hops, while it has touched fewer than `Engine.state_cap`
-unknowns, a thousandth of the node budget.  The strongly connected
-components of that dependency graph (`operational.components`) are then
-solved dependencies first (chaotic iteration over a topological order,
-Bourdoncle 1993, where nested loops are nested components of one system)
-by substituting values into the forms, with `operational.settle`, the
-oracle's component solve too: an unknown outside any cycle once, and a
-cyclic component for at most `fuel` passes (Tarjan 1981 and Mohri 2002
-solve path problems from the same per-vertex equations).  So a loop
-that certainly terminates within the cap is solved in time linear in the
-unknowns it touches, whatever the fuel.  An unknown holds its form until
-its component is solved, and only its value after; only certified values
-outlive the solve.
+a weighted sum of the iterate at the loop heads the body reaches, and a
+loop in the body only adds unknowns to that one system.  A breadth-first
+sweep reads off each unknown's linear form once, and goes on past its
+horizon, fuel + 1 body-hops, while it has touched fewer than
+`Engine.state_cap` unknowns.  The strongly connected components of that
+dependency graph (`operational.components`) are then solved dependencies
+first (chaotic iteration, Bourdoncle 1993) by `operational.settle`, the
+oracle's component solve too: an unknown off any cycle once, a cyclic
+component for at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve path
+problems from the same per-vertex equations).  So a loop that certainly
+terminates within the cap is solved in time linear in the unknowns it
+touches, whatever the fuel; only certified values outlive the solve.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -460,9 +439,9 @@ class Engine:
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._posts: dict[object, tuple[Weighting, dict]] = {}  # keyed on f as passed
-        self._weighting: Weighting | None = None  # the query's postweighting
+        self._at = None  # the query's postweighting at a key (`Weighting.keyed`)
         self._finals: dict[Node, dict] = {}  # its loops' final tables
-        self._values: dict[tuple[Node, State], tuple] = {}  # the query's joins
+        self._values: dict[tuple[Node, tuple], tuple] = {}  # the query's joins
         self._zero = algebra._zero()  # the constant of a form read off a body
         self._unit = algebra._module_one()  # the coefficient of a read loop head
         self.state_cap = node_budget // 1000  # states a sweep past the horizon may reach
@@ -476,10 +455,12 @@ class Engine:
         kept = self._posts.get(f)
         if kept is None:
             kept = self._posts[f] = (as_weighting(self.algebra, f), {})
-        self._weighting, self._finals = kept
+        weighting, self._finals = kept
+        entry = compile_program(program)
+        key, self._at = weighting.keyed(entry.names)
         self._values = {}  # only the final tables outlive a query
         self._passes = self._touched = self._evaluations = 0
-        value, exact = compile_program(program).step(sigma, self)
+        value, exact = entry.step(key(sigma), self)
         return TransformResult(ModuleValue(self.algebra, value), exact, self._passes,
                                self._touched, self._evaluations)
 
@@ -562,27 +543,32 @@ def compile_step(node: Node):
 def _run(node: Node):
     """One step for the maximal run of assignments and `weigh`s from
     `node`, up to the first join, loop head or branching position.  It
-    scales what follows by the run's weight: the value, or the
-    coefficients that the form steps after it append."""
+    writes the run's assignments in order into one new key, evaluates each
+    weight where it stands, and scales what follows by the run's weight:
+    the value, or the coefficients that the form steps after it append."""
     in_body = node.in_body
-    actions = []  # (variable, rhs) of an assignment, (None, weight) of a weigh
+    actions = []  # (slot, rhs) of an assignment, (None, weight) of a weigh
     while True:
-        stmt = node.stmt
-        actions.append((stmt.var, node.rhs) if stmt.__class__ is Assign else (None, node.weight))
+        is_assign = node.stmt.__class__ is Assign
+        actions.append((node.slot, node.rhs) if is_assign else (None, node.weight))
         node = node.next
         if node is TERMINATED or node.join or node.stmt.__class__ not in (Assign, Weigh):
             break
     follow = _follow(node, in_body)
+    assigns = any(slot is not None for slot, _ in actions)
 
     def run(sigma, ctx):
         algebra, weight = ctx.algebra, None
-        for var, fn in actions:
-            if var is not None:
-                sigma = sigma.set(var, fn(sigma))
+        state = list(sigma) if assigns else sigma  # the run's one new key
+        for slot, fn in actions:
+            if slot is not None:
+                state[slot] = fn(state)
             elif weight is None:
-                weight = fn(sigma, algebra)
+                weight = fn(state, algebra)
             else:  # in program order: (a.b) (x) v = a (x) (b (x) v)
-                weight = algebra.mon_mul(weight, fn(sigma, algebra))
+                weight = algebra.mon_mul(weight, fn(state, algebra))
+        if assigns:
+            sigma = tuple(state)
         if weight is None:
             return follow(sigma, ctx)
         if not in_body:
@@ -600,7 +586,7 @@ def _run(node: Node):
 def _post(sigma: State, engine: Engine) -> tuple:
     """The query's postweighting at `sigma`, raw, once checked to be over
     the engine's instance."""
-    return engine.algebra._need(engine._weighting.at(sigma), ModuleValue), True
+    return engine.algebra._need(engine._at(sigma), ModuleValue), True
 
 
 def _read(node: Node):

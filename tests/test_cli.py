@@ -240,6 +240,16 @@ def test_paths_trace_format(capsys):
     assert out.splitlines() == ["L | 2 | - | terminal", "R | 3 | - | terminal"]
 
 
+def test_paths_print_each_final_state_without_its_zeros(capsys, tmp_path):
+    # a walk keeps every variable in a slot; a printed state drops a zero
+    # slot, and keeps an input variable the program never mentions
+    f = tmp_path / "zero.wgcl"
+    f.write_text("@instance tropical\nx := 0; y := 2; weigh 1\n", encoding="utf-8")
+    for state, shown in (("x=3", "y=2"), ("x=3,z=4", "y=2,z=4")):
+        code, out, _ = run(capsys, "paths", str(f), "--state", state, "--depth", "5")
+        assert (code, out) == (0, f"- | 1 | {shown} | terminal\n")
+
+
 def test_check_fixed_certain_on_a_long_acyclic_loop(capsys, tmp_path):
     # 6000 laps: an 18001-step run, whose quotient closes acyclic
     f = tmp_path / "count.wgcl"

@@ -55,6 +55,15 @@ def unrolling(prog, alg):
     return Ite(prog.guard, Seq(prog.body, prog), skip)
 
 
+def doubling(prog, alg):
+    """`while (g) { B }` is `while (g) { B; if (g) { B } else { skip } }`,
+    which runs two laps per cycle and so changes the cycle's shape."""
+    if not isinstance(prog, While):
+        return prog
+    skip = Weigh(WLit(alg.mon_one().value))
+    return While(prog.guard, Seq(prog.body, Ite(prog.guard, prog.body, skip)))
+
+
 def negation(prog, alg):
     """`if (g) { A } else { B }` is `if (not g) { B } else { A }`."""
     return Ite(BNot(prog.guard), prog.orelse, prog.then) if isinstance(prog, Ite) else prog
@@ -115,7 +124,7 @@ def _engine(alg, direction):
 
 
 @pytest.mark.parametrize("direction, floor", [("wp", 700), ("wlp", 550)])
-@pytest.mark.parametrize("law", [arm_swap, unrolling, negation, distribution, fusion])
+@pytest.mark.parametrize("law", [arm_swap, unrolling, doubling, negation, distribution, fusion])
 def test_a_law_keeps_every_exact_value(law, direction, floor):
     compared = 0
     for alg, generate, p, f, sigma in CASES:

@@ -14,7 +14,7 @@ from wgcl.operational import (
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    Branch, ExprWeighting, Seq, State, TableWeighting, Weigh, compile_program,
+    Branch, ExprWeighting, Seq, State, TableWeighting, Weigh, compile_program, pack,
     print_program,
 )
 from wgcl.transformer import Engine
@@ -47,8 +47,8 @@ E55 = prog("@instance arctic\nwhile(x>0 and y>0){ { {x := x-1; y := y+1} [] {y :
 
 def test_assign_step():
     position = compile_program(prog("@instance tropical\nx := x+1").program)
-    assert successors(position, State({"x": 0}), TROP) == (
-        (TROP.mon_one(), TERMINATED, State({"x": 1})),)
+    # a state inside a walk is a key, the values of the program's slots
+    assert successors(position, (0,), TROP) == ((TROP.mon_one(), TERMINATED, (1,)),)
 
 
 def test_branch_steps_extend_history_with_unit_weight():
@@ -66,13 +66,13 @@ def test_branch_steps_extend_history_with_unit_weight():
 
 def test_loop_break_step():
     position = compile_program(EX410.program)
-    (step,) = successors(position, State({"x": 3}), TROP)
-    assert step == (TROP.mon_one(), TERMINATED, State({"x": 3}))
+    (step,) = successors(position, (3,), TROP)
+    assert step == (TROP.mon_one(), TERMINATED, (3,))
 
 
 def test_weigh_step_evaluates_per_state():
     weigh = Weigh(parse_program("@instance tropical\nweigh int(y)").program.weight)
-    (step,) = successors(compile_program(weigh), State({"y": 7}), TROP)
+    (step,) = successors(compile_program(weigh), (7,), TROP)
     assert step[0] == TROP.weight(7)
 
 
@@ -260,7 +260,8 @@ def test_the_quotient_is_walked_depth_first_last_successor_first():
                  "[] { { x := 0 } [] { x := 2 } } }"):
         program = prog("@instance counting\n" + text).program
         graph = build_quotient(program, State({}), cnt)
-        assert list(graph) == walk((compile_program(program), State({})), {})
+        entry = compile_program(program)
+        assert list(graph) == walk((entry, pack(State({}), entry.names)), {})
 
 
 def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
@@ -408,8 +409,8 @@ def test_uct_refuted_with_skip_lasso():
     assert res.kind == "refuted"
     prefix, cycle = res.lasso
     assert all(isinstance(node, tuple) for node in cycle)
-    # the lasso cycle keeps the state x=2 throughout
-    assert all(node[1] == State({"x": 2}) for node in cycle)
+    # the lasso cycle keeps the state x=2 throughout, keyed by slot
+    assert all(node[1] == (2,) for node in cycle)
 
 
 def test_uct_one_step_program():

@@ -16,8 +16,8 @@ from wgcl.syntax import (
     MAX_INT_BITS, ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr, Branch,
     EvalError, ExprWeighting, Ite, Seq, State, TEmbed, TOne, TScale, Weigh, WEmbedInt,
     WGuarded, While, WLit, WSum,
-    compile_arith, compile_bool, compile_program, eval_arith, eval_bool, eval_weight,
-    compile_weighting, eval_weighting, fib, print_program,
+    compile_arith, compile_bool, compile_program, compile_weight, eval_arith, eval_bool,
+    eval_weight, compile_weighting, eval_weighting, fib, pack, print_program,
 )
 from wgcl.transformer import wp_eval
 
@@ -148,7 +148,7 @@ def test_a_scalar_product_weighting_evaluates_alike_everywhere(instance, post, e
     assert isinstance(expr.items[0].term, TScale)
     value = eval_weighting(expr, State({"x": 3}), alg)
     assert alg.format_value(value) == expected
-    assert compile_weighting(expr, alg)(State({"x": 3})) == value
+    assert compile_weighting(expr, alg, ("x",))((3,)) == value
     step = parse_program(f"@instance {instance}\nx := x + 1").program
     f, sigma = ExprWeighting(alg, expr), State({"x": 2})
     for res in (wp_eval(step, f, sigma, alg), op_oracle(step, sigma, f, alg)):
@@ -202,6 +202,8 @@ def test_word_exponent_sugar_desugars_to_a_loop():
     parsed = parse_program("@instance lang:ab\nweigh ab^x")
     prog = parsed.program
     assert isinstance(prog, Seq) and isinstance(prog.second, While)
+    # the parser numbers the fresh counter with the program's variables
+    assert prog.names == ("_pow0", "x") == Seq(prog.first, prog.second).names
     # the sugar needs a word instance
     with pytest.raises(ParseError):
         parse_program("@instance tropical\nweigh a^x")
@@ -218,6 +220,8 @@ def test_roundtrip_examples_and_random_programs():
             printed = print_program(prog, alg)
             again = parse_program(printed, instance=name)
             assert again.program == prog, printed
+            # the variables the parser collects are those the lowering walks for
+            assert again.program.names == prog.names, printed
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +385,38 @@ def test_compiled_expressions_equal_the_reference_evaluator(seed):
     trop = algebra("tropical")
     for _ in range(6):
         sigma = rand_state(rng) if rng.random() < 0.7 else _rand_big_state(rng)
-        assert _outcome(ite.guard, sigma) == _outcome(eval_bool, b, sigma)
-        assert _outcome(loop.guard, sigma) == _outcome(eval_bool, b, sigma)
-        assert _outcome(assign.rhs, sigma) == _outcome(eval_arith, e, sigma)
-        assert (_outcome(weigh.weight, sigma, trop)
+        key = pack(sigma, ite.names)  # what the node closures read
+        assert _outcome(ite.guard, key) == _outcome(eval_bool, b, sigma)
+        assert _outcome(loop.guard, key) == _outcome(eval_bool, b, sigma)
+        assert _outcome(assign.rhs, key) == _outcome(eval_arith, e, sigma)
+        assert (_outcome(weigh.weight, key, trop)
                 == _outcome(eval_weight, WEmbedInt(e2), sigma, trop))
         assert _outcome(post.at, sigma) == _outcome(eval_weighting, w, sigma, alg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.dictionaries(st.sampled_from(VARS), st.sampled_from(
+           (0, 1, -2, 3, MAX_INT_BITS + 1, 2 ** 20000, -2 ** 40000))),
+       st.lists(st.sampled_from(VARS + ("w",)), unique=True))
+def test_closures_over_slots_equal_the_evaluators_over_states(seed, values, extra):
+    # a closure compiled over slots, read at the key of a state, gives what
+    # the evaluator gives at the state: the same value or the same EvalError
+    # (the product and fib bounds), also where the state omits a variable,
+    # sets it to 0, or the slots hold variables the expression does not read
+    rng = random.Random(seed)
+    e = rand_arith(rng, 3)
+    if rng.random() < 0.3:
+        e = ACall("fib", (e,))
+    sigma, trop = State(values), algebra("tropical")
+    for expr, compile_expr, evaluate, args in (
+            (e, compile_arith, eval_arith, ()),
+            (rand_bool(rng, 3), compile_bool, eval_bool, ()),
+            (WEmbedInt(rand_arith(rng, 2)), compile_weight, eval_weight, (trop,))):
+        names = list(extra)  # the expression's other variables take the next slots
+        closure = compile_expr(expr, names)
+        assert (_outcome(closure, pack(sigma, names), *args)
+                == _outcome(evaluate, expr, sigma, *args)), (expr, sigma, names)
 
 
 def test_compiled_expressions_keep_bounds_and_evaluation_order():
@@ -416,9 +446,10 @@ def test_compiled_expressions_keep_bounds_and_evaluation_order():
         (compile_bool, eval_bool, BCmp("<", ACall("fib", (AInt(MAX_INT_BITS + 1),)), product),
          beyond, ("error", f"fib argument {MAX_INT_BITS + 1} exceeds {MAX_INT_BITS}")),
     ]
+    names = ("x", "y")  # the closures read a key over these slots
     for compile_expr, evaluate, expr, sigma, expected in cases:
         assert _outcome(evaluate, expr, sigma) == expected, expr
-        assert _outcome(compile_expr(expr), sigma) == expected, expr
+        assert _outcome(compile_expr(expr, names), pack(sigma, names)) == expected, expr
 
 
 def test_lowering_shares_equal_arms_and_links_the_loop_after_a_loop():

@@ -843,6 +843,37 @@ def test_only_certified_loop_values_outlive_a_query(before):
         assert [(r.touched_states, r.evaluations) for r in rows] == counts
 
 
+@pytest.mark.parametrize("kind", ["expression", "function", "table"])
+def test_a_query_keys_an_unread_input_variable_only_where_the_post_can_read_it(kind):
+    # the loop never mentions y.  An expression postweighting that does not
+    # read y keys the loop on x alone, so the rows of one x share their
+    # certified states; one that reads y keys y too, and a function or a
+    # table, which may read any variable, keys every input variable, so
+    # no row reads a value certified for another y
+    countdown = prog("@instance counting\nwhile (x > 0) { x := x - 1; weigh 2 }").program
+    grid = [State({"x": x, "y": y}) for x in (1, 2) for y in range(3)]
+
+    def post(text):
+        f = weighting(text, CNT)
+        if kind == "function":
+            return FnWeighting(CNT, f.at)
+        if kind == "table":  # the loop ends at x=0, y as it was
+            return TableWeighting(CNT, {State({"y": y}): f.at(State({"y": y})) for y in range(3)})
+        return f
+
+    for text, values in (("int(y)", [0, 2, 4, 0, 4, 8]), ("one", [2, 2, 2, 4, 4, 4])):
+        engine, f = Engine(CNT, "wp"), post(text)
+        rows = [engine.run(countdown, f, sigma) for sigma in grid]
+        assert [(r.value, r.exact) for r in rows] == [(CNT.value(v), True) for v in values]
+        fresh = [Engine(CNT, "wp").run(countdown, f, sigma) for sigma in grid]
+        assert [r.value for r in rows] == [r.value for r in fresh]
+        later = [r.touched_states for r in rows[1:3] + rows[4:]]  # after the first of each x
+        if kind == "expression" and text == "one":
+            assert later == [0, 0, 0, 0]
+        else:
+            assert all(later), later
+
+
 def test_a_loop_head_reached_along_many_paths_is_solved_once_per_query():
     # 12 choices reach the loop at one state along 4096 paths; a loop head
     # is a join, where its entry and its back edge meet, so the query solves
