@@ -38,7 +38,7 @@ import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import (
     Algebra, INF, ModuleValue, OmegaLangAlgebra, Weight, make_omega,
@@ -72,9 +72,8 @@ def successors(position, state: tuple,
     stmt = position.stmt
     one = algebra.mon_one()
     if isinstance(stmt, Assign):
-        after = list(state)
-        after[position.slot] = position.rhs(state)
-        return ((one, position.next, tuple(after)),)
+        i = position.slot
+        return ((one, position.next, state[:i] + (position.rhs(state),) + state[i + 1:]),)
     if isinstance(stmt, Weigh):
         return ((position.weight(state, algebra), position.next, state),)
     if isinstance(stmt, Ite):
@@ -145,12 +144,11 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
 
 
 def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
-            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue, object]]:
-    """Per depth n = 0..fuel of the forest cut, (live, done, at): the paths
-    still running, as (position, key, weight), weight (x) post(final key)
-    summed over those that ended, and `at` the postweighting at a key
-    (`Weighting.keyed`).  Nothing is built past the cut; forest nodes
-    count as in `enumerate_paths`, the root included."""
+            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue]]:
+    """Per depth n = 0..fuel of the forest cut, (live, done): the paths
+    still running, as (position, key, weight), and weight (x) post(final
+    key) summed over those that ended.  Nothing is built past the cut;
+    forest nodes count as in `enumerate_paths`, the root included."""
     entry = compile_program(program)
     key, at = post.keyed(entry.names)
     frontier = [(entry, key(state), algebra.mon_one())]
@@ -163,7 +161,7 @@ def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
                 done = algebra.mod_add(done, algebra.scalar_mul(w, at(sigma)))
             else:
                 live.append((position, sigma, w))
-        yield live, done, at
+        yield live, done
         if not live or n == fuel:
             return
         frontier = [(position2, sigma2, algebra.mon_mul(w, a)) for position, sigma, w in live
@@ -189,15 +187,16 @@ def _annihilates(a: Weight, algebra: Algebra) -> bool:
     return algebra.has_top and algebra.scalar_mul(a, algebra.top()) == algebra.mod_zero()
 
 
-def _solve(roots, post, seed: ModuleValue, algebra: Algebra,
+def _solve(roots, at: Callable[[tuple], ModuleValue], seed: ModuleValue, algebra: Algebra,
            fuel: int) -> tuple[dict, dict]:
     """The value of each pair reachable from `roots`, and whether it is
     certified (absent while unsolved, like `_Solve.exact`), each
     component solved by `settle` as `components` yields it, from `seed`
-    on a cycle, and its edges dropped then.  A pair reads post(state) at
-    TERMINATED, else (+) a (x) value(p) over its `successors` (a, p),
-    equal arms counted twice; the read is exact when each p is certified
-    or in the pair's own component, or lies behind an annihilating a."""
+    on a cycle, and its edges dropped then.  A pair reads at(key), the
+    postweighting at its key (`Weighting.keyed`), at TERMINATED, else
+    (+) a (x) value(p) over its `successors` (a, p), equal arms counted
+    twice; the read is exact when each p is certified or in the pair's
+    own component, or lies behind an annihilating a."""
     value, certain, edges = {}, {}, {}  # per pair; edges until its component is out
 
     def after(pair):
@@ -209,7 +208,7 @@ def _solve(roots, post, seed: ModuleValue, algebra: Algebra,
 
     def read(pair) -> tuple[ModuleValue, bool]:
         if pair[0] is TERMINATED:
-            return post(pair[1]), True
+            return at(pair[1]), True
         terms, ok = [], True
         for a, position, sigma in edges[pair]:
             terms.append(algebra.scalar_mul(a, value[position, sigma]))
@@ -226,8 +225,8 @@ def _solve(roots, post, seed: ModuleValue, algebra: Algebra,
     return value, certain
 
 
-def _limit(live: list, done: ModuleValue, post, seed: ModuleValue,
-           algebra: Algebra, fuel: int) -> OracleResult:
+def _limit(live: list, done: ModuleValue, at: Callable[[tuple], ModuleValue],
+           seed: ModuleValue, algebra: Algebra, fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
     when no path is live, or when `_solve`'s certainty is True at each
@@ -250,7 +249,7 @@ def _limit(live: list, done: ModuleValue, post, seed: ModuleValue,
     if not live:
         return OracleResult(done, True)
     roots = [(position, sigma) for position, sigma, _ in live]
-    value, certain = _solve(roots, post, seed, algebra, fuel)
+    value, certain = _solve(roots, at, seed, algebra, fuel)
     if all(certain[p, s] or _annihilates(w, algebra) for p, s, w in live):
         return OracleResult(_cut_sum(done, live, lambda *pair: value[pair], algebra), True)
     return OracleResult(_cut_sum(done, live, lambda *_: seed, algebra), False)
@@ -261,11 +260,11 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     """op(post): the limit of the ascending chain that sums weight (x)
     post(final state) over the paths ended within n steps (see `_limit`);
     uncertified, s_fuel, a lower bound."""
-    layers = _layers(program, state, post, algebra, fuel, node_budget)
-    live, done, post = deque(layers, maxlen=1).pop()
+    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
+    _, at = post.keyed(compile_program(program).names)
     try:
         deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
-        return _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
+        return _limit(live, done, at, algebra.mod_zero(), algebra, fuel)
     except (BudgetError, EvalError):  # too large, or undefined past the cut
         return OracleResult(done, False)
 
@@ -276,15 +275,16 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     to the paths running at depth n (see `_limit`).  Left open there, on
     the instances `diverging_weights` handles, the lasso completes it as
     op(post) (+) olp(zero), exact when op is; else s_fuel, an upper bound."""
-    top, layers = algebra.top(), _layers(program, state, post, algebra, fuel, node_budget)
-    live, done, post = deque(layers, maxlen=1).pop()
+    top = algebra.top()
+    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
+    _, at = post.keyed(compile_program(program).names)
     try:
         deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
-        result = _limit(live, done, post, top, algebra, fuel)
+        result = _limit(live, done, at, top, algebra, fuel)
         if result.exact:
             return result
         check_divergence_analysis(algebra)  # before the op solve
-        op = _limit(live, done, post, algebra.mod_zero(), algebra, fuel)
+        op = _limit(live, done, at, algebra.mod_zero(), algebra, fuel)
         if op.exact:
             diverging = diverging_weights(program, state, algebra, node_budget)
             return OracleResult(algebra.mod_add(op.value, diverging), True)
@@ -298,7 +298,7 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
     """The raw olp chain s_n for post zero, n = 0..fuel (fewer if all paths end)."""
     zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra.top()
     return [_cut_sum(done, live, lambda *_: top, algebra)
-            for live, done, _ in _layers(program, state, zero, algebra, fuel, node_budget)]
+            for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,9 @@ def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNod
 def build_quotient(program: Program, state: State, algebra: Algebra,
                    node_budget: int = 10 ** 6) -> dict[QNode, list[tuple[object, QNode]]]:
     """Reachable (position, state) graph with raw edge weights; the root
-    is its first key.
+    is its first key.  A state here is a key, `pack(state, names, True)`
+    over `compile_program(program).names`: the program's slots, then the
+    input's other variables as one `State` (`unpack` gives the state).
 
     Paths in the computation forest project onto walks in this graph, and
     every walk lifts back, so cycles here are exactly the shapes of
@@ -340,7 +342,8 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
     """
     graph: dict[QNode, list[tuple[object, QNode]]] = {}
     entry = compile_program(program)
-    for node, succs in _reachable([(entry, pack(state, entry.names))], algebra, node_budget):
+    for node, succs in _reachable([(entry, pack(state, entry.names, True))], algebra,
+                                  node_budget):
         edges = graph[node] = []
         for w, position, sigma in succs:
             edge = (w.value, (position, sigma))
@@ -479,8 +482,9 @@ def uct_check(program: Program, state: State, algebra: Algebra,
     `certain(maxlen)` if the quotient closes acyclic (maxlen is its longest
     path); `refuted` if a cycle is reachable, with a lasso (prefix, cycle):
     a shortest route onto a cycle, then a shortest way round it, so that
-    prefix + cycle + [cycle[0]] is a walk from the root; `unknown` if the
-    node budget ran out.
+    prefix + cycle + [cycle[0]] is a walk from the root, each state
+    unpacked from its key in `build_quotient`; `unknown` if the node budget
+    ran out.
     """
     try:
         graph = build_quotient(program, state, algebra, node_budget)
@@ -494,7 +498,10 @@ def uct_check(program: Program, state: State, algebra: Algebra,
         return UctResult("certain", maxlen=longest[root])
     on_cycle = {v for comp in order if cyclic(comp, succ) for v in comp}
     *prefix, entry = [root] if root in on_cycle else _shortest_walk(root, succ, on_cycle)
-    return UctResult("refuted", lasso=(prefix, _shortest_walk(entry, succ, {entry})[:-1]))
+    names = compile_program(program).names
+    lasso = [[(p, unpack(s, names)) for p, s in walk]
+             for walk in (prefix, _shortest_walk(entry, succ, {entry})[:-1])]
+    return UctResult("refuted", lasso=tuple(lasso))
 
 
 def certainly_terminates(program: Program, states, algebra: Algebra,

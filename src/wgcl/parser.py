@@ -160,7 +160,6 @@ class _Parser:
         self.pos = 0
         self.algebra = algebra
         self._fresh = 0
-        self.names: set[str] = set()  # the variables read or assigned (`Statement.names`)
         self._arith_groups: set[int] | None = None
 
     # --- token plumbing ---------------------------------------------------
@@ -237,7 +236,6 @@ class _Parser:
                 pos += 1
             elif typ == "id":
                 node = AVar(tok.lexeme)
-                self.names.add(tok.lexeme)
             elif typ in _CALLS:
                 self.pos = pos
                 node = self.call(tok)
@@ -392,7 +390,6 @@ class _Parser:
         if tok.typ == "id":
             self.next()
             self.expect(":=")
-            self.names.add(tok.lexeme)
             return Assign(tok.lexeme, self.expression(False))
         self.fail(f"expected a statement, found {tok.lexeme or 'end of input'!r}")
 
@@ -409,7 +406,6 @@ class _Parser:
                 raise ParseError(str(exc), word_tok.line, word_tok.col) from exc
             fresh = f"_pow{self._fresh}"
             self._fresh += 1
-            self.names |= {var, fresh}
             return Seq(
                 Assign(fresh, AVar(var)),
                 While(BCmp(">", AVar(fresh), AInt(0)),
@@ -622,7 +618,6 @@ def parse_program(text: str, instance: str | None = None) -> ParsedProgram:
     parser = _Parser(body, alg)
     prog = parser.program()
     parser.expect("eof")
-    prog.__dict__["names"] = tuple(sorted(parser.names))  # as `Statement.names` caches it
     return ParsedProgram(alg, prog)
 
 

@@ -142,7 +142,7 @@ class Statement:
     @cached_property
     def names(self) -> tuple[str, ...]:
         """The variables the program reads or assigns, sorted: its
-        lowering's slots.  The parser sets them as it reads a program."""
+        lowering's slots, found by one walk over its syntax tree."""
         found, stack = set(), [self]
         while stack:
             t = stack.pop()
@@ -671,36 +671,34 @@ class Weighting:
         raise NotImplementedError
 
     def keyed(self, names: tuple[str, ...]) -> tuple:
-        """For a walk over a program with slots `names`, built once: how it
-        packs a `State` (`pack`), and the weighting at a key.  The key keeps
-        the input's other variables, constant through the walk, that the
+        """For a walk over a program with slots `names`: how it packs a
+        `State` (`pack`), and the weighting at a key.  The key keeps the
+        input's other variables, constant through the walk, that the
         weighting can read: here all of them."""
-        built = self.__dict__.setdefault("_keys", {})
-        if names not in built:
-            built[names] = self._keyed(names)
-        return built[names]
-
-    def _keyed(self, names: tuple[str, ...]) -> tuple:
         return lambda sigma: pack(sigma, names, True), lambda key: self.at(unpack(key, names))
 
 
 class ExprWeighting(Weighting):
     """A weighting expression over one algebra.  Keyed, it is its closure
-    (`compile_weighting`), its other variables in the slots after the
-    program's, so the key keeps only the input variables it reads."""
+    (`compile_weighting`), compiled once per `names`, its other variables
+    in the slots after the program's, so the key keeps only the input
+    variables it reads."""
 
     def __init__(self, algebra: Algebra, expr: WeightingExpr):
         self.algebra = algebra
         self.expr = expr
+        self._keyed: dict[tuple[str, ...], tuple] = {}
 
     def at(self, sigma: State) -> ModuleValue:
         key, at = self.keyed(())
         return at(key(sigma))
 
-    def _keyed(self, names: tuple[str, ...]) -> tuple:
-        layout = list(names)  # the expression's other variables join it as it compiles
-        at = compile_weighting(self.expr, self.algebra, layout)
-        return lambda sigma: pack(sigma, layout), at
+    def keyed(self, names: tuple[str, ...]) -> tuple:
+        if names not in self._keyed:
+            layout = list(names)  # the expression's other variables join it as it compiles
+            at = compile_weighting(self.expr, self.algebra, layout)
+            self._keyed[names] = (lambda sigma: pack(sigma, layout), at)
+        return self._keyed[names]
 
 
 class TableWeighting(Weighting):

@@ -238,7 +238,7 @@ class _Solve:
             home = self.loops[node] = ({}, self.engine._finals.setdefault(node, {}))
         return home
 
-    def _number(self, sigma: State, value, exact) -> int:
+    def _number(self, sigma: tuple, value, exact) -> int:
         """A new number for this loop's entry at `sigma`, holding `value` and
         `exact`, not discovered."""
         i = self.ids[sigma] = len(self.keys)
@@ -250,7 +250,7 @@ class _Solve:
         self.found.append(0)
         return i
 
-    def _touch(self, sigma: State, depth: int) -> int:
+    def _touch(self, sigma: tuple, depth: int) -> int:
         """The number of this loop's entry at `sigma`, discovered unless it
         is known: discovered or certified (see `_reach`)."""
         i = self.ids.get(sigma)
@@ -258,7 +258,7 @@ class _Solve:
             return i
         return self._reach(sigma, depth, i)
 
-    def _reach(self, sigma: State, depth: int, i: int | None) -> int:
+    def _reach(self, sigma: tuple, depth: int, i: int | None) -> int:
         """The number of this loop's entry at `sigma`, not known yet (`i` is
         None, or the number of a read met before past a horizon): a
         certified state's entry, else the unknown, discovered unless it is
@@ -293,7 +293,7 @@ class _Solve:
             engine._capped.add(self.node)
         return False
 
-    def _meet(self, node: Node, sigma: State) -> int:
+    def _meet(self, node: Node, sigma: tuple) -> int:
         """The number of the head of `node` at `sigma`, met by a read-off of
         this sweep: discovered in the sweep of that loop if it is this one
         or one around it, else entered, with a sweep of its own."""
@@ -346,7 +346,7 @@ class _Solve:
             total = add(total, times(c, vals[j]))
         return total, exact
 
-    def _discover(self, entry: State) -> int:
+    def _discover(self, entry: tuple) -> int:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
         value if the form reads only certified states (`_substitute`).  The
         entry's number (see `_touch`); a sweep is counted only where the
@@ -378,7 +378,7 @@ class _Solve:
         queue.clear()  # discovery is over
         return r
 
-    def run(self, root: State) -> tuple:
+    def run(self, root: tuple) -> tuple:
         """The raw value at `root` and whether it is certified (steps 1 to 3).
         Certified unknowns become final."""
         r = self._discover(root)
@@ -583,7 +583,7 @@ def _run(node: Node):
     return run
 
 
-def _post(sigma: State, engine: Engine) -> tuple:
+def _post(sigma: tuple, engine: Engine) -> tuple:
     """The query's postweighting at `sigma`, raw, once checked to be over
     the engine's instance."""
     return engine.algebra._need(engine._at(sigma), ModuleValue), True

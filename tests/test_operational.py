@@ -261,7 +261,7 @@ def test_the_quotient_is_walked_depth_first_last_successor_first():
         program = prog("@instance counting\n" + text).program
         graph = build_quotient(program, State({}), cnt)
         entry = compile_program(program)
-        assert list(graph) == walk((entry, pack(State({}), entry.names)), {})
+        assert list(graph) == walk((entry, pack(State({}), entry.names, True)), {})
 
 
 def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
@@ -409,8 +409,14 @@ def test_uct_refuted_with_skip_lasso():
     assert res.kind == "refuted"
     prefix, cycle = res.lasso
     assert all(isinstance(node, tuple) for node in cycle)
-    # the lasso cycle keeps the state x=2 throughout, keyed by slot
-    assert all(node[1] == (2,) for node in cycle)
+    # the lasso cycle keeps the state x=2 throughout
+    assert all(node[1] == State({"x": 2}) for node in cycle)
+
+
+def test_uct_lasso_keeps_the_input_variables_the_program_never_mentions():
+    res = uct_check(EX410.program, State({"x": 2, "z": 5}), TROP)
+    prefix, cycle = res.lasso
+    assert all(node[1] == State({"x": 2, "z": 5}) for node in prefix + cycle)
 
 
 def test_uct_one_step_program():
@@ -525,7 +531,9 @@ def test_lassos_are_walks_and_divergence_matches_the_exact_chain(monkeypatch):
                     lassos[generate] += 1
                     graph = graphs[-1]
                     prefix, cycle = res.lasso
-                    walk = prefix + cycle + [cycle[0]]
+                    # the quotient keys its states (`pack`), the lasso unpacks them
+                    names = compile_program(p).names
+                    walk = [(q, pack(s, names, True)) for q, s in prefix + cycle + [cycle[0]]]
                     assert walk[0] == next(iter(graph))
                     for u, v in zip(walk, walk[1:]):
                         assert v in [s for _, s in graph[u]], (name, p, sigma)

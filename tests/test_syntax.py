@@ -202,8 +202,8 @@ def test_word_exponent_sugar_desugars_to_a_loop():
     parsed = parse_program("@instance lang:ab\nweigh ab^x")
     prog = parsed.program
     assert isinstance(prog, Seq) and isinstance(prog.second, While)
-    # the parser numbers the fresh counter with the program's variables
-    assert prog.names == ("_pow0", "x") == Seq(prog.first, prog.second).names
+    # the lowering numbers the fresh counter with the program's variables
+    assert prog.names == ("_pow0", "x")
     # the sugar needs a word instance
     with pytest.raises(ParseError):
         parse_program("@instance tropical\nweigh a^x")
@@ -220,8 +220,6 @@ def test_roundtrip_examples_and_random_programs():
             printed = print_program(prog, alg)
             again = parse_program(printed, instance=name)
             assert again.program == prog, printed
-            # the variables the parser collects are those the lowering walks for
-            assert again.program.names == prog.names, printed
 
 
 # ---------------------------------------------------------------------------
