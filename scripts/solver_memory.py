@@ -14,10 +14,13 @@ For each case it prints the command's output row and, from a fresh
 (`os.wait4`).  Then it runs the same query in-process through `Engine.run`
 under `tracemalloc` and prints the unknowns touched, the traced peak, and
 the traced peak within each phase of the queried loop's solve: discovery
-(`_Solve._discover` from the queried state), component order (inside
-`operational.components`) and solving (the rest of the solve).  A phase's
-peak includes what earlier phases still hold; where `components` yields
-each component as it is complete, the last two phases take turns.
+(`_Solve._discover` from the queried state), sweep (from there up to
+`operational.components`: the acyclic part, solved in reverse discovery
+order), component order (inside `components`, called only when the sweep
+leaves the queried state unsolved) and solving (the rest of the solve).
+A phase's peak includes what earlier phases still hold; where
+`components` yields each component as it is complete, the last two
+phases take turns.
 Memory allocated before `tracemalloc` starts (imports, the parsed
 program) is not counted.
 """
@@ -67,7 +70,7 @@ class Phases:
             try:
                 return discover(self, entry)
             finally:
-                phases.switch("solving")
+                phases.switch("sweep")
 
         def traced_components(*args):
             phases.switch("component order")
@@ -152,7 +155,7 @@ def main() -> int:
         for (name, path, post, state), (row, wall, rss) in zip(cases, runs):
             touched, peak, phases = traced(path.read_text(encoding="utf-8"), post, state)
             split = ", ".join(f"{phase} {phases.get(phase, 0) / MIB:.1f}"
-                              for phase in ("discovery", "component order", "solving"))
+                              for phase in ("discovery", "sweep", "component order", "solving"))
             print(f"{name}: wp --post {post!r} --state {state}")
             print(f"  row: {row}")
             print(f"  unknowns touched: {touched}")

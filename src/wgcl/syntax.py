@@ -146,15 +146,17 @@ class Statement:
         found, stack = set(), [self]
         while stack:
             t = stack.pop()
-            if t.__class__ is AVar:
+            cls = t.__class__
+            if cls is AVar:
                 found.add(t.name)
-            elif t.__class__ is Assign:
+                continue
+            if cls is Assign:
                 found.add(t.var)
-                stack.append(t.expr)
-            elif t.__class__ is tuple:
-                stack += t
-            elif hasattr(t, "__dict__"):  # a node's fields; a cached lowering, a `Node`, has none
-                stack += t.__dict__.values()
+            for v in (t if cls is tuple else t.__dict__.values()):
+                # only nodes and tuples: a leaf (a name, an int) is never pushed,
+                # and a cached lowering, a `Node`, has no `__dict__`
+                if hasattr(v, "__dict__") or v.__class__ is tuple:
+                    stack.append(v)
         return tuple(sorted(found))
 
     @cached_property

@@ -32,14 +32,18 @@ a weighted sum of the iterate at the loop heads the body reaches, and a
 loop in the body only adds unknowns to that one system.  A breadth-first
 sweep reads off each unknown's linear form once, and goes on past its
 horizon, fuel + 1 body-hops, while it has touched fewer than
-`Engine.state_cap` unknowns.  The strongly connected components of that
-dependency graph (`operational.components`) are then solved dependencies
-first (chaotic iteration, Bourdoncle 1993) by `operational.settle`, the
-oracle's component solve too: an unknown off any cycle once, a cyclic
-component for at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve path
-problems from the same per-vertex equations).  So a loop that certainly
-terminates within the cap is solved in time linear in the unknowns it
-touches, whatever the fuel; only certified values outlive the solve.
+`Engine.state_cap` unknowns.  It numbers each state after the reader that
+first met it, so one pass back down the numbers solves the acyclic part of
+the system, one substitution per unknown in topological order (Tarjan
+1981).  Only what that pass leaves, the cycles and whatever reads them or
+reads back, goes to the strongly connected components of the dependency
+graph (`operational.components`), solved dependencies first (chaotic
+iteration, Bourdoncle 1993) by `operational.settle`, the oracle's
+component solve too: an unknown off any cycle once, a cyclic component for
+at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve path problems from
+the same per-vertex equations).  So a loop that certainly terminates
+within the cap is solved in time linear in the unknowns it touches,
+whatever the fuel; only certified values outlive the solve.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -131,7 +135,7 @@ class _Solve:
     keeps one entry per number in lists that its sweeps share: the state
     (`keys`), the loop's tables (`homes`), the raw value (`vals`), whether
     that value is certain (`exact`, None while it is unsolved), the form
-    (`forms`, until its component is solved) and whether a sweep
+    (`forms`, until it is solved) and whether a sweep
     discovered it (`found`).  Every entry holds a value from the moment it
     is numbered, and there are three kinds:
 
@@ -167,17 +171,28 @@ class _Solve:
        budget and a failed read-off raise.  The node budget counts the
        unknowns this solve discovered.  An unknown whose form reads only
        certified states, or nothing, is solved when it is read off; every
-       other one waits for step 3, even one whose reads are all unfollowed
+       other one waits for step 2, even one whose reads are all unfollowed
        so far, since a later entry may follow them.
-    2. Component order: `operational.components` yields the components
-       of the dependency graph over the numbers one at a time,
-       dependencies first and deepest unknown first within one; that is
-       the Gauss-Seidel order, so it fixes a bound.  An unknown's
-       dependencies are read from its form when the order reaches it
-       (`_deps`); no table keeps them.
-    3. Solving substitutes forms (`_substitute`), and never runs a body
-       again: `operational.settle` solves each component not solved at
-       read-off as `components` yields it.  An unknown outside any cycle
+    2. Back substitution: one pass down the numbers, from the last to the
+       root's, solves each unknown whose reads all hold a value with one
+       `_substitute`.  Breadth first, a read of a new state numbers it
+       after its reader, so on an acyclic system the pass meets each
+       unknown after all it reads (a triangular system), and one
+       substitution each solves it.  Every discovered unknown that holds
+       a value then, solved here or at read-off, drops its form, and goes
+       to its loop's final table if it is certified.
+    3. Component order, only if the root is still unsolved:
+       `operational.components` yields the components of the dependency
+       graph over the numbers one at a time, dependencies first and
+       deepest unknown first within one; that is the Gauss-Seidel order,
+       so it fixes a bound.  An unknown's dependencies are read from its
+       form when the order reaches it (`_deps`); no table keeps them.  A
+       solved unknown has none, so the order holds what step 2 left: the
+       cycles, and the unknowns that read one of them or a back read, an
+       unsolved unknown numbered before its reader.
+    4. Solving substitutes forms (`_substitute`), and never runs a body
+       again: `operational.settle` solves each component not solved yet as
+       `components` yields it.  An unknown outside any cycle
        gets const (+) sum of c (x) X(tau) over the entries it reads; a
        cyclic component is iterated from the seed, Gauss-Seidel, for at
        most `fuel` passes.  A component is certified when a full pass
@@ -379,32 +394,40 @@ class _Solve:
         return r
 
     def run(self, root: tuple) -> tuple:
-        """The raw value at `root` and whether it is certified (steps 1 to 3).
-        Certified unknowns become final."""
+        """The raw value at `root` and whether it is certified (steps 1 to
+        4): back substitution, then `components` and `settle` for what it
+        leaves unsolved, if the root is.  Certified unknowns become final."""
         r = self._discover(root)
-        vals, exact, forms = self.vals, self.exact, self.forms
+        vals, exact, forms, found = self.vals, self.exact, self.forms, self.found
+        keys, homes = self.keys, self.homes
         self.engine._touched += self.count
+        for home in self.loops.values():  # nothing is met any more
+            home[0].clear()
         longest = 0
-        if exact[r] is not None:  # solved when read off
-            order = [[r]]
-        else:
-            for home in self.loops.values():  # nothing is met any more
-                home[0].clear()
-            order = components([r], self._deps, len(self.keys))
-
-        def reads(j):  # `_deps` less its filter, the same to the cycle test of found unknowns
-            return forms[j][2::2]
-        for component in order:
-            i = component[0]
-            if exact[i] is None:  # not solved when read off, nor left at the seed
-                passes, exact[i] = settle(component, reads, vals, self._substitute,
-                                          self.engine.fuel)
+        for i in range(len(keys) - 1, r - 1, -1):  # step 2: what a reader reads comes first
+            if exact[i] is None:
+                if None in map(exact.__getitem__, forms[i][2::2]):
+                    continue  # it reads an unsolved unknown: a cycle or a back read
+                vals[i], exact[i] = self._substitute(i)
+                longest = 1  # a pass, as `settle` counts an unknown off any cycle
+            if found[i] and exact[i] is not None:  # solved: keep the value, not the form
+                forms[i] = None
+                if exact[i]:
+                    homes[i][1][keys[i]] = vals[i]
+        if exact[r] is None:
+            def reads(j):  # `_deps` less its filter, the same to the cycle test of found unknowns
+                return forms[j][2::2]
+            for component in components([r], self._deps, len(keys)):
+                i = component[0]
+                if exact[i] is not None:  # solved in step 2 or when read off
+                    continue
+                passes, certified = settle(component, reads, vals, self._substitute,
+                                           self.engine.fuel)
                 longest = max(longest, passes)
-            certified = exact[i]
-            for i in component:  # solved: keep the value, not the form
-                forms[i], exact[i] = None, certified
-                if certified:
-                    self.homes[i][1][self.keys[i]] = vals[i]
+                for i in component:
+                    forms[i], exact[i] = None, certified
+                    if certified:
+                        homes[i][1][keys[i]] = vals[i]
         self.engine._passes += longest
         return vals[r], exact[r]
 

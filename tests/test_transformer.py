@@ -723,6 +723,61 @@ def test_a_shared_engine_reruns_only_the_window_of_each_uncertified_row():
     assert all(r.touched_states > 60 for r in rows[1:])
 
 
+TRIANGLE = prog("@instance tropical\nwhile (x > 0) { y := x; while (y > 0) { y := y - 1; "
+                "{ weigh 1 } [] { weigh 2 } }; x := x - 1 }")
+BACK_READ = "@instance tropical\nwhile (x > 0) { %s }"
+CHAIN_INTO_CYCLE = prog("@instance tropical\nwhile (x > 0) { if (x > 1) { x := x - 1; weigh 1 } "
+                        "else { { x := 0 } [] { skip } } }")
+
+
+def test_an_acyclic_system_is_solved_by_back_substitution_alone(monkeypatch):
+    # breadth first, each new state is numbered after the read-off that
+    # met it, so one pass down the numbers solves fib's and the triangle's
+    # systems (inner loop states included) with no component walk
+    def no_components(*_):
+        raise AssertionError("components called")
+    monkeypatch.setattr(transformer, "components", no_components)
+    fib = Engine(CNT, "wp").run(FIB.program, weighting(FIB_POST, CNT), State({"n": 23}))
+    assert (fib.value, fib.exact, fib.iterations, fib.touched_states, fib.evaluations) == (
+        CNT.value(75025), True, 2, 1378, 1378)
+    tri = Engine(TROP, "wp").run(TRIANGLE.program, weighting("one", TROP), State({"x": 12}))
+    assert (tri.value, tri.exact, tri.iterations, tri.touched_states, tri.evaluations) == (
+        TROP.value(78), True, 14, 103, 103)
+
+
+def test_a_back_read_on_one_level_is_left_to_components(monkeypatch):
+    # from x=7, left arm first, x=6 (read off second) reads x=5 (numbered
+    # before it) while x=5 is unsolved; with the arms swapped every read is
+    # of a later number
+    walked = []
+
+    def counted(*args):
+        walked.append(args)
+        return operational.components(*args)
+    monkeypatch.setattr(transformer, "components", counted)
+    f, sigma, results = weighting("int(x + 2)", TROP), State({"x": 7}), []
+    for arms in ("{ x := x - 2 } [] { x := x - 1 }", "{ x := x - 1 } [] { x := x - 2 }"):
+        program = prog(BACK_READ % arms).program
+        walked.clear()
+        res = Engine(TROP, "wp").run(program, f, sigma)
+        results.append((res.value, res.exact, res.iterations, res.touched_states, len(walked)))
+        assert op_oracle(program, sigma, f, TROP).value == res.value
+    assert results == [(TROP.value(1), True, 2, 9, 1), (TROP.value(1), True, 2, 9, 0)]
+
+
+def test_a_forward_chain_into_a_cycle_is_solved_after_the_cycle():
+    # x counts down to 1, where { x := 0 } [] { skip } may stay: x=1 is a
+    # cycle, so no state above it is solved by back substitution
+    f = weighting("one", TROP)
+    for direction, iterations in (("wp", 3), ("wlp", 2)):
+        engine = Engine(TROP, direction)
+        res = engine.run(CHAIN_INTO_CYCLE.program, f, State({"x": 5}))
+        assert (res.value, res.exact, res.iterations, res.touched_states, res.evaluations) == (
+            TROP.value(4), True, iterations, 6, 6)
+        again = engine.run(CHAIN_INTO_CYCLE.program, f, State({"x": 3}))
+        assert (again.value, again.exact, again.touched_states) == (TROP.value(2), True, 0)
+
+
 def test_deepening_certifies_a_chain_longer_than_the_horizon():
     # the sweep goes past fuel + 1 hops until the chain n, n-1, ..., 0 is
     # discovered, so the near grid is exact at the default fuel; the later
