@@ -233,10 +233,10 @@ def format_lasso(prefix: str, period: str) -> str:
 class _Tagged:
     """A raw carrier element tagged with its algebra.  Immutable, and equal
     to another exactly when the class, the algebra and the value are; the
-    hash is that of (algebra, value).  Some are still built per step: the
-    weight of each edge `successors` yields and of each weighted run the
-    transformer takes, their products, the compiled postweighting terms,
-    and the oracles' sums and scalings.  So the fields are slots set
+    hash is that of (algebra, value).  The walks (the step relation, the
+    oracles and the transformer's steps) run over raw carrier values and
+    wrap only what leaves them, but a compiled postweighting still builds
+    one per term at each key it reads.  So the fields are slots set
     through their descriptors, without a frozen dataclass's `__init__`.  A
     frozen slotted dataclass base would not do: under Python 3.11 its
     subclasses raise `TypeError`, not `AttributeError`, on an attribute
@@ -358,12 +358,12 @@ class Algebra:
         return Weight(self, self._mul(self._need(a, Weight), self._need(b, Weight)))
 
     def mon_one(self) -> Weight:
-        return self._unit
+        return Weight(self, self._unit)
 
     @cached_property
-    def _unit(self) -> Weight:
-        # built once per instance: the step relation asks for it on every step
-        return Weight(self, self._one())
+    def _unit(self):
+        # the raw unit, built once per instance: every step but a `weigh` weighs it
+        return self._one()
 
     def mod_add(self, u: ModuleValue, v: ModuleValue) -> ModuleValue:
         return ModuleValue(self, self._add(self._need(u, ModuleValue), self._need(v, ModuleValue)))

@@ -17,7 +17,9 @@ terminal width (COLUMNS) are still read on each call.
 
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
-failed, 5 a node budget was exhausted.  Integers print in full, at any size.
+failed, 5 a node budget was exhausted.  A reader that closes the output
+pipe early (`| head`) ends the command quietly, with 0.  Integers print in
+full, at any size.
 WGCL_FUEL overrides the default fuel of the commands that take --fuel (all
 but `paths` and `print`); like --fuel, --budget, --depth and --max-grid it
 must be a non-negative integer.  --state and --grid exclude each other, as
@@ -378,7 +380,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command][2](args)
+        code = COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the rows were not wanted: send what is left, and the flush at exit,
+        # to the null device (see the SIGPIPE note of the `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return OK
     except CliError as exc:
         print(f"wgcl: {exc}", file=sys.stderr)
         return exc.code

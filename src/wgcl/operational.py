@@ -4,7 +4,13 @@ The step relation `successors` maps a (position, state) pair, where a
 position is a node of the compiled program (`syntax.compile_program`, one
 graph per program object, which the transformer walks too) or TERMINATED
 and a state is a key over the program's slots (`syntax.pack`), to
-weighted successor pairs.  Each analysis takes a `State` and packs it
+weighted successor pairs.  Each position's step is compiled once
+(`compile_successors`, kept on its `Node`), and its weights are raw
+carrier values.  Every walk below adds, scales and multiplies raw values
+(`Algebra._add`, `_scale`, `_mul`) and wraps a value only where it
+leaves: `OracleResult.value`, `Path.weight`, the `olp_chain` list; the
+postweighting is checked to be over the walk's instance (`Algebra._need`)
+at each pair that reads it.  Each analysis takes a `State` and packs it
 once.  In the paper, configurations also carry a step count and an L/R
 branch history, so that paths form a forest in bijection with
 nondeterministic resolutions; only `enumerate_paths` records those.  The
@@ -61,30 +67,41 @@ QNode = tuple  # (position, key)
 
 
 def successors(position, state: tuple,
-               algebra: Algebra) -> tuple[tuple[Weight, object, tuple], ...]:
+               algebra: Algebra) -> tuple[tuple[object, object, tuple], ...]:
     """The one-step relation on (position, state) pairs, each state a key
-    over the program's slots (`syntax.pack`), as (weight, position, state)
-    triples, the left arm of `[]` first; empty at TERMINATED.  Expressions
-    run as the position's compiled closures (`Node.guard`, `rhs`,
-    `weight`), which the transformer shares."""
+    over the program's slots (`syntax.pack`), as (raw weight, position,
+    state) triples, the left arm of `[]` first; empty at TERMINATED.  Each
+    position runs its compiled step (`Node.successors`, built by
+    `compile_successors`)."""
     if position is TERMINATED:
         return ()
-    stmt = position.stmt
-    one = algebra.mon_one()
-    if isinstance(stmt, Assign):
-        i = position.slot
-        return ((one, position.next, state[:i] + (position.rhs(state),) + state[i + 1:]),)
-    if isinstance(stmt, Weigh):
-        return ((position.weight(state, algebra), position.next, state),)
-    if isinstance(stmt, Ite):
-        chosen = position.then if position.guard(state) else position.orelse
-        return ((one, chosen, state),)
-    if isinstance(stmt, Branch):
-        return ((one, position.then, state), (one, position.orelse, state))
-    if isinstance(stmt, While):
-        follow = position.then if position.guard(state) else position.next
-        return ((one, follow, state),)
-    raise TypeError(f"not a program node: {stmt!r}")
+    return position.successors(state, algebra)
+
+
+def compile_successors(node):
+    """The step relation at `node` as a closure (key, algebra) -> its
+    successor triples, the statement kind chosen here, once.  Expressions
+    run as the node's compiled closures (`Node.guard`, `rhs`, `weight`),
+    which the transformer shares; every step but a `weigh` weighs the
+    unit, `Algebra._unit`."""
+    cls, nxt, then, orelse = node.stmt.__class__, node.next, node.then, node.orelse
+    if cls is Assign:
+        i, rhs = node.slot, node.rhs
+        return lambda sigma, algebra: (
+            (algebra._unit, nxt, sigma[:i] + (rhs(sigma),) + sigma[i + 1:]),)
+    if cls is Weigh:
+        weight = node.weight
+        return lambda sigma, algebra: ((weight(sigma, algebra), nxt, sigma),)
+    if cls is Ite:
+        guard = node.guard
+        return lambda sigma, algebra: ((algebra._unit, then if guard(sigma) else orelse, sigma),)
+    if cls is Branch:
+        return lambda sigma, algebra: (
+            (algebra._unit, then, sigma), (algebra._unit, orelse, sigma))
+    if cls is While:
+        guard = node.guard
+        return lambda sigma, algebra: ((algebra._unit, then if guard(sigma) else nxt, sigma),)
+    raise TypeError(f"not a program node: {node.stmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +138,8 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
     report = PathReport(paths=[], truncated=False)
     trace: list[QNode] = []  # with each state unpacked
     entry = compile_program(program)
-    stack = [(entry, pack(state, entry.names, True), 0, (), algebra.mon_one())]
+    mul = algebra._mul
+    stack = [(entry, pack(state, entry.names, True), 0, (), algebra._unit)]
     visited = 0
     while stack:
         position, sigma, steps, history, weight = stack.pop()
@@ -131,7 +149,8 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
         del trace[steps:]
         trace.append((position, unpack(sigma, entry.names)))
         if position is TERMINATED or steps >= depth:
-            report.paths.append(Path(tuple(trace), history, weight, position is TERMINATED))
+            report.paths.append(Path(tuple(trace), history, Weight(algebra, weight),
+                                     position is TERMINATED))
             report.truncated |= position is not TERMINATED
             continue
         branch = isinstance(position.stmt, Branch)
@@ -139,41 +158,46 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
         succs = zip("LR", successors(position, sigma, algebra))
         for letter, (w, nxt, sigma2) in reversed(list(succs)):
             stack.append((nxt, sigma2, steps + 1, history + (letter,) if branch else history,
-                          algebra.mon_mul(weight, w)))
+                          mul(weight, w)))
     return report
 
 
 def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
-            fuel: int, node_budget: int) -> Iterator[tuple[list, ModuleValue]]:
+            fuel: int, node_budget: int) -> Iterator[tuple[list, object]]:
     """Per depth n = 0..fuel of the forest cut, (live, done): the paths
-    still running, as (position, key, weight), and weight (x) post(final
-    key) summed over those that ended.  Nothing is built past the cut;
-    forest nodes count as in `enumerate_paths`, the root included."""
+    still running, as (position, key, raw weight), and weight (x)
+    post(final key) summed over those that ended, raw.  Nothing is built
+    past the cut; forest nodes count as in `enumerate_paths`, the root
+    included."""
     entry = compile_program(program)
     key, at = post.keyed(entry.names)
-    frontier = [(entry, key(state), algebra.mon_one())]
-    done = algebra.mod_zero()
+    need, add, scale, mul = algebra._need, algebra._add, algebra._scale, algebra._mul
+    frontier = [(entry, key(state), algebra._unit)]
+    done = algebra._zero()
     nodes = 1
     for n in range(fuel + 1):
         live = []
         for position, sigma, w in frontier:
             if position is TERMINATED:
-                done = algebra.mod_add(done, algebra.scalar_mul(w, at(sigma)))
+                done = add(done, scale(w, need(at(sigma), ModuleValue)))
             else:
                 live.append((position, sigma, w))
         yield live, done
         if not live or n == fuel:
             return
-        frontier = [(position2, sigma2, algebra.mon_mul(w, a)) for position, sigma, w in live
+        frontier = [(position2, sigma2, mul(w, a)) for position, sigma, w in live
                     for a, position2, sigma2 in successors(position, sigma, algebra)]
         nodes += len(frontier)
         if nodes > node_budget:
             raise BudgetError(f"node budget {node_budget} exceeded")
 
 
-def _cut_sum(done: ModuleValue, live: list, value, algebra: Algebra) -> ModuleValue:
-    """done (+) weight (x) value(position, state) over the live paths."""
-    return algebra.big_add([done] + [algebra.scalar_mul(w, value(p, s)) for p, s, w in live])
+def _cut_sum(done, live: list, value, algebra: Algebra):
+    """done (+) weight (x) value(position, state) over the live paths, raw."""
+    add, scale = algebra._add, algebra._scale
+    for p, s, w in live:
+        done = add(done, scale(w, value(p, s)))
+    return done
 
 
 @dataclass
@@ -182,22 +206,24 @@ class OracleResult:
     exact: bool
 
 
-def _annihilates(a: Weight, algebra: Algebra) -> bool:
-    """a (x) top = zero, so that a (x) x = zero for every x."""
-    return algebra.has_top and algebra.scalar_mul(a, algebra.top()) == algebra.mod_zero()
+def _annihilates(a, algebra: Algebra) -> bool:
+    """a (x) top = zero, so that a (x) x = zero for every x (raw a)."""
+    return algebra.has_top and algebra._scale(a, algebra._top()) == algebra._zero()
 
 
-def _solve(roots, at: Callable[[tuple], ModuleValue], seed: ModuleValue, algebra: Algebra,
+def _solve(roots, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
            fuel: int) -> tuple[dict, dict]:
     """The value of each pair reachable from `roots`, and whether it is
     certified (absent while unsolved, like `_Solve.exact`), each
     component solved by `settle` as `components` yields it, from `seed`
-    on a cycle, and its edges dropped then.  A pair reads at(key), the
-    postweighting at its key (`Weighting.keyed`), at TERMINATED, else
+    on a cycle, and its edges dropped then; values are raw.  A pair reads
+    at(key), the postweighting at its key (`Weighting.keyed`), checked to
+    be over `algebra`, at TERMINATED, else
     (+) a (x) value(p) over its `successors` (a, p), equal arms counted
     twice; the read is exact when each p is certified or in the pair's
     own component, or lies behind an annihilating a."""
     value, certain, edges = {}, {}, {}  # per pair; edges until its component is out
+    need, add, scale, zero = algebra._need, algebra._add, algebra._scale, algebra._zero()
 
     def after(pair):
         return [(position, sigma) for _, position, sigma in edges[pair]]
@@ -206,14 +232,14 @@ def _solve(roots, at: Callable[[tuple], ModuleValue], seed: ModuleValue, algebra
         edges[pair] = successors(*pair, algebra)
         return after(pair)
 
-    def read(pair) -> tuple[ModuleValue, bool]:
+    def read(pair) -> tuple[object, bool]:
         if pair[0] is TERMINATED:
-            return at(pair[1]), True
-        terms, ok = [], True
+            return need(at(pair[1]), ModuleValue), True
+        total, ok = zero, True
         for a, position, sigma in edges[pair]:
-            terms.append(algebra.scalar_mul(a, value[position, sigma]))
+            total = add(total, scale(a, value[position, sigma]))
             ok = ok and (certain.get((position, sigma)) is not False or _annihilates(a, algebra))
-        return algebra.big_add(terms), ok
+        return total, ok
 
     for component in components(roots, step):
         for pair in component:  # a cycle's passes start here; off a cycle it is overwritten
@@ -225,13 +251,14 @@ def _solve(roots, at: Callable[[tuple], ModuleValue], seed: ModuleValue, algebra
     return value, certain
 
 
-def _limit(live: list, done: ModuleValue, at: Callable[[tuple], ModuleValue],
-           seed: ModuleValue, algebra: Algebra, fuel: int) -> OracleResult:
+def _limit(live: list, done, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
+           fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
     when no path is live, or when `_solve`'s certainty is True at each
     live pair whose path weight w does not annihilate, as done (+) w (x)
-    value(pair) over the live paths; else s_fuel.  Each oracle first
+    value(pair) over the live paths; else s_fuel.  `done`, the weights
+    and `seed` are raw, and the result is wrapped.  Each oracle first
     walks the pairs once, before its first solve, keeping only the set
     seen: BudgetError past `node_budget` of them, EvalError at an
     undefined step.
@@ -247,12 +274,14 @@ def _limit(live: list, done: ModuleValue, at: Callable[[tuple], ModuleValue],
     natural order, zero least and top greatest, as on every instance.
     """
     if not live:
-        return OracleResult(done, True)
+        return OracleResult(ModuleValue(algebra, done), True)
     roots = [(position, sigma) for position, sigma, _ in live]
     value, certain = _solve(roots, at, seed, algebra, fuel)
     if all(certain[p, s] or _annihilates(w, algebra) for p, s, w in live):
-        return OracleResult(_cut_sum(done, live, lambda *pair: value[pair], algebra), True)
-    return OracleResult(_cut_sum(done, live, lambda *_: seed, algebra), False)
+        total, exact = _cut_sum(done, live, lambda *pair: value[pair], algebra), True
+    else:
+        total, exact = _cut_sum(done, live, lambda *_: seed, algebra), False
+    return OracleResult(ModuleValue(algebra, total), exact)
 
 
 def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
@@ -264,9 +293,9 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     _, at = post.keyed(compile_program(program).names)
     try:
         deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
-        return _limit(live, done, at, algebra.mod_zero(), algebra, fuel)
+        return _limit(live, done, at, algebra._zero(), algebra, fuel)
     except (BudgetError, EvalError):  # too large, or undefined past the cut
-        return OracleResult(done, False)
+        return OracleResult(ModuleValue(algebra, done), False)
 
 
 def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
@@ -275,7 +304,7 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     to the paths running at depth n (see `_limit`).  Left open there, on
     the instances `diverging_weights` handles, the lasso completes it as
     op(post) (+) olp(zero), exact when op is; else s_fuel, an upper bound."""
-    top = algebra.top()
+    top = algebra._top()
     live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     _, at = post.keyed(compile_program(program).names)
     try:
@@ -284,20 +313,21 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
         if result.exact:
             return result
         check_divergence_analysis(algebra)  # before the op solve
-        op = _limit(live, done, at, algebra.mod_zero(), algebra, fuel)
+        op = _limit(live, done, at, algebra._zero(), algebra, fuel)
         if op.exact:
             diverging = diverging_weights(program, state, algebra, node_budget)
             return OracleResult(algebra.mod_add(op.value, diverging), True)
     except (BudgetError, EvalError, DivergenceError):
         pass
-    return OracleResult(_cut_sum(done, live, lambda *_: top, algebra), False)
+    return OracleResult(ModuleValue(algebra, _cut_sum(done, live, lambda *_: top, algebra)),
+                        False)
 
 
 def olp_chain(program: Program, state: State, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
-    """The raw olp chain s_n for post zero, n = 0..fuel (fewer if all paths end)."""
-    zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra.top()
-    return [_cut_sum(done, live, lambda *_: top, algebra)
+    """The olp chain s_n itself for post zero, n = 0..fuel (fewer if all paths end)."""
+    zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra._top()
+    return [ModuleValue(algebra, _cut_sum(done, live, lambda *_: top, algebra))
             for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
 
 
@@ -308,16 +338,15 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNode, tuple]]:
     """Each (position, state) pair reachable from `roots`, once, with its
     `successors` triples: depth first, a pair's successors last to first.
-    A pair is marked when it is entered, and only the successors still to
-    be entered are kept.  Raises BudgetError when more than `node_budget`
-    pairs are reachable."""
+    One flat stack holds the pairs still to enter, a successor pushed
+    unless it was entered already; a pair is marked when it is popped and
+    entered.  Raises BudgetError when more than `node_budget` pairs are
+    reachable."""
     seen: set[QNode] = set()
-    todo = [list(reversed(roots))] if roots else []  # per entered pair, the rest to enter
+    todo = list(reversed(roots))
+    push = todo.append
     while todo:
-        rest = todo[-1]
-        node = rest.pop()
-        if not rest:
-            todo.pop()
+        node = todo.pop()
         if node in seen:
             continue
         if len(seen) >= node_budget:
@@ -325,8 +354,9 @@ def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNod
         seen.add(node)
         succs = successors(*node, algebra)
         yield node, succs
-        if succs:
-            todo.append([(position, sigma) for _, position, sigma in succs])
+        for _, position, sigma in succs:
+            if (position, sigma) not in seen:
+                push((position, sigma))
 
 
 def build_quotient(program: Program, state: State, algebra: Algebra,
@@ -346,7 +376,7 @@ def build_quotient(program: Program, state: State, algebra: Algebra,
                                   node_budget):
         edges = graph[node] = []
         for w, position, sigma in succs:
-            edge = (w.value, (position, sigma))
+            edge = (w, (position, sigma))
             if edge not in edges:  # equal branch arms collapse in the quotient
                 edges.append(edge)
     return graph

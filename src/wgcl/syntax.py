@@ -278,7 +278,10 @@ class Node:
     and an assignment writes slot `slot`.  The statement's expression,
     compiled to a closure over a key (`compile_arith`), is `guard` on `if`
     and `while`, `rhs` on an assignment and `weight` (key, algebra) on
-    `weigh`.  `step` is the transformer's compiled walk from here
+    `weigh`, a raw weight.  `successors` (key, algebra) is the position's
+    step relation (`operational.compile_successors`): its (raw weight,
+    position, key) triples, the statement kind chosen once, when it is
+    built.  `step` is the transformer's compiled walk from here
     (`transformer.compile_step`), in its region's mode: over values outside
     any loop body, over linear forms inside one; from an assignment or a
     `weigh` it runs the whole straight-line run.  Each is built on first
@@ -287,7 +290,7 @@ class Node:
     """
 
     __slots__ = ("stmt", "next", "then", "orelse", "join", "in_body", "names", "slot",
-                 "guard", "rhs", "weight", "step")
+                 "guard", "rhs", "weight", "successors", "step")
 
     def __init__(self, stmt: Program, nxt: "Node | _Terminated", in_body: bool,
                  names: tuple[str, ...]):
@@ -306,6 +309,9 @@ class Node:
             fn = compile_arith(self.stmt.expr, self.names)
         elif name == "weight":
             fn = compile_weight(self.stmt.weight, self.names)
+        elif name == "successors":
+            from .operational import compile_successors  # the step relation lives there
+            fn = compile_successors(self)
         elif name == "step":
             from .transformer import compile_step  # the walk lives there
             fn = compile_step(self)
@@ -516,14 +522,16 @@ def compile_bool(b: BoolExpr, names: tuple[str, ...]) -> Callable[[tuple], bool]
     return lambda sigma: eval_bool(b, unpack(sigma, names))
 
 
-def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Algebra], Weight]:
+def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Algebra], object]:
+    """`w` as a closure (key, algebra) -> the raw weight, equal to
+    `eval_weight(w, ., algebra).value`."""
     if isinstance(w, WLit):
         raw, built = w.raw, (None, None)
 
-        def literal(sigma, algebra):  # one Weight per position and algebra
+        def literal(sigma, algebra):  # checked once per position and algebra
             nonlocal built
             if built[0] is not algebra:
-                built = (algebra, algebra.weight(raw))
+                built = (algebra, algebra._check_weight(raw))
             return built[1]
         return literal
     if isinstance(w, WEmbedInt):
@@ -532,11 +540,11 @@ def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Al
         def embed(sigma, algebra):
             n = arg(sigma)
             try:
-                return algebra.embed_weight(n)
+                return algebra._embed(n)
             except EmbedError as exc:
                 raise EvalError(str(exc)) from exc
         return embed
-    return lambda sigma, algebra: eval_weight(w, unpack(sigma, names), algebra)
+    return lambda sigma, algebra: eval_weight(w, unpack(sigma, names), algebra).value
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +657,8 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra,
     if isinstance(expr, TScale):
         weight = compile_weight(expr.weight, names)
         term = compile_weighting(expr.term, algebra, names)
-        return lambda sigma: algebra.scalar_mul(weight(sigma, algebra), term(sigma))
+        return lambda sigma: ModuleValue(algebra, algebra._scale(
+            weight(sigma, algebra), algebra._need(term(sigma), ModuleValue)))
     if isinstance(expr, WSum):
         items = [(None if item.guard is None else compile_bool(item.guard, names),
                   compile_weighting(item.term, algebra, names)) for item in expr.items]

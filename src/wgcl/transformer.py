@@ -589,20 +589,20 @@ def _run(node: Node):
             elif weight is None:
                 weight = fn(state, algebra)
             else:  # in program order: (a.b) (x) v = a (x) (b (x) v)
-                weight = algebra.mon_mul(weight, fn(state, algebra))
+                weight = algebra._mul(weight, fn(state, algebra))
         if assigns:
             sigma = tuple(state)
         if weight is None:
             return follow(sigma, ctx)
         if not in_body:
             value, exact = follow(sigma, ctx)
-            return algebra._scale(weight.value, value), exact
+            return algebra._scale(weight, value), exact
         out = ctx.out
         start = len(out)
         follow(sigma, ctx)
-        scale, a = algebra._scale, weight.value
+        scale = algebra._scale
         for k in range(start + 1, len(out), 2):
-            out[k] = scale(a, out[k])
+            out[k] = scale(weight, out[k])
     return run
 
 

@@ -1,7 +1,11 @@
 """Exit codes, output formats, and end-to-end command behavior."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -708,6 +712,24 @@ def test_a_program_that_nests_too_deeply_exits_without_traceback(capsys, tmp_pat
     for command in ("wp", "wlp"):
         assert run(capsys, command, str(f), "--post", "one", "--state", "x=2,y=1") == (
             2, "", "wgcl: the program nests too deeply\n")
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # 3721 rows, more than a pipe holds: the command is still writing when
+    # the reader closes its end after one row
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wgcl.cli", "wp", "ski_nd", "--post", "one",
+         "--grid", "n=0..60,y=0..60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        assert proc.stdout.readline() == "n=0,y=0 | 0 | exact\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == ""  # no traceback, and nothing from the flush at exit
 
 
 def test_a_long_straight_line_program_runs(capsys, tmp_path):

@@ -6,16 +6,17 @@ from collections import Counter
 import pytest
 
 from wgcl import operational
-from wgcl.algebra import INF, NEG_INF, algebra, make_omega
+from wgcl.algebra import INF, NEG_INF, MismatchError, algebra, make_omega
 from wgcl.operational import (
-    BudgetError, DivergenceError, TERMINATED, build_quotient, components, cyclic,
-    diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle, settle,
-    successors, uct_check,
+    BudgetError, DivergenceError, TERMINATED, build_quotient, certainly_terminates,
+    components, cyclic, diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle,
+    settle, successors, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    Branch, ExprWeighting, Seq, State, TableWeighting, Weigh, compile_program, pack,
-    print_program,
+    MAX_INT_BITS, Assign, Branch, EvalError, ExprWeighting, Ite, Seq, State, TableWeighting,
+    Weigh, While, compile_program, eval_arith, eval_bool, eval_weight, pack, print_program,
+    unpack,
 )
 from wgcl.transformer import Engine
 
@@ -48,7 +49,8 @@ E55 = prog("@instance arctic\nwhile(x>0 and y>0){ { {x := x-1; y := y+1} [] {y :
 def test_assign_step():
     position = compile_program(prog("@instance tropical\nx := x+1").program)
     # a state inside a walk is a key, the values of the program's slots
-    assert successors(position, (0,), TROP) == ((TROP.mon_one(), TERMINATED, (1,)),)
+    # and a weight is raw: the tropical unit is 0
+    assert successors(position, (0,), TROP) == ((0, TERMINATED, (1,)),)
 
 
 def test_branch_steps_extend_history_with_unit_weight():
@@ -56,8 +58,8 @@ def test_branch_steps_extend_history_with_unit_weight():
     position = compile_program(branch)
     left, right = successors(position, State({}), TROP)
     # the left arm comes first, and both steps weigh one
-    assert left == (TROP.mon_one(), position.then, State({}))
-    assert right == (TROP.mon_one(), position.orelse, State({}))
+    assert left == (0, position.then, State({}))
+    assert right == (0, position.orelse, State({}))
     # each [] step adds one letter to the history, L before R
     paths = enumerate_paths(branch, State({}), 5, TROP).paths
     assert [(p.history, p.weight, len(p.trace)) for p in paths] == [
@@ -67,17 +69,71 @@ def test_branch_steps_extend_history_with_unit_weight():
 def test_loop_break_step():
     position = compile_program(EX410.program)
     (step,) = successors(position, (3,), TROP)
-    assert step == (TROP.mon_one(), TERMINATED, (3,))
+    assert step == (0, TERMINATED, (3,))
 
 
 def test_weigh_step_evaluates_per_state():
     weigh = Weigh(parse_program("@instance tropical\nweigh int(y)").program.weight)
     (step,) = successors(compile_program(weigh), (7,), TROP)
-    assert step[0] == TROP.weight(7)
+    assert step[0] == 7
 
 
 def test_terminated_has_no_successors():
     assert successors(TERMINATED, State({}), TROP) == ()
+
+
+def _reference_successors(position, key, alg):
+    """The step relation from the interpretive evaluators, over the key's
+    `State`: the reference each position's compiled step is tested against."""
+    if position is TERMINATED:
+        return ()
+    stmt, names, one = position.stmt, position.names, alg.mon_one().value
+    sigma = unpack(key, names)
+    if isinstance(stmt, Assign):
+        after = sigma.set(stmt.var, eval_arith(stmt.expr, sigma))
+        return ((one, position.next, pack(after, names, True)),)
+    if isinstance(stmt, Weigh):
+        return ((eval_weight(stmt.weight, sigma, alg).value, position.next, key),)
+    if isinstance(stmt, Ite):
+        return ((one, position.then if eval_bool(stmt.guard, sigma) else position.orelse, key),)
+    if isinstance(stmt, Branch):
+        return ((one, position.then, key), (one, position.orelse, key))
+    if isinstance(stmt, While):
+        return ((one, position.then if eval_bool(stmt.guard, sigma) else position.next, key),)
+    raise TypeError(stmt)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except EvalError as exc:
+        return "error", str(exc)
+
+
+def test_compiled_steps_equal_the_interpretive_step():
+    # at every pair a depth-first walk enters, in `_reachable`'s order, the
+    # compiled step gives the reference's triples (raw weights, the left
+    # arm of `[]` first) or the same EvalError; big states overflow products
+    rng = random.Random(131)
+    big = State({v: 2 ** 40000 for v in ("x", "y", "z")})
+    for name in ("boolean", "counting", "tropical", "arctic", "prob", "lang:ab",
+                 "omegalang:ab"):
+        alg = algebra(name)
+        for generate in (rand_looping_program, rand_nested_program):
+            for _ in range(12):
+                program = generate(rng, alg)
+                entry = compile_program(program)
+                sigma = big if rng.random() < 0.2 else rand_state(rng)
+                todo, seen = [(entry, pack(sigma, entry.names, True))], set()
+                while todo and len(seen) < 60:
+                    pair = todo.pop()
+                    if pair in seen:
+                        continue
+                    seen.add(pair)
+                    got = _outcome(successors, *pair, alg)
+                    assert got == _outcome(_reference_successors, *pair, alg), (program, pair)
+                    if got[0] == "value":
+                        todo += [(p, s) for _, p, s in got[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +318,50 @@ def test_the_quotient_is_walked_depth_first_last_successor_first():
         graph = build_quotient(program, State({}), cnt)
         entry = compile_program(program)
         assert list(graph) == walk((entry, pack(State({}), entry.names, True)), {})
+
+
+def test_the_walk_order_decides_between_budget_and_evaluation_errors():
+    # a cycle (x := 0 back to the loop head), a diamond (y := 1 and y := 2
+    # both end at y=0) and a product past MAX_INT_BITS, entered 13th: below
+    # that budget the walk stops first, at or above it the product fails
+    program = prog("@instance tropical\n"
+                   "while (x = 0) { { x := 1 } [] { x := 0 } }; "
+                   "{ y := z * z } [] { { y := 1 } [] { y := 2 }; y := 0 }").program
+
+    def label(position):
+        if position is TERMINATED:
+            return "end"
+        stmt = position.stmt
+        return f"{stmt.var} :=" if isinstance(stmt, Assign) else type(stmt).__name__
+
+    graph = build_quotient(program, State({"z": 2}), TROP)
+    assert [(label(p), key[:2]) for p, key in graph] == [
+        ("While", (0, 0)), ("Branch", (0, 0)), ("x :=", (0, 0)), ("x :=", (0, 0)),
+        ("While", (1, 0)), ("Branch", (1, 0)), ("Branch", (1, 0)), ("y :=", (1, 0)),
+        ("y :=", (1, 2)), ("end", (1, 0)), ("y :=", (1, 0)), ("y :=", (1, 1)),
+        ("y :=", (1, 0)), ("end", (1, 4))]
+    huge = State({"z": 2 ** MAX_INT_BITS})
+    with pytest.raises(BudgetError):
+        build_quotient(program, huge, TROP, node_budget=12)
+    assert certainly_terminates(program, [huge], TROP, node_budget=12) == [False]
+    for budget in (13, 100):
+        with pytest.raises(EvalError, match="product exceeds"):
+            build_quotient(program, huge, TROP, node_budget=budget)
+        with pytest.raises(EvalError, match="product exceeds"):
+            certainly_terminates(program, [huge], TROP, node_budget=budget)
+
+
+def test_oracles_reject_a_postweighting_over_another_instance():
+    # a counting postweighting on a tropical program raises MismatchError,
+    # as in `wp_eval`: where the depth-cut walk ends every path, and where
+    # the loop's paths outrun fuel 2 and only the solve reads the post
+    post = weighting("int(x)", algebra("counting"))
+    for text, fuel in (("x := x + 1; weigh 1", 64),
+                       ("while (x > 0) { x := x - 1; weigh 1 }", 2)):
+        program = prog("@instance tropical\n" + text).program
+        for oracle in (op_oracle, olp_oracle):
+            with pytest.raises(MismatchError):
+                oracle(program, State({"x": 2}), post, TROP, fuel=fuel)
 
 
 def test_olp_top_is_not_settled_while_the_sum_can_still_fall():
