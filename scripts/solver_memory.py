@@ -43,18 +43,20 @@ MIB = 1 << 20
 
 class Phases:
     """The traced peak per phase of the outermost solve, while entered: it
-    wraps `_Solve.run`, `_Solve._discover` and the `components` the
-    transformer calls (a list or a generator of components)."""
+    wraps `_Solve.run`, `_Solve._discover` and `components` (a list or a
+    generator of components) in each module that binds it, `operational`,
+    and `transformer` in a tree whose loop solver calls it there."""
 
-    def __init__(self, transformer):
-        self.transformer = transformer
+    def __init__(self, transformer, operational):
+        self.solve = transformer._Solve
+        self.modules = [m for m in (transformer, operational) if hasattr(m, "components")]
         self.peaks: dict[str, int] = {}
         self.current = None
 
     def __enter__(self):
-        transformer, solve, phases = self.transformer, self.transformer._Solve, self
-        self.saved = run, discover, components = (solve.run, solve._discover,
-                                                  transformer.components)
+        solve, phases = self.solve, self
+        self.saved = run, discover = solve.run, solve._discover
+        self.components = [m.components for m in self.modules]
 
         def traced_run(self, root):
             phases.switch("solving")
@@ -72,26 +74,30 @@ class Phases:
             finally:
                 phases.switch("sweep")
 
-        def traced_components(*args):
-            phases.switch("component order")
-            order = iter(components(*args))
-            while True:
+        def wrapped(components):
+            def traced_components(*args):
                 phases.switch("component order")
-                try:
-                    component = next(order)
-                except StopIteration:
-                    break
-                finally:
-                    phases.switch("solving")
-                yield component
+                order = iter(components(*args))
+                while True:
+                    phases.switch("component order")
+                    try:
+                        component = next(order)
+                    except StopIteration:
+                        break
+                    finally:
+                        phases.switch("solving")
+                    yield component
+            return traced_components
 
-        solve.run, solve._discover, transformer.components = (
-            traced_run, traced_discover, traced_components)
+        solve.run, solve._discover = traced_run, traced_discover
+        for module, components in zip(self.modules, self.components):
+            module.components = wrapped(components)
         return self
 
     def __exit__(self, *exc):
-        solve = self.transformer._Solve
-        solve.run, solve._discover, self.transformer.components = self.saved
+        self.solve.run, self.solve._discover = self.saved
+        for module, components in zip(self.modules, self.components):
+            module.components = components
 
     def switch(self, phase) -> None:
         if self.current is not None:
@@ -118,7 +124,7 @@ def fresh_process(root: Path, argv: list[str]) -> tuple[str, float, float]:
 
 def traced(text: str, post: str, state: str):
     """(touched unknowns, traced peak, peak per phase) of `Engine.run`."""
-    from wgcl import transformer
+    from wgcl import operational, transformer
     from wgcl.parser import parse_program, parse_state
 
     parsed = parse_program(text)
@@ -126,7 +132,7 @@ def traced(text: str, post: str, state: str):
     engine = transformer.Engine(parsed.algebra, "wp")
     tracemalloc.start()
     try:
-        with Phases(transformer) as phases:
+        with Phases(transformer, operational) as phases:
             result = engine.run(parsed.program, post, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -33,9 +33,12 @@ package's one strongly-connected-components routine (Tarjan, dependencies
 first, each component yielded as soon as it is complete), `cyclic` its
 one cycle test and `longest_paths` its one cycle summary: every
 termination question, and whether an omega-language cycle feeds
-another, reads whether a cycle is reachable off it.  `settle` is the one
-component solve: the transformer's loop solver and the oracle solve each
-component with it as `components` yields it.
+another, reads whether a cycle is reachable off it.  `solve` is the one
+linear-system solve, over numbered unknowns in flat-tuple forms: the
+transformer's loop solver and the oracle (`_solve`) each number their
+unknowns, build the forms and call it, each with its own substitution.
+It makes one back-substitution pass and hands what that pass leaves to
+`components` and `settle`, the one component solve.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import heapq
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator
 
 from .algebra import (
@@ -192,11 +196,12 @@ def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
             raise BudgetError(f"node budget {node_budget} exceeded")
 
 
-def _cut_sum(done, live: list, value, algebra: Algebra):
-    """done (+) weight (x) value(position, state) over the live paths, raw."""
+def _cut_sum(done, live: list, values, algebra: Algebra):
+    """done (+) weight (x) value over the live paths and `values`, one per
+    path, raw."""
     add, scale = algebra._add, algebra._scale
-    for p, s, w in live:
-        done = add(done, scale(w, value(p, s)))
+    for (_, _, w), value in zip(live, values):
+        done = add(done, scale(w, value))
     return done
 
 
@@ -212,60 +217,58 @@ def _annihilates(a, algebra: Algebra) -> bool:
 
 
 def _solve(roots, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
-           fuel: int) -> tuple[dict, dict]:
-    """The value of each pair reachable from `roots`, and whether it is
-    certified (absent while unsolved, like `_Solve.exact`), each
-    component solved by `settle` as `components` yields it, from `seed`
-    on a cycle, and its edges dropped then; values are raw.  A pair reads
-    at(key), the postweighting at its key (`Weighting.keyed`), checked to
-    be over `algebra`, at TERMINATED, else
-    (+) a (x) value(p) over its `successors` (a, p), equal arms counted
-    twice; the read is exact when each p is certified or in the pair's
-    own component, or lies behind an annihilating a."""
-    value, certain, edges = {}, {}, {}  # per pair; edges until its component is out
+           fuel: int) -> tuple[list, list]:
+    """Per pair of `roots`, its raw value and whether it is certified, from
+    one system over the pairs they reach, solved by `solve` from `seed`.
+    The pairs are numbered breadth first from the roots, so that on an
+    acyclic graph a pair's first reader comes before it.  A pair's form
+    is the constant at(key), the postweighting at its key
+    (`Weighting.keyed`) checked to be over `algebra`, at TERMINATED, else
+    (zero, True, p, a, ...) over its `successors` (a, p), equal arms
+    counted twice: (+) a (x) value(p).  A read is exact when p is
+    certified or unsolved (in the pair's own component), or lies behind
+    an annihilating a."""
     need, add, scale, zero = algebra._need, algebra._add, algebra._scale, algebra._zero()
+    numbers: dict = {}  # per pair met
+    ids = [numbers.setdefault(pair, len(numbers)) for pair in roots]
+    pairs, forms = list(numbers), []  # by number
+    for position, sigma in pairs:  # grows while it is walked
+        form = [need(at(sigma), ModuleValue) if position is TERMINATED else zero, True]
+        for a, position2, sigma2 in successors(position, sigma, algebra):
+            j = numbers.setdefault((position2, sigma2), len(pairs))
+            if j == len(pairs):
+                pairs.append((position2, sigma2))
+            form += (j, a)
+        forms.append(tuple(form))
+    values, exact = [seed] * len(pairs), [None] * len(pairs)
 
-    def after(pair):
-        return [(position, sigma) for _, position, sigma in edges[pair]]
-
-    def step(pair):
-        edges[pair] = successors(*pair, algebra)
-        return after(pair)
-
-    def read(pair) -> tuple[object, bool]:
-        if pair[0] is TERMINATED:
-            return need(at(pair[1]), ModuleValue), True
-        total, ok = zero, True
-        for a, position, sigma in edges[pair]:
-            total = add(total, scale(a, value[position, sigma]))
-            ok = ok and (certain.get((position, sigma)) is not False or _annihilates(a, algebra))
+    def substitute(i):
+        terms = iter(forms[i])
+        total, ok = next(terms), next(terms)
+        for j, a in zip(terms, terms):
+            total = add(total, scale(a, values[j]))
+            ok = ok and (exact[j] is not False or _annihilates(a, algebra))
         return total, ok
 
-    for component in components(roots, step):
-        for pair in component:  # a cycle's passes start here; off a cycle it is overwritten
-            value[pair] = seed
-        _, ok = settle(component, after, value, read, fuel)
-        for pair in component:
-            certain[pair] = ok
-            del edges[pair]
-    return value, certain
+    solve(ids, values, exact, forms, substitute, fuel)
+    return [values[i] for i in ids], [exact[i] for i in ids]
 
 
 def _limit(live: list, done, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
            fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
-    when no path is live, or when `_solve`'s certainty is True at each
-    live pair whose path weight w does not annihilate, as done (+) w (x)
-    value(pair) over the live paths; else s_fuel.  `done`, the weights
+    when no path is live, or when `_solve` certifies each live pair whose
+    path weight w does not annihilate, as done (+) w (x) value(pair) over
+    the live paths; else s_fuel.  `done`, the weights
     and `seed` are raw, and the result is wrapped.  Each oracle first
     walks the pairs once, before its first solve, keeping only the set
     seen: BudgetError past `node_budget` of them, EvalError at an
     undefined step.
 
     Why that is the limit: from a pair, the forest cut at depth n sums to
-    s_n = F^n(x0), F the right-hand sides of `_solve` and x0 post at
-    TERMINATED and `seed` elsewhere.  For op (seed zero) x0 <= F(x0); one
+    s_n = F^n(x0), F the right-hand sides of `_solve`'s forms and x0 post
+    at TERMINATED and `seed` elsewhere.  For op (seed zero) x0 <= F(x0); one
     update keeps y <= F(y), so the values g after J of them lie below s_J.
     Certified values are a fixed point of F (an annihilated read is zero
     whatever it reads), so s_n <= F^n(g) = g for all n: the chain reaches
@@ -275,12 +278,11 @@ def _limit(live: list, done, at: Callable[[tuple], ModuleValue], seed, algebra: 
     """
     if not live:
         return OracleResult(ModuleValue(algebra, done), True)
-    roots = [(position, sigma) for position, sigma, _ in live]
-    value, certain = _solve(roots, at, seed, algebra, fuel)
-    if all(certain[p, s] or _annihilates(w, algebra) for p, s, w in live):
-        total, exact = _cut_sum(done, live, lambda *pair: value[pair], algebra), True
+    values, certain = _solve([(p, s) for p, s, _ in live], at, seed, algebra, fuel)
+    if all(ok or _annihilates(w, algebra) for ok, (_, _, w) in zip(certain, live)):
+        total, exact = _cut_sum(done, live, values, algebra), True
     else:
-        total, exact = _cut_sum(done, live, lambda *_: seed, algebra), False
+        total, exact = _cut_sum(done, live, repeat(seed), algebra), False
     return OracleResult(ModuleValue(algebra, total), exact)
 
 
@@ -319,7 +321,7 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
             return OracleResult(algebra.mod_add(op.value, diverging), True)
     except (BudgetError, EvalError, DivergenceError):
         pass
-    return OracleResult(ModuleValue(algebra, _cut_sum(done, live, lambda *_: top, algebra)),
+    return OracleResult(ModuleValue(algebra, _cut_sum(done, live, repeat(top), algebra)),
                         False)
 
 
@@ -327,7 +329,7 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
     """The olp chain s_n itself for post zero, n = 0..fuel (fewer if all paths end)."""
     zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra._top()
-    return [ModuleValue(algebra, _cut_sum(done, live, lambda *_: top, algebra))
+    return [ModuleValue(algebra, _cut_sum(done, live, repeat(top), algebra))
             for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
 
 
@@ -435,6 +437,44 @@ def components(roots, successors, size: int | None = None) -> Iterator[list]:
 def cyclic(component: list, successors) -> bool:
     """The component has two or more vertices, or a self-loop."""
     return len(component) > 1 or component[0] in successors(component[0])
+
+
+def solve(roots, values: list, exact: list, forms: list, substitute, fuel: int) -> int:
+    """Solve the linear system of numbered unknowns that `roots` read, in
+    place, for both solvers (Tarjan 1981): unknown i reads the unknowns of
+    its form `forms[i]`, a flat tuple (constant, exact, number,
+    coefficient, ...), and `substitute(i)` is its right-hand side against
+    `values`, as (value, exact).  `exact[i]` is None while i is unsolved,
+    and an entry that holds True or False is read as it is; an unsolved
+    unknown holds its seed in `values`.
+
+    First one pass down the numbers solves each unsolved unknown whose
+    reads are all solved, one substitution each: where every unknown was
+    numbered after the reader that first met it, that is the whole
+    acyclic part.  Then, if a root is still unsolved, `components` over
+    the unsolved unknowns (their unsolved reads, in reading order) yields
+    what a cycle or a back read, an unknown numbered before its reader,
+    leaves, dependencies first, and `settle` solves each component as it
+    comes.  A solved unknown's form is dropped.  The passes made: 1 for
+    the back-substitution pass if it substituted anything, or those of
+    the most-iterated component if more, else 0."""
+    passes = 0
+    for i in range(len(forms) - 1, -1, -1):
+        if exact[i] is None and None not in map(exact.__getitem__, forms[i][2::2]):
+            values[i], exact[i] = substitute(i)
+            forms[i], passes = None, 1
+    roots = [r for r in roots if exact[r] is None]
+    if not roots:
+        return passes
+
+    def waits(i):  # in reading order, so that the order of solving, and a bound, is fixed
+        return [j for j in forms[i][2::2] if exact[j] is None]
+    for component in components(roots, waits, len(forms)):
+        done, certified = settle(component, waits, values, substitute, fuel)
+        passes = max(passes, done)
+        for i in component:
+            forms[i], exact[i] = None, certified
+    return passes
 
 
 def settle(component: list, successors, values, substitute, fuel: int) -> tuple[int, bool]:

@@ -262,6 +262,9 @@ class _Terminated:
 TERMINATED = _Terminated()  # the position after the last statement
 
 
+_COMPILERS: dict = {}  # the builders of `Node.successors` and `Node.step`, in other modules
+
+
 class Node:
     """A program position: one non-`Seq` statement with its continuation.
 
@@ -309,12 +312,12 @@ class Node:
             fn = compile_arith(self.stmt.expr, self.names)
         elif name == "weight":
             fn = compile_weight(self.stmt.weight, self.names)
-        elif name == "successors":
-            from .operational import compile_successors  # the step relation lives there
-            fn = compile_successors(self)
-        elif name == "step":
-            from .transformer import compile_step  # the walk lives there
-            fn = compile_step(self)
+        elif name == "successors" or name == "step":
+            if not _COMPILERS:  # imported once, on first use
+                from .operational import compile_successors  # the step relation lives there
+                from .transformer import compile_step  # the walk lives there
+                _COMPILERS.update(successors=compile_successors, step=compile_step)
+            fn = _COMPILERS[name](self)
         else:
             raise AttributeError(name)
         setattr(self, name, fn)

@@ -33,17 +33,18 @@ loop in the body only adds unknowns to that one system.  A breadth-first
 sweep reads off each unknown's linear form once, and goes on past its
 horizon, fuel + 1 body-hops, while it has touched fewer than
 `Engine.state_cap` unknowns.  It numbers each state after the reader that
-first met it, so one pass back down the numbers solves the acyclic part of
-the system, one substitution per unknown in topological order (Tarjan
-1981).  Only what that pass leaves, the cycles and whatever reads them or
-reads back, goes to the strongly connected components of the dependency
-graph (`operational.components`), solved dependencies first (chaotic
-iteration, Bourdoncle 1993) by `operational.settle`, the oracle's
-component solve too: an unknown off any cycle once, a cyclic component for
-at most `fuel` passes (Tarjan 1981 and Mohri 2002 solve path problems from
-the same per-vertex equations).  So a loop that certainly terminates
-within the cap is solved in time linear in the unknowns it touches,
-whatever the fuel; only certified values outlive the solve.
+first met it, and hands the numbered forms to `operational.solve`, the
+path oracle's system solve too (Tarjan 1981 and Mohri 2002 solve path
+problems from the same per-vertex equations).  There one pass back down
+the numbers solves the acyclic part of the system, one substitution per
+unknown in topological order.  Only what that pass leaves, the cycles and
+whatever reads them or reads back, goes to the strongly connected
+components of the dependency graph (`operational.components`), solved
+dependencies first (chaotic iteration, Bourdoncle 1993) by
+`operational.settle`: an unknown off any cycle once, a cyclic component
+for at most `fuel` passes.  So a loop that certainly terminates within
+the cap is solved in time linear in the unknowns it touches, whatever the
+fuel; only certified values outlive the solve.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
@@ -61,7 +62,6 @@ Anything else is a flagged bound: below the answer for wp, above for wlp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Literal
 
 from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError
@@ -70,8 +70,8 @@ from .syntax import (
     Program, State, Weigh, Weighting, While, compile_program, eval_bool,
 )
 from .operational import (
-    BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis, components,
-    diverging_weights, settle,
+    BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis,
+    diverging_weights, solve,
 )
 
 
@@ -173,34 +173,40 @@ class _Solve:
        certified states, or nothing, is solved when it is read off; every
        other one waits for step 2, even one whose reads are all unfollowed
        so far, since a later entry may follow them.
-    2. Back substitution: one pass down the numbers, from the last to the
-       root's, solves each unknown whose reads all hold a value with one
-       `_substitute`.  Breadth first, a read of a new state numbers it
+    2. Back substitution, only if discovery left an unknown unsolved, and
+       with steps 3 and 4 made by `operational.solve` over the solve's
+       lists: one pass down the numbers, from the last to the root's
+       (the first), solves each unknown whose reads all hold a value
+       with one `_substitute`.  Breadth first, a read of a new state numbers it
        after its reader, so on an acyclic system the pass meets each
        unknown after all it reads (a triangular system), and one
-       substitution each solves it.  Every discovered unknown that holds
-       a value then, solved here or at read-off, drops its form, and goes
-       to its loop's final table if it is certified.
+       substitution each solves it.
     3. Component order, only if the root is still unsolved:
        `operational.components` yields the components of the dependency
-       graph over the numbers one at a time, dependencies first and
-       deepest unknown first within one; that is the Gauss-Seidel order,
-       so it fixes a bound.  An unknown's dependencies are read from its
-       form when the order reaches it (`_deps`); no table keeps them.  A
-       solved unknown has none, so the order holds what step 2 left: the
-       cycles, and the unknowns that read one of them or a back read, an
-       unsolved unknown numbered before its reader.
+       graph over the unsolved unknowns one at a time, dependencies first
+       and deepest unknown first within one; that is the Gauss-Seidel
+       order, so it fixes a bound.  An unknown's dependencies, its
+       unsolved reads in the order of reading, are read from its form
+       when the order reaches it; no table keeps them.  The order holds
+       what step 2 left: the cycles, and the unknowns that read one of
+       them or a back read, an unsolved unknown numbered before its
+       reader.  Entries that were never discovered hold a value and are
+       in no component.
     4. Solving substitutes forms (`_substitute`), and never runs a body
-       again: `operational.settle` solves each component not solved yet as
-       `components` yields it.  An unknown outside any cycle
-       gets const (+) sum of c (x) X(tau) over the entries it reads; a
-       cyclic component is iterated from the seed, Gauss-Seidel, for at
-       most `fuel` passes.  A component is certified when a full pass
-       changes nothing and every substitution in it was exact: no
-       constant was inexact, no read was left at the seed and every
-       dependency outside the component was itself certified.  Its forms
-       go then; its certified unknowns go to their loop's final table.
-       Undiscovered entries are in no component and never go there.
+       again: `operational.settle` solves each component as `components`
+       yields it.  An unknown outside any cycle gets const (+) sum of
+       c (x) X(tau) over the entries it reads; a cyclic component is
+       iterated from the seed, Gauss-Seidel, for at most `fuel` passes.
+       A component is certified when a full pass changes nothing and
+       every substitution in it was exact: no constant was inexact, no
+       read was left at the seed and every dependency outside the
+       component was itself certified.
+
+    A form is dropped once its unknown is solved, at read-off or in steps
+    2 to 4, and a certified unknown goes to its loop's final table: at
+    read-off, where its value is a fixed-point value whatever becomes of
+    the rest of the query, or after `operational.solve`.  Undiscovered
+    entries never go there.
 
     An unknown is certified only once its whole reachable set is
     discovered, which is what the sweeps discover, each unknown once.  A
@@ -339,15 +345,6 @@ class _Solve:
             out = _summed(self.algebra._add, zip(reads, out[1::2]))
         return (self.engine._zero, True, *out)
 
-    def _deps(self, i: int) -> list:
-        """The unknowns `i` waits on, none once it is solved: those its form
-        reads that a sweep discovered, in the order of reading, so that the
-        order of solving, and so an inexact bound, is the same every run."""
-        if self.exact[i] is not None:
-            return []
-        terms = self.forms[i][2::2]
-        return list(compress(terms, map(self.found.__getitem__, terms)))
-
     def _substitute(self, i: int) -> tuple:
         """The characteristic map at `i` against the current iterate: a raw
         value and whether it is exact."""
@@ -383,6 +380,9 @@ class _Solve:
                 if len(form) == 2 or exact[form[2]] and all(
                         exact[j] and not found[j] for j in form[2::2]):
                     self.vals[i], exact[i] = self._substitute(i)
+                    forms[i] = None
+                    if exact[i]:  # certified: final at once
+                        self.homes[i][1][self.keys[i]] = self.vals[i]
             except (BudgetError, EvalError, AlgebraError):
                 for j in queue[n:]:  # the sweep stops; they keep the seed
                     exact[j] = False
@@ -395,40 +395,19 @@ class _Solve:
 
     def run(self, root: tuple) -> tuple:
         """The raw value at `root` and whether it is certified (steps 1 to
-        4): back substitution, then `components` and `settle` for what it
-        leaves unsolved, if the root is.  Certified unknowns become final."""
+        4): discovery, then `operational.solve` if it left an unknown
+        unsolved.  Certified unknowns become final."""
         r = self._discover(root)
-        vals, exact, forms, found = self.vals, self.exact, self.forms, self.found
-        keys, homes = self.keys, self.homes
+        vals, exact, keys, homes, found = self.vals, self.exact, self.keys, self.homes, self.found
         self.engine._touched += self.count
         for home in self.loops.values():  # nothing is met any more
             home[0].clear()
-        longest = 0
-        for i in range(len(keys) - 1, r - 1, -1):  # step 2: what a reader reads comes first
-            if exact[i] is None:
-                if None in map(exact.__getitem__, forms[i][2::2]):
-                    continue  # it reads an unsolved unknown: a cycle or a back read
-                vals[i], exact[i] = self._substitute(i)
-                longest = 1  # a pass, as `settle` counts an unknown off any cycle
-            if found[i] and exact[i] is not None:  # solved: keep the value, not the form
-                forms[i] = None
-                if exact[i]:
+        if None in exact:
+            self.engine._passes += solve([r], vals, exact, self.forms, self._substitute,
+                                         self.engine.fuel)
+            for i in range(len(keys)):
+                if found[i] and exact[i]:
                     homes[i][1][keys[i]] = vals[i]
-        if exact[r] is None:
-            def reads(j):  # `_deps` less its filter, the same to the cycle test of found unknowns
-                return forms[j][2::2]
-            for component in components([r], self._deps, len(keys)):
-                i = component[0]
-                if exact[i] is not None:  # solved in step 2 or when read off
-                    continue
-                passes, certified = settle(component, reads, vals, self._substitute,
-                                           self.engine.fuel)
-                longest = max(longest, passes)
-                for i in component:
-                    forms[i], exact[i] = None, certified
-                    if certified:
-                        homes[i][1][keys[i]] = vals[i]
-        self.engine._passes += longest
         return vals[r], exact[r]
 
 

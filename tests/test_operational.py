@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from math import inf
 
 import pytest
 
@@ -10,7 +11,7 @@ from wgcl.algebra import INF, NEG_INF, MismatchError, algebra, make_omega
 from wgcl.operational import (
     BudgetError, DivergenceError, TERMINATED, build_quotient, certainly_terminates,
     components, cyclic, diverging_weights, enumerate_paths, olp_chain, olp_oracle, op_oracle,
-    settle, successors, uct_check,
+    settle, solve, successors, uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
@@ -399,6 +400,18 @@ def test_op_needs_no_value_behind_a_path_that_weighs_zero():
         assert res.value == cnt.mod_zero() and res.exact
 
 
+def test_op_needs_no_value_behind_an_edge_that_weighs_zero():
+    # the live path counts x down; behind `weigh 0` lies a loop whose
+    # iteration never stabilizes, but the edge into it weighs 0, so the
+    # pair read through it needs no certified value: op is 1, from `skip`
+    cnt = algebra("counting")
+    guarded = prog("@instance counting\nwhile (x > 0) { x := x - 1 }; "
+                   "{ weigh 0; c := 1; while (c = 1) { { c := 0 } [] { skip } } } [] { skip }"
+                   ).program
+    res = op_oracle(guarded, State({"x": 20}), weighting("one", cnt), cnt, fuel=8)
+    assert res.value == cnt.value(1) and res.exact
+
+
 def test_the_solve_counts_equal_arms_twice():
     # both arms are one position, so the branch steps twice to one pair;
     # at fuel 1 neither path has ended, and op(one) counts both
@@ -601,6 +614,65 @@ def test_settle_does_not_certify_a_still_pass_with_an_inexact_substitution(table
     assert settle([0], [[0]].__getitem__, values, lambda v: (values[0], False), 10) == (1, False)
     values = table([0, 0])  # a two-vertex cycle whose vertex 1 reads something inexact
     assert settle([0, 1], TWO_CYCLE, values, lambda v: (values[1 - v], v == 0), 10) == (1, False)
+
+
+def least_sum(forms, values, exact):
+    """`solve`'s substitute over min and +: form i is (constant, exact,
+    number, coefficient, ...), and a read of an inexact entry is inexact."""
+    def substitute(i):
+        terms = iter(forms[i])
+        total, ok = next(terms), next(terms)
+        for j, c in zip(terms, terms):
+            total, ok = min(total, c + values[j]), ok and exact[j] is not False
+        return total, ok
+    return substitute
+
+
+def solved(forms, exact, roots, monkeypatch):
+    """`solve` from the seed inf: (passes, values, exact, forms), and the
+    components it walked."""
+    walked, values = [], [inf] * len(forms)
+
+    def counted(*args):
+        order = list(components(*args))
+        walked.extend(order)
+        return order
+    monkeypatch.setattr(operational, "components", counted)
+    passes = solve(roots, values, exact, forms, least_sum(forms, values, exact), fuel=10)
+    return (passes, values, exact, forms), walked
+
+
+def test_solve_substitutes_an_acyclic_system_numbered_readers_first_in_one_pass(monkeypatch):
+    # 0 reads 1 and 2, 1 reads 2 and 3; 3 is an entry read as it is, at the
+    # seed and inexact, so 1 is inexact, and so is 0, which reads 1
+    forms = [(9, True, 1, 1, 2, 5), (9, True, 2, 1, 3, 0), (4, True), None]
+    exact = [None, None, None, False]
+    result, walked = solved(forms, exact, [0], monkeypatch)
+    assert result == (1, [6, 5, 4, inf], [False, False, True, False], [None, None, None, None])
+    assert walked == []
+
+
+def test_solve_leaves_a_back_read_to_components(monkeypatch):
+    # 2 reads 1, numbered before it: the pass meets 2 while 1 is unsolved
+    forms = [(9, True, 2, 1), (3, True), (9, True, 1, 1)]
+    result, walked = solved(forms, [None] * 3, [0], monkeypatch)
+    assert result == (1, [5, 3, 4], [True] * 3, [None] * 3)
+    assert walked == [[2], [0]]
+
+
+def test_solve_settles_a_cycle_that_one_of_two_roots_reads(monkeypatch):
+    # root 0 reads the constant 2 and is solved by the pass; root 1 and 3
+    # read each other, a cycle iterated from the seed
+    forms = [(9, True, 2, 1), (5, True, 3, 1), (4, True), (inf, True, 1, 1)]
+    result, walked = solved(forms, [None] * 4, [0, 1], monkeypatch)
+    assert result == (3, [5, 5, 4, 6], [True] * 4, [None] * 4)
+    assert walked == [[3, 1]]
+
+
+def test_solve_makes_no_pass_where_every_entry_holds_a_value():
+    forms, values, exact = [None, None], [1, 2], [True, False]
+    assert solve([0], values, exact, forms, least_sum(forms, values, exact), fuel=10) == 0
+    assert (values, exact) == ([1, 2], [True, False])
 
 
 def test_lassos_are_walks_and_divergence_matches_the_exact_chain(monkeypatch):

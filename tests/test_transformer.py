@@ -736,7 +736,7 @@ def test_an_acyclic_system_is_solved_by_back_substitution_alone(monkeypatch):
     # systems (inner loop states included) with no component walk
     def no_components(*_):
         raise AssertionError("components called")
-    monkeypatch.setattr(transformer, "components", no_components)
+    monkeypatch.setattr(operational, "components", no_components)
     fib = Engine(CNT, "wp").run(FIB.program, weighting(FIB_POST, CNT), State({"n": 23}))
     assert (fib.value, fib.exact, fib.iterations, fib.touched_states, fib.evaluations) == (
         CNT.value(75025), True, 2, 1378, 1378)
@@ -749,12 +749,12 @@ def test_a_back_read_on_one_level_is_left_to_components(monkeypatch):
     # from x=7, left arm first, x=6 (read off second) reads x=5 (numbered
     # before it) while x=5 is unsolved; with the arms swapped every read is
     # of a later number
-    walked = []
+    walked, components = [], operational.components
 
     def counted(*args):
         walked.append(args)
-        return operational.components(*args)
-    monkeypatch.setattr(transformer, "components", counted)
+        return components(*args)
+    monkeypatch.setattr(operational, "components", counted)
     f, sigma, results = weighting("int(x + 2)", TROP), State({"x": 7}), []
     for arms in ("{ x := x - 2 } [] { x := x - 1 }", "{ x := x - 1 } [] { x := x - 2 }"):
         program = prog(BACK_READ % arms).program
