@@ -35,8 +35,9 @@ one cycle test and `longest_paths` its one cycle summary: every
 termination question, and whether an omega-language cycle feeds
 another, reads whether a cycle is reachable off it.  `solve` is the one
 linear-system solve, over numbered unknowns in flat-tuple forms: the
-transformer's loop solver and the oracle (`_solve`) each number their
-unknowns, build the forms and call it, each with its own substitution.
+transformer's loop solver and the oracle each number their unknowns, build
+the forms and call it, each with its own substitution; the oracle builds
+its system once per query (`_system`), and `_solve` solves it for a seed.
 It makes one back-substitution pass and hands what that pass leaves to
 `components` and `settle`, the one component solve.
 """
@@ -216,19 +217,15 @@ def _annihilates(a, algebra: Algebra) -> bool:
     return algebra.has_top and algebra._scale(a, algebra._top()) == algebra._zero()
 
 
-def _solve(roots, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
-           fuel: int) -> tuple[list, list]:
-    """Per pair of `roots`, its raw value and whether it is certified, from
-    one system over the pairs they reach, solved by `solve` from `seed`.
-    The pairs are numbered breadth first from the roots, so that on an
-    acyclic graph a pair's first reader comes before it.  A pair's form
-    is the constant at(key), the postweighting at its key
-    (`Weighting.keyed`) checked to be over `algebra`, at TERMINATED, else
-    (zero, True, p, a, ...) over its `successors` (a, p), equal arms
-    counted twice: (+) a (x) value(p).  A read is exact when p is
-    certified or unsolved (in the pair's own component), or lies behind
-    an annihilating a."""
-    need, add, scale, zero = algebra._need, algebra._add, algebra._scale, algebra._zero()
+def _system(roots, at: Callable[[tuple], ModuleValue], algebra: Algebra) -> tuple[list, list]:
+    """The numbers of `roots` and the forms, by number, of the system over
+    the pairs they reach, each pair stepped once.  The pairs are numbered
+    breadth first from the roots, so that on an acyclic graph a pair's
+    first reader comes before it.  A pair's form is the constant at(key),
+    the postweighting at its key (`Weighting.keyed`) checked to be over
+    `algebra`, at TERMINATED, else (zero, True, p, a, ...) over its
+    `successors` (a, p), equal arms counted twice: (+) a (x) value(p)."""
+    need, zero = algebra._need, algebra._zero()
     numbers: dict = {}  # per pair met
     ids = [numbers.setdefault(pair, len(numbers)) for pair in roots]
     pairs, forms = list(numbers), []  # by number
@@ -240,7 +237,20 @@ def _solve(roots, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
                 pairs.append((position2, sigma2))
             form += (j, a)
         forms.append(tuple(form))
-    values, exact = [seed] * len(pairs), [None] * len(pairs)
+    return ids, forms
+
+
+def _solve(system: tuple[list, list], seed, algebra: Algebra, fuel: int) -> tuple[list, list]:
+    """Per root of `system` (`_system`), its raw value and whether it is
+    certified, solved by `solve` from `seed` on a copy of the forms, which
+    `solve` drops as it solves them, so that one system serves both of
+    olp's seeds.  A read is exact when its pair is certified or unsolved
+    (in the reader's own component), or lies behind an annihilating
+    weight."""
+    ids, forms = system
+    forms = list(forms)
+    add, scale = algebra._add, algebra._scale
+    values, exact = [seed] * len(forms), [None] * len(forms)
 
     def substitute(i):
         terms = iter(forms[i])
@@ -254,20 +264,19 @@ def _solve(roots, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
     return [values[i] for i in ids], [exact[i] for i in ids]
 
 
-def _limit(live: list, done, at: Callable[[tuple], ModuleValue], seed, algebra: Algebra,
-           fuel: int) -> OracleResult:
+def _limit(live: list, done, system, seed, algebra: Algebra, fuel: int) -> OracleResult:
     """The limit of the chain s_n that charges `seed` to the paths still
     running at depth n, from its cut at n = fuel (`live`, `done`): exact
     when no path is live, or when `_solve` certifies each live pair whose
     path weight w does not annihilate, as done (+) w (x) value(pair) over
-    the live paths; else s_fuel.  `done`, the weights
-    and `seed` are raw, and the result is wrapped.  Each oracle first
-    walks the pairs once, before its first solve, keeping only the set
-    seen: BudgetError past `node_budget` of them, EvalError at an
-    undefined step.
+    the live paths; else s_fuel.  `system` is `_system` over the live
+    pairs, built once per oracle query.  `done`, the weights and `seed` are
+    raw, and the result is wrapped.  Each oracle first walks the pairs
+    once, before it builds the system, keeping only the set seen:
+    BudgetError past `node_budget` of them, EvalError at an undefined step.
 
     Why that is the limit: from a pair, the forest cut at depth n sums to
-    s_n = F^n(x0), F the right-hand sides of `_solve`'s forms and x0 post
+    s_n = F^n(x0), F the right-hand sides of the system's forms and x0 post
     at TERMINATED and `seed` elsewhere.  For op (seed zero) x0 <= F(x0); one
     update keeps y <= F(y), so the values g after J of them lie below s_J.
     Certified values are a fixed point of F (an annihilated read is zero
@@ -278,7 +287,7 @@ def _limit(live: list, done, at: Callable[[tuple], ModuleValue], seed, algebra: 
     """
     if not live:
         return OracleResult(ModuleValue(algebra, done), True)
-    values, certain = _solve([(p, s) for p, s, _ in live], at, seed, algebra, fuel)
+    values, certain = _solve(system, seed, algebra, fuel)
     if all(ok or _annihilates(w, algebra) for ok, (_, _, w) in zip(certain, live)):
         total, exact = _cut_sum(done, live, values, algebra), True
     else:
@@ -293,9 +302,10 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     uncertified, s_fuel, a lower bound."""
     live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     _, at = post.keyed(compile_program(program).names)
+    roots = [(p, s) for p, s, _ in live]
     try:
-        deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
-        return _limit(live, done, at, algebra._zero(), algebra, fuel)
+        deque(_reachable(roots, algebra, node_budget), maxlen=0)
+        return _limit(live, done, _system(roots, at, algebra), algebra._zero(), algebra, fuel)
     except (BudgetError, EvalError):  # too large, or undefined past the cut
         return OracleResult(ModuleValue(algebra, done), False)
 
@@ -309,13 +319,15 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     top = algebra._top()
     live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
     _, at = post.keyed(compile_program(program).names)
+    roots = [(p, s) for p, s, _ in live]
     try:
-        deque(_reachable([(p, s) for p, s, _ in live], algebra, node_budget), maxlen=0)
-        result = _limit(live, done, at, top, algebra, fuel)
+        deque(_reachable(roots, algebra, node_budget), maxlen=0)
+        system = _system(roots, at, algebra)  # one system for both seeds
+        result = _limit(live, done, system, top, algebra, fuel)
         if result.exact:
             return result
         check_divergence_analysis(algebra)  # before the op solve
-        op = _limit(live, done, at, algebra._zero(), algebra, fuel)
+        op = _limit(live, done, system, algebra._zero(), algebra, fuel)
         if op.exact:
             diverging = diverging_weights(program, state, algebra, node_budget)
             return OracleResult(algebra.mod_add(op.value, diverging), True)
@@ -339,26 +351,28 @@ def olp_chain(program: Program, state: State, algebra: Algebra,
 
 def _reachable(roots, algebra: Algebra, node_budget: int) -> Iterator[tuple[QNode, tuple]]:
     """Each (position, state) pair reachable from `roots`, once, with its
-    `successors` triples: depth first, a pair's successors last to first.
-    One flat stack holds the pairs still to enter, a successor pushed
-    unless it was entered already; a pair is marked when it is popped and
-    entered.  Raises BudgetError when more than `node_budget` pairs are
-    reachable."""
+    `successors` triples, from the position's compiled step (none at
+    TERMINATED): depth first, a pair's successors last to first.  One flat
+    stack holds the pairs still to enter, a successor pushed unless it was
+    entered already; a pair is marked when it is popped and entered.
+    Raises BudgetError when more than `node_budget` pairs are reachable."""
     seen: set[QNode] = set()
     todo = list(reversed(roots))
-    push = todo.append
+    enter, push, pop = seen.add, todo.append, todo.pop
     while todo:
-        node = todo.pop()
+        node = pop()
         if node in seen:
             continue
         if len(seen) >= node_budget:
             raise BudgetError(f"quotient node budget {node_budget} exceeded")
-        seen.add(node)
-        succs = successors(*node, algebra)
+        enter(node)
+        position, sigma = node
+        succs = () if position is TERMINATED else position.successors(sigma, algebra)
         yield node, succs
         for _, position, sigma in succs:
-            if (position, sigma) not in seen:
-                push((position, sigma))
+            pair = (position, sigma)
+            if pair not in seen:
+                push(pair)
 
 
 def build_quotient(program: Program, state: State, algebra: Algebra,

@@ -462,67 +462,170 @@ def eval_weight(w: WeightExpr, sigma: State, algebra: Algebra) -> Weight:
 # AST.  A closure equals the evaluator above at the key's `State`: the same
 # values, the same `EvalError`s, operands left to right, and `and`/`or`
 # short-circuit.  A variable not in `names`, then a list, takes the next
-# slot; a shape the compiler does not know falls back to the evaluator.
+# slot, in the order the operands are read, also beside a subterm that is
+# folded away; a shape the compiler does not know falls back to the
+# evaluator.
+#
+# There is one closure per operator, not one per AST node.  Each operand
+# compiles to a constant, a slot or a closure (`_arith`, `_bool`), and the
+# operator's closure reads a constant or a slot operand in place, as in
+# `sigma[i] + k` or `op(sigma[i], k)`: an operator fused with its leaf
+# operands, a superoperator (Proebsting 1995, "Optimizing an ANSI C
+# interpreter with superoperators").  Folding: an operator whose operands
+# are all constants is replaced by its value where evaluating it cannot
+# raise, that is `+`, `-`, `min`, `max`, the comparisons and `not`; `and`
+# and `or` with a constant left operand reduce to what their short circuit
+# picks, and with a right operand that cannot change the result (`and
+# true`, `or false`) to the left one, which is still evaluated.  Products
+# and `fib` are never folded: past MAX_INT_BITS they raise, and that error
+# belongs to the states whose evaluation reaches them, not to the compile
+# (a position may never run); below it a fold would still spend the time of
+# a 65,536-bit product, or of fib(65536), on a position that may never run.
+
+_CONST, _SLOT, _FN = "constant", "slot", "closure"  # what an operand compiles to
 
 
-def compile_arith(e: ArithExpr, names: tuple[str, ...]) -> Callable[[tuple], int]:
-    if isinstance(e, AInt):
-        value = e.value
-        return lambda sigma: value
-    if isinstance(e, AVar):
-        if e.name not in names:
+def _operand(kind, x) -> Callable[[tuple], object]:
+    """The closure of a compiled operand (kind, x)."""
+    if kind is _CONST:
+        return lambda sigma: x
+    if kind is _SLOT:
+        return operator.itemgetter(x)
+    return x
+
+
+def _apply(op, left, right) -> Callable[[tuple], object]:
+    """One closure for op(left, right) over two compiled operands, not both
+    constants, each read in place if it is a constant or a slot."""
+    (lk, a), (rk, b) = left, right
+    if lk is _SLOT:
+        if rk is _SLOT:
+            return lambda sigma: op(sigma[a], sigma[b])
+        if rk is _CONST:
+            return lambda sigma: op(sigma[a], b)
+        return lambda sigma: op(sigma[a], b(sigma))
+    if lk is _CONST:
+        if rk is _SLOT:
+            return lambda sigma: op(a, sigma[b])
+        return lambda sigma: op(a, b(sigma))
+    if rk is _SLOT:
+        return lambda sigma: op(a(sigma), sigma[b])
+    if rk is _CONST:
+        return lambda sigma: op(a(sigma), b)
+    return lambda sigma: op(a(sigma), b(sigma))
+
+
+def _times(left, right) -> Callable[[tuple], int]:
+    """A product's closure, bounded as `eval_arith` bounds it."""
+    l, (rk, k) = _operand(*left), right
+    if rk is _CONST:  # `e * k`: the bound on e's bits is known here
+        room = MAX_INT_BITS - k.bit_length()
+
+        def times_constant(sigma):
+            a = l(sigma)
+            if a.bit_length() > room:
+                raise EvalError(f"a product exceeds {MAX_INT_BITS} bits")
+            return a * k
+        return times_constant
+    r = _operand(*right)
+
+    def times(sigma):
+        a, b = l(sigma), r(sigma)
+        if a.bit_length() + b.bit_length() > MAX_INT_BITS:
+            raise EvalError(f"a product exceeds {MAX_INT_BITS} bits")
+        return a * b
+    return times
+
+
+def _arith(e: ArithExpr, names) -> tuple:
+    """`e` compiled as an operand: (_CONST, value), (_SLOT, index) or
+    (_FN, closure)."""
+    cls = e.__class__
+    if cls is AInt:
+        return _CONST, e.value
+    if cls is AVar:
+        try:
+            return _SLOT, names.index(e.name)
+        except ValueError:
             names.append(e.name)
-        return operator.itemgetter(names.index(e.name))
-    if isinstance(e, ABin):
-        l, r = compile_arith(e.left, names), compile_arith(e.right, names)
-        if e.op == "+":
-            return lambda sigma: l(sigma) + r(sigma)
-        if e.op == "-":
-            return lambda sigma: l(sigma) - r(sigma)
+            return _SLOT, len(names) - 1
+    if cls is ABin:
+        left, right = _arith(e.left, names), _arith(e.right, names)
         if e.op == "*":
-            def times(sigma):
-                a, b = l(sigma), r(sigma)
-                if a.bit_length() + b.bit_length() > MAX_INT_BITS:
-                    raise EvalError(f"a product exceeds {MAX_INT_BITS} bits")
-                return a * b
-            return times
-    if isinstance(e, ACall):
-        args = [compile_arith(a, names) for a in e.args]
-        if e.fn in ("min", "max"):
+            return _FN, _times(left, right)
+        if e.op == "+" or e.op == "-":
+            (lk, a), (rk, b) = left, right
+            if rk is _CONST:
+                k = b if e.op == "+" else -b
+                if lk is _CONST:
+                    return _CONST, a + k
+                if lk is _SLOT:
+                    return _FN, lambda sigma: sigma[a] + k
+                return _FN, lambda sigma: a(sigma) + k
+            return _FN, _apply(operator.add if e.op == "+" else operator.sub, left, right)
+    elif cls is ACall:
+        if len(e.args) == 2 and (e.fn == "min" or e.fn == "max"):  # the common case, listless
             pick = min if e.fn == "min" else max
-            if len(args) == 2:
-                a, b = args
-                return lambda sigma: pick(a(sigma), b(sigma))
-            return lambda sigma: pick([a(sigma) for a in args])
+            left, right = _arith(e.args[0], names), _arith(e.args[1], names)
+            if left[0] is _CONST and right[0] is _CONST:
+                return _CONST, pick(left[1], right[1])
+            return _FN, _apply(pick, left, right)
+        args = [_arith(a, names) for a in e.args]
+        if e.fn == "min" or e.fn == "max":
+            pick = min if e.fn == "min" else max
+            if args and all(kind is _CONST for kind, _ in args):
+                return _CONST, pick([value for _, value in args])
+            fns = [_operand(*a) for a in args]
+            return _FN, lambda sigma: pick([f(sigma) for f in fns])
         if e.fn == "fib" and len(args) == 1:
-            (a,) = args
+            a = _operand(*args[0])
 
             def fib_of(sigma):
                 n = a(sigma)
                 if n > MAX_INT_BITS:
                     raise EvalError(f"fib argument {n} exceeds {MAX_INT_BITS}")
                 return fib(n)
-            return fib_of
-    return lambda sigma: eval_arith(e, unpack(sigma, names))
+            return _FN, fib_of
+    return _FN, lambda sigma: eval_arith(e, unpack(sigma, names))
+
+
+def _bool(b: BoolExpr, names) -> tuple:
+    """`b` compiled as an operand: (_CONST, value) or (_FN, closure)."""
+    cls = b.__class__
+    if cls is BCmp and b.op in _COMPARISONS:
+        op, left, right = _COMPARISONS[b.op], _arith(b.left, names), _arith(b.right, names)
+        if left[0] is _CONST and right[0] is _CONST:
+            return _CONST, op(left[1], right[1])
+        return _FN, _apply(op, left, right)
+    if cls is BAnd or cls is BOr:
+        (lk, l), (rk, r) = _bool(b.left, names), _bool(b.right, names)
+        conj = cls is BAnd
+        if lk is _CONST:  # the short circuit, taken once
+            return (rk, r) if bool(l) is conj else (lk, l)
+        if r is conj:  # `and true`, `or false`: the left operand's value
+            return lk, l
+        r = _operand(rk, r)
+        if conj:
+            return _FN, lambda sigma: l(sigma) and r(sigma)
+        return _FN, lambda sigma: l(sigma) or r(sigma)
+    if cls is BNot:
+        kind, arg = _bool(b.arg, names)
+        if kind is _CONST:
+            return _CONST, not arg
+        return _FN, lambda sigma: not arg(sigma)
+    if cls is BBool:
+        return _CONST, b.value
+    return _FN, lambda sigma: eval_bool(b, unpack(sigma, names))
+
+
+def compile_arith(e: ArithExpr, names: tuple[str, ...]) -> Callable[[tuple], int]:
+    kind, x = _arith(e, names)
+    return x if kind is _FN else _operand(kind, x)
 
 
 def compile_bool(b: BoolExpr, names: tuple[str, ...]) -> Callable[[tuple], bool]:
-    if isinstance(b, BBool):
-        value = b.value
-        return lambda sigma: value
-    if isinstance(b, BCmp) and b.op in _COMPARISONS:
-        op, l, r = _COMPARISONS[b.op], compile_arith(b.left, names), compile_arith(b.right, names)
-        return lambda sigma: op(l(sigma), r(sigma))
-    if isinstance(b, BNot):
-        arg = compile_bool(b.arg, names)
-        return lambda sigma: not arg(sigma)
-    if isinstance(b, BAnd):
-        l, r = compile_bool(b.left, names), compile_bool(b.right, names)
-        return lambda sigma: l(sigma) and r(sigma)
-    if isinstance(b, BOr):
-        l, r = compile_bool(b.left, names), compile_bool(b.right, names)
-        return lambda sigma: l(sigma) or r(sigma)
-    return lambda sigma: eval_bool(b, unpack(sigma, names))
+    kind, x = _bool(b, names)
+    return x if kind is _FN else _operand(kind, x)
 
 
 def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Algebra], object]:

@@ -500,6 +500,45 @@ def test_the_oracles_walk_the_live_pairs_once(monkeypatch):
     assert len(walks) == 1
 
 
+def test_olp_steps_each_live_pair_once_for_both_seeds(monkeypatch):
+    # uncertified from top, so the lasso solves op from zero; both solves
+    # read one system, whose numbering steps each pair the live paths reach
+    # once, after the budget walk and before the lasso's quotient
+    phase, steps, seeds = [], Counter(), []
+    walk, step, solve_one = operational._reachable, operational.successors, operational._solve
+    lasso = operational.diverging_weights
+
+    def budget_walk(*args):
+        yield from walk(*args)
+        if not phase:
+            phase.append("solve")
+
+    def counted(position, sigma, alg):
+        if phase == ["solve"]:
+            steps[position, sigma] += 1
+        return step(position, sigma, alg)
+
+    def solved(system, seed, *args):
+        seeds.append(seed)
+        return solve_one(system, seed, *args)
+
+    def diverging(*args):
+        phase.append("lasso")
+        return lasso(*args)
+    monkeypatch.setattr(operational, "_reachable", budget_walk)
+    monkeypatch.setattr(operational, "successors", counted)
+    monkeypatch.setattr(operational, "_solve", solved)
+    monkeypatch.setattr(operational, "diverging_weights", diverging)
+    ol = algebra("omegalang:ab")
+    loop = prog("@instance omegalang:ab\n"
+                "while (true) { if (x < 3) { x := x + 1; weigh a } else { x := 0; weigh b } }")
+    res = olp_oracle(loop.program, State({}), weighting("zero", ol), ol, fuel=12)
+    assert res.value == ol.value({("", "aaab")}) and res.exact
+    assert seeds == [ol.top().value, ol.mod_zero().value] and phase[-1] == "lasso"
+    # four positions at each x = 0..3
+    assert len(steps) == 16 and set(steps.values()) == {1}
+
+
 def test_olp_chain_is_descending():
     for parsed, sigma in ((EX410, State({"x": 2})), (EX411, State({"x": 1})),
                           (SKI_ND, State({"n": 3, "y": 2}))):

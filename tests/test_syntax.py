@@ -448,11 +448,51 @@ def test_compiled_expressions_keep_bounds_and_evaluation_order():
          ("error", f"a product exceeds {MAX_INT_BITS} bits")),
         (compile_bool, eval_bool, BCmp("<", ACall("fib", (AInt(MAX_INT_BITS + 1),)), product),
          beyond, ("error", f"fib argument {MAX_INT_BITS + 1} exceeds {MAX_INT_BITS}")),
+        # a product with a constant factor: exactly MAX_INT_BITS bits, then one more
+        (compile_arith, eval_arith, ABin("*", x, AInt(3)),
+         State({"x": 2 ** (MAX_INT_BITS - 3)}), ("value", 3 * 2 ** (MAX_INT_BITS - 3))),
+        (compile_arith, eval_arith, ABin("*", x, AInt(3)), State({"x": 2 ** (MAX_INT_BITS - 2)}),
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        # a zero factor does not lift the bound
+        (compile_arith, eval_arith, ABin("*", AInt(0), x), State({"x": 2 ** 70000}),
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_arith, eval_arith, ABin("*", x, AInt(0)), State({"x": 2 ** 70000}),
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        # a product of two constants is not folded: past the bound it
+        # compiles, and raises where it is evaluated
+        (compile_arith, eval_arith, ABin("*", AInt(2 ** 40000), AInt(2 ** 40000)), at_bound,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        # folded operators around an unfolded one
+        (compile_arith, eval_arith, ABin("-", ACall("max", (AInt(2), AInt(-3))),
+                                         ABin("+", AInt(4), x)), at_bound, ("value", -2 - half)),
+        (compile_bool, eval_bool, BCmp("<=", ABin("+", AInt(1), AInt(2)), AInt(3)), beyond,
+         ("value", True)),
+        # `and`/`or` with a constant operand: the short circuit and the
+        # error order stay, and a constant right operand still comes last
+        (compile_bool, eval_bool, BOr(BBool(False), overflows), beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_bool, eval_bool, BAnd(BNot(BBool(True)), overflows), beyond, ("value", False)),
+        (compile_bool, eval_bool, BAnd(overflows, BBool(False)), beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_bool, eval_bool, BOr(overflows, BBool(True)), beyond,
+         ("error", f"a product exceeds {MAX_INT_BITS} bits")),
+        (compile_bool, eval_bool, BAnd(overflows, BBool(True)), at_bound, ("value", True)),
+        (compile_bool, eval_bool, BOr(BCmp("<", product, AInt(0)), BBool(False)), at_bound,
+         ("value", False)),
     ]
     names = ("x", "y")  # the closures read a key over these slots
     for compile_expr, evaluate, expr, sigma, expected in cases:
         assert _outcome(evaluate, expr, sigma) == expected, expr
         assert _outcome(compile_expr(expr, names), pack(sigma, names)) == expected, expr
+    # a weighting's own variables take the next slots as they are read, left
+    # to right, also beside a subterm that is folded away
+    layout = []
+    expr = parse_weighting("int(min(3, 1) * y + z)", algebra("counting"))
+    at = compile_weighting(expr, algebra("counting"), layout)
+    assert layout == ["y", "z"] and at((4, 5)) == algebra("counting").value(9)
+    layout = []
+    compile_bool(BAnd(BBool(False), BCmp(">", AVar("w"), AVar("v"))), layout)
+    assert layout == ["w", "v"]
 
 
 def test_lowering_shares_equal_arms_and_links_the_loop_after_a_loop():
