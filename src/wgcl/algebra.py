@@ -36,10 +36,11 @@ more is known), set inclusion for languages.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
+
+from ._record import FrozenInstanceError, record
 
 
 class AlgebraError(Exception):
@@ -159,7 +160,7 @@ def lasso_prefix_of(word: str, prefix: str, period: str) -> bool:
     return (period * reps).startswith(rest)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OmegaValue:
     """A language of finite words, omega-words (lassos), and full cylinders.
 
@@ -237,10 +238,8 @@ class _Tagged:
     oracles and the transformer's steps) run over raw carrier values and
     wrap only what leaves them, but a compiled postweighting still builds
     one per term at each key it reads.  So the fields are slots set
-    through their descriptors, without a frozen dataclass's `__init__`.  A
-    frozen slotted dataclass base would not do: under Python 3.11 its
-    subclasses raise `TypeError`, not `AttributeError`, on an attribute
-    with no slot."""
+    through their descriptors, not a frozen record's `__dict__`, and
+    assigning to them raises the records' `FrozenInstanceError`."""
 
     __slots__ = ("algebra", "value")
 
@@ -418,7 +417,7 @@ def _check_extnat(raw, *, allow_neg_inf=False, who=""):
     return raw
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BooleanAlgebra(Algebra):
     name = "boolean"
     commutative = True
@@ -481,7 +480,7 @@ class _ExtNatAlgebra(Algebra):
     format_raw = staticmethod(format_extnat)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CountingAlgebra(_ExtNatAlgebra):
     name = "counting"
 
@@ -502,7 +501,7 @@ class CountingAlgebra(_ExtNatAlgebra):
     _module_one = _one
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TropicalAlgebra(_ExtNatAlgebra):
     """Min-plus costs: adding paths keeps the cheaper one."""
 
@@ -527,7 +526,7 @@ class TropicalAlgebra(_ExtNatAlgebra):
     _module_one = _one
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArcticAlgebra(_ExtNatAlgebra):
     """Max-plus: adding paths keeps the more expensive one; -inf is the zero."""
 
@@ -552,7 +551,7 @@ class ArcticAlgebra(_ExtNatAlgebra):
     _module_one = _one
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProbabilityAlgebra(Algebra):
     """Probability weights in [0,1] acting on nonnegative rationals + inf."""
 
@@ -624,7 +623,7 @@ def _check_alphabet(alphabet: str) -> str:
     return alphabet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _WordAlgebra(Algebra):
     """The instances whose weights are single words over `alphabet`; each
     subclass sets `kind`, its name's prefix."""
@@ -654,7 +653,7 @@ class _WordAlgebra(Algebra):
         return raw if raw else "ε"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LangAlgebra(_WordAlgebra):
     """Single words as weights acting on finite languages by prepending."""
 
@@ -691,7 +690,7 @@ class LangAlgebra(_WordAlgebra):
         return "{" + ",".join(w if w else "ε" for w in sorted(raw)) + "}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OmegaLangAlgebra(_WordAlgebra):
     """Words acting on languages that may contain omega-words.
 

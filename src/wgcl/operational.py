@@ -47,10 +47,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterator
 
+from ._record import record
 from .algebra import (
     Algebra, INF, ModuleValue, OmegaLangAlgebra, Weight, make_omega,
 )
@@ -113,7 +113,7 @@ def compile_successors(node):
 # Path enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Path:
     trace: tuple[QNode, ...]  # the (position, state) pairs, root first
     history: tuple[str, ...]  # one letter per `[]` step: L or R
@@ -125,7 +125,7 @@ class Path:
         return self.trace[-1][1]
 
 
-@dataclass
+@record
 class PathReport:
     paths: list[Path]
     truncated: bool
@@ -206,7 +206,7 @@ def _cut_sum(done, live: list, values, algebra: Algebra):
     return done
 
 
-@dataclass
+@record
 class OracleResult:
     value: ModuleValue
     exact: bool
@@ -548,7 +548,7 @@ def _shortest_walk(start, successors, goal) -> list:
             queue.append(w)
 
 
-@dataclass
+@record
 class UctResult:
     kind: str  # 'certain' | 'refuted' | 'unknown'
     maxlen: int | None = None

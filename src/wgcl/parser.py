@@ -46,11 +46,11 @@ fib zero one top inf eps.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
+from ._record import record
 from .algebra import Algebra, AlgebraError, INF, algebra as algebra_by_name
 from .syntax import (
     ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr,
@@ -576,7 +576,7 @@ class _Parser:
 # Entry points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParsedProgram:
     algebra: Algebra
     program: Program

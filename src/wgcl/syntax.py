@@ -28,10 +28,10 @@ term would be partial outside its guard.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
 
+from ._record import record
 from .algebra import Algebra, EmbedError, ModuleValue, Weight
 
 
@@ -43,24 +43,24 @@ class EvalError(Exception):
 # Arithmetic and Boolean expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AInt:
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ABin:
     op: str  # '+', '-', '*'
     left: "ArithExpr"
     right: "ArithExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ACall:
     fn: str  # 'min', 'max', 'fib'
     args: tuple["ArithExpr", ...]
@@ -69,30 +69,30 @@ class ACall:
 ArithExpr = Union[AInt, AVar, ABin, ACall]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BCmp:
     op: str  # '=', '!=', '<', '<=', '>', '>='
     left: ArithExpr
     right: ArithExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BNot:
     arg: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BAnd:
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BOr:
     left: "BoolExpr"
     right: "BoolExpr"
@@ -114,14 +114,14 @@ def fib(n: int) -> int:
 # Weight expressions (what `weigh` takes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WLit:
     """A weight literal, already validated for the declared instance."""
 
     raw: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WEmbedInt:
     """`int(e)`: embed an arithmetic value as a weight, state by state."""
 
@@ -189,38 +189,38 @@ class Statement:
         return lower(self, TERMINATED, False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Statement):
     var: str
     expr: ArithExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq(Statement):
     first: "Program"
     second: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ite(Statement):
     guard: BoolExpr
     then: "Program"
     orelse: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Statement):
     guard: BoolExpr
     body: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Branch(Statement):
     left: "Program"
     right: "Program"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Weigh(Statement):
     weight: WeightExpr
 
@@ -657,46 +657,46 @@ def compile_weight(w: WeightExpr, names: tuple[str, ...]) -> Callable[[tuple, Al
 # Weighting expressions (guarded sums) and semantic weightings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TZero:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TOne:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TTop:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TEmbed:
     expr: ArithExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TLit:
     """A module-value literal (language set, rational, ...), raw carrier."""
 
     raw: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TScale:
     weight: WeightExpr
     term: "WeightingExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WGuarded:
     guard: BoolExpr | None
     term: "WeightingExpr"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WSum:
     items: tuple[WGuarded, ...]
 

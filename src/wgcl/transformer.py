@@ -61,9 +61,9 @@ Anything else is a flagged bound: below the answer for wp, above for wlp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
+from ._record import record
 from .algebra import Algebra, AlgebraError, ModuleValue, NoTopError
 from .syntax import (
     TERMINATED, Assign, Branch, EvalError, ExprWeighting, FnWeighting, Ite, Node,
@@ -86,7 +86,7 @@ class NotALoopError(Exception):
 Direction = Literal["wp", "wlp"]
 
 
-@dataclass
+@record
 class TransformResult:
     """A transformer value at one state.
 
@@ -695,7 +695,7 @@ class LiberalEngine:
 # Characteristic functions and invariant checking
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class CharacteristicFn:
     """The loop-unrolling map X |-> [not g](x)f (+) [g](x)T(body)(X)."""
 
@@ -746,13 +746,13 @@ def _applied(loop: Program, f, invariant, states: Iterable[State], algebra: Alge
         yield sigma, _apply(phi, inv, sigma, engine), inv.at(sigma)
 
 
-@dataclass
+@record
 class InvariantVerdict:
     state: State
     holds: bool
 
 
-@dataclass
+@record
 class InvariantReport:
     mode: str
     verdicts: list[InvariantVerdict]
@@ -784,7 +784,7 @@ def check_subinvariant(loop: Program, f, invariant, states: Iterable[State],
                                              fuel, node_budget, "wlp")])
 
 
-@dataclass
+@record
 class FixedPointVerdict:
     state: State
     fixed: bool
@@ -796,7 +796,7 @@ class FixedPointVerdict:
         return self.fixed and self.certainly_terminates
 
 
-@dataclass
+@record
 class FixedPointReport:
     verdicts: list[FixedPointVerdict]
 
@@ -824,7 +824,7 @@ def check_fixed_point(loop: Program, f, invariant, states: Iterable[State],
         for (sigma, phi_i, here), terminates in zip(applied, certain)])
 
 
-@dataclass
+@record
 class DecompositionVerdict:
     state: State
     status: Literal["holds", "fails", "untested"]
