@@ -8,10 +8,12 @@ runs through `wgcl.cli.main` in-process, one at a time, with output
 captured and `gc.collect()` before each command, as `perfbench/child.py`
 runs them.  The script counts the argparse parsers built while they run
 (calls of `ArgumentParser.__init__`, subparsers included) and times, over
-all commands: `build_parser`, the parsing of the command line (the
-outermost `parse_known_args` of each parse), `_load_program` (reading and
-parsing the program file), the rest of `main`, and the total.  Times are
-wall clock on this run's machine; compare two trees by running both here.
+all commands: `build_parser`, the parsing of the command line (`parse`:
+the option table's `parse_command`, and any outermost `parse_known_args`
+of an argparse parser, which is all of it in a tree without the table),
+`_load_program` (reading and parsing the program file), the rest of
+`main`, and the total.  Times are wall clock on this run's machine;
+compare two trees by running both here.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def main() -> int:
     import wgcl.cli
     import workloads
 
-    spent = dict.fromkeys(("build_parser", "parse_known_args", "_load_program"), 0.0)
+    spent = dict.fromkeys(("build_parser", "parse", "_load_program"), 0.0)
     built = 0
     depth = 0  # parse_known_args nests: parse_args, subparsers, overrides
 
@@ -70,7 +72,9 @@ def main() -> int:
         if isinstance(c, type) and issubclass(c, argparse.ArgumentParser)
         and "parse_known_args" in vars(c)]
     for cls in parser_classes:
-        cls.parse_known_args = timed("parse_known_args", cls.parse_known_args)
+        cls.parse_known_args = timed("parse", cls.parse_known_args)
+    if hasattr(wgcl.cli, "parse_command"):
+        wgcl.cli.parse_command = timed("parse", wgcl.cli.parse_command)
     for name in ("build_parser", "_load_program"):
         setattr(wgcl.cli, name, timed(name, getattr(wgcl.cli, name)))
 

@@ -8,12 +8,15 @@ Subcommands:
     paths       raw computation-path traces
     print       parse and pretty-print a program
 
-Each call of `main` parses with one argument parser, the invoked
-command's (see `build_parser`); the full parser, with all six commands, only
-for `-h`, a missing or unknown command, or arguments the command leaves
-over.  Parsers are built on first use and kept for the process, so
-in-process callers of `main` pay for each build once; WGCL_FUEL and the
-terminal width (COLUMNS) are still read on each call.
+Each command declares its options once, as data (`COMMANDS`, `Option`).
+`main` reads a well-formed command line straight off that table
+(`parse_command`): exact option names, each value its own argument, one
+program.  Every other line (help, an abbreviated option, `--opt=value`,
+a usage error) goes to argparse parsers built from the same table (see
+`build_parser`), so help, usage and error texts are argparse's, and
+`argparse` is imported only then.  Those parsers are built on first use
+and kept for the process; WGCL_FUEL and the terminal width (COLUMNS) are
+still read on each call.
 
 Exit codes: 0 ok, 2 usage or parse error (also a program that nests too
 deeply), 3 some result was not certified exact, 4 a comparison or check
@@ -29,14 +32,15 @@ variable twice.  `print` takes only the program and --instance.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import example_path
+from ._record import record
 from .algebra import INF, NEG_INF, AlgebraError, LangAlgebra, OmegaLangAlgebra
 from .operational import (
     BudgetError, DivergenceError, enumerate_paths, olp_oracle, op_oracle,
@@ -57,14 +61,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _count(text: str) -> int:
-    """argparse type of the fuel, budget, depth and grid-size options."""
+def _count(text: str) -> int | None:
+    """The value of a fuel, budget, depth or grid-size argument: the
+    non-negative integer that `int` reads in `text`, else None."""
     try:
-        if int(text) >= 0:
-            return int(text)
+        value = int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        return None
+    return value if value >= 0 else None
 
 
 def _load_program(path: str, instance: str | None):
@@ -74,7 +78,13 @@ def _load_program(path: str, instance: str | None):
             p = example_path(path)
         except FileNotFoundError:
             raise CliError(f"no such program file or bundled example: {path}")
-    return parse_program(p.read_text(encoding="utf-8"), instance)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+    return parse_program(text, instance)
 
 
 def _states(args) -> tuple[tuple[str, ...], list[State]]:
@@ -258,111 +268,215 @@ def cmd_print(args) -> int:
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose `--fuel` default reads WGCL_FUEL on each parse.
+TEXT, COUNT, FLAG = "text", "count", "flag"
 
-    The default stays a string, and a string default goes through `type`
-    too, so a bad WGCL_FUEL is a usage error of `--fuel`.
+
+@record(frozen=True)
+class Option:
+    """One argument of a command, as both parsers read it.
+
+    `kind` is TEXT (a string), COUNT (a non-negative integer, see
+    `_count`), FLAG (true if given, else false) or the tuple of the
+    option's choices.  Options with the same `group` exclude each other,
+    and a `required` one must be given.  A `flag` without dashes names the
+    command's positional argument.
     """
 
-    def parse_known_args(self, args=None, namespace=None):
-        fuel = self._option_string_actions.get("--fuel")
-        if fuel is not None:
-            fuel.default = os.environ.get("WGCL_FUEL", "64")
-        return super().parse_known_args(args, namespace)
+    flag: str
+    kind: object = TEXT
+    default: object = None
+    group: str | None = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
 
 
-def _add_program(sub):
-    sub.add_argument("program", help="program file, or the name of a bundled example")
-    sub.add_argument("--instance", help="override the @instance pragma")
+_PROGRAM = (Option("program", required=True,
+                   help="program file, or the name of a bundled example"),
+            Option("--instance", help="override the @instance pragma"))
+_STATES = (Option("--state", group="states", help="state literal, e.g. x=2,y=3"),
+           Option("--grid", group="states", help="state grid, e.g. x=0..8,y=0..8"))
+_LIMITS = (Option("--budget", COUNT, 10 ** 6, help="node budget"),
+           Option("--max-grid", COUNT, 10 ** 5),
+           Option("--format", ("text", "tsv"), "text"))
+# the options of the commands that run a transformer; the default of
+# --fuel is WGCL_FUEL's, or 64, read on each parse
+_TRANSFORM = (*_PROGRAM, Option("--post", default="one", help="postweighting expression"),
+              *_STATES, Option("--fuel", COUNT), *_LIMITS)
 
-
-def _add_common(sub, transform=True):
-    """The program, its states and the output options; with `transform`, also
-    the postweighting and the fuel, which `paths` does not read."""
-    _add_program(sub)
-    if transform:
-        sub.add_argument("--post", default="one", help="postweighting expression")
-    states = sub.add_mutually_exclusive_group()
-    states.add_argument("--state", help="state literal, e.g. x=2,y=3")
-    states.add_argument("--grid", help="state grid, e.g. x=0..8,y=0..8")
-    if transform:
-        sub.add_argument("--fuel", type=_count)  # its default is set on each parse
-    sub.add_argument("--budget", type=_count, default=10 ** 6, help="node budget")
-    sub.add_argument("--max-grid", type=_count, default=10 ** 5)
-    sub.add_argument("--format", choices=("text", "tsv"), default="text")
-
-
-def _wlp_options(sub):
-    _add_common(sub)
-    sub.add_argument("--mode", choices=("gfp", "gfp_leq_one"), default="gfp")
-    sub.add_argument("--method", choices=("auto", "chain", "lasso"), default="auto")
-
-
-def _check_options(sub):
-    _add_common(sub)
-    sub.add_argument("--invariant", required=True)
-    sub.add_argument("--mode", choices=("super", "sub", "fixed"), required=True)
-    sub.add_argument("--loop-path", help="select a nested loop, e.g. 2 or 2.body.0")
-
-
-def _compare_options(sub):
-    _add_common(sub)
-    kind = sub.add_mutually_exclusive_group()
-    kind.add_argument("--liberal", action="store_true",
-                      help="compare wlp(post) against the liberal oracle")
-    kind.add_argument("--ratio", metavar="OTHER",
-                      help="second program; report wp(program)/wp(OTHER) per state")
-
-
-def _paths_options(sub):
-    _add_common(sub, transform=False)
-    sub.add_argument("--depth", type=_count, default=16)
-
-
-# name -> (help line, options, handler), in the order `wgcl -h` lists them
+# name -> (help line, options, handler), in the order `wgcl -h` lists them;
+# each command's options in the order its help lists them
 COMMANDS = {
-    "wp": ("weakest preweighting", _add_common,
+    "wp": ("weakest preweighting", _TRANSFORM,
            lambda args: cmd_transform(args, liberal=False)),
-    "wlp": ("weakest liberal preweighting", _wlp_options,
+    "wlp": ("weakest liberal preweighting",
+            (*_TRANSFORM, Option("--mode", ("gfp", "gfp_leq_one"), "gfp"),
+             Option("--method", ("auto", "chain", "lasso"), "auto")),
             lambda args: cmd_transform(args, liberal=True)),
-    "check": ("invariant checks for a loop", _check_options, cmd_check),
-    "compare": ("transformer vs. path oracle, or --ratio", _compare_options, cmd_compare),
-    "paths": ("enumerate computation paths", _paths_options, cmd_paths),
-    "print": ("parse and pretty-print a program", _add_program, cmd_print),
+    "check": ("invariant checks for a loop",
+              (*_TRANSFORM, Option("--invariant", required=True),
+               Option("--mode", ("super", "sub", "fixed"), required=True),
+               Option("--loop-path", help="select a nested loop, e.g. 2 or 2.body.0")),
+              cmd_check),
+    "compare": ("transformer vs. path oracle, or --ratio",
+                (*_TRANSFORM,
+                 Option("--liberal", FLAG, False, "kind",
+                        help="compare wlp(post) against the liberal oracle"),
+                 Option("--ratio", group="kind", metavar="OTHER",
+                        help="second program; report wp(program)/wp(OTHER) per state")),
+                cmd_compare),
+    "paths": ("enumerate computation paths",
+              (*_PROGRAM, *_STATES, *_LIMITS, Option("--depth", COUNT, 16)), cmd_paths),
+    "print": ("parse and pretty-print a program", _PROGRAM, cmd_print),
 }
+_OPTIONS = {name: {option.flag: option for option in options}
+            for name, (_, options, _) in COMMANDS.items()}
+
+
+def parse_command(argv: list[str]):
+    """The arguments of a well-formed command line, or None.
+
+    Well-formed is a command of `COMMANDS`, then, in any order, one
+    program and that command's options, each by its exact name and with
+    its value, if it takes one, as the next argument, one that does not
+    start with `-`.  Every value must be of its option's kind, no two
+    options of a group given, every required one given, and, where the
+    command takes --fuel and the line gives none, WGCL_FUEL must be a
+    count.  An option given twice takes its last value.  The result reads
+    as argparse's would: the same names and values, defaults included.
+    Anything else (`-h`, an abbreviated option, `--opt=value`, `--`, a
+    value that starts with `-`, every error) is None, and `main` hands
+    the line to `build_parser`'s parsers, whose help and errors are
+    argparse's own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = _OPTIONS[argv[0]]
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            if "program" in given:
+                return None
+            given["program"] = arg
+            continue
+        option = options.get(arg)
+        if option is None:
+            return None
+        kind = option.kind
+        if kind == FLAG:
+            given[option.dest] = True
+            continue
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        if kind == COUNT:
+            value = _count(value)
+            if value is None:
+                return None
+        elif kind != TEXT and value not in kind:
+            return None
+        given[option.dest] = value
+    args = {"command": argv[0]}
+    groups = set()
+    for option in options.values():
+        dest = option.dest
+        if dest in given:
+            if option.group is not None:
+                if option.group in groups:
+                    return None
+                groups.add(option.group)
+            args[dest] = given[dest]
+        elif option.required:
+            return None
+        elif option.flag == "--fuel":
+            args[dest] = _count(os.environ.get("WGCL_FUEL", "64"))
+            if args[dest] is None:
+                return None
+        else:
+            args[dest] = option.default
+    return SimpleNamespace(**args)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of `command`'s arguments, or the full parser.
+    """The argparse parser of `command`'s arguments, or the full parser.
 
-    A command line runs one command, so for a command in `COMMANDS` this is
-    that command's parser alone: one `ArgumentParser` for the arguments
-    after the command's name, named `wgcl <command>` as the full parser's
-    subparser is, so its help and its errors read the same, and setting
-    `command` as the subparsers action does.  Any other `command` (none,
-    `-h`, an unknown one) gets the full parser, every command a subparser,
-    for the top-level help and the choice errors; `main` also gives it a
-    command line whose command leaves arguments over, so that it reports
-    them.  Each parser is built on first use and kept for the process (at
-    most seven: one per command, and the full one).  None keeps anything of
-    a command line; WGCL_FUEL (on each parse) and the terminal width (on
-    each help or usage text) are read when used, not when built.
+    `main` parses a well-formed command line with `parse_command` alone
+    and comes here only for the others: help, usage errors and the forms
+    that argparse reads and the option table does not.  So `argparse` is
+    imported here, on first use, and a well-formed command never loads it.
+    Both kinds of parser are built from `COMMANDS`' option tables.
+
+    For a command in `COMMANDS` this is that command's parser alone: one
+    `ArgumentParser` for the arguments after the command's name, named
+    `wgcl <command>` as the full parser's subparser is, so its help and its
+    errors read the same, and setting `command` as the subparsers action
+    does.  Any other `command` (none, `-h`, an unknown one) gets the full
+    parser, every command a subparser, for the top-level help and the
+    choice errors; `main` also gives it a command line whose command
+    leaves arguments over, so that it reports them.  Each parser is built
+    on first use and kept for the process (at most seven: one per command,
+    and the full one).  None keeps anything of a command line; WGCL_FUEL
+    (on each parse) and the terminal width (on each help or usage text)
+    are read when used, not when built.
     """
     return _build_parser(command if command in COMMANDS else None)
 
 
 @functools.cache
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An argument parser whose `--fuel` default reads WGCL_FUEL on each parse.
+
+        The default stays a string, and a string default goes through `type`
+        too, so a bad WGCL_FUEL is a usage error of `--fuel`.
+        """
+
+        def parse_known_args(self, args=None, namespace=None):
+            fuel = self._option_string_actions.get("--fuel")
+            if fuel is not None:
+                fuel.default = os.environ.get("WGCL_FUEL", "64")
+            return super().parse_known_args(args, namespace)
+
+    def count(text: str) -> int:
+        value = _count(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        return value
+
+    def add_options(ap, options):
+        groups = {}
+        for option in options:
+            add = ap.add_argument
+            if option.group is not None:
+                if option.group not in groups:
+                    groups[option.group] = ap.add_mutually_exclusive_group()
+                add = groups[option.group].add_argument
+            if option.flag[:1] != "-":
+                add(option.flag, help=option.help)
+            elif option.kind == FLAG:
+                add(option.flag, action="store_true", help=option.help)
+            else:
+                add(option.flag, default=option.default, required=option.required,
+                    help=option.help, metavar=option.metavar,
+                    type=count if option.kind == COUNT else None,
+                    choices=None if option.kind in (TEXT, COUNT) else option.kind)
+
     if command is not None:
-        ap = _Parser(prog=f"wgcl {command}")
-        COMMANDS[command][1](ap)
+        ap = Parser(prog=f"wgcl {command}")
+        add_options(ap, COMMANDS[command][1])
         ap.set_defaults(command=command)
         return ap
-    ap = _Parser(prog="wgcl", description="weighted guarded-command programs")
+    ap = Parser(prog="wgcl", description="weighted guarded-command programs")
     sp = ap.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_options, _) in COMMANDS.items():
-        add_options(sp.add_parser(name, help=help_line))
+    for name, (help_line, options, _) in COMMANDS.items():
+        add_options(sp.add_parser(name, help=help_line), options)
     return ap
 
 
@@ -371,14 +485,16 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if hasattr(sys, "set_int_max_str_digits"):  # no limit: sums are unbounded
         sys.set_int_max_str_digits(0)
-    command = argv[0] if argv else None
-    try:
-        args, rest = (build_parser(command).parse_known_args(argv[1:])
-                      if command in COMMANDS else (None, argv))
-        if args is None or rest:
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
+    args = parse_command(argv)
+    if args is None:
+        command = argv[0] if argv else None
+        try:
+            args, rest = (build_parser(command).parse_known_args(argv[1:])
+                          if command in COMMANDS else (None, argv))
+            if args is None or rest:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE if exc.code not in (0, None) else 0
     try:
         code = COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit

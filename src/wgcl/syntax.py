@@ -367,7 +367,8 @@ class State(tuple):
     def format(self, variables: tuple[str, ...] | None = None) -> str:
         if variables is None:
             return ",".join(f"{k}={v}" for k, v in self) or "-"
-        return ",".join(f"{k}={self.get(k)}" for k in variables)
+        values = dict(self)
+        return ",".join(f"{k}={values.get(k, 0)}" for k in variables)
 
 
 def pack(sigma: State, names: tuple[str, ...], rest: bool = False) -> tuple:

@@ -1,10 +1,13 @@
 """Exit codes, output formats, and end-to-end command behavior."""
 
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -77,6 +80,34 @@ def test_missing_program_exits_two(capsys):
     code, _, err = run(capsys, "wp", "no_such_example", "--state", "x=0")
     assert code == 2
     assert "bundled" in err
+
+
+def test_a_program_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.wgcl"
+    bad.write_bytes(b"@instance tropical\nskip \xff\n")
+    assert run(capsys, "print", str(bad)) == (
+        2, "", f"wgcl: {bad}: not UTF-8 text: byte 24 (invalid start byte)\n")
+
+
+def test_a_program_file_that_cannot_be_read_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    prog = tmp_path / "prog.wgcl"
+    prog.write_text("@instance tropical\nskip\n", encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert run(capsys, "print", str(prog)) == (
+        2, "", f"wgcl: cannot read {prog}: Permission denied\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_is_not_a_program_file(capsys, tmp_path):
+    # it is never opened, so no command waits for a writer
+    fifo = tmp_path / "ski_nd"
+    os.mkfifo(fifo)
+    assert run(capsys, "print", str(fifo)) == (
+        2, "", f"wgcl: no such program file or bundled example: {fifo}\n")
 
 
 def test_tsv_format(capsys):
@@ -566,6 +597,7 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
         argv = [command, *rest]
         one = build_parser(command).parse_args(argv[1:])
         assert one == build_parser().parse_args(argv)
+        assert vars(cli.parse_command(argv)) == vars(one)
         assert one.command == command
         assert hasattr(one, "fuel") is (command not in FUELLESS)
     if command in FUELLESS:
@@ -573,10 +605,97 @@ def test_one_command_parser_parses_as_the_full_parser(command, monkeypatch):
     # each parse reads WGCL_FUEL anew for the fuel default
     argv = [command, *ONE_COMMAND_ARGVS[command][0]]
     assert build_parser(command).parse_args(argv[1:]).fuel == 64
+    assert cli.parse_command(argv).fuel == 64
     monkeypatch.setenv("WGCL_FUEL", "5")
     one = build_parser(command).parse_args(argv[1:])
     assert one == build_parser().parse_args(argv)
+    assert vars(cli.parse_command(argv)) == vars(one)
     assert one.fuel == 5
+
+
+_FLAGS = sorted({option.flag for _, options, _ in cli.COMMANDS.values()
+                 for option in options if option.flag.startswith("-")})
+_VALUES = ["ex49", "x=1", "x=0..1", "one", "", "0", "7", "-1", "²", " 5", "+3", "1_0",
+           "text", "tsv", "gfp", "lasso", "super", "fixed", "bogus", "-", "--", "-h"]
+
+
+def _given(rng, option):
+    """`option` given, mostly with a value of its kind if it takes one, now
+    and then with a value of no kind, or with none."""
+    if option.kind == cli.FLAG:
+        return [option.flag]
+    draw = rng.random()
+    if draw < 0.1:
+        return [option.flag]
+    if draw < 0.2:
+        return [option.flag, rng.choice(["", "-", "--", "-h", "-1", "bogus"])]
+    # with near misses: "²" is no count, though `str.isdigit` says it is a
+    # digit, and "tsv" is a choice of --format only
+    values = {cli.TEXT: ["x=1", "one"], cli.COUNT: ["0", "7", " 5", "+3", "²"]}.get(
+        option.kind, [*option.kind, "tsv"])
+    return [option.flag, rng.choice(values)]
+
+
+def _noise(rng):
+    """What else the table leaves to argparse: an option of another command,
+    abbreviated, `=`-joined or unknown, help, `--`, a stray value."""
+    flag = rng.choice(_FLAGS)
+    return rng.choice([
+        [flag], [flag, rng.choice(_VALUES)], [flag[:rng.randint(3, len(flag) - 1)]],
+        [f"{flag}={rng.choice(_VALUES)}"],
+        [rng.choice(["--", "-h", "--help", "-", "--bogus", "-x", "ex410"])],
+    ])
+
+
+def _command_line(rng):
+    """A command, its required options (mostly), options of its own in any
+    number and order (so repeated, and both of a group), now and then
+    noise, and mostly one program."""
+    command = rng.choice(list(cli.COMMANDS))
+    options = [o for o in cli.COMMANDS[command][1] if o.flag.startswith("-")]
+    chunks = [_given(rng, o) for o in options if o.required and rng.random() < 0.8]
+    chunks += [_given(rng, rng.choice(options)) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.25:
+        chunks.insert(rng.randint(0, len(chunks)), _noise(rng))
+    chunks.insert(rng.randint(0, len(chunks)),
+                  rng.choice([["ex49"]] * 4 + [[], ["ex49", "ex410"]]))
+    return [command, *(arg for chunk in chunks for arg in chunk)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_the_option_table_parses_as_argparse(seed):
+    rng = random.Random(seed)
+    argv = _command_line(rng)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("WGCL_FUEL", None)
+        fuel = rng.choice([None] * 4 + ["9", " 3", "-5", "abc", "²"])
+        if fuel is not None:
+            os.environ["WGCL_FUEL"] = fuel
+        table = cli.parse_command(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                args, left = build_parser(argv[0]).parse_known_args(argv[1:])
+        except SystemExit:
+            args = left = None
+    if args is None or left:
+        assert table is None, argv
+    elif table is not None:
+        assert vars(table) == vars(args), argv
+
+
+def test_a_well_formed_command_loads_no_argparse():
+    # argparse, with the gettext and locale it imports, is start-up cost for
+    # every command; only help and errors need it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, wgcl.cli\n"
+         "code = wgcl.cli.main(['wp', 'ski_nd', '--post', 'one', '--state', 'n=3,y=2'])\n"
+         "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "n=3,y=2 | 2 | exact\n0 []\n"
 
 
 WGCL_USAGE = "usage: wgcl [-h] {wp,wlp,check,compare,paths,print} ...\n"
