@@ -36,10 +36,12 @@ termination question, and whether an omega-language cycle feeds
 another, reads whether a cycle is reachable off it.  `solve` is the one
 linear-system solve, over numbered unknowns in flat-tuple forms: the
 transformer's loop solver and the oracle each number their unknowns, build
-the forms and call it, each with its own substitution; the oracle builds
-its system once per query (`_system`), and `_solve` solves it for a seed.
-It makes one back-substitution pass and hands what that pass leaves to
-`components` and `settle`, the one component solve.
+the forms and call it, and `right_side` is the one right-hand side of
+both, each with its own product; a read behind a coefficient that
+annihilates (c (x) top = zero) is exact on both sides, whatever it reads.
+The oracle builds its system once per query (`_cut`), and `_solve` solves
+it for a seed.  `solve` makes one back-substitution pass and hands what
+that pass leaves to `components` and `settle`, the one component solve.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict, deque
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator
 
@@ -55,7 +58,7 @@ from .algebra import (
     Algebra, INF, ModuleValue, OmegaLangAlgebra, Weight, make_omega,
 )
 from .syntax import (
-    TERMINATED, Assign, Branch, EvalError, FnWeighting, Ite, Program, State, Weigh,
+    TERMINATED, Assign, Branch, EvalError, Ite, Program, State, Weigh,
     Weighting, While, compile_program, pack, unpack,
 )
 
@@ -167,17 +170,16 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
     return report
 
 
-def _layers(program: Program, state: State, post: Weighting, algebra: Algebra,
+def _layers(entry, sigma: tuple, at: Callable[[tuple], ModuleValue], algebra: Algebra,
             fuel: int, node_budget: int) -> Iterator[tuple[list, object]]:
-    """Per depth n = 0..fuel of the forest cut, (live, done): the paths
-    still running, as (position, key, raw weight), and weight (x)
-    post(final key) summed over those that ended, raw.  Nothing is built
-    past the cut; forest nodes count as in `enumerate_paths`, the root
-    included."""
-    entry = compile_program(program)
-    key, at = post.keyed(entry.names)
+    """Per depth n = 0..fuel of the forest cut from the compiled program
+    `entry` at the key `sigma`, (live, done): the paths still running, as
+    (position, key, raw weight), and weight (x) at(final key), the
+    postweighting at a key (`Weighting.keyed`), summed over those that
+    ended, raw.  Nothing is built past the cut; forest nodes count as in
+    `enumerate_paths`, the root included."""
     need, add, scale, mul = algebra._need, algebra._add, algebra._scale, algebra._mul
-    frontier = [(entry, key(state), algebra._unit)]
+    frontier = [(entry, sigma, algebra._unit)]
     done = algebra._zero()
     nodes = 1
     for n in range(fuel + 1):
@@ -212,9 +214,11 @@ class OracleResult:
     exact: bool
 
 
-def _annihilates(a, algebra: Algebra) -> bool:
-    """a (x) top = zero, so that a (x) x = zero for every x (raw a)."""
-    return algebra.has_top and algebra._scale(a, algebra._top()) == algebra._zero()
+def annihilates(a, algebra: Algebra, product) -> bool:
+    """product(a, top) = zero, so that product(a, x) = zero for every x:
+    `product` is `Algebra._scale` for a raw weight a, `_times` for a sum
+    of weights."""
+    return algebra.has_top and product(a, algebra._top()) == algebra._zero()
 
 
 def _system(roots, at: Callable[[tuple], ModuleValue], algebra: Algebra) -> tuple[list, list]:
@@ -240,27 +244,35 @@ def _system(roots, at: Callable[[tuple], ModuleValue], algebra: Algebra) -> tupl
     return ids, forms
 
 
+def _cut(program: Program, state: State, post: Weighting, algebra: Algebra, fuel: int,
+         node_budget: int) -> tuple[list, object, tuple | None]:
+    """Both oracles' start: the forest cut at depth `fuel` (`_layers`), as
+    (live, done), and the system over the live pairs (`_system`), built
+    once per query.  Before it builds the system it walks those pairs
+    once, keeping only the set seen (`_reachable`); the system is None
+    where that walk passes `node_budget` pairs or a step past the cut is
+    undefined."""
+    entry = compile_program(program)
+    key, at = post.keyed(entry.names)
+    live, done = deque(_layers(entry, key(state), at, algebra, fuel, node_budget), maxlen=1).pop()
+    roots = [(p, s) for p, s, _ in live]
+    try:
+        deque(_reachable(roots, algebra, node_budget), maxlen=0)
+        return live, done, _system(roots, at, algebra)
+    except (BudgetError, EvalError):  # too large, or undefined past the cut
+        return live, done, None
+
+
 def _solve(system: tuple[list, list], seed, algebra: Algebra, fuel: int) -> tuple[list, list]:
     """Per root of `system` (`_system`), its raw value and whether it is
     certified, solved by `solve` from `seed` on a copy of the forms, which
     `solve` drops as it solves them, so that one system serves both of
-    olp's seeds.  A read is exact when its pair is certified or unsolved
-    (in the reader's own component), or lies behind an annihilating
-    weight."""
-    ids, forms = system
-    forms = list(forms)
-    add, scale = algebra._add, algebra._scale
+    olp's seeds.  Each row is `right_side` over raw weights
+    (`Algebra._scale`)."""
+    ids, forms = system[0], list(system[1])
     values, exact = [seed] * len(forms), [None] * len(forms)
-
-    def substitute(i):
-        terms = iter(forms[i])
-        total, ok = next(terms), next(terms)
-        for j, a in zip(terms, terms):
-            total = add(total, scale(a, values[j]))
-            ok = ok and (exact[j] is not False or _annihilates(a, algebra))
-        return total, ok
-
-    solve(ids, values, exact, forms, substitute, fuel)
+    solve(ids, values, exact, forms,
+          partial(right_side, values, exact, forms, algebra, algebra._scale), fuel)
     return [values[i] for i in ids], [exact[i] for i in ids]
 
 
@@ -270,25 +282,24 @@ def _limit(live: list, done, system, seed, algebra: Algebra, fuel: int) -> Oracl
     when no path is live, or when `_solve` certifies each live pair whose
     path weight w does not annihilate, as done (+) w (x) value(pair) over
     the live paths; else s_fuel.  `system` is `_system` over the live
-    pairs, built once per oracle query.  `done`, the weights and `seed` are
-    raw, and the result is wrapped.  Each oracle first walks the pairs
-    once, before it builds the system, keeping only the set seen:
-    BudgetError past `node_budget` of them, EvalError at an undefined step.
+    pairs (`_cut`).  `done`, the weights and `seed` are raw, and the
+    result is wrapped.
 
     Why that is the limit: from a pair, the forest cut at depth n sums to
     s_n = F^n(x0), F the right-hand sides of the system's forms and x0 post
     at TERMINATED and `seed` elsewhere.  For op (seed zero) x0 <= F(x0); one
     update keeps y <= F(y), so the values g after J of them lie below s_J.
     Certified values are a fixed point of F (an annihilated read is zero
-    whatever it reads), so s_n <= F^n(g) = g for all n: the chain reaches
-    g at depth J and stays.  For olp (seed top) each inequality turns
-    round.  No continuity is needed, only (+) and (x) monotone in the
-    natural order, zero least and top greatest, as on every instance.
+    whatever it reads, `right_side`), so s_n <= F^n(g) = g for all n: the
+    chain reaches g at depth J and stays.  For olp (seed top) each
+    inequality turns round.  No continuity is needed, only (+) and (x)
+    monotone in the natural order, zero least and top greatest, as on
+    every instance.
     """
     if not live:
         return OracleResult(ModuleValue(algebra, done), True)
     values, certain = _solve(system, seed, algebra, fuel)
-    if all(ok or _annihilates(w, algebra) for ok, (_, _, w) in zip(certain, live)):
+    if all(ok or annihilates(w, algebra, algebra._scale) for ok, (_, _, w) in zip(certain, live)):
         total, exact = _cut_sum(done, live, values, algebra), True
     else:
         total, exact = _cut_sum(done, live, repeat(seed), algebra), False
@@ -300,14 +311,10 @@ def op_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
     """op(post): the limit of the ascending chain that sums weight (x)
     post(final state) over the paths ended within n steps (see `_limit`);
     uncertified, s_fuel, a lower bound."""
-    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
-    _, at = post.keyed(compile_program(program).names)
-    roots = [(p, s) for p, s, _ in live]
-    try:
-        deque(_reachable(roots, algebra, node_budget), maxlen=0)
-        return _limit(live, done, _system(roots, at, algebra), algebra._zero(), algebra, fuel)
-    except (BudgetError, EvalError):  # too large, or undefined past the cut
+    live, done, system = _cut(program, state, post, algebra, fuel, node_budget)
+    if system is None:
         return OracleResult(ModuleValue(algebra, done), False)
+    return _limit(live, done, system, algebra._zero(), algebra, fuel)
 
 
 def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra,
@@ -317,20 +324,17 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
     the instances `diverging_weights` handles, the lasso completes it as
     op(post) (+) olp(zero), exact when op is; else s_fuel, an upper bound."""
     top = algebra._top()
-    live, done = deque(_layers(program, state, post, algebra, fuel, node_budget), maxlen=1).pop()
-    _, at = post.keyed(compile_program(program).names)
-    roots = [(p, s) for p, s, _ in live]
+    live, done, system = _cut(program, state, post, algebra, fuel, node_budget)
     try:
-        deque(_reachable(roots, algebra, node_budget), maxlen=0)
-        system = _system(roots, at, algebra)  # one system for both seeds
-        result = _limit(live, done, system, top, algebra, fuel)
-        if result.exact:
-            return result
-        check_divergence_analysis(algebra)  # before the op solve
-        op = _limit(live, done, system, algebra._zero(), algebra, fuel)
-        if op.exact:
-            diverging = diverging_weights(program, state, algebra, node_budget)
-            return OracleResult(algebra.mod_add(op.value, diverging), True)
+        if system is not None:  # one system for both seeds
+            result = _limit(live, done, system, top, algebra, fuel)
+            if result.exact:
+                return result
+            check_divergence_analysis(algebra)  # before the op solve
+            op = _limit(live, done, system, algebra._zero(), algebra, fuel)
+            if op.exact:
+                diverging = diverging_weights(program, state, algebra, node_budget)
+                return OracleResult(algebra.mod_add(op.value, diverging), True)
     except (BudgetError, EvalError, DivergenceError):
         pass
     return OracleResult(ModuleValue(algebra, _cut_sum(done, live, repeat(top), algebra)),
@@ -340,9 +344,10 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
 def olp_chain(program: Program, state: State, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
     """The olp chain s_n itself for post zero, n = 0..fuel (fewer if all paths end)."""
-    zero, top = FnWeighting(algebra, lambda _s: algebra.mod_zero()), algebra._top()
+    entry, zero, top = compile_program(program), algebra.mod_zero(), algebra._top()
     return [ModuleValue(algebra, _cut_sum(done, live, repeat(top), algebra))
-            for live, done in _layers(program, state, zero, algebra, fuel, node_budget)]
+            for live, done in _layers(entry, pack(state, entry.names, True), lambda _key: zero,
+                                      algebra, fuel, node_budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +458,35 @@ def cyclic(component: list, successors) -> bool:
     return len(component) > 1 or component[0] in successors(component[0])
 
 
+def right_side(values: list, exact: list, forms: list, algebra: Algebra, product,
+               i: int) -> tuple:
+    """Both solvers' right-hand side of unknown i against `values`: its
+    form `forms[i]`, a flat tuple (constant, exact, number, coefficient,
+    ...), read as constant (+) the sum of product(c, values[j]) over its
+    reads (j, c), raw, and whether that is exact.  `product` is the
+    caller's: `Algebra._times` over the loop solver's sums of weights,
+    `_scale` over the oracle's raw weights.  The constant's flag holds,
+    and each read is exact when its entry is certified (True) or unsolved
+    (None, in the reader's own component), or when c annihilates
+    (`annihilates`), since c (x) x is zero whatever the entry holds."""
+    terms = iter(forms[i])
+    total, ok = next(terms), next(terms)
+    add = algebra._add
+    for j, c in zip(terms, terms):  # False: left at the seed, or solved inexact
+        total = add(total, product(c, values[j]))
+        ok = ok and (exact[j] is not False or annihilates(c, algebra, product))
+    return total, ok
+
+
 def solve(roots, values: list, exact: list, forms: list, substitute, fuel: int) -> int:
     """Solve the linear system of numbered unknowns that `roots` read, in
     place, for both solvers (Tarjan 1981): unknown i reads the unknowns of
     its form `forms[i]`, a flat tuple (constant, exact, number,
     coefficient, ...), and `substitute(i)` is its right-hand side against
-    `values`, as (value, exact).  `exact[i]` is None while i is unsolved,
-    and an entry that holds True or False is read as it is; an unsolved
-    unknown holds its seed in `values`.
+    `values`, as (value, exact); both solvers pass `right_side` bound to
+    their lists, algebra and product.  `exact[i]` is None while i is
+    unsolved, and an entry that holds True or False is read as it is; an
+    unsolved unknown holds its seed in `values`.
 
     First one pass down the numbers solves each unsolved unknown whose
     reads are all solved, one substitution each: where every unknown was

@@ -48,11 +48,15 @@ fuel; only certified values outlive the solve.
 A result is reported `exact` only under a certificate:
 
 * the state's component reached a fixed point (a full pass changed
-  nothing), no unknown in it read one the sweeps did not follow, and
-  every exit value and every dependency outside it was certified, so its
-  values are genuine fixed-point values (for UCT loops every component is
-  acyclic); such unknowns are final and later queries on the same engine
-  reuse them, or
+  nothing), and every read in it was certified: no unknown in it read
+  one the sweeps did not follow, and every exit value and every
+  dependency outside it was certified, or the read's coefficient c
+  annihilates, c (x) top = zero, so that c (x) x is zero whatever it
+  reads (`operational.right_side`, the oracle's right-hand side too; a
+  run over values applies the same rule to its weight).  Its values are
+  then genuine fixed-point values (for UCT loops every component is
+  acyclic); such unknowns are final and later queries on the same
+  engine reuse them, or
 * for wlp, the lasso route: wlp(f) = wp(f) (+) wlp(zero) with the
   divergence part taken exactly from the quotient-graph analysis.
 
@@ -61,6 +65,7 @@ Anything else is a flagged bound: below the answer for wp, above for wlp.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Literal
 
 from ._record import record
@@ -70,8 +75,8 @@ from .syntax import (
     Program, State, Weigh, Weighting, While, compile_program, eval_bool,
 )
 from .operational import (
-    BudgetError, DivergenceError, certainly_terminates, check_divergence_analysis,
-    diverging_weights, solve,
+    BudgetError, DivergenceError, annihilates, certainly_terminates,
+    check_divergence_analysis, diverging_weights, right_side, solve,
 )
 
 
@@ -177,10 +182,11 @@ class _Solve:
        with steps 3 and 4 made by `operational.solve` over the solve's
        lists: one pass down the numbers, from the last to the root's
        (the first), solves each unknown whose reads all hold a value
-       with one `_substitute`.  Breadth first, a read of a new state numbers it
-       after its reader, so on an acyclic system the pass meets each
-       unknown after all it reads (a triangular system), and one
-       substitution each solves it.
+       with one substitution of its row (`row`, `operational.right_side`
+       over the solve's lists and `Algebra._times`).  Breadth first, a
+       read of a new state numbers it after its reader, so on an acyclic
+       system the pass meets each unknown after all it reads (a
+       triangular system), and one substitution each solves it.
     3. Component order, only if the root is still unsolved:
        `operational.components` yields the components of the dependency
        graph over the unsolved unknowns one at a time, dependencies first
@@ -192,15 +198,16 @@ class _Solve:
        them or a back read, an unsolved unknown numbered before its
        reader.  Entries that were never discovered hold a value and are
        in no component.
-    4. Solving substitutes forms (`_substitute`), and never runs a body
-       again: `operational.settle` solves each component as `components`
-       yields it.  An unknown outside any cycle gets const (+) sum of
+    4. Solving substitutes rows (`row`), and never runs a body again:
+       `operational.settle` solves each component as `components` yields
+       it.  An unknown outside any cycle gets const (+) sum of
        c (x) X(tau) over the entries it reads; a cyclic component is
        iterated from the seed, Gauss-Seidel, for at most `fuel` passes.
        A component is certified when a full pass changes nothing and
-       every substitution in it was exact: no constant was inexact, no
-       read was left at the seed and every dependency outside the
-       component was itself certified.
+       every substitution in it was exact: no constant was inexact, and
+       each read left at the seed, or of a dependency outside the
+       component that was not certified, had a coefficient that
+       annihilates.
 
     A form is dropped once its unknown is solved, at read-off or in steps
     2 to 4, and a certified unknown goes to its loop's final table: at
@@ -217,7 +224,7 @@ class _Solve:
 
     __slots__ = ("engine", "node", "outer", "exit", "horizon", "beyond", "queue", "depth",
                  "out", "joins", "algebra", "top", "seed", "unit", "keys", "homes", "vals",
-                 "exact", "forms", "found", "loops", "count", "home", "ids")
+                 "exact", "forms", "found", "loops", "count", "home", "ids", "row")
 
     def __init__(self, engine: "Engine", node: Node, outer: "_Solve | None" = None):
         self.engine = engine
@@ -240,6 +247,8 @@ class _Solve:
                 self.seed = self.algebra._top()
             self.unit = engine._unit
             self.keys, self.homes, self.vals, self.exact, self.forms = [], [], [], [], []
+            self.row = partial(right_side, self.vals, self.exact, self.forms, self.algebra,
+                               self.algebra._times)  # an unknown's (value, exact) by number
             self.found = bytearray()
             self.loops: dict = {}  # per loop node: (numbers, final table)
             self.count = 0  # the unknowns discovered
@@ -345,22 +354,9 @@ class _Solve:
             out = _summed(self.algebra._add, zip(reads, out[1::2]))
         return (self.engine._zero, True, *out)
 
-    def _substitute(self, i: int) -> tuple:
-        """The characteristic map at `i` against the current iterate: a raw
-        value and whether it is exact."""
-        terms = iter(self.forms[i])
-        total, exact = next(terms), next(terms)
-        algebra, vals, certain = self.algebra, self.vals, self.exact
-        add, times = algebra._add, algebra._times
-        for j, c in zip(terms, terms):  # (number, coefficient) pairs
-            if certain[j] is False:  # left at the seed, or solved inexact
-                exact = False
-            total = add(total, times(c, vals[j]))
-        return total, exact
-
     def _discover(self, entry: tuple) -> int:
         """Step 1, for this sweep from `entry`: each unknown's form, and its
-        value if the form reads only certified states (`_substitute`).  The
+        value if the form reads only certified states (`right_side`).  The
         entry's number (see `_touch`); a sweep is counted only where the
         entry is discovered."""
         r = self._touch(entry, 0)
@@ -379,7 +375,7 @@ class _Solve:
                 # nothing; for most forms the first read settles the test
                 if len(form) == 2 or exact[form[2]] and all(
                         exact[j] and not found[j] for j in form[2::2]):
-                    self.vals[i], exact[i] = self._substitute(i)
+                    self.vals[i], exact[i] = self.top.row(i)
                     forms[i] = None
                     if exact[i]:  # certified: final at once
                         self.homes[i][1][self.keys[i]] = self.vals[i]
@@ -403,8 +399,7 @@ class _Solve:
         for home in self.loops.values():  # nothing is met any more
             home[0].clear()
         if None in exact:
-            self.engine._passes += solve([r], vals, exact, self.forms, self._substitute,
-                                         self.engine.fuel)
+            self.engine._passes += solve([r], vals, exact, self.forms, self.row, self.engine.fuel)
             for i in range(len(keys)):
                 if found[i] and exact[i]:
                     homes[i][1][keys[i]] = vals[i]
@@ -573,13 +568,13 @@ def _run(node: Node):
             sigma = tuple(state)
         if weight is None:
             return follow(sigma, ctx)
-        if not in_body:
+        scale = algebra._scale
+        if not in_body:  # exact, too, behind a weight that annihilates
             value, exact = follow(sigma, ctx)
-            return algebra._scale(weight, value), exact
+            return scale(weight, value), exact or annihilates(weight, algebra, scale)
         out = ctx.out
         start = len(out)
         follow(sigma, ctx)
-        scale = algebra._scale
         for k in range(start + 1, len(out), 2):
             out[k] = scale(weight, out[k])
     return run

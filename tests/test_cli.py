@@ -210,6 +210,17 @@ def test_compare_trivial_skip(capsys, tmp_path):
     assert out.strip() == "x=1 | 4 | exact | 4 | exact | agree"
 
 
+def test_compare_certifies_a_branch_behind_a_zero_weight(capsys, tmp_path):
+    # the left arm weighs 0 before an inner loop that no fuel certifies, so
+    # both sides read it as zero, exactly
+    f = tmp_path / "behind_zero.wgcl"
+    f.write_text("@instance counting\nwhile (x > 0) { x := x - 1 }; { weigh 0; c := 1; "
+                 "while (c = 1) { { c := 0 } [] { skip } } } [] { skip }\n", encoding="utf-8")
+    code, out, _ = run(capsys, "compare", str(f), "--post", "one", "--state", "x=20",
+                       "--fuel", "8")
+    assert (code, out) == (0, "x=20 | 1 | exact | 1 | exact | agree\n")
+
+
 def test_compare_liberal(capsys):
     code, out, _ = run(capsys, "compare", "ex410", "--liberal",
                        "--post", "zero", "--state", "x=2")

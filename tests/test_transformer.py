@@ -5,16 +5,19 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wgcl import operational, transformer
 from wgcl.algebra import INF, MismatchError, NoTopError, algebra
 from wgcl.operational import (
-    BudgetError, DivergenceError, certainly_terminates, olp_oracle, op_oracle, uct_check,
+    BudgetError, DivergenceError, certainly_terminates, enumerate_paths, olp_oracle, op_oracle,
+    uct_check,
 )
 from wgcl.parser import parse_program, parse_weighting
 from wgcl.syntax import (
-    EvalError, ExprWeighting, FnWeighting, State, TableWeighting, While, compile_program,
-    flatten_seq, print_program,
+    AInt, Assign, Branch, EvalError, ExprWeighting, FnWeighting, Seq, State, Statement,
+    TableWeighting, Weigh, While, WLit, compile_program, flatten_seq, print_program,
 )
 from wgcl.transformer import (
     CertificationError, Engine, LiberalEngine, NotALoopError, apply_char_fn, as_weighting,
@@ -1202,3 +1205,91 @@ def test_forms_carry_lassos_and_cylinders_through_a_loop():
     res = engine.run(loop.program, weighting("{ab, (b)^w}", alg), State({"x": 2}))
     assert res.value == alg.value({"aaab", "abab", "baab", "bbab",
                                    ("aa", "b"), ("ab", "b"), ("ba", "b"), ("bb", "b")})
+
+
+# ---------------------------------------------------------------------------
+# Reads behind a weight that annihilates: a (x) top = zero, so a (x) x = zero
+# ---------------------------------------------------------------------------
+
+BEHIND_ZERO = ("@instance counting\nwhile (x > 0) { x := x - 1 }; "
+               "{ weigh 0; c := 1; while (c = 1) { { c := 0 } [] { skip } } } [] { skip }")
+ZERO_ARM = "@instance %s\nwhile (x > 0) { { weigh %s; y := y + 1 } [] { %sx := x - 1 } }"
+ZERO_ARMS = [(("counting", "0", ""), "1"), (("prob", "0", ""), "1"),
+             (("boolean", "false", ""), "true"), (("tropical", "inf", "weigh 1; "), "5")]
+ANNIHILATED = [  # (program, state, fuel, direction, value)
+    *(pytest.param(BEHIND_ZERO, {"x": 20}, fuel, "wp", "1", id=f"value-step-fuel-{fuel}")
+      for fuel in (8, 64, 1000)),
+    *(pytest.param(ZERO_ARM % arm, {"x": 5}, 64, direction, value, id=f"{arm[0]}-{direction}")
+      for arm, value in ZERO_ARMS for direction in ("wp", "wlp")),
+]
+
+
+@pytest.mark.parametrize("text, state, fuel, direction, value", ANNIHILATED)
+def test_a_read_behind_an_annihilating_weight_is_exact(text, state, fuel, direction, value):
+    # over values, `weigh 0` scales away the inexact inner loop after it;
+    # in a loop body, the left arm's reads of y's ever-growing states are
+    # past the horizon, left at the seed, and read behind a zero coefficient
+    parsed = prog(text)
+    alg = parsed.algebra
+    run = wp_eval if direction == "wp" else wlp_eval
+    res = run(parsed.program, weighting("one", alg), State(state), alg, fuel=fuel)
+    assert (alg.format_value(res.value), res.exact) == (value, True)
+
+
+ZERO_WEIGHT = {"counting": 0, "prob": Fraction(0), "boolean": False, "tropical": INF}
+
+
+def _splice_zero(program, rng, zero):
+    """`program` with `weigh zero` put in front of one of its loops, or
+    into that loop's body, before all of it or in one arm of a choice."""
+    loops = []
+
+    def walk(p, path):  # the field names from the root to each loop
+        if isinstance(p, While):
+            loops.append(path)
+        for name in p.__match_args__:
+            if isinstance(getattr(p, name), Statement):
+                walk(getattr(p, name), path + (name,))
+    walk(program, ())
+    path, kind = rng.choice(loops), rng.randrange(3)
+    weigh = Weigh(WLit(zero))
+
+    def rebuild(p, path):
+        if path:
+            fields = {name: getattr(p, name) for name in p.__match_args__}
+            fields[path[0]] = rebuild(fields[path[0]], path[1:])
+            return type(p)(**fields)
+        if kind == 0:  # in front of the loop, in one arm of a choice
+            return Branch(Seq(weigh, p), Assign("x", AInt(0)))
+        body = Seq(weigh, p.body)
+        return While(p.guard, body if kind == 1 else Branch(body, p.body))
+    return rebuild(program, path)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(ZERO_WEIGHT)),
+       st.sampled_from((rand_looping_program, rand_nested_program)))
+def test_reads_behind_an_annihilating_weight_agree_with_the_oracle(seed, instance, generate):
+    rng = random.Random(seed)
+    alg = algebra(instance)
+    program = _splice_zero(generate(rng, alg), rng, ZERO_WEIGHT[instance])
+    f, sigma = ExprWeighting(alg, rand_weighting_expr(rng, alg)), rand_state(rng)
+    try:
+        res = wp_eval(program, f, sigma, alg, fuel=8, node_budget=1000)
+        ref = op_oracle(program, sigma, f, alg, fuel=8, node_budget=1000)
+    except (BudgetError, EvalError):
+        return
+    if res.exact and ref.exact:
+        assert res.value == ref.value
+    elif res.exact:  # an uncertified oracle gives a lower bound
+        assert alg.nat_leq(ref.value, res.value)
+    elif ref.exact:  # and so does an uncertified transformer
+        assert alg.nat_leq(res.value, ref.value)
+    if not res.exact:
+        return
+    try:  # the paths that end within 24 steps, which read no row, weigh no more
+        paths = enumerate_paths(program, sigma, 24, alg, node_budget=20000).paths
+    except (BudgetError, EvalError):
+        return
+    assert alg.nat_leq(alg.big_add(alg.scalar_mul(path.weight, f.at(path.last_state))
+                                   for path in paths if path.terminal), res.value)
