@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from ._record import FrozenInstanceError, record
+from ._record import record
 
 
 class AlgebraError(Exception):
@@ -231,56 +231,25 @@ def format_lasso(prefix: str, period: str) -> str:
 # Tagged values
 # ---------------------------------------------------------------------------
 
-class _Tagged:
-    """A raw carrier element tagged with its algebra.  Immutable, and equal
-    to another exactly when the class, the algebra and the value are; the
-    hash is that of (algebra, value).  The walks (the step relation, the
-    oracles and the transformer's steps) run over raw carrier values and
-    wrap only what leaves them, but a compiled postweighting still builds
-    one per term at each key it reads.  So the fields are slots set
-    through their descriptors, not a frozen record's `__dict__`, and
-    assigning to them raises the records' `FrozenInstanceError`."""
+@record(frozen=True)
+class Weight:
+    """Carrier element of an instance's weight monoid, tagged with the
+    instance.  The walks run over raw carrier values; a tagged value is
+    built only where a value enters or leaves the package."""
 
-    __slots__ = ("algebra", "value")
-
-    def __init__(self, algebra: "Algebra", value: object):
-        _set_algebra(self, algebra)
-        _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.algebra, self.value) == (other.algebra, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.value))
-
-    def __reduce__(self):
-        return self.__class__, (self.algebra, self.value)
-
-
-_set_algebra, _set_value = _Tagged.algebra.__set__, _Tagged.value.__set__
-
-
-class Weight(_Tagged):
-    """Carrier element of an instance's weight monoid."""
-
-    __slots__ = ()
+    algebra: "Algebra"
+    value: object
 
     def __repr__(self) -> str:
         return f"<{self.algebra.name} weight {self.algebra.format_weight(self.value)}>"
 
 
-class ModuleValue(_Tagged):
-    """Carrier element of an instance's module."""
+@record(frozen=True)
+class ModuleValue:
+    """Carrier element of an instance's module, tagged with the instance."""
 
-    __slots__ = ()
+    algebra: "Algebra"
+    value: object
 
     def __repr__(self) -> str:
         return f"<{self.algebra.name} {self.algebra.format_raw(self.value)}>"
@@ -798,25 +767,19 @@ def algebra(name: str) -> Algebra:
     raise AlgebraError(f"unknown algebra instance {name!r}")
 
 
-def _common(*tagged):
-    alg = tagged[0].algebra
-    for t in tagged[1:]:
-        if t.algebra != alg:
-            raise MismatchError(f"mixed algebra instances: {alg.name} vs {t.algebra.name}")
-    return alg
-
+# the free functions: the first operand's instance checks the other's (`Algebra._need`)
 
 def mon_mul(a: Weight, b: Weight) -> Weight:
-    return _common(a, b).mon_mul(a, b)
+    return a.algebra.mon_mul(a, b)
 
 
 def mod_add(u: ModuleValue, v: ModuleValue) -> ModuleValue:
-    return _common(u, v).mod_add(u, v)
+    return u.algebra.mod_add(u, v)
 
 
 def scalar_mul(a: Weight, u: ModuleValue) -> ModuleValue:
-    return _common(a, u).scalar_mul(a, u)
+    return a.algebra.scalar_mul(a, u)
 
 
 def nat_leq(u: ModuleValue, v: ModuleValue) -> bool:
-    return _common(u, v).nat_leq(u, v)
+    return u.algebra.nat_leq(u, v)

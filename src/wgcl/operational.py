@@ -9,9 +9,9 @@ weighted successor pairs.  Each position's step is compiled once
 carrier values.  Every walk below adds, scales and multiplies raw values
 (`Algebra._add`, `_scale`, `_mul`) and wraps a value only where it
 leaves: `OracleResult.value`, `Path.weight`, the `olp_chain` list; the
-postweighting is checked to be over the walk's instance (`Algebra._need`)
-at each pair that reads it.  Each analysis takes a `State` and packs it
-once.  In the paper, configurations also carry a step count and an L/R
+postweighting is checked to be over the walk's instance once per query,
+in `Weighting.keyed`, and read raw.  Each analysis takes a `State` and
+packs it once.  In the paper, configurations also carry a step count and an L/R
 branch history, so that paths form a forest in bijection with
 nondeterministic resolutions; only `enumerate_paths` records those.  The
 exposed analyses:
@@ -170,15 +170,15 @@ def enumerate_paths(program: Program, state: State, depth: int, algebra: Algebra
     return report
 
 
-def _layers(entry, sigma: tuple, at: Callable[[tuple], ModuleValue], algebra: Algebra,
+def _layers(entry, sigma: tuple, at: Callable[[tuple], object], algebra: Algebra,
             fuel: int, node_budget: int) -> Iterator[tuple[list, object]]:
     """Per depth n = 0..fuel of the forest cut from the compiled program
     `entry` at the key `sigma`, (live, done): the paths still running, as
-    (position, key, raw weight), and weight (x) at(final key), the
+    (position, key, raw weight), and weight (x) at(final key), the raw
     postweighting at a key (`Weighting.keyed`), summed over those that
     ended, raw.  Nothing is built past the cut; forest nodes count as in
     `enumerate_paths`, the root included."""
-    need, add, scale, mul = algebra._need, algebra._add, algebra._scale, algebra._mul
+    add, scale, mul = algebra._add, algebra._scale, algebra._mul
     frontier = [(entry, sigma, algebra._unit)]
     done = algebra._zero()
     nodes = 1
@@ -186,7 +186,7 @@ def _layers(entry, sigma: tuple, at: Callable[[tuple], ModuleValue], algebra: Al
         live = []
         for position, sigma, w in frontier:
             if position is TERMINATED:
-                done = add(done, scale(w, need(at(sigma), ModuleValue)))
+                done = add(done, scale(w, at(sigma)))
             else:
                 live.append((position, sigma, w))
         yield live, done
@@ -221,20 +221,20 @@ def annihilates(a, algebra: Algebra, product) -> bool:
     return algebra.has_top and product(a, algebra._top()) == algebra._zero()
 
 
-def _system(roots, at: Callable[[tuple], ModuleValue], algebra: Algebra) -> tuple[list, list]:
+def _system(roots, at: Callable[[tuple], object], algebra: Algebra) -> tuple[list, list]:
     """The numbers of `roots` and the forms, by number, of the system over
     the pairs they reach, each pair stepped once.  The pairs are numbered
     breadth first from the roots, so that on an acyclic graph a pair's
     first reader comes before it.  A pair's form is the constant at(key),
-    the postweighting at its key (`Weighting.keyed`) checked to be over
-    `algebra`, at TERMINATED, else (zero, True, p, a, ...) over its
-    `successors` (a, p), equal arms counted twice: (+) a (x) value(p)."""
-    need, zero = algebra._need, algebra._zero()
+    the raw postweighting at its key (`Weighting.keyed`), at TERMINATED,
+    else (zero, True, p, a, ...) over its `successors` (a, p), equal arms
+    counted twice: (+) a (x) value(p)."""
+    zero = algebra._zero()
     numbers: dict = {}  # per pair met
     ids = [numbers.setdefault(pair, len(numbers)) for pair in roots]
     pairs, forms = list(numbers), []  # by number
     for position, sigma in pairs:  # grows while it is walked
-        form = [need(at(sigma), ModuleValue) if position is TERMINATED else zero, True]
+        form = [at(sigma) if position is TERMINATED else zero, True]
         for a, position2, sigma2 in successors(position, sigma, algebra):
             j = numbers.setdefault((position2, sigma2), len(pairs))
             if j == len(pairs):
@@ -253,7 +253,7 @@ def _cut(program: Program, state: State, post: Weighting, algebra: Algebra, fuel
     where that walk passes `node_budget` pairs or a step past the cut is
     undefined."""
     entry = compile_program(program)
-    key, at = post.keyed(entry.names)
+    key, at = post.keyed(entry.names, algebra)
     live, done = deque(_layers(entry, key(state), at, algebra, fuel, node_budget), maxlen=1).pop()
     roots = [(p, s) for p, s, _ in live]
     try:
@@ -344,7 +344,7 @@ def olp_oracle(program: Program, state: State, post: Weighting, algebra: Algebra
 def olp_chain(program: Program, state: State, algebra: Algebra,
               fuel: int = 64, node_budget: int = 10 ** 6) -> list[ModuleValue]:
     """The olp chain s_n itself for post zero, n = 0..fuel (fewer if all paths end)."""
-    entry, zero, top = compile_program(program), algebra.mod_zero(), algebra._top()
+    entry, zero, top = compile_program(program), algebra._zero(), algebra._top()
     return [ModuleValue(algebra, _cut_sum(done, live, repeat(top), algebra))
             for live, done in _layers(entry, pack(state, entry.names, True), lambda _key: zero,
                                       algebra, fuel, node_budget)]
@@ -518,8 +518,8 @@ def solve(roots, values: list, exact: list, forms: list, substitute, fuel: int) 
 
 
 def settle(component: list, successors, values, substitute, fuel: int) -> tuple[int, bool]:
-    """Solve one component that `components` yielded, in place in `values`
-    (a list or a dict): `substitute(v)` is v's right-hand side against
+    """Solve one component that `components` yielded, in place in the list
+    `values`: `substitute(v)` is v's right-hand side against
     `values`, as (value, exact).  With no cycle (`cyclic`), one
     substitution; on a cycle, Gauss-Seidel passes from the values the
     component holds, at most `fuel`.  The passes made, and whether the

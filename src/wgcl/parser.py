@@ -307,19 +307,19 @@ class _Parser:
                 if self.accept("false"):
                     return WLit(False)
                 n = int(self.expect("num").lexeme)
-                return WLit(alg.weight(n).value)
+                return WLit(alg._check_weight(n))
             if alg.name == "prob":
-                return WLit(alg.weight(self.rational()).value)
+                return WLit(alg._check_weight(self.rational()))
             if alg.name.startswith(("lang:", "omegalang:")):
                 if self.accept("eps"):
                     return WLit("")
                 word = self.expect("id").lexeme
-                return WLit(alg.weight(word).value)
+                return WLit(alg._check_weight(word))
             # extended-natural instances
             if self.accept("inf"):
                 return WLit(INF)
             n = int(self.expect("num").lexeme)
-            return WLit(alg.weight(n).value)
+            return WLit(alg._check_weight(n))
         except AlgebraError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
 
@@ -353,7 +353,7 @@ class _Parser:
         tok = self.peek()
         if tok.typ == "skip":
             self.next()
-            return Weigh(WLit(self.algebra.mon_one().value))
+            return Weigh(WLit(self.algebra._unit))
         if tok.typ == "weigh":
             self.next()
             return self.weigh_statement()
@@ -401,7 +401,7 @@ class _Parser:
             self.next()  # ^
             var = self.expect("id").lexeme
             try:
-                lit = WLit(self.algebra.weight(word_tok.lexeme).value)
+                lit = WLit(self.algebra._check_weight(word_tok.lexeme))
             except AlgebraError as exc:
                 raise ParseError(str(exc), word_tok.line, word_tok.col) from exc
             fresh = f"_pow{self._fresh}"
@@ -453,7 +453,7 @@ class _Parser:
         if tok.typ == "inf":
             self.next()
             try:
-                return TLit(alg.value(INF).value)
+                return TLit(alg._check_value(INF))
             except AlgebraError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         if tok.typ == "{":
@@ -538,7 +538,7 @@ class _Parser:
                 elems.append(self.w_set_element())
         self.expect("}")
         try:
-            return TLit(alg.value(frozenset(elems)).value)
+            return TLit(alg._check_value(frozenset(elems)))
         except AlgebraError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from exc
 

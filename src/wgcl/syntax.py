@@ -739,45 +739,54 @@ def eval_weighting(expr: WeightingExpr, sigma: State, algebra: Algebra) -> Modul
 
 
 def compile_weighting(expr: WeightingExpr, algebra: Algebra,
-                      names: tuple[str, ...]) -> Callable[[tuple], ModuleValue]:
-    """`expr` as a closure over a key, equal to `eval_weighting(expr, .,
-    algebra)`: a term behind a failing guard is never evaluated."""
-    if isinstance(expr, TZero):
-        return lambda sigma: algebra.mod_zero()
-    if isinstance(expr, TOne):
-        return lambda sigma: algebra.module_one()
+                      names: tuple[str, ...]) -> Callable[[tuple], object]:
+    """`expr` as a closure over a key, giving the raw carrier value
+    `eval_weighting(expr, ., algebra).value`: a term behind a failing
+    guard is never evaluated, `top` is built where it is read, and a
+    literal is checked on its first read and reused after."""
+    if isinstance(expr, (TZero, TOne)):
+        value = algebra._zero() if isinstance(expr, TZero) else algebra._module_one()
+        return lambda sigma: value
     if isinstance(expr, TTop):
-        return lambda sigma: algebra.top()
+        top = algebra._top
+        return lambda sigma: top()
     if isinstance(expr, TEmbed):
         arg = compile_arith(expr.expr, names)
 
         def embed(sigma):
             n = arg(sigma)
             try:
-                return algebra.embed_value(n)
+                return algebra._embed(n)
             except EmbedError as exc:
                 raise EvalError(str(exc)) from exc
         return embed
     if isinstance(expr, TLit):
-        raw = expr.raw
-        return lambda sigma: algebra.value(raw)
+        raw, checked = expr.raw, None
+
+        def literal(sigma):
+            nonlocal checked
+            if checked is None:
+                checked = algebra._check_value(raw)
+            return checked
+        return literal
     if isinstance(expr, TScale):
         weight = compile_weight(expr.weight, names)
         term = compile_weighting(expr.term, algebra, names)
-        return lambda sigma: ModuleValue(algebra, algebra._scale(
-            weight(sigma, algebra), algebra._need(term(sigma), ModuleValue)))
+        scale = algebra._scale
+        return lambda sigma: scale(weight(sigma, algebra), term(sigma))
     if isinstance(expr, WSum):
         items = [(None if item.guard is None else compile_bool(item.guard, names),
                   compile_weighting(item.term, algebra, names)) for item in expr.items]
+        add, zero = algebra._add, algebra._zero()
 
         def total(sigma):
-            out = algebra.mod_zero()
+            out = zero
             for guard, term in items:
                 if guard is None or guard(sigma):
-                    out = algebra.mod_add(out, term(sigma))
+                    out = add(out, term(sigma))
             return out
         return total
-    return lambda sigma: eval_weighting(expr, unpack(sigma, names), algebra)
+    return lambda sigma: eval_weighting(expr, unpack(sigma, names), algebra).value
 
 
 class Weighting:
@@ -788,19 +797,25 @@ class Weighting:
     def at(self, sigma: State) -> ModuleValue:
         raise NotImplementedError
 
-    def keyed(self, names: tuple[str, ...]) -> tuple:
-        """For a walk over a program with slots `names`: how it packs a
-        `State` (`pack`), and the weighting at a key.  The key keeps the
-        input's other variables, constant through the walk, that the
-        weighting can read: here all of them."""
-        return lambda sigma: pack(sigma, names, True), lambda key: self.at(unpack(key, names))
+    def keyed(self, names: tuple[str, ...], algebra: Algebra) -> tuple:
+        """For a walk over a program with slots `names` and over the
+        instance `algebra`: how it packs a `State` (`pack`), and the
+        weighting at a key, raw.  This is the one place where a query
+        checks its postweighting's instance: here each value read is
+        checked to be over `algebra` (else `MismatchError`, at that
+        read).  The key keeps the input's other variables, constant
+        through the walk, that the weighting can read: here all of them."""
+        need = algebra._need
+        return (lambda sigma: pack(sigma, names, True),
+                lambda key: need(self.at(unpack(key, names)), ModuleValue))
 
 
 class ExprWeighting(Weighting):
-    """A weighting expression over one algebra.  Keyed, it is its closure
-    (`compile_weighting`), compiled once per `names`, its other variables
-    in the slots after the program's, so the key keeps only the input
-    variables it reads."""
+    """A weighting expression over one algebra.  Keyed for a walk over
+    that algebra, it is its raw closure (`compile_weighting`), compiled
+    once per `names`, its other variables in the slots after the
+    program's, so the key keeps only the input variables it reads; keyed
+    for another instance, it is checked at each read, as any weighting."""
 
     def __init__(self, algebra: Algebra, expr: WeightingExpr):
         self.algebra = algebra
@@ -808,10 +823,12 @@ class ExprWeighting(Weighting):
         self._keyed: dict[tuple[str, ...], tuple] = {}
 
     def at(self, sigma: State) -> ModuleValue:
-        key, at = self.keyed(())
-        return at(key(sigma))
+        key, at = self.keyed((), self.algebra)
+        return ModuleValue(self.algebra, at(key(sigma)))
 
-    def keyed(self, names: tuple[str, ...]) -> tuple:
+    def keyed(self, names: tuple[str, ...], algebra: Algebra) -> tuple:
+        if algebra is not self.algebra and algebra != self.algebra:
+            return super().keyed(names, algebra)
         if names not in self._keyed:
             layout = list(names)  # the expression's other variables join it as it compiles
             at = compile_weighting(self.expr, self.algebra, layout)
@@ -906,7 +923,7 @@ def print_program(prog: Program, algebra: Algebra, indent: int = 0) -> str:
                 f"{print_program(prog.right, algebra, indent + 1)}\n{pad}}}")
     if isinstance(prog, Weigh):
         w = prog.weight
-        if isinstance(w, WLit) and w.raw == algebra.mon_one().value:
+        if isinstance(w, WLit) and w.raw == algebra._unit:
             return f"{pad}skip"
         return f"{pad}weigh {_print_weight(prog.weight)}"
     raise EvalError(f"not a program node: {prog!r}")

@@ -436,7 +436,7 @@ class Engine:
         self.node_budget = node_budget
         self.seed_one = seed_one  # wlp restricted to the gfp below the constant one
         self._posts: dict[object, tuple[Weighting, dict]] = {}  # keyed on f as passed
-        self._at = None  # the query's postweighting at a key (`Weighting.keyed`)
+        self._at = None  # the query's raw postweighting at a key (`Weighting.keyed`)
         self._finals: dict[Node, dict] = {}  # its loops' final tables
         self._values: dict[tuple[Node, tuple], tuple] = {}  # the query's joins
         self._zero = algebra._zero()  # the constant of a form read off a body
@@ -454,7 +454,7 @@ class Engine:
             kept = self._posts[f] = (as_weighting(self.algebra, f), {})
         weighting, self._finals = kept
         entry = compile_program(program)
-        key, self._at = weighting.keyed(entry.names)
+        key, self._at = weighting.keyed(entry.names, self.algebra)
         self._values = {}  # only the final tables outlive a query
         self._passes = self._touched = self._evaluations = 0
         value, exact = entry.step(key(sigma), self)
@@ -581,9 +581,9 @@ def _run(node: Node):
 
 
 def _post(sigma: tuple, engine: Engine) -> tuple:
-    """The query's postweighting at `sigma`, raw, once checked to be over
-    the engine's instance."""
-    return engine.algebra._need(engine._at(sigma), ModuleValue), True
+    """The query's postweighting at `sigma`, raw (`Weighting.keyed` checked
+    its instance), and exact."""
+    return engine._at(sigma), True
 
 
 def _read(node: Node):

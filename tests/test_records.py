@@ -122,6 +122,10 @@ def test_a_program_survives_a_pickle_round_trip():
         assert copy == parsed and hash(copy) == hash(parsed) and repr(copy) == repr(parsed)
         assert (wgcl.print_program(copy.program, copy.algebra)
                 == wgcl.print_program(parsed.program, parsed.algebra))
+    omega = algebra("omegalang:ab")
+    for tagged in (omega.weight("ab"), omega.value({"a", ("b", "ab")})):
+        copy = pickle.loads(pickle.dumps(tagged))
+        assert copy == tagged and hash(copy) == hash(tagged) and repr(copy) == repr(tagged)
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():

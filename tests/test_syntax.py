@@ -14,7 +14,7 @@ from wgcl.parser import (
 )
 from wgcl.syntax import (
     MAX_INT_BITS, ABin, ACall, AInt, AVar, Assign, BAnd, BBool, BCmp, BNot, BOr, Branch,
-    EvalError, ExprWeighting, Ite, Seq, State, TEmbed, TOne, TScale, Weigh, WEmbedInt,
+    EvalError, ExprWeighting, Ite, Seq, State, TEmbed, TOne, TScale, TTop, Weigh, WEmbedInt,
     WGuarded, While, WLit, WSum,
     compile_arith, compile_bool, compile_program, compile_weight, eval_arith, eval_bool,
     eval_weight, compile_weighting, eval_weighting, fib, pack, print_program,
@@ -23,7 +23,7 @@ from wgcl.transformer import wp_eval
 
 from genprog import (
     VARS, rand_arith, rand_bool, rand_loopfree, rand_state, rand_uct_program,
-    rand_weighting_expr,
+    rand_weight_expr, rand_weighting_expr,
 )
 
 EX49 = """@instance tropical
@@ -148,7 +148,7 @@ def test_a_scalar_product_weighting_evaluates_alike_everywhere(instance, post, e
     assert isinstance(expr.items[0].term, TScale)
     value = eval_weighting(expr, State({"x": 3}), alg)
     assert alg.format_value(value) == expected
-    assert compile_weighting(expr, alg, ("x",))((3,)) == value
+    assert compile_weighting(expr, alg, ("x",))((3,)) == value.value
     step = parse_program(f"@instance {instance}\nx := x + 1").program
     f, sigma = ExprWeighting(alg, expr), State({"x": 2})
     for res in (wp_eval(step, f, sigma, alg), op_oracle(step, sigma, f, alg)):
@@ -381,10 +381,16 @@ def test_compiled_expressions_equal_the_reference_evaluator(seed):
     ite = compile_program(Seq(Ite(b, Assign("x", e), Weigh(WEmbedInt(e2))),
                               While(b, Assign("y", e))))
     assign, weigh, loop = ite.then, ite.orelse, ite.next
-    name = rng.choice(("tropical", "counting", "arctic", "prob", "lang:ab", "boolean"))
+    name = rng.choice(("tropical", "counting", "arctic", "prob", "lang:ab", "boolean",
+                       "omegalang:ab"))
     alg = algebra(name)
     w = rand_weighting_expr(rng, alg)
-    post = ExprWeighting(alg, w)
+    # the generated sum, a scaled copy of it, and it beside a guarded `top`
+    # (which lang has not: raised only where the guard holds)
+    ws = (w, WSum((WGuarded(None, TScale(rand_weight_expr(rng, alg), w)),)),
+          WSum((WGuarded(rand_bool(rng, 1), TTop()),) + w.items))
+    posts = [ExprWeighting(alg, x) for x in ws]
+    keyed = [post.keyed(ite.names, alg) for post in posts]  # raw, as a query reads it
     trop = algebra("tropical")
     for _ in range(6):
         sigma = rand_state(rng) if rng.random() < 0.7 else _rand_big_state(rng)
@@ -394,7 +400,10 @@ def test_compiled_expressions_equal_the_reference_evaluator(seed):
         assert _outcome(assign.rhs, key) == _outcome(eval_arith, e, sigma)
         assert (_outcome(weigh.weight, key, trop)
                 == _outcome(_raw_weight, WEmbedInt(e2), sigma, trop))
-        assert _outcome(post.at, sigma) == _outcome(eval_weighting, w, sigma, alg)
+        for x, post, (pack_key, at) in zip(ws, posts, keyed):
+            assert _outcome(post.at, sigma) == _outcome(eval_weighting, x, sigma, alg)
+            assert (_outcome(lambda: at(pack_key(sigma)))
+                    == _outcome(lambda: eval_weighting(x, sigma, alg).value))
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,7 +498,7 @@ def test_compiled_expressions_keep_bounds_and_evaluation_order():
     layout = []
     expr = parse_weighting("int(min(3, 1) * y + z)", algebra("counting"))
     at = compile_weighting(expr, algebra("counting"), layout)
-    assert layout == ["y", "z"] and at((4, 5)) == algebra("counting").value(9)
+    assert layout == ["y", "z"] and at((4, 5)) == 9
     layout = []
     compile_bool(BAnd(BBool(False), BCmp(">", AVar("w"), AVar("v"))), layout)
     assert layout == ["w", "v"]

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wgcl import operational, transformer
-from wgcl.algebra import INF, MismatchError, NoTopError, algebra
+from wgcl.algebra import INF, MismatchError, ModuleValue, NoTopError, algebra
 from wgcl.operational import (
     BudgetError, DivergenceError, certainly_terminates, enumerate_paths, olp_oracle, op_oracle,
     uct_check,
@@ -1080,6 +1080,32 @@ def test_a_postweighting_over_another_instance_is_rejected(program):
     for evaluate in (wp_eval, wlp_eval):
         with pytest.raises(MismatchError):
             evaluate(p, f, State({"x": 2}), TROP)
+    # the instance is checked where the post is read, not where it is
+    # keyed: a loop that no run leaves never reads it, and raises nothing
+    never = prog("@instance tropical\nwhile (x > 0) { x := x + 1 }").program
+    for evaluate, value in ((wp_eval, TROP.mod_zero()), (wlp_eval, TROP.top())):
+        assert evaluate(never, f, State({"x": 2}), TROP).value == value
+
+
+def test_a_query_tags_only_its_result(monkeypatch):
+    # inside a query the postweighting is read raw, so each query builds
+    # one `ModuleValue`, its result: 64 wp rows on one engine, and 64
+    # path-oracle rows, build 64
+    built = []
+    init = ModuleValue.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(ModuleValue, "__init__", counted)
+    post = weighting("[n > 0] int(1) (+) one", TROP)
+    states = [State({"n": n, "y": y}) for n in range(8) for y in range(8)]
+    engine = Engine(TROP, "wp")
+    for query in (lambda sigma: engine.run(SKI_ND.program, post, sigma),
+                  lambda sigma: op_oracle(SKI_ND.program, sigma, post, TROP)):
+        del built[:]
+        assert all(query(sigma).exact for sigma in states)
+        assert len(built) == len(states)
 
 
 TRIANGLE = prog("@instance tropical\nwhile (x > 0) { y := x; "
