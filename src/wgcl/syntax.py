@@ -742,14 +742,16 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra,
                       names: tuple[str, ...]) -> Callable[[tuple], object]:
     """`expr` as a closure over a key, giving the raw carrier value
     `eval_weighting(expr, ., algebra).value`: a term behind a failing
-    guard is never evaluated, `top` is built where it is read, and a
-    literal is checked on its first read and reused after."""
-    if isinstance(expr, (TZero, TOne)):
-        value = algebra._zero() if isinstance(expr, TZero) else algebra._module_one()
-        return lambda sigma: value
+    guard is never evaluated, and `top` and a literal are built and
+    checked where they are read."""
+    if isinstance(expr, TZero):
+        zero = algebra._zero()
+        return lambda sigma: zero
+    if isinstance(expr, TOne):
+        one = algebra._module_one()
+        return lambda sigma: one
     if isinstance(expr, TTop):
-        top = algebra._top
-        return lambda sigma: top()
+        return lambda sigma: algebra._top()
     if isinstance(expr, TEmbed):
         arg = compile_arith(expr.expr, names)
 
@@ -761,14 +763,8 @@ def compile_weighting(expr: WeightingExpr, algebra: Algebra,
                 raise EvalError(str(exc)) from exc
         return embed
     if isinstance(expr, TLit):
-        raw, checked = expr.raw, None
-
-        def literal(sigma):
-            nonlocal checked
-            if checked is None:
-                checked = algebra._check_value(raw)
-            return checked
-        return literal
+        raw, check = expr.raw, algebra._check_value
+        return lambda sigma: check(raw)
     if isinstance(expr, TScale):
         weight = compile_weight(expr.weight, names)
         term = compile_weighting(expr.term, algebra, names)
